@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory, iterate
+from .geometry import hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
 
@@ -92,71 +92,16 @@ class SegmentsOracle(ProximalOracle):
 class HullOracle(ProximalOracle):
     """Convex hull of finitely many points; exact projection by face enumeration.
 
-    Per-face KKT solves are precomputed, so a projection costs one small
-    matrix-vector product per face.
+    The faces and their KKT inverses are built once, so a projection costs
+    one small matrix-vector product per face.
     """
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
-        k, d = self.points.shape
-        self._faces: list[tuple[np.ndarray, np.ndarray]] = []
-        for size in range(1, k + 1):
-            for idx in combinations(range(k), size):
-                sub = self.points[list(idx)]
-                m = len(sub)
-                if m == 1:
-                    self._faces.append((sub, None))
-                    continue
-                kkt = np.zeros((m + 1, m + 1))
-                kkt[:m, :m] = sub @ sub.T
-                kkt[:m, m] = 1.0
-                kkt[m, :m] = 1.0
-                try:
-                    inv = np.linalg.inv(kkt)
-                except np.linalg.LinAlgError:
-                    continue
-                self._faces.append((sub, inv))
+        self._faces = hull_faces(self.points)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        best_d = math.inf
-        best_p: np.ndarray | None = None
-        for sub, inv in self._faces:
-            if inv is None:
-                cand = sub[0]
-            else:
-                m = len(sub)
-                rhs = np.append(sub @ x, 1.0)
-                w = (inv @ rhs)[:m]
-                if np.any(w < -1e-12):
-                    continue
-                cand = w @ sub
-            d = float(np.linalg.norm(cand - x))
-            if d < best_d - 1e-15:
-                best_d = d
-                best_p = cand
-        assert best_p is not None
-        return [best_p]
-
-
-class HalfspaceOracle(ProximalOracle):
-    """Intersection of half-spaces {<n,y> <= b} and hyperplanes {<n,y> = b}.
-
-    Projection by Dykstra's alternating method, tolerance 1e-12.
-    """
-
-    def __init__(self, halfspaces, hyperplanes=()):
-        def unit(n):
-            n = np.asarray(n, dtype=float)
-            return n / np.linalg.norm(n)
-
-        self.halfspaces = [(unit(n), float(b)) for n, b in halfspaces]
-        self.hyperplanes = [(unit(n), float(b)) for n, b in hyperplanes]
-
-    def project(self, x):
-        from .geometry import project_halfspaces
-
-        return [project_halfspaces(np.asarray(x, dtype=float), self.halfspaces, self.hyperplanes)]
+        return [nearest_on_faces(self._faces, x)[0]]
 
 
 # ---------------------------------------------------------------------------

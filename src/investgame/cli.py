@@ -179,21 +179,13 @@ def _certify_blackwell(cfg: dict) -> tuple[bool, dict]:
     if target in ("example1_line", "example1_segment", "example1_singleton"):
         a = tuple(cfg.get("a", (0.0, -1.0)))
         b = tuple(cfg.get("b", (2.0, 1.0)))
-        rep = harness.run_example1(a, b, starts=[(0.5, 0.5)], n=1000, tol=1.0, pitch=pitch)
-        key = {
-            "example1_line": "blackwell_line",
-            "example1_segment": "blackwell_segment",
-            "example1_singleton": "blackwell_singleton",
-        }[target]
-        sub = rep.meta[key]
-        return bool(sub["holds"]), sub
-    if target in ("example2_triangle", "example2_union"):
-        eps = float(cfg.get("eps", 0.4))
-        rep = harness.run_example2(eps, n=1000, tol=10.0, pipeline=True, pitch=pitch)
-        key = "blackwell_triangle" if target == "example2_triangle" else "blackwell_union"
-        sub = rep.meta[key]
-        return bool(sub["holds"]), sub
-    raise ConfigError(f"unknown blackwell target {target!r}")
+        certs = harness.example1_certificates(a, b, pitch)
+    elif target in ("example2_triangle", "example2_union"):
+        certs = harness.example2_certificates(float(cfg.get("eps", 0.4)), pitch)
+    else:
+        raise ConfigError(f"unknown blackwell target {target!r}")
+    sub = certs["blackwell_" + target.partition("_")[2]].as_dict()
+    return bool(sub["holds"]), sub
 
 
 def _certify_lyapunov(cfg: dict, want_decrease: bool) -> tuple[bool, dict]:

@@ -7,16 +7,18 @@ Six unit directions v1..v6 in P encode pairwise payoff comparisons and
 cut the sub-level regions Delta_c(K) used by the support-function
 machinery.
 
-Region predicates follow the strict-inequality definitions exactly; the
-"closure" used by distance computations relaxes strict inequalities to
-non-strict ones.  Distances are exact for convex half-space/hull regions
-and grid-approximated (ambient pitch h, error at most h*sqrt(3)) for the
-non-convex ones.
+Each region kind lists its inequalities once; membership follows the
+strict-inequality definitions exactly, and the "closure" used by distance
+computations relaxes strict inequalities to non-strict ones.  Distances
+are exact for the convex kinds (closed-form polygon projection for plane
+sub-level regions, face enumeration for hulls) and grid-approximated
+(ambient pitch h, error at most h*sqrt(3)) for the non-convex ones.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -77,21 +79,8 @@ _E1 = (1.0 / _S2, -1.0 / _S2, 0.0)
 _E2 = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
 
 
-def plane_basis() -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    return _E1, _E2
-
-
 def to_plane_coords(y) -> tuple[float, float]:
     return (dot3(y, _E1), dot3(y, _E2))
-
-
-def from_plane_coords(ab) -> PayoffVector:
-    a, b = ab
-    return (
-        a * _E1[0] + b * _E2[0],
-        a * _E1[1] + b * _E2[1],
-        a * _E1[2] + b * _E2[2],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,118 +143,91 @@ def _others(i: int) -> tuple[int, int]:
     return tuple(k for k in (1, 2, 3) if k != i)  # type: ignore[return-value]
 
 
+def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
+    """The region's inequalities as (lhs, op, rhs) over the coordinate columns.
+
+    Strict ops ("<", ">") relax to non-strict ones in the closure.  "w" is
+    the union of its inequalities, every other kind their intersection.
+    """
+    if spec.kind == "delta":
+        y0, y1, y2 = cols
+        return [(v[0] * y0 + v[1] * y1 + v[2] * y2, "<", spec.c) for v in map(v_dir, spec.ks)]
+    i = spec.player
+    j, k = _others(i)
+    xi, xj, xk = cols[i - 1], cols[j - 1], cols[k - 1]
+    if spec.kind == "w":
+        return [(xi, "<", params.r0), (xj + xk, ">", 2.0 * params.p3)]
+    if spec.kind == "omega_max":
+        return [(xi, ">=", xj), (xi, ">=", xk)]
+    if spec.kind == "phi_min":
+        return [(xi, "<=", xj), (xi, "<=", xk)]
+    omega = [(xi, ">", xj - spec.eps), (xi, ">", xk - spec.eps)]
+    if spec.kind == "omega_eps":
+        return omega
+    if spec.kind == "v":  # Omega_i^eps minus W_i: both W_i inequalities negated
+        return omega + [(xi, ">=", params.r0), (xj + xk, "<=", 2.0 * params.p3)]
+    raise ValueError(f"unknown region kind {spec.kind!r}")
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_RELAXED = {"<": "<=", ">": ">="}
+
+
+def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
+    """Membership over an (n, 3) array; closed=True tests the closure.
+
+    Evaluated elementwise, in the operand order of the inequalities, so a
+    single row gives the same answer as the scalar arithmetic would.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if spec.kind == "hull":
+        return hull_mask(spec.points, pts)
+    mask = None
+    for lhs, op, rhs in _inequalities(params, spec, (pts[:, 0], pts[:, 1], pts[:, 2])):
+        if closed:
+            op = _RELAXED.get(op, op)
+            if spec.kind == "delta":
+                rhs = rhs + 1e-12
+        held = _OPS[op](lhs, rhs)
+        if mask is None:
+            mask = held
+        elif spec.kind == "w":
+            mask |= held
+        else:
+            mask &= held
+    return np.ones(len(pts), dtype=bool) if mask is None else mask
+
+
+def _check_point(spec: RegionSpec, x) -> None:
+    if spec.kind == "delta":
+        if len(x) != 3 or not is_plane_point(x):
+            raise ValueError("delta regions take plane points (coordinates summing to 0)")
+    elif spec.kind not in _PAYOFF_KINDS:
+        raise ValueError(f"unknown region kind {spec.kind!r}")
+    elif len(x) != 3:
+        raise ValueError("payoff regions take points of R^3")
+
+
 def in_region(params: GameParams, spec: RegionSpec, x) -> bool:
     """Membership predicate, strict inequalities evaluated strictly.
 
     Raises ValueError when the point kind does not match the region kind
     (plane regions demand a zero-sum point, payoff regions a 3-vector).
     """
-    if spec.kind == "delta":
-        if len(x) != 3 or not is_plane_point(x):
-            raise ValueError("delta regions take plane points (coordinates summing to 0)")
-        return all(dot3(v_dir(k), x) < spec.c for k in spec.ks)
-    if spec.kind not in _PAYOFF_KINDS:
-        raise ValueError(f"unknown region kind {spec.kind!r}")
-    if len(x) != 3:
-        raise ValueError("payoff regions take points of R^3")
-
-    if spec.kind == "hull":
-        return _in_hull_cached(spec.points, tuple(map(float, x)))
-
-    i = spec.player
-    j, k = _others(i)
-    xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
-    if spec.kind == "omega_eps":
-        return xi > xj - spec.eps and xi > xk - spec.eps
-    if spec.kind == "w":
-        return xi < params.r0 or xj + xk > 2.0 * params.p3
-    if spec.kind == "v":
-        inv_ok = xi > xj - spec.eps and xi > xk - spec.eps
-        trigger = xi < params.r0 or xj + xk > 2.0 * params.p3
-        return inv_ok and not trigger
-    if spec.kind == "omega_max":
-        return xi >= xj and xi >= xk
-    if spec.kind == "phi_min":
-        return xi <= xj and xi <= xk
-    raise AssertionError(spec.kind)
+    _check_point(spec, x)
+    return bool(region_mask(params, spec, np.asarray([x], dtype=float))[0])
 
 
 def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
     """Membership in the region's closure (strict inequalities relaxed).
 
-    For payoff-space kinds this includes membership in the closed hull S.
+    For payoff-space kinds other than hulls this includes membership in
+    the closed hull S.
     """
-    if spec.kind == "delta":
-        if len(x) != 3 or not is_plane_point(x):
-            raise ValueError("delta regions take plane points (coordinates summing to 0)")
-        return all(dot3(v_dir(k), x) <= spec.c + 1e-12 for k in spec.ks)
-    if spec.kind == "hull":
-        return _in_hull_cached(spec.points, tuple(map(float, x)))
-
-    if not in_hull(vertices(params).all_points(), x):
+    _check_point(spec, x)
+    if spec.kind not in ("delta", "hull") and not in_hull(vertices(params).all_points(), x):
         return False
-    i = spec.player
-    j, k = _others(i)
-    xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
-    if spec.kind == "omega_eps":
-        return xi >= xj - spec.eps and xi >= xk - spec.eps
-    if spec.kind == "w":
-        return xi <= params.r0 or xj + xk >= 2.0 * params.p3
-    if spec.kind == "v":
-        return (
-            xi >= xj - spec.eps
-            and xi >= xk - spec.eps
-            and xi >= params.r0
-            and xj + xk <= 2.0 * params.p3
-        )
-    if spec.kind == "omega_max":
-        return xi >= xj and xi >= xk
-    if spec.kind == "phi_min":
-        return xi <= xj and xi <= xk
-    raise AssertionError(spec.kind)
-
-
-def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
-    """Vectorized membership over an (n, 3) array; mirrors in_region/in_closure."""
-    pts = np.asarray(pts, dtype=float)
-    if spec.kind == "delta":
-        mask = np.ones(len(pts), dtype=bool)
-        for k in spec.ks:
-            vals = pts @ np.asarray(v_dir(k))
-            mask &= (vals <= spec.c + 1e-12) if closed else (vals < spec.c)
-        return mask
-    if spec.kind == "hull":
-        return hull_mask(spec.points, pts)
-
-    i = spec.player
-    j, k = _others(i)
-    xi, xj, xk = pts[:, i - 1], pts[:, j - 1], pts[:, k - 1]
-    if spec.kind == "omega_eps":
-        if closed:
-            return (xi >= xj - spec.eps) & (xi >= xk - spec.eps)
-        return (xi > xj - spec.eps) & (xi > xk - spec.eps)
-    if spec.kind == "w":
-        if closed:
-            return (xi <= params.r0) | (xj + xk >= 2.0 * params.p3)
-        return (xi < params.r0) | (xj + xk > 2.0 * params.p3)
-    if spec.kind == "v":
-        if closed:
-            return (
-                (xi >= xj - spec.eps)
-                & (xi >= xk - spec.eps)
-                & (xi >= params.r0)
-                & (xj + xk <= 2.0 * params.p3)
-            )
-        return (
-            (xi > xj - spec.eps)
-            & (xi > xk - spec.eps)
-            & ~((xi < params.r0) | (xj + xk > 2.0 * params.p3))
-        )
-    if spec.kind == "omega_max":
-        return (xi >= xj) & (xi >= xk)
-    if spec.kind == "phi_min":
-        return (xi <= xj) & (xi <= xk)
-    raise ValueError(f"unknown region kind {spec.kind!r}")
+    return bool(region_mask(params, spec, np.asarray([x], dtype=float), closed=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +286,6 @@ def _hs_key(points) -> tuple:
     return tuple(tuple(float(c) for c in p) for p in points)
 
 
-def in_hull(points, x, tol: float = HULL_TOL) -> bool:
-    hs = _halfspaces_cached(_hs_key(points))
-    scale = max(1.0, max(abs(c) for p in points for c in p))
-    return all(
-        sum(nc * xc for nc, xc in zip(n, x)) <= b + tol * scale for n, b in hs
-    )
-
-
-def _in_hull_cached(points_key: tuple, x: tuple) -> bool:
-    return in_hull(points_key, x)
-
-
 def hull_mask(points, pts: np.ndarray, tol: float = HULL_TOL) -> np.ndarray:
     hs = _halfspaces_cached(_hs_key(points))
     scale = max(1.0, max(abs(c) for p in points for c in p))
@@ -343,6 +293,10 @@ def hull_mask(points, pts: np.ndarray, tol: float = HULL_TOL) -> np.ndarray:
     for n, b in hs:
         mask &= pts @ np.asarray(n) <= b + tol * scale
     return mask
+
+
+def in_hull(points, x, tol: float = HULL_TOL) -> bool:
+    return bool(hull_mask(points, np.asarray([x], dtype=float), tol)[0])
 
 
 def hull_point(vertex_set, weights) -> PayoffVector:
@@ -364,76 +318,80 @@ def hull_point(vertex_set, weights) -> PayoffVector:
     return (out[0], out[1], out[2])
 
 
-def project_to_hull(x, points) -> tuple[np.ndarray, float]:
-    """Exact nearest point of conv(points) to x.
-
-    Enumerates faces: for every affinely independent subset, solves the
-    equality-constrained least squares problem and keeps feasible
-    candidates.  Exact for the small point sets used here.
-    """
+def hull_faces(points) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Faces of conv(points) for exact projection: every affinely independent
+    subset with the inverse of its equality-constrained least-squares (KKT)
+    matrix, None for single points.  Exhaustive, for small point sets."""
     pts = np.asarray(points, dtype=float)
+    faces: list[tuple[np.ndarray, np.ndarray | None]] = []
+    for size in range(1, len(pts) + 1):
+        for idx in combinations(range(len(pts)), size):
+            sub = pts[list(idx)]
+            if size == 1:
+                faces.append((sub, None))
+                continue
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = sub @ sub.T
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            try:
+                faces.append((sub, np.linalg.inv(kkt)))
+            except np.linalg.LinAlgError:
+                continue
+    return faces
+
+
+def nearest_on_faces(faces, x) -> tuple[np.ndarray, float]:
+    """Nearest point of a hull to x, given its hull_faces, and the distance.
+
+    Each face costs one small matrix-vector product; faces whose optimal
+    weights leave the simplex are skipped.
+    """
     x = np.asarray(x, dtype=float)
-    k = len(pts)
     best_p: np.ndarray | None = None
     best_d = math.inf
-    for size in range(1, k + 1):
-        for idx in combinations(range(k), size):
-            sub = pts[list(idx)]
-            m = len(sub)
-            if m == 1:
-                cand = sub[0]
-            else:
-                gram = sub @ sub.T
-                kkt = np.zeros((m + 1, m + 1))
-                kkt[:m, :m] = gram
-                kkt[:m, m] = 1.0
-                kkt[m, :m] = 1.0
-                rhs = np.append(sub @ x, 1.0)
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                w = sol[:m]
-                if np.any(w < -1e-12):
-                    continue
-                cand = w @ sub
-            d = float(np.linalg.norm(cand - x))
-            if d < best_d - 1e-15:
-                best_d = d
-                best_p = cand
+    for sub, inv in faces:
+        if inv is None:
+            cand = sub[0]
+        else:
+            w = (inv @ np.append(sub @ x, 1.0))[:len(sub)]
+            if np.any(w < -1e-12):
+                continue
+            cand = w @ sub
+        d = float(np.linalg.norm(cand - x))
+        if d < best_d - 1e-15:
+            best_d = d
+            best_p = cand
     assert best_p is not None
     return best_p, best_d
 
 
-def project_halfspaces(x, halfspaces, hyperplanes=(), tol: float = 1e-12, max_iter: int = 50000) -> np.ndarray:
-    """Dykstra's alternating projections onto an intersection.
+def project_to_hull(x, points) -> tuple[np.ndarray, float]:
+    """Exact nearest point of conv(points) to x, and its distance."""
+    return nearest_on_faces(hull_faces(points), x)
 
-    halfspaces: iterable of (n, b) with |n| = 1 meaning <n, y> <= b.
-    hyperplanes: iterable of (n, b) meaning <n, y> = b.
-    Converges to the exact projection of x onto the (nonempty) intersection.
+
+def project_to_delta(spec: RegionSpec, y) -> tuple[np.ndarray, float]:
+    """Exact nearest point of the closed polygon {z in P : <v_k, z> <= c,
+    k in ks} to y, and its distance.
+
+    The nearest point is y's own projection onto P, its projection onto an
+    edge line, or a corner where two edge lines meet: the closest feasible
+    candidate wins.
     """
-    x = np.asarray(x, dtype=float)
-    pieces = [("h", np.asarray(n, float), float(b)) for n, b in halfspaces]
-    pieces += [("e", np.asarray(n, float), float(b)) for n, b in hyperplanes]
-    if not pieces:
-        return x.copy()
-    y = x.copy()
-    incs = [np.zeros_like(x) for _ in pieces]
-    for _ in range(max_iter):
-        delta = 0.0
-        for idx, (kind, n, b) in enumerate(pieces):
-            z = y + incs[idx]
-            viol = float(z @ n) - b
-            if kind == "e":
-                p = z - viol * n
-            else:
-                p = z - max(0.0, viol) * n
-            incs[idx] = z - p
-            delta = max(delta, float(np.max(np.abs(p - y))))
-            y = p
-        if delta < tol:
-            break
-    return y
+    y = np.asarray(y, dtype=float)
+    yp = y - y.mean()
+    dirs = [np.asarray(v_dir(k)) for k in spec.ks]
+    c = spec.c
+    cands = [yp] + [yp - (v @ yp - c) * v for v in dirs]
+    cands += [c / (1.0 + u @ v) * (u + v) for u, v in combinations(dirs, 2) if abs(u @ v) < 1.0 - 1e-9]
+    tol = 1e-12 * max(1.0, abs(c), float(np.abs(yp).max()))
+    feasible = [z for z in cands if all(v @ z <= c + tol for v in dirs)]
+    if not feasible:
+        raise ValueError(f"empty region {spec}")
+    dists = [float(np.linalg.norm(z - y)) for z in feasible]
+    best = int(np.argmin(dists))
+    return feasible[best], dists[best]
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +466,18 @@ def _region_grid_cached(params: GameParams, spec: RegionSpec, h: float) -> np.nd
 def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float = 0.25) -> float:
     """Distance from x to the region's closure.
 
-    Exact for the convex kinds (delta via alternating projections, hull via
-    face enumeration); for the rest, the minimum over a pitch-h ambient grid
-    intersected with the closure, an overestimate by at most grid_slack(h).
-    Points already in the closure report distance 0.
+    Exact for the convex kinds (delta by the closed-form polygon projection,
+    hull via face enumeration); for the rest, the minimum over a pitch-h
+    ambient grid intersected with the closure, an overestimate by at most
+    grid_slack(h).  Points already in the closure report distance 0.
     """
     if h <= 0:
         raise ValueError("resolution h must be positive")
     if spec.kind == "delta":
-        if len(x) != 3 or not is_plane_point(x):
-            raise ValueError("delta regions take plane points (coordinates summing to 0)")
-        halfspaces = [(np.asarray(v_dir(k)), spec.c) for k in spec.ks]
-        ones = np.ones(3) / math.sqrt(3.0)
-        p = project_halfspaces(np.asarray(x, float), halfspaces, hyperplanes=[(ones, 0.0)])
-        return float(np.linalg.norm(p - np.asarray(x, float)))
+        _check_point(spec, x)
+        return project_to_delta(spec, x)[1]
     if spec.kind == "hull":
-        _, d = project_to_hull(x, spec.points)
-        return d
+        return project_to_hull(x, spec.points)[1]
     if in_closure(params, spec, x):
         return 0.0
     grid = _region_grid_cached(params, spec, float(h))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approachability import (
+    BlackwellReport,
     HullOracle,
     LineOracle,
     PointOracle,
@@ -67,13 +68,13 @@ from .stage_game import (
     vertices,
 )
 from .strategies import (
+    ConstantStrategy,
+    Example2Defector,
+    GoodStrategy,
+    RandomStrategy,
     Strategy,
-    constant_strategy,
-    example2_defector,
     good_profile,
-    good_strategy,
     induced_map,
-    random_strategy,
 )
 
 #: Named seeds of the standard random-deviant battery.
@@ -142,25 +143,25 @@ class VerifyReport:
 def standard_deviants(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[Strategy]:
     """Constant I, constant NI, seeded coin flips, and (when the game is the
     canonical example and eps < 1/2) the crafted defector."""
-    battery: list[Strategy] = [constant_strategy(INVEST), constant_strategy(NOT_INVEST)]
-    battery += [random_strategy(0.5, s) for s in seeds]
+    battery: list[Strategy] = [ConstantStrategy(INVEST), ConstantStrategy(NOT_INVEST)]
+    battery += [RandomStrategy(0.5, s) for s in seeds]
     if params == example_game() and 0.0 < eps < 0.5:
-        battery.append(example2_defector(params, eps))
+        battery.append(Example2Defector(params, eps))
     return battery
 
 
 def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[tuple[Strategy, Strategy]]:
-    const_i = constant_strategy(INVEST)
-    const_ni = constant_strategy(NOT_INVEST)
+    const_i = ConstantStrategy(INVEST)
+    const_ni = ConstantStrategy(NOT_INVEST)
     pairs = [
         (const_i, const_i),
         (const_i, const_ni),
         (const_ni, const_i),
         (const_ni, const_ni),
     ]
-    pairs += [(random_strategy(0.5, s), random_strategy(0.5, s + 1000)) for s in seeds]
+    pairs += [(RandomStrategy(0.5, s), RandomStrategy(0.5, s + 1000)) for s in seeds]
     if params == example_game() and 0.0 < eps < 0.5:
-        pairs.append((example2_defector(params, eps), example2_defector(params, eps)))
+        pairs.append((Example2Defector(params, eps), Example2Defector(params, eps)))
     return pairs
 
 
@@ -172,6 +173,23 @@ def _v3_entry_index(params: GameParams, eps: float, traj: Trajectory) -> int | N
     if not mask.any():
         return None
     return int(np.argmax(mask)) + 1
+
+
+def _cell(theorem: str, start, deviants, config: HarnessConfig, traj: Trajectory,
+          measured, bound, margin, passed, **extra) -> dict:
+    """One battery cell of a deviant battery, in the report's key order."""
+    return {
+        "theorem": theorem,
+        "start": list(start),
+        "deviants": [dev.name for dev in deviants],
+        "N": config.n,
+        "measured": measured,
+        "bound": bound,
+        "margin": margin,
+        "tail_intervals": [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)],
+        "pass": bool(passed),
+        **extra,
+    }
 
 
 def verify_t3(config: HarnessConfig) -> VerifyReport:
@@ -219,28 +237,14 @@ def verify_t4(config: HarnessConfig, deviants: list[Strategy] | None = None) -> 
     if deviants is None:
         deviants = standard_deviants(params, config.eps)
     bound = params.p3 + 2.0 * config.eps / 3.0
+    cap = bound + config.slack
     cells = []
     for x1 in config.start_points():
         for dev in deviants:
-            profile = (
-                good_strategy(1, config.eps, params),
-                good_strategy(2, config.eps, params),
-                dev.fresh(),
-            )
+            profile = (GoodStrategy(1, config.eps, params), GoodStrategy(2, config.eps, params), dev.fresh())
             traj = iterate(induced_map(profile, params), x1, config.n)
             measured = tail_limsup(traj, coordinate(3), config.window)
-            intervals = [tail_interval(traj, coordinate(i), config.window) for i in (1, 2, 3)]
-            cells.append({
-                "theorem": "t4",
-                "start": list(x1),
-                "deviants": [dev.name],
-                "N": config.n,
-                "measured": measured,
-                "bound": bound + config.slack,
-                "margin": bound + config.slack - measured,
-                "tail_intervals": [list(iv) for iv in intervals],
-                "pass": bool(measured <= bound + config.slack),
-            })
+            cells.append(_cell("t4", x1, [dev], config, traj, measured, cap, cap - measured, measured <= cap))
     return VerifyReport(
         name="t4",
         passed=all(c["pass"] for c in cells),
@@ -263,46 +267,26 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
     if pairs is None:
         pairs = deviant_pairs(params, config.eps)
     v1 = good_region(1, config.eps)
-    dist_bound = config.dist_slack + grid_slack(config.dist_pitch)
+    # own_tail_min is a floor, the other two are caps.
+    bound = {
+        "own_tail_min": params.r0 - config.slack,
+        "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
+        "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
+    }
     cells = []
     for x1 in config.start_points():
         for dev2, dev3 in pairs:
-            profile = (good_strategy(1, config.eps, params), dev2.fresh(), dev3.fresh())
+            profile = (GoodStrategy(1, config.eps, params), dev2.fresh(), dev3.fresh())
             traj = iterate(induced_map(profile, params), x1, config.n)
-            own_floor = tail_liminf(traj, coordinate(1), config.window)
-            pair_cap = tail_limsup(traj, coordinate_sum(2, 3), config.window)
-            v1_dist = dist_to_region(params, v1, traj.final, config.dist_pitch)
-            checks = {
-                "own_tail_min": own_floor >= params.r0 - config.slack,
-                "deviators_tail_sum_max": pair_cap <= 2.0 * params.p3 + config.slack,
-                "dist_to_v1": v1_dist <= dist_bound,
+            measured = {
+                "own_tail_min": tail_liminf(traj, coordinate(1), config.window),
+                "deviators_tail_sum_max": tail_limsup(traj, coordinate_sum(2, 3), config.window),
+                "dist_to_v1": dist_to_region(params, v1, traj.final, config.dist_pitch),
             }
-            cells.append({
-                "theorem": "t2",
-                "start": list(x1),
-                "deviants": [dev2.name, dev3.name],
-                "N": config.n,
-                "measured": {
-                    "own_tail_min": own_floor,
-                    "deviators_tail_sum_max": pair_cap,
-                    "dist_to_v1": v1_dist,
-                },
-                "bound": {
-                    "own_tail_min": params.r0 - config.slack,
-                    "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
-                    "dist_to_v1": dist_bound,
-                },
-                "margin": {
-                    "own_tail_min": own_floor - (params.r0 - config.slack),
-                    "deviators_tail_sum_max": 2.0 * params.p3 + config.slack - pair_cap,
-                    "dist_to_v1": dist_bound - v1_dist,
-                },
-                "tail_intervals": [
-                    list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)
-                ],
-                "pass": bool(all(checks.values())),
-                "checks": {k: bool(v) for k, v in checks.items()},
-            })
+            margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
+            checks = {k: bool(m >= 0.0) for k, m in margin.items()}
+            cells.append(_cell("t2", x1, [dev2, dev3], config, traj, measured, dict(bound), margin,
+                               all(checks.values()), checks=checks))
     return VerifyReport(
         name="t2",
         passed=all(c["pass"] for c in cells),
@@ -342,26 +326,37 @@ def _box_grid(box: float, pitch: float) -> list[tuple[float, float]]:
     return [(float(u), float(v)) for u in axis for v in axis]
 
 
-def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: float = 3.0) -> VerifyReport:
-    """Mean dynamics of the two-value planar map.
-
-    Checks convergence of every start to the segment/axis intersection d,
-    and certifies the Blackwell condition for the axis (holds), for the
-    segment ab (holds) and for the singleton {d} (a violation witness is
-    expected: the singleton is a weak attractor that fails the condition).
-    """
+def example1_certificates(a, b, pitch: float = 0.25, box: float = 3.0) -> dict[str, BlackwellReport]:
+    """Blackwell certificates of the two-value map on a pitch grid of the box:
+    for the axis and the segment ab (both hold) and for the singleton {d}
+    (a violation witness is expected: the singleton is a weak attractor that
+    fails the condition)."""
     a = tuple(map(float, a))
     b = tuple(map(float, b))
     if not (a[1] < 0.0 < b[1]):
         raise ValueError("need a below and b above the horizontal axis")
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
-    d = example1_limit(a, b)
     phi = example1_phi(a, b)
     domain = _box_grid(box, pitch)
-    bw_line = check_blackwell(phi, LineOracle((0.0, 0.0), (1.0, 0.0)), domain, pitch)
-    bw_seg = check_blackwell(phi, SegmentsOracle([(a, b)]), domain, pitch)
-    bw_point = check_blackwell(phi, PointOracle(d), domain, pitch)
+    return {
+        "blackwell_line": check_blackwell(phi, LineOracle((0.0, 0.0), (1.0, 0.0)), domain, pitch),
+        "blackwell_segment": check_blackwell(phi, SegmentsOracle([(a, b)]), domain, pitch),
+        "blackwell_singleton": check_blackwell(phi, PointOracle(example1_limit(a, b)), domain, pitch),
+    }
+
+
+def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: float = 3.0) -> VerifyReport:
+    """Mean dynamics of the two-value planar map.
+
+    Checks convergence of every start to the segment/axis intersection d,
+    and the three example1_certificates.
+    """
+    certs = example1_certificates(a, b, pitch, box)
+    a = tuple(map(float, a))
+    b = tuple(map(float, b))
+    d = example1_limit(a, b)
+    phi = example1_phi(a, b)
     cells = []
     for x1 in starts:
         traj = iterate(phi, x1, n)
@@ -376,17 +371,14 @@ def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: flo
             "margin": tol - dist,
             "pass": bool(dist <= tol),
         })
-    checks_ok = bw_line.holds and bw_seg.holds and not bw_point.holds
+    checks_ok = certs["blackwell_line"].holds and certs["blackwell_segment"].holds \
+        and not certs["blackwell_singleton"].holds
     return VerifyReport(
         name="example1",
         passed=all(c["pass"] for c in cells) and checks_ok,
         cells=cells,
-        meta={
-            "a": list(a), "b": list(b), "limit": list(d),
-            "blackwell_line": bw_line.as_dict(),
-            "blackwell_segment": bw_seg.as_dict(),
-            "blackwell_singleton": bw_point.as_dict(),
-        },
+        meta={"a": list(a), "b": list(b), "limit": list(d),
+              **{key: rep.as_dict() for key, rep in certs.items()}},
     )
 
 
@@ -447,6 +439,29 @@ def sample_near_segments_z(params: GameParams, segments, delta: float,
     return out
 
 
+def _example2_setup(eps: float):
+    """The canonical game, the defector, the step map of (good, good,
+    defector), the triangle co{C1_3, C2_3, D} and the segment chain BD u DC1_3."""
+    params = example_game()
+    defector = Example2Defector(params, eps)
+    phi = induced_map((GoodStrategy(1, eps, params), GoodStrategy(2, eps, params), defector), params)
+    vs = vertices(params)
+    d_point = defector.d_point
+    triangle = HullOracle([vs.c1[2], vs.c2[2], d_point])
+    return params, defector, phi, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
+
+
+def example2_certificates(eps: float, pitch: float = 0.25) -> dict[str, BlackwellReport]:
+    """Blackwell certificates of example 2 on a pitch grid of the slice Z,
+    for the triangle and for the segment union."""
+    params, _, phi, triangle, union_segments = _example2_setup(eps)
+    domain = z_grid(params, pitch)
+    return {
+        "blackwell_triangle": check_blackwell(phi, triangle, domain, pitch),
+        "blackwell_union": check_blackwell(phi, SegmentsOracle(union_segments), domain, pitch),
+    }
+
+
 def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
                  pipeline: bool = True, pitch: float = 0.25,
                  schedule=DEFAULT_REFINE_SCHEDULE, window: float = 0.5) -> VerifyReport:
@@ -454,24 +469,17 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
 
     D = (p3 - eps/2, p3 - eps/2, p3 + eps/2), so the defector's tail mean
     strictly exceeds p3 while still respecting the t4 cap p3 + 2*eps/3.
-    The attractor pipeline cross-check certifies the Blackwell condition
-    for the triangle co{C1_3, C2_3, D} and for the segment union
-    BD u DC1_3 on Z, refines the union to the segment BD, and intersects
-    with the triangle to isolate {D}.
+    The attractor pipeline cross-check adds the example2_certificates for
+    the triangle co{C1_3, C2_3, D} and for the segment union BD u DC1_3 on
+    Z, refines the union to the segment BD, and intersects with the
+    triangle to isolate {D}.
     """
-    params = example_game()
-    defector = example2_defector(params, eps)
+    params, defector, phi, triangle, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)
     for x1 in starts:
         if x1[0] != x1[1]:
             raise ValueError(f"start {x1} is outside the slice Z (x1 != x2)")
-    profile = (
-        good_strategy(1, eps, params),
-        good_strategy(2, eps, params),
-        defector,
-    )
-    phi = induced_map(profile, params)
     d_point = defector.d_point
     cells = []
     last_traj: Trajectory | None = None
@@ -495,14 +503,8 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
     meta: dict = {"eps": eps, "d_point": list(d_point)}
     passed = all(c["pass"] for c in cells)
     if pipeline:
-        vs = vertices(params)
-        triangle = HullOracle([vs.c1[2], vs.c2[2], d_point])
-        union_segments = [(vs.B, d_point), (d_point, vs.c1[2])]
-        union = SegmentsOracle(union_segments)
-        domain = z_grid(params, pitch)
-        bw_triangle = check_blackwell(phi, triangle, domain, pitch)
-        bw_union = check_blackwell(phi, union, domain, pitch)
-        bd_segment = SegmentsOracle([(vs.B, d_point)])
+        certs = example2_certificates(eps, pitch)
+        bd_segment = SegmentsOracle(union_segments[:1])
         refine = refine_attractor(
             phi,
             union_segments,
@@ -514,12 +516,8 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
             tol,
         )
         intersect = intersect_attractors(last_traj, bd_segment, triangle, tol)
-        meta.update({
-            "blackwell_triangle": bw_triangle.as_dict(),
-            "blackwell_union": bw_union.as_dict(),
-            "refine_to_bd": refine,
-            "intersect_bd_triangle": intersect,
-        })
-        passed = passed and bw_triangle.holds and bw_union.holds \
+        meta.update({key: rep.as_dict() for key, rep in certs.items()})
+        meta.update({"refine_to_bd": refine, "intersect_bd_triangle": intersect})
+        passed = passed and all(rep.holds for rep in certs.values()) \
             and refine["passes"] and intersect["passes"]
     return VerifyReport(name="example2", passed=passed, cells=cells, meta=meta)

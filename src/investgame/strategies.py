@@ -83,10 +83,6 @@ class GoodStrategy(Strategy):
         return {"kind": "good", "eps": self.eps}
 
 
-def good_strategy(player: int, eps: float, params: GameParams) -> GoodStrategy:
-    return GoodStrategy(player, eps, params)
-
-
 class ConstantStrategy(Strategy):
     def __init__(self, action: str):
         if action not in (INVEST, NOT_INVEST):
@@ -99,10 +95,6 @@ class ConstantStrategy(Strategy):
 
     def descriptor(self) -> dict:
         return {"kind": "constant", "action": self.action}
-
-
-def constant_strategy(action: str) -> ConstantStrategy:
-    return ConstantStrategy(action)
 
 
 class RandomStrategy(Strategy):
@@ -130,10 +122,6 @@ class RandomStrategy(Strategy):
 
     def fresh(self) -> "RandomStrategy":
         return RandomStrategy(self.p, self.seed)
-
-
-def random_strategy(p: float, seed: int) -> RandomStrategy:
-    return RandomStrategy(p, seed)
 
 
 class Example2Defector(Strategy):
@@ -188,10 +176,6 @@ class Example2Defector(Strategy):
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}
-
-
-def example2_defector(params: GameParams, eps: float) -> Example2Defector:
-    return Example2Defector(params, eps)
 
 
 def build_strategy(desc: dict, params: GameParams, seat: int) -> Strategy:

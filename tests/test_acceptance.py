@@ -54,10 +54,10 @@ from investgame.lyapunov import (
 )
 from investgame.stage_game import example_game, vertices
 from investgame.strategies import (
-    constant_strategy,
-    example2_defector,
+    ConstantStrategy,
+    Example2Defector,
+    GoodStrategy,
     good_profile,
-    good_strategy,
     induced_map,
 )
 
@@ -158,9 +158,9 @@ def test_criterion_decay_bound():
     traj3 = iterate(induced_map(good_profile(PARAMS, 0.4), PARAMS), VS.c1[0], n)
     checks.append(("all-good-vs-B", traj3, PointOracle(VS.B)))
 
-    defc = example2_defector(PARAMS, 0.4)
+    defc = Example2Defector(PARAMS, 0.4)
     phi_d = induced_map(
-        (good_strategy(1, 0.4, PARAMS), good_strategy(2, 0.4, PARAMS), defc), PARAMS
+        (GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS), defc), PARAMS
     )
     traj4 = iterate(phi_d, VS.A, n)
     union = SegmentsOracle([(VS.B, defc.d_point), (defc.d_point, VS.c1[2])])
@@ -206,7 +206,7 @@ def test_criterion_lyapunov_certification():
     traj = iterate(induced_map(good_profile(PARAMS, 0.4), PARAMS), start, N_FULL)
     ent = entrapment_check(spec_e, traj.means, 1.5 * spec_e.c)
     phi_dev = induced_map(
-        (good_strategy(1, eps, PARAMS), good_strategy(2, eps, PARAMS), constant_strategy("NI")),
+        (GoodStrategy(1, eps, PARAMS), GoodStrategy(2, eps, PARAMS), ConstantStrategy("NI")),
         PARAMS,
     )
     traj_dev = iterate(phi_dev, start, N_FULL)

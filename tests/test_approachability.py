@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from investgame.approachability import (
-    HalfspaceOracle,
     HullOracle,
     LineOracle,
     PointOracle,
@@ -27,9 +26,9 @@ from investgame.harness import (
 )
 from investgame.stage_game import example_game, vertices
 from investgame.strategies import (
-    example2_defector,
+    Example2Defector,
+    GoodStrategy,
     good_profile,
-    good_strategy,
     induced_map,
 )
 
@@ -73,11 +72,6 @@ class TestOracles:
             (p,) = oracle.project(x)
             for v in pts:
                 assert float((x - p) @ (v - p)) <= 1e-8
-
-    def test_halfspace_oracle(self):
-        o = HalfspaceOracle([((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
-        (p,) = o.project((3.0, 0.5))
-        assert np.allclose(p, (1.0, 0.5), atol=1e-9)
 
 
 class TestBlackwell:
@@ -191,9 +185,9 @@ class TestIntersect:
 
 
 def defector_setup(eps=0.4):
-    defc = example2_defector(PARAMS, eps)
+    defc = Example2Defector(PARAMS, eps)
     phi = induced_map(
-        (good_strategy(1, eps, PARAMS), good_strategy(2, eps, PARAMS), defc), PARAMS
+        (GoodStrategy(1, eps, PARAMS), GoodStrategy(2, eps, PARAMS), defc), PARAMS
     )
     union = [(VS.B, defc.d_point), (defc.d_point, VS.c1[2])]
     return defc, phi, union

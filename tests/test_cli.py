@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from investgame.cli import main
+from investgame.harness import run_example2
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
 
@@ -211,6 +212,16 @@ class TestCertify:
         for target in ("example1_line", "example1_segment"):
             cfg = write_json(tmp_path, f"{target}.json", {"target": target})
             assert main(["certify", "blackwell", cfg]) == 0
+
+    def test_blackwell_example2_targets_match_run_example2(self, tmp_path):
+        meta = run_example2(0.4, n=1000, tol=10.0).meta
+        for target, key in (("example2_triangle", "blackwell_triangle"),
+                            ("example2_union", "blackwell_union")):
+            cfg = write_json(tmp_path, f"{target}.json", {"target": target})
+            out = str(tmp_path / f"{target}.out.json")
+            assert main(["certify", "blackwell", cfg, "--out", out]) == 0
+            payload = json.loads(open(out).read())
+            assert payload == {"kind": "blackwell", **json.loads(json.dumps(meta[key]))}
 
     def test_pitch_flag_overrides_config(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {"map": "all_good", "c": 0.3, "pitch": 0.25})

@@ -20,7 +20,7 @@ from investgame.dynamics import (
 )
 from investgame.geometry import hull_mask, norm3
 from investgame.stage_game import example_game, vertices
-from investgame.strategies import good_profile, good_strategy, induced_map, random_strategy
+from investgame.strategies import GoodStrategy, RandomStrategy, good_profile, induced_map
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -53,9 +53,9 @@ class TestIterate:
     def test_replay_is_bit_exact(self):
         phi = induced_map(
             (
-                good_strategy(1, 0.4, PARAMS),
-                good_strategy(2, 0.4, PARAMS),
-                random_strategy(0.5, 7),
+                GoodStrategy(1, 0.4, PARAMS),
+                GoodStrategy(2, 0.4, PARAMS),
+                RandomStrategy(0.5, 7),
             ),
             PARAMS,
         )
@@ -74,9 +74,9 @@ class TestIterate:
     def test_means_stay_in_s(self):
         phi = induced_map(
             (
-                good_strategy(1, 0.4, PARAMS),
-                random_strategy(0.5, 3),
-                random_strategy(0.5, 5),
+                GoodStrategy(1, 0.4, PARAMS),
+                RandomStrategy(0.5, 3),
+                RandomStrategy(0.5, 5),
             ),
             PARAMS,
         )

@@ -20,15 +20,16 @@ from investgame.geometry import (
     omega_eps_region,
     plane_grid,
     project_diagonal,
-    project_halfspaces,
     project_plane,
+    project_to_delta,
     project_to_hull,
     region_mask,
     sample_points,
     v_dir,
     w_region,
 )
-from investgame.stage_game import example_game, vertices
+from investgame.stage_game import INVEST, example_game, vertices
+from investgame.strategies import GoodStrategy
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -76,6 +77,51 @@ class TestDirections:
             v_dir(7)
 
 
+def _boundary_points() -> np.ndarray:
+    """Points of S moved onto x_i = x_j - eps (eps = 0.1, 0.4), x_i = r0,
+    x_j + x_k = 2 p3 and x_i = x_j, from raw and dyadic-rounded bases."""
+    base = sample_points(PARAMS, 40, seed=7)
+    base = np.vstack([base, np.round(base * 64.0) / 64.0])
+    out = []
+    for x in base:
+        for i in range(3):
+            j, k = [m for m in range(3) if m != i]
+            for y_i in (x[j] - 0.1, x[j] - 0.4, PARAMS.r0, x[j]):
+                y = x.copy()
+                y[i] = y_i
+                out.append(y)
+            y = x.copy()
+            y[k] = 2.0 * PARAMS.p3 - y[j]
+            out.append(y)
+    return np.asarray(out)
+
+
+def _reference(spec, x, closed: bool) -> bool:
+    """The regions' defining inequalities, written out on scalars."""
+    if spec.kind == "delta":
+        vals = [dot3(v_dir(k), x) for k in spec.ks]
+        return all(v <= spec.c + 1e-12 if closed else v < spec.c for v in vals)
+    i = spec.player
+    j, k = [m for m in (1, 2, 3) if m != i]
+    xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
+    e, r0, cap = spec.eps, PARAMS.r0, 2.0 * PARAMS.p3
+    if closed:
+        return {
+            "omega_eps": xi >= xj - e and xi >= xk - e,
+            "w": xi <= r0 or xj + xk >= cap,
+            "v": xi >= xj - e and xi >= xk - e and xi >= r0 and xj + xk <= cap,
+            "omega_max": xi >= xj and xi >= xk,
+            "phi_min": xi <= xj and xi <= xk,
+        }[spec.kind]
+    return {
+        "omega_eps": xi > xj - e and xi > xk - e,
+        "w": xi < r0 or xj + xk > cap,
+        "v": xi > xj - e and xi > xk - e and not (xi < r0 or xj + xk > cap),
+        "omega_max": xi >= xj and xi >= xk,
+        "phi_min": xi <= xj and xi <= xk,
+    }[spec.kind]
+
+
 class TestMembership:
     def test_good_region_contains_a(self):
         # 20 > 19.6 on both comparisons; neither trigger fires at A
@@ -108,6 +154,41 @@ class TestMembership:
             vec = region_mask(PARAMS, spec, pts)
             scal = np.array([in_region(PARAMS, spec, tuple(x)) for x in pts])
             assert np.array_equal(vec, scal)
+
+        # Points placed exactly on each inequality's boundary, where strict
+        # and non-strict tests part ways; every kind, open and closed, must
+        # agree with the reference predicates and with the good strategies.
+        pts = _boundary_points()
+        in_s = hull_mask(VS.all_points(), pts)
+        specs = [hull_region(VS.all_points())]
+        for i in (1, 2, 3):
+            specs += [good_region(i, 0.4), omega_eps_region(i, 0.1), w_region(i),
+                      argmax_region(i), argmin_region(i)]
+        for spec in specs:
+            vec = region_mask(PARAMS, spec, pts)
+            vec_closed = region_mask(PARAMS, spec, pts, closed=True)
+            assert np.array_equal(vec, [in_region(PARAMS, spec, tuple(x)) for x in pts])
+            if spec.kind == "hull":
+                assert np.array_equal(vec_closed, vec)
+                continue
+            assert np.array_equal(vec, [_reference(spec, x, closed=False) for x in pts])
+            assert np.array_equal(vec_closed, [_reference(spec, x, closed=True) for x in pts])
+            assert np.array_equal(vec_closed & in_s, [in_closure(PARAMS, spec, tuple(x)) for x in pts])
+            if spec.kind == "v":
+                good = GoodStrategy(spec.player, spec.eps, PARAMS)
+                assert np.array_equal(vec, [good.decide(tuple(x)) == INVEST for x in pts])
+
+        # Delta regions: c := <v_k, y> puts y exactly on the k-th edge line;
+        # 5e-13 less leaves it inside the closure's 1e-12 slack.
+        ys = np.asarray([project_plane(x) for x in sample_points(PARAMS, 300, seed=5)])
+        for m, y in enumerate(ys):
+            ks = (1, 2, 3, 4, 5, 6) if m % 2 else (1 + m % 6, 1 + (m + 2) % 6)
+            c = dot3(v_dir(ks[m % len(ks)]), y) - (5e-13 if m % 3 == 0 else 0.0)
+            spec = delta_region(ks, c)
+            for closed, scalar in ((False, in_region), (True, in_closure)):
+                want = _reference(spec, y, closed)
+                assert region_mask(PARAMS, spec, ys, closed=closed)[m] == want
+                assert scalar(PARAMS, spec, tuple(y)) == want
 
 
 class TestRegionAlgebra:
@@ -198,22 +279,36 @@ class TestProjectToHull:
         assert d <= 1e-9
 
 
-class TestProjectHalfspaces:
+class TestProjectToDelta:
     def test_projection_satisfies_constraints_and_optimality(self):
-        halfspaces = [(np.asarray(v_dir(k)), 0.25) for k in range(1, 7)]
-        ones = np.ones(3) / math.sqrt(3.0)
+        # the hexagon, and direction subsets whose regions are unbounded
+        # wedges, strips or half-planes
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            y = project_plane(rng.uniform(-20, 20, size=3))
-            p = project_halfspaces(np.asarray(y), halfspaces, hyperplanes=[(ones, 0.0)])
-            assert abs(p.sum()) <= 1e-9
-            assert max(float(p @ n) for n, _ in halfspaces) <= 0.25 + 1e-9
-            # optimality against a dense feasible sample
-            grid = plane_grid(PARAMS, 0.2)
-            feas = grid[region_mask(PARAMS, delta_region(range(1, 7), 0.25), grid, closed=True)]
-            if len(feas):
-                best = np.linalg.norm(feas - np.asarray(y), axis=1).min()
-                assert np.linalg.norm(p - np.asarray(y)) <= best + 1e-6
+        grid = plane_grid(PARAMS, 0.2)
+        cases = [(range(1, 7), 0.25)] * 4
+        cases += [(ks, c) for ks in ((1,), (1, 2), (1, 4), (2, 3, 5)) for c in (0.0, 2.5)]
+        for ks, c in cases:
+            spec = delta_region(ks, c)
+            halfspaces = [np.asarray(v_dir(k)) for k in spec.ks]
+            feas = grid[region_mask(PARAMS, spec, grid, closed=True)]
+            for _ in range(5):
+                y = project_plane(rng.uniform(-20, 20, size=3))
+                p, d = project_to_delta(spec, y)
+                assert d == float(np.linalg.norm(p - np.asarray(y)))
+                assert abs(p.sum()) <= 1e-9
+                assert max(float(p @ n) for n in halfspaces) <= c + 1e-9
+                # optimality against a dense feasible sample, and the
+                # variational inequality <y - p, z - p> <= 0 on it
+                if len(feas):
+                    best = np.linalg.norm(feas - np.asarray(y), axis=1).min()
+                    assert d <= best + 1e-6
+                    assert np.all((feas - p) @ (np.asarray(y) - p) <= 1e-9)
+                if in_closure(PARAMS, spec, y):
+                    assert d <= 1e-12
+
+    def test_empty_region_raises(self):
+        with pytest.raises(ValueError, match="empty region"):
+            project_to_delta(delta_region(range(1, 7), -0.1), (1.0, -1.0, 0.0))
 
 
 class TestDistances:

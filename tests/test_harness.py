@@ -19,8 +19,8 @@ from investgame.harness import (
 )
 from investgame.stage_game import GameParams, example_game, permute, vertices
 from investgame.strategies import (
-    constant_strategy,
-    good_strategy,
+    ConstantStrategy,
+    GoodStrategy,
     induced_map,
 )
 
@@ -103,7 +103,7 @@ class TestT4:
 
     def test_good_deviant_reduces_to_full_cooperation(self):
         cfg = HarnessConfig(params=PARAMS, n=5000, starts=((0.125,) * 8,))
-        rep = verify_t4(cfg, deviants=[good_strategy(3, 0.4, PARAMS)])
+        rep = verify_t4(cfg, deviants=[GoodStrategy(3, 0.4, PARAMS)])
         assert rep.passed
         cell = rep.cells[0]
         assert abs(cell["measured"] - PARAMS.p3) <= 0.05
@@ -119,8 +119,8 @@ class TestT4:
 class TestT2:
     def test_quick_pairs_pass(self):
         cfg = HarnessConfig(params=PARAMS, n=2000, starts=((0.125,) * 8,))
-        const_i = constant_strategy("I")
-        const_ni = constant_strategy("NI")
+        const_i = ConstantStrategy("I")
+        const_ni = ConstantStrategy("NI")
         rep = verify_t2(cfg, pairs=[(const_i, const_i), (const_i, const_ni), (const_ni, const_ni)])
         assert rep.passed
         for cell in rep.cells:
@@ -128,7 +128,7 @@ class TestT2:
 
     def test_good_pair_reduces_to_full_cooperation(self):
         cfg = HarnessConfig(params=PARAMS, n=5000, starts=((0.125,) * 8,))
-        pair = (good_strategy(2, 0.4, PARAMS), good_strategy(3, 0.4, PARAMS))
+        pair = (GoodStrategy(2, 0.4, PARAMS), GoodStrategy(3, 0.4, PARAMS))
         rep = verify_t2(cfg, pairs=[pair])
         cell = rep.cells[0]
         assert rep.passed
@@ -143,8 +143,8 @@ class TestSafetyChain:
         eps, n, w = 0.4, 5000, 0.5
         for dev in standard_deviants(PARAMS, eps)[:4]:
             profile = (
-                good_strategy(1, eps, PARAMS),
-                good_strategy(2, eps, PARAMS),
+                GoodStrategy(1, eps, PARAMS),
+                GoodStrategy(2, eps, PARAMS),
                 dev.fresh(),
             )
             traj = iterate(induced_map(profile, PARAMS), (23.0, 23.0, 23.0), n)
@@ -167,11 +167,11 @@ class TestSymmetry:
             out = [None, None, None]
             for seat0, kind in zip(seats, order):
                 if kind == "good":
-                    out[seat0] = good_strategy(seat0 + 1, eps, PARAMS)
+                    out[seat0] = GoodStrategy(seat0 + 1, eps, PARAMS)
                 elif kind == "constant_I":
-                    out[seat0] = constant_strategy("I")
+                    out[seat0] = ConstantStrategy("I")
                 else:
-                    out[seat0] = constant_strategy("NI")
+                    out[seat0] = ConstantStrategy("NI")
             return tuple(out)
 
         base = build(kinds, (0, 1, 2))
@@ -228,12 +228,12 @@ class TestExample2:
             assert s[0] == s[1]
 
     def test_trajectory_stays_in_z(self):
-        from investgame.strategies import example2_defector
+        from investgame.strategies import Example2Defector
 
-        defc = example2_defector(PARAMS, 0.4)
+        defc = Example2Defector(PARAMS, 0.4)
         profile = (
-            good_strategy(1, 0.4, PARAMS),
-            good_strategy(2, 0.4, PARAMS),
+            GoodStrategy(1, 0.4, PARAMS),
+            GoodStrategy(2, 0.4, PARAMS),
             defc,
         )
         traj = iterate(induced_map(profile, PARAMS), (19.0, 19.0, 28.0), 3000)

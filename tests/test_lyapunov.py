@@ -21,12 +21,12 @@ from investgame.lyapunov import (
 )
 from investgame.stage_game import example_game, vertices
 from investgame.strategies import (
-    constant_strategy,
-    example2_defector,
+    ConstantStrategy,
+    Example2Defector,
+    GoodStrategy,
+    RandomStrategy,
     good_profile,
-    good_strategy,
     induced_map,
-    random_strategy,
 )
 
 PARAMS = example_game()
@@ -87,16 +87,16 @@ class TestPlaneMultimaps:
     def test_two_good_envelope_covers_any_third_strategy(self):
         mmap = two_good_plane_map(PARAMS, 0.4)
         thirds = [
-            constant_strategy("I"),
-            constant_strategy("NI"),
-            random_strategy(0.5, 3),
-            example2_defector(PARAMS, 0.4),
-            good_strategy(3, 0.4, PARAMS),
+            ConstantStrategy("I"),
+            ConstantStrategy("NI"),
+            RandomStrategy(0.5, 3),
+            Example2Defector(PARAMS, 0.4),
+            GoodStrategy(3, 0.4, PARAMS),
         ]
         pts = sample_points(PARAMS, 800, seed=15)
         for third in thirds:
             phi = induced_map(
-                (good_strategy(1, 0.4, PARAMS), good_strategy(2, 0.4, PARAMS), third),
+                (GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS), third),
                 PARAMS,
             )
             for x in pts:
@@ -230,9 +230,9 @@ class TestEntrapment:
         spec = four_direction_spec((eps + eta) / S2, delta=eta / (2 * S2))
         phi = induced_map(
             (
-                good_strategy(1, eps, PARAMS),
-                good_strategy(2, eps, PARAMS),
-                constant_strategy("NI"),
+                GoodStrategy(1, eps, PARAMS),
+                GoodStrategy(2, eps, PARAMS),
+                ConstantStrategy("NI"),
             ),
             PARAMS,
         )

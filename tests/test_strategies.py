@@ -13,14 +13,14 @@ from investgame.stage_game import (
     vertices,
 )
 from investgame.strategies import (
+    ConstantStrategy,
+    Example2Defector,
+    GoodStrategy,
+    RandomStrategy,
     build_profile,
     build_strategy,
-    constant_strategy,
-    example2_defector,
     good_profile,
-    good_strategy,
     induced_map,
-    random_strategy,
 )
 
 PARAMS = example_game()
@@ -29,21 +29,21 @@ VS = vertices(PARAMS)
 
 class TestGoodStrategy:
     def test_invests_at_a(self):
-        s = good_strategy(1, 0.4, PARAMS)
+        s = GoodStrategy(1, 0.4, PARAMS)
         assert s((20.0, 20.0, 20.0)) == INVEST
 
     def test_stops_when_own_mean_drops(self):
-        s = good_strategy(1, 0.4, PARAMS)
+        s = GoodStrategy(1, 0.4, PARAMS)
         assert s((19.0, 26.0, 26.0)) == NOT_INVEST
 
     def test_stops_when_too_far_behind(self):
-        s = good_strategy(3, 0.4, PARAMS)
+        s = GoodStrategy(3, 0.4, PARAMS)
         assert s((28.0, 28.0, 10.0)) == NOT_INVEST  # 10 <= 28 - 0.4
 
     def test_matches_region_predicate_on_samples(self):
         pts = sample_points(PARAMS, 3000, seed=2)
         for i in (1, 2, 3):
-            s = good_strategy(i, 0.4, PARAMS)
+            s = GoodStrategy(i, 0.4, PARAMS)
             spec = good_region(i, 0.4)
             for x in pts:
                 want = INVEST if in_region(PARAMS, spec, tuple(x)) else NOT_INVEST
@@ -51,7 +51,7 @@ class TestGoodStrategy:
 
     def test_permutation_equivariance(self):
         pts = sample_points(PARAMS, 300, seed=4)
-        strategies = {i: good_strategy(i, 0.4, PARAMS) for i in (1, 2, 3)}
+        strategies = {i: GoodStrategy(i, 0.4, PARAMS) for i in (1, 2, 3)}
         for sigma in permutations(range(3)):
             for x in pts:
                 x = tuple(x)
@@ -61,32 +61,32 @@ class TestGoodStrategy:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            good_strategy(1, 0.0, PARAMS)
+            GoodStrategy(1, 0.0, PARAMS)
         with pytest.raises(ValueError):
-            good_strategy(4, 0.1, PARAMS)
+            GoodStrategy(4, 0.1, PARAMS)
 
 
 class TestConstantAndRandom:
     def test_constant(self):
-        assert constant_strategy(INVEST)((0.0, 0.0, 0.0)) == INVEST
+        assert ConstantStrategy(INVEST)((0.0, 0.0, 0.0)) == INVEST
         with pytest.raises(ValueError):
-            constant_strategy("X")
+            ConstantStrategy("X")
 
     def test_degenerate_probability(self):
-        s = random_strategy(0.0, seed=1)
+        s = RandomStrategy(0.0, seed=1)
         assert all(s((1.0, 1.0, 1.0)) == NOT_INVEST for _ in range(50))
-        t = random_strategy(1.0, seed=1)
+        t = RandomStrategy(1.0, seed=1)
         assert all(t((1.0, 1.0, 1.0)) == INVEST for _ in range(50))
 
     def test_golden_transcript_seed_42(self):
         # Mersenne Twister via random.Random(42), invest iff draw < 0.5;
         # frozen once from the documented generator.
-        s = random_strategy(0.5, seed=42)
+        s = RandomStrategy(0.5, seed=42)
         got = [s((0.0, 0.0, 0.0)) for _ in range(5)]
         assert got == [NOT_INVEST, INVEST, INVEST, INVEST, NOT_INVEST]
 
     def test_fresh_restores_the_transcript(self):
-        s = random_strategy(0.5, seed=42)
+        s = RandomStrategy(0.5, seed=42)
         first = [s((0.0,) * 3) for _ in range(10)]
         clone = s.fresh()
         again = [clone((0.0,) * 3) for _ in range(10)]
@@ -94,12 +94,12 @@ class TestConstantAndRandom:
 
     def test_probability_range_enforced(self):
         with pytest.raises(ValueError):
-            random_strategy(1.5, seed=0)
+            RandomStrategy(1.5, seed=0)
 
 
 class TestDefector:
     def make(self, eps=0.4):
-        return example2_defector(PARAMS, eps)
+        return Example2Defector(PARAMS, eps)
 
     def test_refuses_at_b(self):
         assert self.make()(VS.B) == NOT_INVEST
@@ -114,12 +114,12 @@ class TestDefector:
     def test_requires_canonical_game(self):
         other = GameParams(r0=5, r1=8, r2=12, p1=3, p2=7, p3=11)
         with pytest.raises(ValueError):
-            example2_defector(other, 0.4)
+            Example2Defector(other, 0.4)
 
     def test_eps_range(self):
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ValueError):
-                example2_defector(PARAMS, bad)
+                Example2Defector(PARAMS, bad)
 
     def test_d_point(self):
         d = self.make(0.4).d_point
@@ -136,7 +136,7 @@ class TestInducedMap:
         assert phi((19.0, 26.0, 26.0)) == (36.0, 18.0, 18.0)
 
     def test_all_refusers_step_to_a(self):
-        profile = tuple(constant_strategy(NOT_INVEST) for _ in range(3))
+        profile = tuple(ConstantStrategy(NOT_INVEST) for _ in range(3))
         phi = induced_map(profile, PARAMS)
         assert phi((30.0, 11.0, 22.0)) == (20.0, 20.0, 20.0)
 
