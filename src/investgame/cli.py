@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -55,6 +56,38 @@ def _load_game(path: str | None) -> GameParams:
         raise ConfigError(f"bad game file {path}: {exc}") from exc
 
 
+def _vector(value, length: int, what: str) -> tuple[float, ...]:
+    """A config list of `length` finite numbers."""
+    try:
+        vec = tuple(float(c) for c in value) if isinstance(value, (list, tuple)) else None
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or len(vec) != length or not all(math.isfinite(c) for c in vec):
+        raise ConfigError(f"{what} must be a list of {length} finite numbers, not {value!r}")
+    return vec
+
+
+def _vectors(value, length: int, what: str) -> list[tuple[float, ...]]:
+    """A non-empty config list of points, each `length` finite numbers."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of points")
+    return [_vector(v, length, f"each of {what}") for v in value]
+
+
+def _positive(value, what: str) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{what} must be positive and finite, not {value!r}")
+    return x
+
+
+def _finite(value, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, not {value!r}")
+    return x
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     out = _resolve_out(out)
@@ -98,7 +131,7 @@ def cmd_simulate(args) -> int:
     n = int(args.n or cfg.get("n", 100_000))
     start_cfg = cfg.get("start", {"weights": [0.125] * 8})
     if "point" in start_cfg:
-        x1 = tuple(float(c) for c in start_cfg["point"])
+        x1 = _vector(start_cfg["point"], 3, "start point")
     elif "weights" in start_cfg:
         x1 = hull_point(vertices(params), start_cfg["weights"])
     else:
@@ -149,23 +182,25 @@ def cmd_verify(args) -> int:
         else:
             report = harness.verify_t2(config)
     elif args.claim == "example1":
-        a = tuple(cfg.get("a", (0.0, -1.0)))
-        b = tuple(cfg.get("b", (2.0, 1.0)))
+        a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
+        b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
         n = int(args.n or cfg.get("n", 100_000))
-        tol = float(cfg.get("tol", 0.05))
+        tol = _finite(cfg.get("tol", 0.05), "tol")
         starts_cfg = cfg.get("starts", 20)
         if isinstance(starts_cfg, int):
+            if starts_cfg < 1:
+                raise ConfigError("starts must be a positive count or a list of points")
             starts = harness.example1_starts(starts_cfg, seed=int(cfg.get("seed", 7)))
         else:
-            starts = [tuple(map(float, s)) for s in starts_cfg]
+            starts = _vectors(starts_cfg, 2, "starts")
         report = harness.run_example1(a, b, starts, n, tol)
     elif args.claim == "example2":
         eps = float(args.eps if args.eps is not None else cfg.get("eps", 0.4))
         n = int(args.n or cfg.get("n", 100_000))
-        tol = float(cfg.get("tol", 0.1))
+        tol = _finite(cfg.get("tol", 0.1), "tol")
         starts = cfg.get("starts")
         if starts is not None:
-            starts = [tuple(map(float, s)) for s in starts]
+            starts = _vectors(starts, 3, "starts")
         report = harness.run_example2(eps, starts, n, tol, pipeline=bool(cfg.get("pipeline", True)))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown claim {args.claim!r}")
@@ -175,10 +210,10 @@ def cmd_verify(args) -> int:
 
 def _certify_blackwell(cfg: dict) -> tuple[bool, dict]:
     target = cfg.get("target")
-    pitch = float(cfg.get("pitch", 0.25))
+    pitch = _positive(cfg.get("pitch", 0.25), "pitch")
     if target in ("example1_line", "example1_segment", "example1_singleton"):
-        a = tuple(cfg.get("a", (0.0, -1.0)))
-        b = tuple(cfg.get("b", (2.0, 1.0)))
+        a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
+        b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
         certs = harness.example1_certificates(a, b, pitch)
     elif target in ("example2_triangle", "example2_union"):
         certs = harness.example2_certificates(float(cfg.get("eps", 0.4)), pitch)

@@ -8,6 +8,11 @@ decisions, attractor checks, payoff reports) reads only these means.
 Limits of the mean sequence are never reported as single numbers: tail
 statistics over a trailing window give [tail_min, tail_max] intervals,
 which is what a finite run can actually certify.
+
+Two engines share one arithmetic.  `iterate` runs one profile and records
+its whole trajectory.  `simulate_batch` steps many (profile, start) cells
+together as a (B, 3) array and keeps only what the deviant batteries
+report; each of its cells is bit-identical to `iterate` on that cell.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import project_to_hull
+from .stage_game import INVEST, NOT_INVEST, GameParams, payoff, require_valid
 
 
 class RunningMean:
@@ -98,6 +104,145 @@ def replay(traj: Trajectory) -> list[tuple[float, ...]]:
     for step in traj.steps:
         means.append(rm.update(step))
     return means
+
+
+@dataclass(frozen=True)
+class BatchTails:
+    """What `simulate_batch` keeps of each cell b: the final mean `final[b]`,
+    the tail minimum and maximum of every coordinate `tail_min[b]`,
+    `tail_max[b]` (all (B, 3)), and the tail maximum of x2 + x3,
+    `tail_max_23[b]`."""
+
+    final: np.ndarray
+    tail_min: np.ndarray
+    tail_max: np.ndarray
+    tail_max_23: np.ndarray
+
+    def intervals(self, b: int) -> list[list[float]]:
+        """Cell b's [tail min, tail max] per coordinate, as `tail_interval` gives them."""
+        return [list(pair) for pair in zip(self.tail_min[b].tolist(), self.tail_max[b].tolist())]
+
+
+#: Stages per block: a block's tail means are kept until they are folded
+#: into the running extrema, and its planned decisions are gathered at once.
+_BLOCK = 512
+
+
+def _owner(cls: type, name: str) -> type | None:
+    return next((k for k in cls.__mro__ if name in vars(k)), None)
+
+
+def _batch_form(strategy, name: str):
+    """strategy.<name> if its class defines it at or below the definer of decide."""
+    cls = type(strategy)
+    owner = _owner(cls, name)
+    if owner is None or not issubclass(owner, _owner(cls, "decide")):
+        return None
+    return getattr(strategy, name)
+
+
+def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) -> BatchTails:
+    """Run cell b = (profiles[b], starts[b]) for n stages, all cells at once.
+
+    Each stage applies `RunningMean.update`'s Kahan step elementwise to the
+    (B, 3) means, so every cell is bit-identical to `iterate` on the step
+    map `induced_map(profiles[b], params)`.  The payoff is looked up in an
+    (8, 3) table by a 3-bit profile code (bit i set when seat i invests).
+    Decisions come from, per strategy kind:
+      - `plan`: drawn before the loop, n - 1 per (cell, seat) in cell order;
+      - `decide_batch`: one call per instance and stage on its rows, so a
+        stateless instance shared by many cells costs one call;
+      - otherwise `decide` on each row's mean as a tuple of floats.
+    Strategies are left in the state `iterate` would leave them in, provided
+    no stateful instance sits in two cells (`fresh()` copies ensure that).
+    Tail statistics cover the means from `tail_start(n, window)` on.
+    """
+    require_valid(params)
+    if n < 1:
+        raise ValueError("horizon must be at least 1")
+    first = tail_start(n, window)
+    cells = len(profiles)
+    if len(starts) != cells or any(len(p) != 3 for p in profiles) or any(len(x) != 3 for x in starts):
+        raise ValueError("need one 3-vector start and one profile of three strategies per cell")
+    means = np.array(starts, dtype=float).reshape(cells, 3)
+    table = np.array([payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
+                      for code in range(8)], dtype=float)
+
+    # Route every (cell, seat) slot; dst indexes the flattened (B, 3) decisions.
+    cache: dict = {}
+    plans: dict[int, tuple[int, np.ndarray]] = {}
+    plan_dst, plan_src = [], []
+    batched: dict[int, tuple] = {}
+    scalar: list[tuple[int, int, object]] = []
+    for b, profile in enumerate(profiles):
+        for seat, s in enumerate(profile):
+            dst = 3 * b + seat
+            if (plan := _batch_form(s, "plan")) is not None:
+                arr = plan(n - 1, cache)
+                plan_dst.append(dst)
+                plan_src.append(plans.setdefault(id(arr), (len(plans), arr))[0])
+            elif (decide_batch := _batch_form(s, "decide_batch")) is not None:
+                group = batched.setdefault(id(s), (decide_batch, [], []))
+                group[1].append(b)
+                group[2].append(dst)
+            else:
+                scalar.append((b, dst, s.decide))
+    plan_table = np.array([arr for _, arr in plans.values()], dtype=bool).reshape(len(plans), n - 1)
+    plan_dst = np.array(plan_dst, dtype=np.intp)
+    plan_src = np.array(plan_src, dtype=np.intp)
+    batched_groups = [(fn, np.array(rows, dtype=np.intp), np.array(dst, dtype=np.intp))
+                      for fn, rows, dst in batched.values()]
+
+    decisions = np.zeros(3 * cells, dtype=bool)
+    decision_rows = decisions.reshape(cells, 3)
+    comp = np.zeros_like(means)
+    y = np.empty_like(means)
+    t = np.empty_like(means)
+    tail_min = np.full_like(means, np.inf)
+    tail_max = np.full_like(means, -np.inf)
+    tail_max_23 = np.full(cells, -np.inf)
+    tail = np.empty((min(_BLOCK, n - first), cells, 3))
+    kept = 0
+
+    def fold(part):
+        np.minimum(tail_min, part.min(axis=0), out=tail_min)
+        np.maximum(tail_max, part.max(axis=0), out=tail_max)
+        np.maximum(tail_max_23, (part[:, :, 1] + part[:, :, 2]).max(axis=0), out=tail_max_23)
+
+    if first == 0:
+        tail[0] = means
+        kept = 1
+    for lo in range(1, n, _BLOCK):
+        hi = min(n, lo + _BLOCK)
+        block_plan = plan_table[plan_src, lo - 1:hi - 1].T if len(plan_dst) else None
+        for k in range(lo, hi):
+            if block_plan is not None:
+                decisions[plan_dst] = block_plan[k - lo]
+            for decide_batch, rows, dst in batched_groups:
+                decisions[dst] = decide_batch(means[rows])
+            for b, dst, decide in scalar:
+                action = decide(tuple(means[b].tolist()))
+                if action not in (INVEST, NOT_INVEST):
+                    raise ValueError(f"unknown action {action!r}")
+                decisions[dst] = action == INVEST
+            codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
+            # The Kahan step of RunningMean.update, count k -> k + 1.
+            np.subtract(table.take(codes, axis=0), means, out=y)
+            y /= k + 1
+            y -= comp
+            np.add(means, y, out=t)
+            np.subtract(t, means, out=comp)
+            comp -= y
+            means, t = t, means
+            if k >= first:
+                tail[kept] = means
+                kept += 1
+                if kept == len(tail):
+                    fold(tail)
+                    kept = 0
+    if kept:
+        fold(tail[:kept])
+    return BatchTails(final=means, tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
 
 
 def step_size_bound(diameter: float, xi: float) -> int:

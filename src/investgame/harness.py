@@ -20,7 +20,9 @@ so the battery below (constants, seeded coin flips, the crafted
 defector) is the documented adversarial stand-in, extendable by callers.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
-the trailing window, never as single numbers.
+the trailing window, never as single numbers.  The t4 and t2 batteries
+step all their cells together with `dynamics.simulate_batch`, which keeps
+each cell bit-identical to a run of `dynamics.iterate`.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from .approachability import (
     refine_attractor,
 )
 from .dynamics import (
+    BatchTails,
     Trajectory,
     coordinate,
-    coordinate_sum,
     iterate,
+    simulate_batch,
     tail_interval,
     tail_liminf,
-    tail_limsup,
 )
 from .geometry import (
     dist_to_region,
@@ -112,8 +114,12 @@ class HarnessConfig:
 
     def __post_init__(self):
         require_valid(self.params)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be positive and finite")
+        if not (math.isfinite(self.dist_pitch) and self.dist_pitch > 0):
+            raise ValueError("dist_pitch must be positive and finite")
+        if not (math.isfinite(self.slack) and math.isfinite(self.dist_slack)):
+            raise ValueError("slack and dist_slack must be finite")
         if self.n < 1000:
             raise ValueError("horizon must be at least 1000")
         if not self.starts:
@@ -161,7 +167,8 @@ def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[t
     ]
     pairs += [(RandomStrategy(0.5, s), RandomStrategy(0.5, s + 1000)) for s in seeds]
     if params == example_game() and 0.0 < eps < 0.5:
-        pairs.append((Example2Defector(params, eps), Example2Defector(params, eps)))
+        defector = Example2Defector(params, eps)
+        pairs.append((defector, defector))
     return pairs
 
 
@@ -175,7 +182,14 @@ def _v3_entry_index(params: GameParams, eps: float, traj: Trajectory) -> int | N
     return int(np.argmax(mask)) + 1
 
 
-def _cell(theorem: str, start, deviants, config: HarnessConfig, traj: Trajectory,
+def _run_battery(config: HarnessConfig, battery, goods: tuple[Strategy, ...]) -> BatchTails:
+    """Step every (start, deviants) cell of a battery together: the good
+    strategies take the first seats, fresh copies of the deviants the rest."""
+    profiles = [goods + tuple(dev.fresh() for dev in devs) for _, devs in battery]
+    return simulate_batch(profiles, config.params, [x1 for x1, _ in battery], config.n, config.window)
+
+
+def _cell(theorem: str, start, deviants, config: HarnessConfig, intervals,
           measured, bound, margin, passed, **extra) -> dict:
     """One battery cell of a deviant battery, in the report's key order."""
     return {
@@ -186,7 +200,7 @@ def _cell(theorem: str, start, deviants, config: HarnessConfig, traj: Trajectory
         "measured": measured,
         "bound": bound,
         "margin": margin,
-        "tail_intervals": [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)],
+        "tail_intervals": intervals,
         "pass": bool(passed),
         **extra,
     }
@@ -238,13 +252,12 @@ def verify_t4(config: HarnessConfig, deviants: list[Strategy] | None = None) -> 
         deviants = standard_deviants(params, config.eps)
     bound = params.p3 + 2.0 * config.eps / 3.0
     cap = bound + config.slack
+    battery = [(x1, (dev,)) for x1 in config.start_points() for dev in deviants]
+    run = _run_battery(config, battery, (GoodStrategy(1, config.eps, params), GoodStrategy(2, config.eps, params)))
     cells = []
-    for x1 in config.start_points():
-        for dev in deviants:
-            profile = (GoodStrategy(1, config.eps, params), GoodStrategy(2, config.eps, params), dev.fresh())
-            traj = iterate(induced_map(profile, params), x1, config.n)
-            measured = tail_limsup(traj, coordinate(3), config.window)
-            cells.append(_cell("t4", x1, [dev], config, traj, measured, cap, cap - measured, measured <= cap))
+    for b, (x1, devs) in enumerate(battery):
+        measured = float(run.tail_max[b, 2])
+        cells.append(_cell("t4", x1, devs, config, run.intervals(b), measured, cap, cap - measured, measured <= cap))
     return VerifyReport(
         name="t4",
         passed=all(c["pass"] for c in cells),
@@ -273,20 +286,19 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
         "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
         "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
     }
+    battery = [(x1, pair) for x1 in config.start_points() for pair in pairs]
+    run = _run_battery(config, battery, (GoodStrategy(1, config.eps, params),))
     cells = []
-    for x1 in config.start_points():
-        for dev2, dev3 in pairs:
-            profile = (GoodStrategy(1, config.eps, params), dev2.fresh(), dev3.fresh())
-            traj = iterate(induced_map(profile, params), x1, config.n)
-            measured = {
-                "own_tail_min": tail_liminf(traj, coordinate(1), config.window),
-                "deviators_tail_sum_max": tail_limsup(traj, coordinate_sum(2, 3), config.window),
-                "dist_to_v1": dist_to_region(params, v1, traj.final, config.dist_pitch),
-            }
-            margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
-            checks = {k: bool(m >= 0.0) for k, m in margin.items()}
-            cells.append(_cell("t2", x1, [dev2, dev3], config, traj, measured, dict(bound), margin,
-                               all(checks.values()), checks=checks))
+    for b, (x1, devs) in enumerate(battery):
+        measured = {
+            "own_tail_min": float(run.tail_min[b, 0]),
+            "deviators_tail_sum_max": float(run.tail_max_23[b]),
+            "dist_to_v1": dist_to_region(params, v1, tuple(run.final[b].tolist()), config.dist_pitch),
+        }
+        margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
+        checks = {k: bool(m >= 0.0) for k, m in margin.items()}
+        cells.append(_cell("t2", x1, devs, config, run.intervals(b), measured, dict(bound), margin,
+                           all(checks.values()), checks=checks))
     return VerifyReport(
         name="t2",
         passed=all(c["pass"] for c in cells),

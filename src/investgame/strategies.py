@@ -14,7 +14,10 @@ Strategy kinds double as JSON descriptors for run configuration files:
 
 from __future__ import annotations
 
+import math
 import random
+
+import numpy as np
 
 from .stage_game import (
     ALL_PROFILES,
@@ -28,7 +31,18 @@ from .stage_game import (
 
 
 class Strategy:
-    """Base: deterministic given (point, own generator state), total on S."""
+    """Base: deterministic given (point, own generator state), total on S.
+
+    Besides the scalar `decide`, a kind may offer one of two batch forms
+    for `dynamics.simulate_batch`:
+      decide_batch(X) -> bool[B], the invest mask at the rows of a (B, 3)
+        array of means, for kinds that read the mean;
+      plan(stages, cache) -> bool[stages], the invest mask of the next
+        `stages` decisions, for kinds that ignore it.
+    A batch form counts only where its class is the class that defines
+    `decide` or a subclass of it, so a subclass that overrides `decide`
+    alone is stepped through `decide`, as are kinds with neither form.
+    """
 
     name = "strategy"
 
@@ -56,8 +70,8 @@ class GoodStrategy(Strategy):
     """
 
     def __init__(self, player: int, eps: float, params: GameParams):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError("eps must be positive and finite")
         require_valid(params)
         if player not in (1, 2, 3):
             raise ValueError("player must be 1, 2 or 3")
@@ -79,6 +93,13 @@ class GoodStrategy(Strategy):
                 return INVEST
         return NOT_INVEST
 
+    def decide_batch(self, x: np.ndarray) -> np.ndarray:
+        xi = x[:, self._i]
+        xj = x[:, self._j]
+        xk = x[:, self._k]
+        eps = self.eps
+        return (xi > xj - eps) & (xi > xk - eps) & (xi >= self._r0) & (xj + xk <= self._cap)
+
     def descriptor(self) -> dict:
         return {"kind": "good", "eps": self.eps}
 
@@ -92,6 +113,14 @@ class ConstantStrategy(Strategy):
 
     def decide(self, x) -> str:
         return self.action
+
+    def plan(self, stages: int, cache: dict) -> np.ndarray:
+        """`stages` copies of the action as an invest mask; `cache` shares
+        one array among equal constants."""
+        key = ("constant", self.action, stages)
+        if key not in cache:
+            cache[key] = np.full(stages, self.action == INVEST)
+        return cache[key]
 
     def descriptor(self) -> dict:
         return {"kind": "constant", "action": self.action}
@@ -116,6 +145,24 @@ class RandomStrategy(Strategy):
 
     def decide(self, x) -> str:
         return INVEST if self._rng.random() < self.p else NOT_INVEST
+
+    def plan(self, stages: int, cache: dict) -> np.ndarray:
+        """The next `stages` decisions as an invest mask.
+
+        Draws exactly as `stages` calls to decide would and leaves the
+        generator in the same state.  `cache` shares the draws among
+        instances whose generators are in equal states (fresh copies of
+        one seed), which then only jump to the end state.
+        """
+        key = ("random", self.p, stages, self._rng.getstate())
+        hit = cache.get(key)
+        if hit is None:
+            rnd = self._rng.random
+            draws = np.fromiter((rnd() for _ in range(stages)), dtype=float, count=stages)
+            hit = cache[key] = (draws < self.p, self._rng.getstate())
+        else:
+            self._rng.setstate(hit[1])
+        return hit[0]
 
     def descriptor(self) -> dict:
         return {"kind": "random", "p": self.p, "seed": self.seed}
@@ -174,12 +221,24 @@ class Example2Defector(Strategy):
             return INVEST
         return NOT_INVEST if self._in_triangle(x[0], x[2]) else INVEST
 
+    def decide_batch(self, x: np.ndarray) -> np.ndarray:
+        a11, a12, a21, a22 = self._inv
+        dt = x[:, 0] - self._tc
+        dz = x[:, 2] - self._zc
+        l1 = a11 * dt + a12 * dz
+        l2 = a21 * dt + a22 * dz
+        l3 = 1.0 - l1 - l2
+        in_triangle = (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
+        return (x[:, 0] != x[:, 1]) | ~self._good1.decide_batch(x) | ~in_triangle
+
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}
 
 
 def build_strategy(desc: dict, params: GameParams, seat: int) -> Strategy:
     """Instantiate a strategy from its JSON descriptor for the given seat."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"a strategy descriptor must be a JSON object, not {desc!r}")
     kind = desc.get("kind")
     if kind == "good":
         return GoodStrategy(seat, float(desc["eps"]), params)
@@ -193,8 +252,8 @@ def build_strategy(desc: dict, params: GameParams, seat: int) -> Strategy:
 
 
 def build_profile(descs, params: GameParams) -> tuple[Strategy, Strategy, Strategy]:
-    if len(descs) != 3:
-        raise ValueError("a profile needs exactly three strategy descriptors")
+    if not isinstance(descs, (list, tuple)) or len(descs) != 3:
+        raise ValueError("a profile needs a list of exactly three strategy descriptors")
     return tuple(build_strategy(d, params, seat) for seat, d in enumerate(descs, start=1))
 
 

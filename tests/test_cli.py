@@ -238,6 +238,35 @@ class TestCertify:
         assert main(["certify", "blackwell", cfg]) == 2
 
 
+GOOD3 = [{"kind": "good", "eps": 0.4}] * 3
+BAD_INPUTS = {
+    "strategies-not-a-list": ("simulate", {"strategies": "abc", "n": 5}),
+    "descriptor-not-an-object": ("simulate", {"strategies": [5, 5, 5], "n": 5}),
+    "two-coordinate-start-point": ("simulate", {"strategies": GOOD3, "start": {"point": [1, 2]}, "n": 5}),
+    "nan-good-eps": ("simulate", {"strategies": [{"kind": "good", "eps": "nan"}] * 3, "n": 5}),
+    "example1-one-coordinate-a": ("verify example1", {"a": [0], "n": 1000, "starts": 2}),
+    "example1-no-starts": ("verify example1", {"n": 1000, "starts": 0}),
+    "example2-two-coordinate-start": ("verify example2", {"starts": [[1, 1]], "n": 1000}),
+    "example2-empty-starts": ("verify example2", {"starts": [], "n": 1000}),
+    "t3-nan-eps": ("verify t3", {"eps": "nan", "n": 1000}),
+    "t4-infinite-eps": ("verify t4", {"eps": "inf", "n": 1000}),
+    "t2-nan-slack": ("verify t2", {"slack": "nan", "n": 1000}),
+    "blackwell-zero-pitch": ("certify blackwell", {"target": "example1_line", "pitch": 0}),
+    "blackwell-negative-pitch": ("certify blackwell", {"target": "example1_line", "pitch": -1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_config_error(case, tmp_path, capsys):
+    # exit 1 means "the check ran and failed"; bad input must not look like that
+    command, cfg = BAD_INPUTS[case]
+    path = write_json(tmp_path, "cfg.json", cfg)
+    assert main(command.split() + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_runs(game_file):
     proc = subprocess.run(
         [sys.executable, "-m", "investgame.cli", "validate", game_file],

@@ -1,7 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from investgame.dynamics import coordinate, coordinate_sum, iterate, tail_liminf, tail_limsup
+from investgame import harness
+from investgame.dynamics import (
+    coordinate,
+    coordinate_sum,
+    iterate,
+    tail_interval,
+    tail_liminf,
+    tail_limsup,
+)
 from investgame.geometry import dist_to_region, good_region, grid_slack
 from investgame.harness import (
     HarnessConfig,
@@ -17,10 +27,13 @@ from investgame.harness import (
     verify_t4,
     z_starts,
 )
-from investgame.stage_game import GameParams, example_game, permute, vertices
+from investgame.stage_game import INVEST, NOT_INVEST, GameParams, example_game, permute, vertices
 from investgame.strategies import (
     ConstantStrategy,
+    Example2Defector,
     GoodStrategy,
+    RandomStrategy,
+    Strategy,
     induced_map,
 )
 
@@ -41,6 +54,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             HarnessConfig(params=PARAMS, eps=0.0)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                HarnessConfig(params=PARAMS, eps=eps)
         with pytest.raises(ValueError):
             HarnessConfig(params=PARAMS, n=10)
         with pytest.raises(ValueError):
@@ -134,6 +150,116 @@ class TestT2:
         assert rep.passed
         assert cell["measured"]["own_tail_min"] >= PARAMS.p3 - 0.05
         assert cell["measured"]["deviators_tail_sum_max"] <= 2 * PARAMS.p3 + 0.05
+
+
+class Alternator(Strategy):
+    """A caller's strategy with neither batch form: reads the mean and keeps
+    state, investing on every other call while x3 < p3."""
+
+    name = "alternator"
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, x):
+        self.calls += 1
+        return INVEST if self.calls % 2 and x[2] < PARAMS.p3 else NOT_INVEST
+
+    def fresh(self):
+        return Alternator()
+
+
+class Reluctant(GoodStrategy):
+    """Overrides decide only, so the inherited decide_batch must not be used."""
+
+    def decide(self, x):
+        return NOT_INVEST if x[self.player - 1] < 21.0 else super().decide(x)
+
+
+def _reference_cells(theorem, config, battery):
+    """The t4/t2 cells built one trajectory at a time with `iterate`."""
+    params = config.params
+    cells = []
+    for x1 in config.start_points():
+        for devs in battery:
+            goods = [GoodStrategy(i, config.eps, params) for i in (1, 2)][:3 - len(devs)]
+            traj = iterate(induced_map(tuple(goods) + tuple(d.fresh() for d in devs), params), x1, config.n)
+            cell = {
+                "theorem": theorem, "start": list(x1), "deviants": [d.name for d in devs], "N": config.n,
+            }
+            if theorem == "t4":
+                cap = params.p3 + 2.0 * config.eps / 3.0 + config.slack
+                measured = tail_limsup(traj, coordinate(3), config.window)
+                cell.update(measured=measured, bound=cap, margin=cap - measured)
+                passed = measured <= cap
+            else:
+                bound = {
+                    "own_tail_min": params.r0 - config.slack,
+                    "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
+                    "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
+                }
+                measured = {
+                    "own_tail_min": tail_liminf(traj, coordinate(1), config.window),
+                    "deviators_tail_sum_max": tail_limsup(traj, coordinate_sum(2, 3), config.window),
+                    "dist_to_v1": dist_to_region(params, good_region(1, config.eps), traj.final,
+                                                 config.dist_pitch),
+                }
+                margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
+                cell.update(measured=measured, bound=bound, margin=margin)
+                passed = all(m >= 0.0 for m in margin.values())
+            cell["tail_intervals"] = [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)]
+            cell["pass"] = bool(passed)
+            if theorem == "t2":
+                cell["checks"] = {k: bool(m >= 0.0) for k, m in margin.items()}
+            cells.append(cell)
+    return cells
+
+
+class TestBatchedEngine:
+    """verify_t4/verify_t2 step all cells together; every report must match
+    the one built cell by cell with `iterate`, byte for byte."""
+
+    CONFIG = HarnessConfig(params=PARAMS, n=2000)
+
+    def check(self, theorem, battery):
+        config = self.CONFIG
+        if theorem == "t4":
+            report = verify_t4(config, [devs[0] for devs in battery]).as_dict()
+        else:
+            report = verify_t2(config, battery).as_dict()
+        cells = _reference_cells(theorem, config, battery)
+        want = dict(report, cells=cells, passed=all(c["pass"] for c in cells))
+        assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_standard_batteries(self):
+        self.check("t4", [(d,) for d in standard_deviants(PARAMS, 0.4)])
+        self.check("t2", deviant_pairs(PARAMS, 0.4))
+
+    def test_other_seeds(self):
+        seeds = (2, 999_983, 123_456_789)
+        self.check("t4", [(d,) for d in standard_deviants(PARAMS, 0.4, seeds=seeds)])
+        self.check("t2", deviant_pairs(PARAMS, 0.4, seeds=seeds))
+
+    def test_good_deviants_in_any_seat_and_eps(self):
+        # own seat, another player's seat, and a different threshold
+        self.check("t4", [(GoodStrategy(3, 0.4, PARAMS),), (GoodStrategy(1, 0.4, PARAMS),),
+                          (GoodStrategy(3, 0.25, PARAMS),), (Example2Defector(PARAMS, 0.3),)])
+        self.check("t2", [(GoodStrategy(2, 0.4, PARAMS), GoodStrategy(3, 0.4, PARAMS)),
+                          (GoodStrategy(3, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS)),
+                          (GoodStrategy(2, 0.7, PARAMS), Example2Defector(PARAMS, 0.2))])
+
+    def test_strategies_without_batch_forms(self):
+        self.check("t4", [(Alternator(),), (Reluctant(3, 0.4, PARAMS),)])
+        self.check("t2", [(Alternator(), RandomStrategy(0.5, 3)), (Reluctant(2, 0.4, PARAMS), Alternator())])
+
+    def test_no_trajectory_per_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("t4/t2 cells must not run iterate")
+
+        monkeypatch.setattr(harness, "iterate", refuse)
+        cfg = HarnessConfig(params=PARAMS, n=1000, starts=((0.125,) * 8,))
+        assert len(verify_t4(cfg).cells) == 13
+        assert len(verify_t2(cfg).cells) == 15
 
 
 class TestSafetyChain:

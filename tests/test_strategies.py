@@ -1,6 +1,8 @@
 from itertools import permutations, product
 
+import numpy as np
 import pytest
+from test_geometry import _boundary_points
 
 from investgame.geometry import good_region, in_region, sample_points
 from investgame.stage_game import (
@@ -65,6 +67,12 @@ class TestGoodStrategy:
         with pytest.raises(ValueError):
             GoodStrategy(4, 0.1, PARAMS)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        # a NaN threshold would pass an "eps <= 0" test and then never invest
+        with pytest.raises(ValueError, match="finite"):
+            GoodStrategy(1, eps, PARAMS)
+
 
 class TestConstantAndRandom:
     def test_constant(self):
@@ -124,6 +132,65 @@ class TestDefector:
     def test_d_point(self):
         d = self.make(0.4).d_point
         assert d == (25.8, 25.8, 26.2)
+
+
+def _slice_points(eps: float) -> np.ndarray:
+    """Points of the slice x1 == x2: the boundary points moved onto it, a
+    grid, and points on the defector triangle's corners and edges."""
+    pts = _boundary_points()
+    pts[:, 1] = pts[:, 0]
+    t, z = np.meshgrid(np.linspace(18.0, 28.0, 41), np.linspace(10.0, 36.0, 105))
+    grid = np.column_stack([t.ravel(), t.ravel(), z.ravel()])
+    p3, r1, p1 = PARAMS.p3, PARAMS.r1, PARAMS.p1
+    corners = [(p3, p3), (p3 - eps / 2.0, p3 + eps / 2.0), (r1, p1)]
+    edge = [(a[0] + w * (b[0] - a[0]), a[1] + w * (b[1] - a[1]))
+            for a in corners for b in corners for w in np.linspace(0.0, 1.0, 9)]
+    tri = np.array([(q[0], q[0], q[1]) for q in edge])
+    # The V_1 boundary x3 = x1 + eps runs through the slice as well.
+    v1 = np.column_stack([grid[:, 0], grid[:, 0], grid[:, 0] + eps])
+    return np.vstack([pts, grid, tri, v1])
+
+
+class TestBatchForms:
+    """The batch forms the batched engine uses agree with decide row by row."""
+
+    def test_random_plan_equals_successive_decisions(self):
+        s = RandomStrategy(0.3, seed=7)
+        s((0.0,) * 3)  # the plan starts from the current state, not the seed
+        ref = s.fresh()
+        ref((0.0,) * 3)
+        want = [ref((0.0,) * 3) == INVEST for _ in range(999)]
+        cache = {}
+        plan = s.plan(999, cache)
+        assert plan.tolist() == want
+        assert s._rng.getstate() == ref._rng.getstate()
+        # a second instance in the same state reuses the draws and the end state
+        again = RandomStrategy(0.3, seed=7)
+        again((0.0,) * 3)
+        assert again.plan(999, cache) is plan
+        assert again._rng.getstate() == ref._rng.getstate()
+        assert RandomStrategy(0.3, seed=8).plan(999, cache).tolist() != want
+
+    def test_constant_plan(self):
+        assert ConstantStrategy(INVEST).plan(5, {}).tolist() == [True] * 5
+        assert ConstantStrategy(NOT_INVEST).plan(5, {}).tolist() == [False] * 5
+
+    @pytest.mark.parametrize("eps", [0.1, 0.4])
+    def test_good_batch_matches_decide(self, eps):
+        for pts in (_boundary_points(), _slice_points(eps)):
+            rows = [tuple(x) for x in pts.tolist()]
+            for i in (1, 2, 3):
+                s = GoodStrategy(i, eps, PARAMS)
+                assert s.decide_batch(pts).tolist() == [s.decide(x) == INVEST for x in rows]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.4])
+    def test_defector_batch_matches_decide(self, eps):
+        s = Example2Defector(PARAMS, eps)
+        for pts in (_boundary_points(), _slice_points(eps)):
+            want = [s.decide(x) == INVEST for x in (tuple(r) for r in pts.tolist())]
+            assert s.decide_batch(pts).tolist() == want
+        # both actions occur on the slice, so the test tells them apart
+        assert 0 < sum(want) < len(want)
 
 
 class TestInducedMap:
