@@ -214,10 +214,9 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         kept = 1
     for lo in range(1, n, _BLOCK):
         hi = min(n, lo + _BLOCK)
-        block_plan = plan_table[plan_src, lo - 1:hi - 1].T if len(plan_dst) else None
+        block_plan = plan_table[plan_src, lo - 1:hi - 1].T
         for k in range(lo, hi):
-            if block_plan is not None:
-                decisions[plan_dst] = block_plan[k - lo]
+            decisions[plan_dst] = block_plan[k - lo]
             for decide_batch, rows, dst in batched_groups:
                 decisions[dst] = decide_batch(means[rows])
             for b, dst, decide in scalar:

@@ -205,14 +205,15 @@ class Example2Defector(Strategy):
         self.d_point = (td, td, zd)
         self.name = f"example2_defector(eps={eps:g})"
 
-    def _in_triangle(self, t: float, z: float) -> bool:
+    def _in_triangle(self, t, z):
+        """Barycentric test of (t, z); floats give a bool, arrays a mask."""
         a11, a12, a21, a22 = self._inv
         dt = t - self._tc
         dz = z - self._zc
         l1 = a11 * dt + a12 * dz
         l2 = a21 * dt + a22 * dz
         l3 = 1.0 - l1 - l2
-        return l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10
+        return (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
 
     def decide(self, x) -> str:
         if x[0] != x[1]:  # outside the slice Z
@@ -222,14 +223,7 @@ class Example2Defector(Strategy):
         return NOT_INVEST if self._in_triangle(x[0], x[2]) else INVEST
 
     def decide_batch(self, x: np.ndarray) -> np.ndarray:
-        a11, a12, a21, a22 = self._inv
-        dt = x[:, 0] - self._tc
-        dz = x[:, 2] - self._zc
-        l1 = a11 * dt + a12 * dz
-        l2 = a21 * dt + a22 * dz
-        l3 = 1.0 - l1 - l2
-        in_triangle = (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
-        return (x[:, 0] != x[:, 1]) | ~self._good1.decide_batch(x) | ~in_triangle
+        return (x[:, 0] != x[:, 1]) | ~self._good1.decide_batch(x) | ~self._in_triangle(x[:, 0], x[:, 2])
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}
