@@ -17,8 +17,8 @@ open sets and a grid of the reported pitch finds them reliably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,31 +105,42 @@ class HullOracle(ProximalOracle):
 
 
 # ---------------------------------------------------------------------------
-# Blackwell condition
+# Sampled certificates and the Blackwell condition
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlackwellReport:
+class CertReport:
+    """A sampled certificate: it holds, or `witness` records the first
+    violating sample; `checked` counts the samples examined."""
+
     holds: bool
     witness: dict | None
-    grid_pitch: float | None
     checked: int
+    grid_pitch: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness,
-            "grid_pitch": self.grid_pitch,
-            "checked": self.checked,
-        }
+        return asdict(self)
 
 
-def _best_inner(x, step, oracle: ProximalOracle):
-    x = np.asarray(x, dtype=float)
+def first_violation(samples: Iterable, violation: Callable[[object], dict | None],
+                    pitch: float | None = None) -> CertReport:
+    """Evaluate `violation` on the samples in order and stop at the first
+    one for which it returns a witness instead of None."""
+    checked = 0
+    for x in samples:
+        checked += 1
+        witness = violation(x)
+        if witness is not None:
+            return CertReport(holds=False, witness=witness, checked=checked, grid_pitch=pitch)
+    return CertReport(holds=True, witness=None, checked=checked, grid_pitch=pitch)
+
+
+def _best_inner(x: np.ndarray, step, proximal: Sequence[np.ndarray]):
+    """The least <x - y, step - y> over the proximal candidates y of x."""
     step = np.asarray(step, dtype=float)
     best = math.inf
     best_y = None
-    for y in oracle.project(x):
+    for y in proximal:
         inner = float((x - y) @ (step - y))
         if inner < best:
             best = inner
@@ -138,27 +149,27 @@ def _best_inner(x, step, oracle: ProximalOracle):
 
 
 def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence, pitch: float | None = None,
-                    tol: float = 1e-9) -> BlackwellReport:
+                    tol: float = 1e-9) -> CertReport:
     """Certify <x - y, phi(x) - y> <= tol for some proximal y, on every sample.
 
     The first failing sample becomes the witness: its point, step value,
     best proximal candidate and the (positive) inner product, all of which
     reproduce the violation bit-exactly on re-evaluation.
     """
-    checked = 0
-    for x in domain:
-        checked += 1
+    def violation(x):
         step = phi(tuple(x))
-        inner, y = _best_inner(x, step, oracle)
+        point = np.asarray(x, dtype=float)
+        inner, y = _best_inner(point, step, oracle.project(point))
         if inner > tol:
-            witness = {
+            return {
                 "x": [float(c) for c in x],
                 "phi_x": [float(c) for c in step],
                 "proximal": [float(c) for c in y],
                 "inner": inner,
             }
-            return BlackwellReport(holds=False, witness=witness, grid_pitch=pitch, checked=checked)
-    return BlackwellReport(holds=True, witness=None, grid_pitch=pitch, checked=checked)
+        return None
+
+    return first_violation(domain, violation, pitch)
 
 
 def premise_start(traj: Trajectory, oracle: ProximalOracle, tol: float = 1e-9) -> int | None:
@@ -166,7 +177,8 @@ def premise_start(traj: Trajectory, oracle: ProximalOracle, tol: float = 1e-9) -
     at every recorded stage from n0 on; None when even the last stage fails."""
     last_bad = 0
     for n in range(1, traj.horizon):  # stages with a recorded step
-        inner, _ = _best_inner(traj.means[n - 1], traj.steps[n - 1], oracle)
+        x = np.asarray(traj.means[n - 1], dtype=float)
+        inner, _ = _best_inner(x, traj.steps[n - 1], oracle.project(x))
         if inner > tol:
             last_bad = n
     return last_bad + 1 if last_bad + 1 < traj.horizon else None
@@ -183,11 +195,7 @@ class DecayReport:
     violations: int
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok, "premise_ok": self.premise_ok, "n0": self.n0,
-            "c_const": self.c_const, "d_n0": self.d_n0,
-            "max_ratio": self.max_ratio, "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int, tol: float = 1e-9) -> DecayReport:
@@ -204,14 +212,16 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int, tol: fl
     c_const = 0.0
     dists = np.empty(traj.horizon - n0 + 1)
     for n in range(n0, traj.horizon + 1):
-        x = np.asarray(traj.means[n - 1])
+        x = np.asarray(traj.means[n - 1], dtype=float)
+        proximal = oracle.project(x)
         if n < traj.horizon:
             step = np.asarray(traj.steps[n - 1])
-            inner, y = _best_inner(x, step, oracle)
+            inner, y = _best_inner(x, step, proximal)
             if inner > tol:
                 premise_ok = False
             c_const = max(c_const, float(np.sum((step - y) ** 2)))
-        dists[n - n0] = oracle.distance(x)
+        # what oracle.distance(x) computes, without projecting x again
+        dists[n - n0] = float(np.linalg.norm(proximal[0] - x))
     d_n0 = n0 * n0 * dists[0] ** 2
     ns = np.arange(n0, traj.horizon + 1, dtype=float)
     bounds = (d_n0 + (ns - n0) * c_const) / ns
@@ -392,6 +402,8 @@ def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, sched
     caller-supplied configuration; the theory guarantees existence of a
     workable delta per eps but not a formula for it.
     """
+    # The trajectories do not depend on (eps, delta): run each start once.
+    worst = max((inner.distance(iterate(phi, x1, n).final) for x1 in starts), default=0.0)
     stages = []
     ok = True
     for eps, delta in schedule:
@@ -400,10 +412,6 @@ def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, sched
             raise ValueError(f"clipped region empty at eps={eps}")
         region = SegmentsOracle(clipped)
         bw = check_blackwell(phi, region, domain_for_delta(delta))
-        worst = 0.0
-        for x1 in starts:
-            traj = iterate(phi, x1, n)
-            worst = max(worst, inner.distance(traj.final))
         stage_ok = bw.holds and worst <= eps + tol
         ok = ok and stage_ok
         stages.append({

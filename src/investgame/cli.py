@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import harness, lyapunov
 from .dynamics import iterate, write_csv
@@ -75,16 +76,20 @@ def _vectors(value, length: int, what: str) -> list[tuple[float, ...]]:
 
 
 def _positive(value, what: str) -> float:
-    x = float(value)
-    if not (math.isfinite(x) and x > 0):
+    x = _finite(value, what)
+    if not x > 0:
         raise ConfigError(f"{what} must be positive and finite, not {value!r}")
     return x
 
 
 def _finite(value, what: str) -> float:
-    x = float(value)
+    """A config number that must be finite; the error names the key."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
     if not math.isfinite(x):
-        raise ConfigError(f"{what} must be finite, not {value!r}")
+        raise ConfigError(f"{what} must be a finite number, not {value!r}")
     return x
 
 
@@ -226,16 +231,17 @@ def _certify_blackwell(cfg: dict) -> tuple[bool, dict]:
 def _certify_lyapunov(cfg: dict, want_decrease: bool) -> tuple[bool, dict]:
     params = _load_game(cfg.get("game"))
     map_kind = cfg.get("map", "all_good")
-    pitch = float(cfg.get("pitch", 0.25))
+    pitch = _positive(cfg.get("pitch", 0.25), "pitch")
     if map_kind == "all_good":
-        c = float(cfg.get("c", 0.3))
-        spec = lyapunov.six_direction_spec(c, cfg.get("delta"))
+        c = _finite(cfg.get("c", 0.3), "c")
+        delta = cfg.get("delta")
+        spec = lyapunov.six_direction_spec(c, None if delta is None else _finite(delta, "delta"))
         mmap = lyapunov.good_profile_plane_map(params)
     elif map_kind == "two_good":
-        eps = float(cfg.get("eps", 0.4))
-        eta = float(cfg.get("eta", 0.1))
+        eps = _finite(cfg.get("eps", 0.4), "eps")
+        eta = _finite(cfg.get("eta", 0.1), "eta")
         c = (eps + eta) / 2.0**0.5
-        delta = float(cfg.get("delta", eta / (2.0 * 2.0**0.5)))
+        delta = _finite(cfg.get("delta", eta / (2.0 * 2.0**0.5)), "delta")
         spec = lyapunov.four_direction_spec(c, delta)
         mmap = lyapunov.two_good_plane_map(params, eps)
     else:
@@ -243,24 +249,12 @@ def _certify_lyapunov(cfg: dict, want_decrease: bool) -> tuple[bool, dict]:
     grid = lyapunov.certification_grid(spec, params, pitch)
     base = lyapunov.check_lyapunov(spec, mmap, grid, pitch=pitch)
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
-    payload.update(base.as_dict())
     if not want_decrease:
-        return base.holds, payload
-    consts = lyapunov.t1_constants(spec, float(cfg.get("m_bound", 60.0)))
+        return base.holds, {**payload, **base.as_dict()}
+    consts = lyapunov.t1_constants(spec, _positive(cfg.get("m_bound", 60.0), "m_bound"))
     dec = lyapunov.decrease_check(spec, mmap, consts, grid, pitch=pitch)
-    payload = {
-        "kind": "decrease",
-        "map": mmap.label,
-        "c": spec.c,
-        "delta": spec.delta,
-        "constants": {
-            "m_bound": consts.m_bound, "delta": consts.delta,
-            "r": consts.r, "gamma": consts.gamma, "alpha0": consts.alpha0,
-        },
-        "lyapunov_holds": base.holds,
-    }
-    payload.update(dec.as_dict())
-    return base.holds and dec.holds, payload
+    payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
+    return base.holds and dec.holds, {**payload, **dec.as_dict()}
 
 
 def cmd_certify(args) -> int:

@@ -28,12 +28,12 @@ each cell bit-identical to a run of `dynamics.iterate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
 from .approachability import (
-    BlackwellReport,
+    CertReport,
     HullOracle,
     LineOracle,
     PointOracle,
@@ -50,6 +50,7 @@ from .dynamics import (
     simulate_batch,
     tail_interval,
     tail_liminf,
+    tail_start,
 )
 from .geometry import (
     dist_to_region,
@@ -114,6 +115,7 @@ class HarnessConfig:
 
     def __post_init__(self):
         require_valid(self.params)
+        tail_start(self.n, self.window)
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
         if not (math.isfinite(self.dist_pitch) and self.dist_pitch > 0):
@@ -132,18 +134,20 @@ class HarnessConfig:
 
 @dataclass
 class VerifyReport:
+    """A claim's cells; it passes when every cell passes and the report-level
+    `checks` (certificates, pipeline) hold."""
+
     name: str
-    passed: bool
     cells: list[dict]
     meta: dict = field(default_factory=dict)
+    checks: InitVar[bool] = True
+    passed: bool = field(init=False)
+
+    def __post_init__(self, checks: bool):
+        self.passed = checks and all(c["pass"] for c in self.cells)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "cells": self.cells,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def standard_deviants(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[Strategy]:
@@ -189,18 +193,16 @@ def _run_battery(config: HarnessConfig, battery, goods: tuple[Strategy, ...]) ->
     return simulate_batch(profiles, config.params, [x1 for x1, _ in battery], config.n, config.window)
 
 
-def _cell(theorem: str, start, deviants, config: HarnessConfig, intervals,
-          measured, bound, margin, passed, **extra) -> dict:
-    """One battery cell of a deviant battery, in the report's key order."""
+def _cell(theorem: str, start, deviants, n: int, measured, bound, margin, passed, **extra) -> dict:
+    """One report cell: the keys every claim shares plus its own `extra` keys."""
     return {
         "theorem": theorem,
         "start": list(start),
         "deviants": [dev.name for dev in deviants],
-        "N": config.n,
+        "N": n,
         "measured": measured,
         "bound": bound,
         "margin": margin,
-        "tail_intervals": intervals,
         "pass": bool(passed),
         **extra,
     }
@@ -222,24 +224,12 @@ def verify_t3(config: HarnessConfig) -> VerifyReport:
         traj = iterate(phi, x1, config.n)
         dist = norm3([traj.final[k] - b_point[k] for k in range(3)])
         entry = _v3_entry_index(params, config.eps, traj)
-        cells.append({
-            "theorem": "t3",
-            "start": list(x1),
-            "start_weights": list(w),
-            "deviants": [],
-            "N": config.n,
-            "measured": dist,
-            "bound": config.slack,
-            "margin": config.slack - dist,
-            "entered_v3_at": entry,
-            "tail_intervals": [
-                list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)
-            ],
-            "pass": bool(dist <= config.slack and entry is not None),
-        })
+        intervals = [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)]
+        cells.append(_cell("t3", x1, (), config.n, dist, config.slack, config.slack - dist,
+                           dist <= config.slack and entry is not None,
+                           start_weights=list(w), entered_v3_at=entry, tail_intervals=intervals))
     return VerifyReport(
         name="t3",
-        passed=all(c["pass"] for c in cells),
         cells=cells,
         meta={"eps": config.eps, "target": list(b_point)},
     )
@@ -257,10 +247,10 @@ def verify_t4(config: HarnessConfig, deviants: list[Strategy] | None = None) -> 
     cells = []
     for b, (x1, devs) in enumerate(battery):
         measured = float(run.tail_max[b, 2])
-        cells.append(_cell("t4", x1, devs, config, run.intervals(b), measured, cap, cap - measured, measured <= cap))
+        cells.append(_cell("t4", x1, devs, config.n, measured, cap, cap - measured, measured <= cap,
+                           tail_intervals=run.intervals(b)))
     return VerifyReport(
         name="t4",
-        passed=all(c["pass"] for c in cells),
         cells=cells,
         meta={
             "eps": config.eps,
@@ -297,11 +287,10 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
         }
         margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
         checks = {k: bool(m >= 0.0) for k, m in margin.items()}
-        cells.append(_cell("t2", x1, devs, config, run.intervals(b), measured, dict(bound), margin,
-                           all(checks.values()), checks=checks))
+        cells.append(_cell("t2", x1, devs, config.n, measured, dict(bound), margin, all(checks.values()),
+                           tail_intervals=run.intervals(b), checks=checks))
     return VerifyReport(
         name="t2",
-        passed=all(c["pass"] for c in cells),
         cells=cells,
         meta={"eps": config.eps},
     )
@@ -338,7 +327,7 @@ def _box_grid(box: float, pitch: float) -> list[tuple[float, float]]:
     return [(float(u), float(v)) for u in axis for v in axis]
 
 
-def example1_certificates(a, b, pitch: float = 0.25, box: float = 3.0) -> dict[str, BlackwellReport]:
+def example1_certificates(a, b, pitch: float = 0.25, box: float = 3.0) -> dict[str, CertReport]:
     """Blackwell certificates of the two-value map on a pitch grid of the box:
     for the axis and the segment ab (both hold) and for the singleton {d}
     (a violation witness is expected: the singleton is a weak attractor that
@@ -373,24 +362,15 @@ def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: flo
     for x1 in starts:
         traj = iterate(phi, x1, n)
         dist = math.hypot(traj.final[0] - d[0], traj.final[1] - d[1])
-        cells.append({
-            "theorem": "example1",
-            "start": list(x1),
-            "deviants": [],
-            "N": n,
-            "measured": dist,
-            "bound": tol,
-            "margin": tol - dist,
-            "pass": bool(dist <= tol),
-        })
-    checks_ok = certs["blackwell_line"].holds and certs["blackwell_segment"].holds \
+        cells.append(_cell("example1", x1, (), n, dist, tol, tol - dist, dist <= tol))
+    checks = certs["blackwell_line"].holds and certs["blackwell_segment"].holds \
         and not certs["blackwell_singleton"].holds
     return VerifyReport(
         name="example1",
-        passed=all(c["pass"] for c in cells) and checks_ok,
         cells=cells,
         meta={"a": list(a), "b": list(b), "limit": list(d),
               **{key: rep.as_dict() for key, rep in certs.items()}},
+        checks=checks,
     )
 
 
@@ -463,7 +443,7 @@ def _example2_setup(eps: float):
     return params, defector, phi, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
 
 
-def example2_certificates(eps: float, pitch: float = 0.25) -> dict[str, BlackwellReport]:
+def example2_certificates(eps: float, pitch: float = 0.25) -> dict[str, CertReport]:
     """Blackwell certificates of example 2 on a pitch grid of the slice Z,
     for the triangle and for the segment union."""
     params, _, phi, triangle, union_segments = _example2_setup(eps)
@@ -500,20 +480,11 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
         last_traj = traj
         dist = norm3([traj.final[k] - d_point[k] for k in range(3)])
         overshoot = tail_liminf(traj, coordinate(3), window)
-        cells.append({
-            "theorem": "example2",
-            "start": list(x1),
-            "deviants": [defector.name],
-            "N": n,
-            "measured": dist,
-            "bound": tol,
-            "margin": tol - dist,
-            "deviator_tail_min": overshoot,
-            "exceeds_p3": bool(overshoot > params.p3),
-            "pass": bool(dist <= tol and overshoot > params.p3),
-        })
+        cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
+                           dist <= tol and overshoot > params.p3,
+                           deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
     meta: dict = {"eps": eps, "d_point": list(d_point)}
-    passed = all(c["pass"] for c in cells)
+    checks = True
     if pipeline:
         certs = example2_certificates(eps, pitch)
         bd_segment = SegmentsOracle(union_segments[:1])
@@ -530,6 +501,5 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
         intersect = intersect_attractors(last_traj, bd_segment, triangle, tol)
         meta.update({key: rep.as_dict() for key, rep in certs.items()})
         meta.update({"refine_to_bd": refine, "intersect_bd_triangle": intersect})
-        passed = passed and all(rep.holds for rep in certs.values()) \
-            and refine["passes"] and intersect["passes"]
-    return VerifyReport(name="example2", passed=passed, cells=cells, meta=meta)
+        checks = all(rep.holds for rep in certs.values()) and refine["passes"] and intersect["passes"]
+    return VerifyReport(name="example2", cells=cells, meta=meta, checks=checks)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .approachability import CertReport, first_violation
 from .geometry import (
     V_DIRS,
     dot3,
@@ -162,22 +163,6 @@ def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> l
     return out
 
 
-@dataclass
-class CertReport:
-    holds: bool
-    witness: dict | None
-    checked: int
-    grid_pitch: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness,
-            "checked": self.checked,
-            "grid_pitch": self.grid_pitch,
-        }
-
-
 def check_lyapunov(spec: SupportSpec, mmap: Callable, grid: Sequence, tol: float = 1e-9,
                    sufficient: bool = False, pitch: float | None = None) -> CertReport:
     """Certify the support function against the multimap outside Delta_c.
@@ -189,30 +174,23 @@ def check_lyapunov(spec: SupportSpec, mmap: Callable, grid: Sequence, tol: float
     """
     if not grid:
         raise ValueError("empty certification grid")
-    checked = 0
-    for x in grid:
-        checked += 1
+
+    def violation(x):
         v, active = support_value(spec, x)
         if sufficient:
             idxs = [i for i, p in enumerate(spec.vectors) if dot3(p, x) > 0.0]
         else:
-            idxs = list(active)
+            idxs = active
         values = mmap(x)
         for i in idxs:
-            p = spec.vectors[i]
             for w in values:
-                if dot3(p, w) > tol:
-                    return CertReport(
-                        holds=False,
-                        witness={
-                            "x": list(x), "direction_index": i + 1,
-                            "value": list(w), "inner": dot3(p, w),
-                            "support": v,
-                        },
-                        checked=checked,
-                        grid_pitch=pitch,
-                    )
-    return CertReport(holds=True, witness=None, checked=checked, grid_pitch=pitch)
+                inner = dot3(spec.vectors[i], w)
+                if inner > tol:
+                    return {"x": list(x), "direction_index": i + 1, "value": list(w),
+                            "inner": inner, "support": v}
+        return None
+
+    return first_violation(grid, violation, pitch)
 
 
 @dataclass(frozen=True)
@@ -271,9 +249,8 @@ def decrease_check(spec: SupportSpec, mmap: Callable, consts: LyapunovConstants,
     if alphas is None:
         a0 = consts.alpha0
         alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
-    checked = 0
-    for x in grid:
-        checked += 1
+
+    def violation(x):
         v, _ = support_value(spec, x)
         for w in mmap(x):
             for a in alphas:
@@ -284,16 +261,11 @@ def decrease_check(spec: SupportSpec, mmap: Callable, consts: LyapunovConstants,
                 )
                 val = max(dot3(p, pt) for p in spec.vectors)
                 if val > v - a * consts.gamma + tol:
-                    return CertReport(
-                        holds=False,
-                        witness={
-                            "x": list(x), "value": list(w), "alpha": a,
-                            "lhs": val, "rhs": v - a * consts.gamma,
-                        },
-                        checked=checked,
-                        grid_pitch=pitch,
-                    )
-    return CertReport(holds=True, witness=None, checked=checked, grid_pitch=pitch)
+                    return {"x": list(x), "value": list(w), "alpha": a,
+                            "lhs": val, "rhs": v - a * consts.gamma}
+        return None
+
+    return first_violation(grid, violation, pitch)
 
 
 @dataclass

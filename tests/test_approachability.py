@@ -129,6 +129,22 @@ class TestDecayBound:
         rep = decay_bound_check(traj, oracle, n0)
         assert rep.ok
 
+    def test_projects_each_mean_once(self):
+        calls = []
+
+        class Counting(SegmentsOracle):
+            def project(self, x):
+                calls.append(1)
+                return super().project(x)
+
+        traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
+        oracle = Counting([(A1, B1)])
+        n0 = 7
+        rep = decay_bound_check(traj, oracle, n0)
+        assert len(calls) == traj.horizon - n0 + 1
+        # the distance taken from that one projection is oracle.distance's
+        assert rep.d_n0 == n0 * n0 * oracle.distance(traj.means[n0 - 1]) ** 2
+
     def test_n0_validation(self):
         traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 10)
         with pytest.raises(ValueError):
@@ -224,6 +240,28 @@ class TestClipAndRefine:
             [VS.A], 20_000, tol=0.05,
         )
         assert out["passes"], out
+
+    def test_runs_each_start_once(self, monkeypatch):
+        from investgame import approachability
+
+        runs = []
+
+        def counting_iterate(phi, x1, n):
+            runs.append(x1)
+            return iterate(phi, x1, n)
+
+        monkeypatch.setattr(approachability, "iterate", counting_iterate)
+        _, phi, union = defector_setup()
+        bd = SegmentsOracle([union[0]])
+        starts = [VS.A, VS.B]
+        out = refine_attractor(
+            phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
+            lambda delta: sample_near_segments_z(PARAMS, union, delta),
+            starts, 2000, tol=0.05,
+        )
+        assert runs == starts
+        worst = max(bd.distance(iterate(phi, x1, 2000).final) for x1 in starts)
+        assert [stage["max_final_dist_to_inner"] for stage in out["stages"]] == [worst, worst]
 
     def test_small_clip_radius_fails_with_witness(self):
         # below ~0.43*eps the clipped set's free end violates the condition

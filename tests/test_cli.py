@@ -230,6 +230,15 @@ class TestCertify:
         payload = json.loads(open(out).read())
         assert payload["grid_pitch"] == 0.5
 
+    def test_numeric_strings_parse_as_numbers(self, tmp_path):
+        texts = []
+        for delta in (0.1, "0.1"):
+            cfg = write_json(tmp_path, "c.json", {"map": "all_good", "c": 0.3, "delta": delta})
+            out = str(tmp_path / "out.json")
+            assert main(["certify", "lyapunov", cfg, "--out", out]) == 0
+            texts.append(open(out).read())
+        assert texts[0] == texts[1]
+
     def test_unknown_kind_is_usage_error(self):
         assert main(["certify", "nonsense"]) == 2
 
@@ -239,31 +248,44 @@ class TestCertify:
 
 
 GOOD3 = [{"kind": "good", "eps": 0.4}] * 3
+# case -> (command, config, the name the error message must give)
 BAD_INPUTS = {
-    "strategies-not-a-list": ("simulate", {"strategies": "abc", "n": 5}),
-    "descriptor-not-an-object": ("simulate", {"strategies": [5, 5, 5], "n": 5}),
-    "two-coordinate-start-point": ("simulate", {"strategies": GOOD3, "start": {"point": [1, 2]}, "n": 5}),
-    "nan-good-eps": ("simulate", {"strategies": [{"kind": "good", "eps": "nan"}] * 3, "n": 5}),
-    "example1-one-coordinate-a": ("verify example1", {"a": [0], "n": 1000, "starts": 2}),
-    "example1-no-starts": ("verify example1", {"n": 1000, "starts": 0}),
-    "example2-two-coordinate-start": ("verify example2", {"starts": [[1, 1]], "n": 1000}),
-    "example2-empty-starts": ("verify example2", {"starts": [], "n": 1000}),
-    "t3-nan-eps": ("verify t3", {"eps": "nan", "n": 1000}),
-    "t4-infinite-eps": ("verify t4", {"eps": "inf", "n": 1000}),
-    "t2-nan-slack": ("verify t2", {"slack": "nan", "n": 1000}),
-    "blackwell-zero-pitch": ("certify blackwell", {"target": "example1_line", "pitch": 0}),
-    "blackwell-negative-pitch": ("certify blackwell", {"target": "example1_line", "pitch": -1}),
+    "strategies-not-a-list": ("simulate", {"strategies": "abc", "n": 5}, "strategy descriptors"),
+    "descriptor-not-an-object": ("simulate", {"strategies": [5, 5, 5], "n": 5}, "strategy descriptor"),
+    "two-coordinate-start-point": ("simulate", {"strategies": GOOD3, "start": {"point": [1, 2]}, "n": 5},
+                                   "start point"),
+    "nan-good-eps": ("simulate", {"strategies": [{"kind": "good", "eps": "nan"}] * 3, "n": 5}, "eps"),
+    "example1-one-coordinate-a": ("verify example1", {"a": [0], "n": 1000, "starts": 2}, "a must"),
+    "example1-no-starts": ("verify example1", {"n": 1000, "starts": 0}, "starts"),
+    "example2-two-coordinate-start": ("verify example2", {"starts": [[1, 1]], "n": 1000}, "starts"),
+    "example2-empty-starts": ("verify example2", {"starts": [], "n": 1000}, "starts"),
+    "t3-nan-eps": ("verify t3", {"eps": "nan", "n": 1000}, "eps"),
+    "t3-window-above-one": ("verify t3", {"window": 1.5, "n": 1000}, "window"),
+    "t4-infinite-eps": ("verify t4", {"eps": "inf", "n": 1000}, "eps"),
+    "t2-nan-slack": ("verify t2", {"slack": "nan", "n": 1000}, "slack"),
+    "blackwell-zero-pitch": ("certify blackwell", {"target": "example1_line", "pitch": 0}, "pitch"),
+    "blackwell-negative-pitch": ("certify blackwell", {"target": "example1_line", "pitch": -1}, "pitch"),
+    "lyapunov-nan-c": ("certify lyapunov", {"map": "all_good", "c": "nan"}, "c must"),
+    "lyapunov-text-delta": ("certify lyapunov", {"map": "all_good", "delta": "abc"}, "delta"),
+    "lyapunov-nan-pitch": ("certify lyapunov", {"map": "all_good", "pitch": "nan"}, "pitch"),
+    "lyapunov-zero-pitch": ("certify lyapunov", {"map": "all_good", "pitch": 0}, "pitch"),
+    "two-good-nan-eps": ("certify lyapunov", {"map": "two_good", "eps": "nan"}, "eps"),
+    "two-good-infinite-eta": ("certify lyapunov", {"map": "two_good", "eta": "inf"}, "eta"),
+    "decrease-nan-delta": ("certify decrease", {"map": "two_good", "delta": "nan"}, "delta"),
+    "decrease-nan-m-bound": ("certify decrease", {"map": "two_good", "m_bound": "nan"}, "m_bound"),
+    "decrease-negative-m-bound": ("certify decrease", {"map": "all_good", "m_bound": -1}, "m_bound"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     # exit 1 means "the check ran and failed"; bad input must not look like that
-    command, cfg = BAD_INPUTS[case]
+    command, cfg, key = BAD_INPUTS[case]
     path = write_json(tmp_path, "cfg.json", cfg)
     assert main(command.split() + [path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert key in err
     assert "Traceback" not in err
 
 

@@ -61,6 +61,10 @@ class TestConfig:
             HarnessConfig(params=PARAMS, n=10)
         with pytest.raises(ValueError):
             HarnessConfig(params=PARAMS, starts=())
+        # the window is checked on construction, before any trajectory runs
+        for window in (0.0, 1.0, 1.5, float("nan"), 1e-4):
+            with pytest.raises(ValueError, match="window"):
+                HarnessConfig(params=PARAMS, n=1000, window=window)
 
 
 class TestBatteries:
