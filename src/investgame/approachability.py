@@ -392,18 +392,19 @@ def clip_segments_to_neighborhood(segments, target: ProximalOracle, eps: float,
 
 
 def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, schedule,
-                     domain_for_delta: Callable[[float], Sequence], starts: Sequence,
-                     n: int, tol: float) -> dict:
+                     domain_for_delta: Callable[[float], Sequence], finals: Sequence,
+                     tol: float) -> dict:
     """Shrink a known segment-union attractor A to a subset B.
 
     For each scheduled (eps, delta): certify the Blackwell condition for
     cl(N_eps(B)) ∩ A on a sampled delta-neighborhood of A, then check that
-    trajectories end within eps + tol of B.  The (eps, delta) schedule is
-    caller-supplied configuration; the theory guarantees existence of a
-    workable delta per eps but not a formula for it.
+    the trajectories' final means `finals` lie within eps + tol of B.  The
+    trajectories do not depend on (eps, delta), so the caller runs them
+    once.  The (eps, delta) schedule is caller-supplied configuration; the
+    theory guarantees existence of a workable delta per eps but not a
+    formula for it.
     """
-    # The trajectories do not depend on (eps, delta): run each start once.
-    worst = max((inner.distance(iterate(phi, x1, n).final) for x1 in starts), default=0.0)
+    worst = max((inner.distance(x) for x in finals), default=0.0)
     stages = []
     ok = True
     for eps, delta in schedule:

@@ -93,6 +93,15 @@ def _finite(value, what: str) -> float:
     return x
 
 
+def _integer(value, what: str) -> int:
+    """A config integer; an integral float such as 1e9 is accepted, anything
+    else is an error that names the key."""
+    x = _finite(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return int(x)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     out = _resolve_out(out)
@@ -133,7 +142,7 @@ def cmd_simulate(args) -> int:
     if descs is None:
         raise ConfigError("run config needs a 'strategies' list of three descriptors")
     profile = build_profile(descs, params)
-    n = int(args.n or cfg.get("n", 100_000))
+    n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
     start_cfg = cfg.get("start", {"weights": [0.125] * 8})
     if "point" in start_cfg:
         x1 = _vector(start_cfg["point"], 3, "start point")
@@ -154,23 +163,14 @@ def cmd_simulate(args) -> int:
 
 def _harness_config(params: GameParams, cfg: dict, args) -> harness.HarnessConfig:
     kwargs: dict = {"params": params}
-    if args.eps is not None:
-        kwargs["eps"] = args.eps
-    elif "eps" in cfg:
-        kwargs["eps"] = float(cfg["eps"])
-    if args.n is not None:
-        kwargs["n"] = int(args.n)
-    elif "n" in cfg:
-        kwargs["n"] = int(cfg["n"])
-    if args.slack is not None:
-        kwargs["slack"] = args.slack
-    elif "slack" in cfg:
-        kwargs["slack"] = float(cfg["slack"])
-    for key in ("window", "dist_slack", "dist_pitch"):
-        if key in cfg:
-            kwargs[key] = float(cfg[key])
+    for key in ("eps", "n", "slack", "window", "dist_slack", "dist_pitch"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            kwargs[key] = flag
+        elif key in cfg:
+            kwargs[key] = _integer(cfg[key], key) if key == "n" else _finite(cfg[key], key)
     if "starts" in cfg:
-        kwargs["starts"] = tuple(tuple(map(float, w)) for w in cfg["starts"])
+        kwargs["starts"] = tuple(_vectors(cfg["starts"], 8, "starts"))
     return harness.HarnessConfig(**kwargs)
 
 
@@ -189,19 +189,19 @@ def cmd_verify(args) -> int:
     elif args.claim == "example1":
         a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
         b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
-        n = int(args.n or cfg.get("n", 100_000))
+        n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
         tol = _finite(cfg.get("tol", 0.05), "tol")
         starts_cfg = cfg.get("starts", 20)
         if isinstance(starts_cfg, int):
             if starts_cfg < 1:
                 raise ConfigError("starts must be a positive count or a list of points")
-            starts = harness.example1_starts(starts_cfg, seed=int(cfg.get("seed", 7)))
+            starts = harness.example1_starts(starts_cfg, seed=_integer(cfg.get("seed", 7), "seed"))
         else:
             starts = _vectors(starts_cfg, 2, "starts")
         report = harness.run_example1(a, b, starts, n, tol)
     elif args.claim == "example2":
-        eps = float(args.eps if args.eps is not None else cfg.get("eps", 0.4))
-        n = int(args.n or cfg.get("n", 100_000))
+        eps = args.eps if args.eps is not None else _finite(cfg.get("eps", 0.4), "eps")
+        n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
         tol = _finite(cfg.get("tol", 0.1), "tol")
         starts = cfg.get("starts")
         if starts is not None:

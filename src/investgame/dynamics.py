@@ -9,51 +9,59 @@ Limits of the mean sequence are never reported as single numbers: tail
 statistics over a trailing window give [tail_min, tail_max] intervals,
 which is what a finite run can actually certify.
 
-Two engines share one arithmetic.  `iterate` runs one profile and records
-its whole trajectory.  `simulate_batch` steps many (profile, start) cells
-together as a (B, 3) array and keeps only what the deviant batteries
-report; each of its cells is bit-identical to `iterate` on that cell.
+Three engines share one arithmetic, the running sum of `RunningMean`.
+`iterate` runs one profile and records its whole trajectory.
+`simulate_batch` steps many (profile, start) cells together as a (B, 3)
+array and keeps only what the deviant batteries report.
+`simulate_events` runs one profile of good and constant seats and jumps
+over the stretches where the action profile provably stays fixed.  The
+means of the last two are bit-identical to `iterate` on the same cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import project_to_hull
+from .geometry import good_region, inequality_margins, project_to_hull
 from .stage_game import INVEST, NOT_INVEST, GameParams, payoff, require_valid
+from .strategies import ConstantStrategy, GoodStrategy
 
 
 class RunningMean:
-    """Incremental arithmetic mean with Kahan-compensated updates.
+    """Arithmetic mean kept as the start x1 plus a plain running sum P of the
+    later values: mean_n = (x1 + P) / n.
 
-    Compensation keeps the accumulated rounding drift negligible out to
-    horizons of 1e7 steps; the recorded means are exactly the values this
-    class produces, so replaying it reproduces a trajectory bit for bit.
+    When the values are integer multiples of 2**-e and max|v| * n * 2**e <
+    2**53, every partial sum P is exact, so P + m*s equals m sequential
+    additions of s bit for bit and the mean at any stage can be computed
+    directly.  The recorded means are exactly the values this class
+    produces, so replaying it reproduces a trajectory bit for bit.
     """
 
-    __slots__ = ("mean", "count", "_comp")
+    __slots__ = ("start", "total", "count", "mean")
 
     def __init__(self, first: Sequence[float]):
-        self.mean = tuple(float(c) for c in first)
+        self.start = tuple(float(c) for c in first)
+        self.total = [0.0] * len(self.start)
         self.count = 1
-        self._comp = (0.0,) * len(self.mean)
+        self.mean = self.start
 
     def update(self, value: Sequence[float]) -> tuple[float, ...]:
         n1 = self.count + 1
+        total = []
         mean = []
-        comp = []
-        for m, c, s in zip(self.mean, self._comp, value):
-            y = (s - m) / n1 - c
-            t = m + y
-            comp.append((t - m) - y)
-            mean.append(t)
-        self.mean = tuple(mean)
-        self._comp = tuple(comp)
+        for a, p, s in zip(self.start, self.total, value):
+            p += s
+            total.append(p)
+            mean.append((a + p) / n1)
+        self.total = total
         self.count = n1
+        self.mean = tuple(mean)
         return self.mean
 
 
@@ -144,7 +152,7 @@ def _batch_form(strategy, name: str):
 def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) -> BatchTails:
     """Run cell b = (profiles[b], starts[b]) for n stages, all cells at once.
 
-    Each stage applies `RunningMean.update`'s Kahan step elementwise to the
+    Each stage applies `RunningMean.update`'s running sum elementwise to the
     (B, 3) means, so every cell is bit-identical to `iterate` on the step
     map `induced_map(profiles[b], params)`.  The payoff is looked up in an
     (8, 3) table by a 3-bit profile code (bit i set when seat i invests).
@@ -195,9 +203,8 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
 
     decisions = np.zeros(3 * cells, dtype=bool)
     decision_rows = decisions.reshape(cells, 3)
-    comp = np.zeros_like(means)
-    y = np.empty_like(means)
-    t = np.empty_like(means)
+    start = means.copy()
+    total = np.zeros_like(means)
     tail_min = np.full_like(means, np.inf)
     tail_max = np.full_like(means, -np.inf)
     tail_max_23 = np.full(cells, -np.inf)
@@ -225,14 +232,10 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
                     raise ValueError(f"unknown action {action!r}")
                 decisions[dst] = action == INVEST
             codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
-            # The Kahan step of RunningMean.update, count k -> k + 1.
-            np.subtract(table.take(codes, axis=0), means, out=y)
-            y /= k + 1
-            y -= comp
-            np.add(means, y, out=t)
-            np.subtract(t, means, out=comp)
-            comp -= y
-            means, t = t, means
+            # RunningMean.update, count k -> k + 1.
+            total += table.take(codes, axis=0)
+            np.add(start, total, out=means)
+            means /= k + 1
             if k >= first:
                 tail[kept] = means
                 kept += 1
@@ -242,6 +245,188 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     if kept:
         fold(tail[:kept])
     return BatchTails(final=means, tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
+
+
+#: Decision code of the all-invest profile (bit i set when seat i invests).
+ALL_INVEST = 7
+
+#: Certification margin of `simulate_events`, relative to a bound S on every
+#: |mean coordinate| and |constant|.  With u = 2**-53, a computed mean
+#: coordinate (x1 + P) / n is within 3u*S of its exact value (one rounding
+#: of x1 + P, one of the division), an inequality side (at most two
+#: coordinates and a constant, one more rounding) within 11u*S, and a
+#: computed margin lhs - rhs within 14u*S.  Margins above 25u*S at both
+#: ends of a stretch thus keep the exact margin, monotone along the
+#: stretch, above 11u*S at every stage in between, where the computed
+#: sides then compare as the exact ones do.
+_MARGIN_REL = 32 * 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class SegmentRun:
+    """What `simulate_events` keeps of one run.
+
+    `segments` are run-length (first, last, code) triples covering means
+    1..n: the profile decided at means first..last has the code `code` (bit
+    i set when seat i invests).  `final` is mean n; `tail_min`/`tail_max`
+    are per-coordinate extrema of the means from `tail_start(n, window)` on;
+    `evaluations` counts the decisions and certificate probes evaluated.
+    """
+
+    segments: list[tuple[int, int, int]]
+    final: tuple[float, ...]
+    tail_min: tuple[float, ...]
+    tail_max: tuple[float, ...]
+    evaluations: int
+
+
+def _sums_exact(table, n: int) -> bool:
+    """Whether every sum of up to n payoffs is exact: all entries integer
+    multiples of 2**-e with max|v| * n * 2**e < 2**53."""
+    ratios = [abs(v).as_integer_ratio() for row in table for v in row]
+    scale = max(den for _, den in ratios)  # 2**e
+    return all(num * (scale // den) * n < 2**53 for num, den in ratios)
+
+
+def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
+    """Run one profile of `GoodStrategy` and `ConstantStrategy` seats from x1
+    for n stages, jumping over stretches of one fixed profile.
+
+    The means are those of `iterate` on `induced_map(profile, params)`, bit
+    for bit.  At each stage the profile is decided, then the farthest stage
+    L with the same decisions is found by galloping and bisection over
+    candidate ends, each computed in O(1) as (x1 + P + m*s) / L.  A stretch
+    is certified when the payoff sums are exact at this horizon (checked
+    once, see `_sums_exact`) and every inequality of the good seats'
+    regions keeps its truth value at both ends, either with a margin above
+    `_MARGIN_REL * S` or because every coordinate it reads is exactly
+    stationary (mean equal to the step).  Along a fixed-profile stretch each
+    exact margin is monotone in n (alpha + beta/n), so no decision in
+    between can differ.  Otherwise, and throughout when the sums are not
+    exact, the engine steps one stage.
+
+    Tail extrema are taken at segment endpoints and at the tail's first
+    stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
+    so are its computed values when x1 + P is exact (x1 dyadic, as the hull
+    points of the default starts are).  Otherwise a per-stage scan can
+    differ in the last bit, and only past ~1e7 stages.
+    """
+    require_valid(params)
+    if n < 1:
+        raise ValueError("horizon must be at least 1")
+    start = tuple(float(c) for c in x1)
+    if len(profile) != 3 or len(start) != 3:
+        raise ValueError("need a 3-vector start and a profile of three strategies")
+    specs = []
+    for s in profile:
+        owner = _owner(type(s), "decide")
+        if owner is GoodStrategy:
+            specs.append(good_region(s.player, s.eps))
+        elif owner is not ConstantStrategy:
+            raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
+    first_tail = tail_start(n, window) + 1
+    table = [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
+             for code in range(8)]
+    exact = _sums_exact(table, n)
+    scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
+                + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
+    threshold = _MARGIN_REL * scale
+    decides = [s.decide for s in profile]
+    evaluations = 0
+
+    def margins(x):
+        return [m for spec in specs for m in inequality_margins(params, spec, x)]
+
+    def mean_at(stage, k, total, step):
+        """Mean `stage` of the stretch from mean k, whose running sum is
+        `total`, with every later payoff equal to `step`."""
+        m = stage - k
+        return tuple((a + (p + m * v)) / stage for a, p, v in zip(start, total, step))
+
+    def farthest(k, total, mean, step) -> int:
+        """The last stage of a certified stretch from k with step `step`."""
+        nonlocal evaluations
+        at_k = margins(mean)
+        reads_fixed = None
+
+        def certified(end: int) -> bool:
+            nonlocal evaluations, reads_fixed
+            evaluations += 1
+            at_end = margins(mean_at(end, k, total, step))
+            for idx, ((held, margin), (held_end, margin_end)) in enumerate(zip(at_k, at_end)):
+                if held_end != held:
+                    return False
+                if abs(margin) > threshold and abs(margin_end) > threshold:
+                    continue
+                if reads_fixed is None:
+                    # exactly x1 + P == k * step: fsum rounds the exact sum
+                    fixed = [c == v and math.fsum((a, p, -k * v)) == 0.0
+                             for a, p, v, c in zip(start, total, step, mean)]
+                    probe = tuple(c if f else math.nan for c, f in zip(mean, fixed))
+                    reads_fixed = [not math.isnan(mg) for _, mg in margins(probe)]
+                if not reads_fixed[idx]:
+                    return False
+            return True
+
+        lo, stride = k, 1
+        while True:
+            hi = min(k + stride, n)
+            if not certified(hi):
+                break
+            lo = hi
+            if hi == n:
+                return n
+            stride *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if certified(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    tail_min = [math.inf] * 3
+    tail_max = [-math.inf] * 3
+
+    def fold(x):
+        for c, v in enumerate(x):
+            if v < tail_min[c]:
+                tail_min[c] = v
+            if v > tail_max[c]:
+                tail_max[c] = v
+
+    segments: list[tuple[int, int, int]] = []
+    k, total, mean = 1, [0.0, 0.0, 0.0], start
+    while True:
+        evaluations += 1
+        code = 0
+        for i, decide in enumerate(decides):
+            action = decide(mean)
+            if action == INVEST:
+                code |= 1 << i
+            elif action != NOT_INVEST:
+                raise ValueError(f"unknown action {action!r}")
+        step = table[code]
+        last = farthest(k, total, mean, step) if exact and k < n else k
+        if segments and segments[-1][2] == code:
+            segments[-1] = (segments[-1][0], last, code)
+        else:
+            segments.append((k, last, code))
+        # The means k..last+1 follow one step, so their extrema sit at the ends.
+        if k >= first_tail:
+            fold(mean)
+        elif first_tail <= last + 1:
+            fold(mean_at(first_tail, k, total, step))
+        if last == n:
+            break
+        mean = mean_at(last + 1, k, total, step)
+        total = [p + (last + 1 - k) * v for p, v in zip(total, step)]
+        k = last + 1
+    if k < n:
+        mean = mean_at(n, k, total, step)
+        fold(mean)
+    return SegmentRun(segments=segments, final=mean, tail_min=tuple(tail_min),
+                      tail_max=tuple(tail_max), evaluations=evaluations)
 
 
 def step_size_bound(diameter: float, xi: float) -> int:
@@ -332,10 +517,6 @@ def write_csv(traj: Trajectory, fh, comment: str | None = None) -> None:
         fh.write(f"# {comment}\n")
     cols = ["n"] + [f"x{k + 1}" for k in range(d)] + [f"step{k + 1}" for k in range(d)]
     fh.write(",".join(cols) + "\n")
-    fmt = "%.17g"
-    for idx, mean in enumerate(traj.means):
-        step = traj.start if idx == 0 else traj.steps[idx - 1]
-        row = [str(idx + 1)]
-        row += [fmt % c for c in mean]
-        row += [fmt % c for c in step]
-        fh.write(",".join(row) + "\n")
+    row = "%d" + ",%.17g" * (2 * d) + "\n"
+    steps = chain((traj.start,), traj.steps)
+    fh.writelines(row % (idx, *mean, *step) for idx, mean, step in zip(count(1), traj.means, steps))

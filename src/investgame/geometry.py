@@ -173,6 +173,16 @@ _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge
 _RELAXED = {"<": "<=", ">": ">="}
 
 
+def inequality_margins(params: GameParams, spec: RegionSpec, x) -> list[tuple[bool, float]]:
+    """Each of the region's inequalities at the point x as (holds, lhs - rhs).
+
+    Evaluated in the scalar operand order, as `region_mask` and the good
+    strategies' `decide` evaluate them; a NaN coordinate makes the margin
+    of every inequality that reads it NaN.
+    """
+    return [(_OPS[op](lhs, rhs), lhs - rhs) for lhs, op, rhs in _inequalities(params, spec, x)]
+
+
 def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
     """Membership over an (n, 3) array; closed=True tests the closure.
 

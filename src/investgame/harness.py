@@ -20,9 +20,11 @@ so the battery below (constants, seeded coin flips, the crafted
 defector) is the documented adversarial stand-in, extendable by callers.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
-the trailing window, never as single numbers.  The t4 and t2 batteries
-step all their cells together with `dynamics.simulate_batch`, which keeps
-each cell bit-identical to a run of `dynamics.iterate`.
+the trailing window, never as single numbers.  The t3 cells run on
+`dynamics.simulate_events`, which jumps over fixed-profile stretches, and
+the t4 and t2 batteries step all their cells together with
+`dynamics.simulate_batch`; both keep each cell's means bit-identical to a
+run of `dynamics.iterate`.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from .approachability import (
     refine_attractor,
 )
 from .dynamics import (
+    ALL_INVEST,
     BatchTails,
-    Trajectory,
     coordinate,
     iterate,
     simulate_batch,
-    tail_interval,
+    simulate_events,
     tail_liminf,
     tail_start,
 )
@@ -60,7 +62,6 @@ from .geometry import (
     hull_point,
     norm3,
     polygon_grid,
-    region_mask,
 )
 from .stage_game import (
     INVEST,
@@ -176,16 +177,6 @@ def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[t
     return pairs
 
 
-def _v3_entry_index(params: GameParams, eps: float, traj: Trajectory) -> int | None:
-    arr = traj.means_array()
-    mask = np.ones(len(arr), dtype=bool)
-    for i in (1, 2, 3):
-        mask &= region_mask(params, good_region(i, eps), arr)
-    if not mask.any():
-        return None
-    return int(np.argmax(mask)) + 1
-
-
 def _run_battery(config: HarnessConfig, battery, goods: tuple[Strategy, ...]) -> BatchTails:
     """Step every (start, deviants) cell of a battery together: the good
     strategies take the first seats, fresh copies of the deviants the rest."""
@@ -212,19 +203,19 @@ def verify_t3(config: HarnessConfig) -> VerifyReport:
     """All-good profile: final mean within slack of B from every start.
 
     Also records the first stage whose mean lies in the triple-invest
-    region V^3, the absorption event behind the convergence; no a-priori
-    bound on that stage exists, so a trajectory that never enters is
-    flagged rather than extrapolated.
+    region V^3 (where all three invest), the absorption event behind the
+    convergence; no a-priori bound on that stage exists, so a trajectory
+    that never enters is flagged rather than extrapolated.
     """
     params = config.params
-    phi = induced_map(good_profile(params, config.eps), params)
+    profile = good_profile(params, config.eps)
     b_point = vertices(params).B
     cells = []
     for w, x1 in zip(config.starts, config.start_points()):
-        traj = iterate(phi, x1, config.n)
-        dist = norm3([traj.final[k] - b_point[k] for k in range(3)])
-        entry = _v3_entry_index(params, config.eps, traj)
-        intervals = [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)]
+        run = simulate_events(profile, params, x1, config.n, config.window)
+        dist = norm3([run.final[k] - b_point[k] for k in range(3)])
+        entry = next((first for first, _, code in run.segments if code == ALL_INVEST), None)
+        intervals = [[lo, hi] for lo, hi in zip(run.tail_min, run.tail_max)]
         cells.append(_cell("t3", x1, (), config.n, dist, config.slack, config.slack - dist,
                            dist <= config.slack and entry is not None,
                            start_weights=list(w), entered_v3_at=entry, tail_intervals=intervals))
@@ -469,15 +460,17 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
     params, defector, phi, triangle, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)
+    if not starts:
+        raise ValueError("at least one start is required")
     for x1 in starts:
         if x1[0] != x1[1]:
             raise ValueError(f"start {x1} is outside the slice Z (x1 != x2)")
     d_point = defector.d_point
     cells = []
-    last_traj: Trajectory | None = None
+    finals = []
     for x1 in starts:
         traj = iterate(phi, x1, n)
-        last_traj = traj
+        finals.append(traj.final)
         dist = norm3([traj.final[k] - d_point[k] for k in range(3)])
         overshoot = tail_liminf(traj, coordinate(3), window)
         cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
@@ -494,11 +487,10 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
             bd_segment,
             schedule,
             lambda delta: sample_near_segments_z(params, union_segments, delta),
-            [starts[0]],
-            n,
+            finals[:1],
             tol,
         )
-        intersect = intersect_attractors(last_traj, bd_segment, triangle, tol)
+        intersect = intersect_attractors(traj, bd_segment, triangle, tol)
         meta.update({key: rep.as_dict() for key, rep in certs.items()})
         meta.update({"refine_to_bd": refine, "intersect_bd_triangle": intersect})
         checks = all(rep.holds for rep in certs.values()) and refine["passes"] and intersect["passes"]

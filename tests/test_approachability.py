@@ -227,7 +227,7 @@ class TestClipAndRefine:
         out = refine_attractor(
             phi, union, inner, [(0.5, 0.3)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
-            [VS.A], 20_000, tol=0.05,
+            [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
         assert out["passes"]
 
@@ -237,30 +237,29 @@ class TestClipAndRefine:
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
-            [VS.A], 20_000, tol=0.05,
+            [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
         assert out["passes"], out
 
-    def test_runs_each_start_once(self, monkeypatch):
+    def test_takes_final_points(self, monkeypatch):
+        # the trajectories do not depend on the schedule: the caller runs
+        # them once and passes their final means; refinement runs none
         from investgame import approachability
 
-        runs = []
-
-        def counting_iterate(phi, x1, n):
-            runs.append(x1)
-            return iterate(phi, x1, n)
-
-        monkeypatch.setattr(approachability, "iterate", counting_iterate)
         _, phi, union = defector_setup()
+        finals = [iterate(phi, x1, 2000).final for x1 in (VS.A, VS.B)]
+
+        def refuse(*args):
+            raise AssertionError("refine_attractor must not run trajectories")
+
+        monkeypatch.setattr(approachability, "iterate", refuse)
         bd = SegmentsOracle([union[0]])
-        starts = [VS.A, VS.B]
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
-            starts, 2000, tol=0.05,
+            finals, tol=0.05,
         )
-        assert runs == starts
-        worst = max(bd.distance(iterate(phi, x1, 2000).final) for x1 in starts)
+        worst = max(bd.distance(x) for x in finals)
         assert [stage["max_final_dist_to_inner"] for stage in out["stages"]] == [worst, worst]
 
     def test_small_clip_radius_fails_with_witness(self):
@@ -271,7 +270,7 @@ class TestClipAndRefine:
         out = refine_attractor(
             phi, union, bd, [(0.1, 0.3)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
-            [VS.A], 5000, tol=0.05,
+            [iterate(phi, VS.A, 5000).final], tol=0.05,
         )
         assert not out["passes"]
         stage = out["stages"][0]

@@ -274,6 +274,19 @@ BAD_INPUTS = {
     "decrease-nan-delta": ("certify decrease", {"map": "two_good", "delta": "nan"}, "delta"),
     "decrease-nan-m-bound": ("certify decrease", {"map": "two_good", "m_bound": "nan"}, "m_bound"),
     "decrease-negative-m-bound": ("certify decrease", {"map": "all_good", "m_bound": -1}, "m_bound"),
+    "t3-text-eps": ("verify t3", {"eps": "abc", "n": 1000}, "eps must"),
+    "t3-fractional-n": ("verify t3", {"n": 1500.5}, "n must"),
+    "t3-text-n": ("verify t3", {"n": "many"}, "n must"),
+    "t3-short-start-weights": ("verify t3", {"starts": [[1, 0]], "n": 1000}, "starts"),
+    "t4-text-slack": ("verify t4", {"slack": "abc", "n": 1000}, "slack must"),
+    "t2-text-window": ("verify t2", {"window": "half", "n": 1000}, "window must"),
+    "t2-text-dist-slack": ("verify t2", {"dist_slack": "abc", "n": 1000}, "dist_slack must"),
+    "t2-text-dist-pitch": ("verify t2", {"dist_pitch": "abc", "n": 1000}, "dist_pitch must"),
+    "example1-fractional-n": ("verify example1", {"n": 1000.5, "starts": 2}, "n must"),
+    "example1-text-seed": ("verify example1", {"n": 1000, "starts": 2, "seed": "x"}, "seed must"),
+    "example2-text-eps": ("verify example2", {"eps": "abc", "n": 1000}, "eps must"),
+    "example2-fractional-n": ("verify example2", {"n": 1000.5}, "n must"),
+    "simulate-fractional-n": ("simulate", {"strategies": GOOD3, "n": 1.5}, "n must"),
 }
 
 
@@ -287,6 +300,13 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     assert err.startswith("error: ")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_integral_float_horizon(tmp_path, capsys):
+    # JSON writes large horizons as 1e9; an integral float is an integer
+    path = write_json(tmp_path, "cfg.json", {"n": 2e3, "starts": [[0.125] * 8]})
+    assert main(["verify", "t3", path]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"][0]["N"] == 2000
 
 
 def test_console_entry_point_runs(game_file):

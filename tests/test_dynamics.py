@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from investgame import dynamics
 from investgame.dynamics import (
     RunningMean,
     coordinate,
@@ -11,6 +12,7 @@ from investgame.dynamics import (
     iterate,
     mixing_bound_check,
     replay,
+    simulate_events,
     step_size_bound,
     tail_interval,
     tail_liminf,
@@ -18,9 +20,15 @@ from investgame.dynamics import (
     tail_start,
     write_csv,
 )
-from investgame.geometry import hull_mask, norm3
-from investgame.stage_game import example_game, vertices
-from investgame.strategies import GoodStrategy, RandomStrategy, good_profile, induced_map
+from investgame.geometry import hull_mask, hull_point, norm3
+from investgame.stage_game import INVEST, NOT_INVEST, GameParams, example_game, payoff, vertices
+from investgame.strategies import (
+    ConstantStrategy,
+    GoodStrategy,
+    RandomStrategy,
+    good_profile,
+    induced_map,
+)
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -112,6 +120,15 @@ class TestRunningMean:
             rm.update(v)
         direct = values.mean(axis=0)
         assert np.allclose(rm.mean, direct, atol=1e-11)
+
+    def test_dyadic_sums_jump_exactly(self):
+        # integer payoffs: P + m*s is m sequential additions, bit for bit
+        rm = RunningMean((20.0, 20.125, 19.875))
+        for _ in range(999):
+            rm.update(VS.c1[0])
+        total = [p + 999 * s for p, s in zip([0.0] * 3, VS.c1[0])]
+        assert rm.total == total
+        assert rm.mean == tuple((a + p) / 1000 for a, p in zip(rm.start, total))
 
 
 class TestStepSizeBound:
@@ -227,3 +244,112 @@ class TestCsv:
         assert int(row[0]) == 2
         assert tuple(float(c) for c in row[1:4]) == traj.means[1]
         assert tuple(float(c) for c in row[4:7]) == traj.steps[0]
+
+
+def old_csv_rows(traj):
+    """The row formatting write_csv had before it used one format string."""
+    fmt = "%.17g"
+    out = []
+    for idx, mean in enumerate(traj.means):
+        step = traj.start if idx == 0 else traj.steps[idx - 1]
+        row = [str(idx + 1)] + [fmt % c for c in mean] + [fmt % c for c in step]
+        out.append(",".join(row) + "\n")
+    return out
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("traj", [
+        iterate(induced_map((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS),
+                             RandomStrategy(0.5, 11)), PARAMS), (20.0, 20.0, 20.0), 3000),
+        iterate(lambda x: (0.1, -1e-300) if x[1] > 0 else (2.0, 1.0), (2.5, -1.7), 500),
+    ], ids=["3-d", "2-d"])
+    def test_rows_match_old_formatting_byte_for_byte(self, traj):
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert lines[1:] == old_csv_rows(traj)
+
+
+# Admissible games: integer payoffs, and the canonical game scaled by 1/10,
+# whose payoffs are not dyadic, so payoff sums round.
+OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
+TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
+
+
+def codes_along(traj, profile):
+    """Run-length (first, last, code) of the decisions at every mean of traj."""
+    segments = []
+    for k, mean in enumerate(traj.means, start=1):
+        code = sum(1 << i for i, s in enumerate(profile) if s.decide(mean) == INVEST)
+        if segments and segments[-1][2] == code:
+            segments[-1] = (segments[-1][0], k, code)
+        else:
+            segments.append((k, k, code))
+    return segments
+
+
+class TestEventEngine:
+    def check(self, profile, params, x1, n, window=0.5):
+        run = simulate_events(profile, params, x1, n, window)
+        traj = iterate(induced_map(profile, params), x1, n)
+        assert run.segments == codes_along(traj, profile)
+        assert run.final == traj.final
+        intervals = [tail_interval(traj, coordinate(i), window) for i in (1, 2, 3)]
+        assert list(zip(run.tail_min, run.tail_max)) == intervals
+        return run
+
+    def test_matches_iterate_on_good_and_constant_profiles(self):
+        rng = np.random.default_rng(5)
+        for params in (PARAMS, OTHER, TENTHS):
+            vs = vertices(params)
+            for _ in range(12):
+                profile = []
+                for seat in (1, 2, 3):
+                    if rng.random() < 0.7:
+                        profile.append(GoodStrategy(seat, float(rng.choice([0.1, 0.4, 1.5])), params))
+                    else:
+                        profile.append(ConstantStrategy(str(rng.choice([INVEST, NOT_INVEST]))))
+                weights = rng.integers(0, 4, size=8).astype(float)
+                weights[0] += 1.0
+                x1 = hull_point(vs, weights / weights.sum())
+                self.check(tuple(profile), params, x1, int(rng.choice([1000, 3000])),
+                           float(rng.choice([0.2, 0.5, 0.9])))
+
+    def test_non_dyadic_start(self):
+        # x1 + P rounds; the means still follow iterate bit for bit
+        self.check(good_profile(PARAMS, 0.4), PARAMS, hull_point(VS, [0.1, 0.3, 0.6] + [0.0] * 5), 5000)
+
+    def test_jumps_fixed_profile_stretches(self):
+        run = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
+        assert run.segments == [(1, 20_000, dynamics.ALL_INVEST)]
+        assert run.evaluations < 50
+
+    def test_start_on_a_boundary_jumps(self):
+        # B sits on every cap x_j + x_k = 2 p3 with zero margin, forever
+        run = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.B, 20_000)
+        assert run.final == VS.B
+        assert run.evaluations < 50
+        # only x2 and x3 stay put: player 1's cap reads nothing else
+        run = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
+        assert run.evaluations < 50
+
+    def test_steps_every_stage_when_sums_round(self):
+        run = self.check(good_profile(TENTHS, 0.04), TENTHS, vertices(TENTHS).c1[0], 2000)
+        assert run.evaluations == 2000
+
+    def test_exact_sums(self):
+        table = [payoff(PARAMS, tuple(INVEST if c >> i & 1 else NOT_INVEST for i in range(3))) for c in range(8)]
+        assert dynamics._sums_exact(table, 10**9)
+        assert not dynamics._sums_exact(table, 2**53 // 36 + 1)
+        assert not dynamics._sums_exact([(0.1, 2.0, 3.0)], 10)
+        assert dynamics._sums_exact([(0.5, 0.25, -0.125)], 2**49)
+
+    def test_rejects_other_seats(self):
+        class Shy(GoodStrategy):
+            def decide(self, x):
+                return NOT_INVEST
+
+        for third in (RandomStrategy(0.5, 1), Shy(3, 0.4, PARAMS)):
+            with pytest.raises(ValueError):
+                simulate_events((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS), third),
+                                PARAMS, VS.A, 100, 0.5)

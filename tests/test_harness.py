@@ -8,11 +8,12 @@ from investgame.dynamics import (
     coordinate,
     coordinate_sum,
     iterate,
+    simulate_events,
     tail_interval,
     tail_liminf,
     tail_limsup,
 )
-from investgame.geometry import dist_to_region, good_region, grid_slack
+from investgame.geometry import dist_to_region, good_region, grid_slack, norm3, region_mask
 from investgame.harness import (
     HarnessConfig,
     default_starts,
@@ -34,6 +35,7 @@ from investgame.strategies import (
     GoodStrategy,
     RandomStrategy,
     Strategy,
+    good_profile,
     induced_map,
 )
 
@@ -110,6 +112,78 @@ class TestT3:
         large = verify_t3(HarnessConfig(params=PARAMS, n=20_000))
         for a, b in zip(small.cells, large.cells):
             assert b["margin"] >= a["margin"] - 1e-12
+
+
+def _reference_t3(config):
+    """verify_t3's report built with iterate, tail_interval and a scan of
+    every mean for the first one inside V^3."""
+    params = config.params
+    phi = induced_map(good_profile(params, config.eps), params)
+    b_point = vertices(params).B
+    cells = []
+    for w, x1 in zip(config.starts, config.start_points()):
+        traj = iterate(phi, x1, config.n)
+        arr = traj.means_array()
+        inside = np.ones(len(arr), dtype=bool)
+        for i in (1, 2, 3):
+            inside &= region_mask(params, good_region(i, config.eps), arr)
+        entry = int(np.argmax(inside)) + 1 if inside.any() else None
+        dist = norm3([traj.final[k] - b_point[k] for k in range(3)])
+        cells.append({
+            "theorem": "t3", "start": list(x1), "deviants": [], "N": config.n,
+            "measured": dist, "bound": config.slack, "margin": config.slack - dist,
+            "pass": bool(dist <= config.slack and entry is not None),
+            "start_weights": list(w), "entered_v3_at": entry,
+            "tail_intervals": [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)],
+        })
+    return {"name": "t3", "cells": cells, "meta": {"eps": config.eps, "target": list(b_point)},
+            "passed": all(c["pass"] for c in cells)}
+
+
+# The canonical game scaled by 1/10: its payoffs are not dyadic, so payoff
+# sums round and the event engine steps every stage.
+TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
+OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
+# A, C1_1 and the centroid, the starts of the long-horizon benchmark.
+LONG_STARTS = tuple(default_starts()[i] for i in (0, 2, 8))
+
+
+class TestT3Engine:
+    """verify_t3 runs on the event engine; its report must match the one
+    built from whole trajectories, byte for byte."""
+
+    @pytest.mark.parametrize("config", [
+        HarnessConfig(params=PARAMS, n=100_000),
+        HarnessConfig(params=PARAMS, eps=0.1, n=100_000),
+        HarnessConfig(params=PARAMS, n=300_000, starts=LONG_STARTS),
+        HarnessConfig(params=OTHER, eps=0.1, n=20_000),
+        HarnessConfig(params=OTHER, n=20_000, window=0.2),
+        HarnessConfig(params=TENTHS, eps=0.04, n=5000, slack=0.005),
+    ], ids=["default", "eps-0.1", "long-horizon", "other-game", "other-game-window", "non-dyadic"])
+    def test_matches_whole_trajectories(self, config):
+        got = json.dumps(verify_t3(config).as_dict(), sort_keys=True)
+        assert got == json.dumps(_reference_t3(config), sort_keys=True)
+
+    def test_work_count_at_a_billion_stages(self):
+        # O(switches * log N) decisions per cell, B (zero cap margin) included
+        config = HarnessConfig(params=PARAMS, n=10**9)
+        profile = good_profile(PARAMS, config.eps)
+        counts = [simulate_events(profile, PARAMS, x1, config.n, config.window).evaluations
+                  for x1 in config.start_points()]
+        assert max(counts) <= 64, counts
+        rep = verify_t3(config)
+        assert rep.passed
+        assert [c["entered_v3_at"] for c in rep.cells] == [1, 1, 2, 2, 2, 2, 2, 2, 1]
+
+    def test_runs_no_trajectory(self, monkeypatch):
+        from investgame import dynamics
+
+        def refuse(*args):
+            raise AssertionError("t3 cells must not run iterate")
+
+        monkeypatch.setattr(harness, "iterate", refuse)
+        monkeypatch.setattr(dynamics, "iterate", refuse)
+        assert verify_t3(HarnessConfig(params=PARAMS, n=1000)).passed
 
 
 class TestT4:
@@ -343,6 +417,26 @@ class TestExample2:
         assert rep.passed
         for cell in rep.cells:
             assert cell["exceeds_p3"]
+
+    def test_runs_each_start_once(self, monkeypatch):
+        # the refinement reuses the first cell's final mean
+        from investgame import approachability
+
+        runs = []
+
+        def counting_iterate(phi, x1, n):
+            runs.append(x1)
+            return iterate(phi, x1, n)
+
+        def refuse(*args):
+            raise AssertionError("the refinement must not run trajectories")
+
+        monkeypatch.setattr(harness, "iterate", counting_iterate)
+        monkeypatch.setattr(approachability, "iterate", refuse)
+        rep = run_example2(0.4, n=1000)
+        assert runs == z_starts(PARAMS)
+        assert len(runs) == 5
+        assert "refine_to_bd" in rep.meta
 
     def test_start_near_d_stays_near_d(self):
         d = (25.8, 25.8, 26.2)
