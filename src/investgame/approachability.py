@@ -16,36 +16,70 @@ open sets and a grid of the reported pitch finds them reliably.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory, iterate
-from .geometry import hull_faces, nearest_on_faces
+from .geometry import dot_rows, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
 
 
-class ProximalOracle:
-    """Nearest-point oracle for a region; exact for the shapes used here."""
+class Projection(NamedTuple):
+    """Proximal candidates of M points: per row, one candidate for each of
+    the set's K pieces, its distance, and whether it is proximal (within
+    PROXIMAL_TIE_TOL of the nearest)."""
 
-    def project(self, x) -> list[np.ndarray]:
-        """All proximal points, up to ties within PROXIMAL_TIE_TOL."""
+    points: np.ndarray  # (M, K, d)
+    dist: np.ndarray    # (M, K)
+    tied: np.ndarray    # (M, K)
+
+    def nearest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first proximal candidate and its distance."""
+        first = (np.arange(len(self.tied)), np.argmax(self.tied, axis=1))
+        return self.points[first], self.dist[first]
+
+
+class ProximalOracle:
+    """Nearest-point oracle for a region; exact for the shapes used here.
+
+    A subclass gives its candidates for an (M, d) array of points in
+    `_candidates`, in elementwise arithmetic, so each row's projection is
+    the same whether it is projected alone or with others.
+    """
+
+    def _candidates(self, x: np.ndarray) -> np.ndarray:
+        """(M, K, d): the nearest point of each of the K pieces."""
         raise NotImplementedError
 
+    def project_many(self, pts) -> Projection:
+        """Project every row of pts (M, d) in one pass."""
+        x = np.asarray(pts, dtype=float)
+        cands = self._candidates(x)
+        diff = cands - x[:, None, :]
+        dist = np.sqrt(dot_rows(diff, diff))
+        return Projection(cands, dist, dist <= dist.min(axis=1, keepdims=True) + PROXIMAL_TIE_TOL)
+
+    def project(self, x) -> list[np.ndarray]:
+        """All proximal points of x, up to ties within PROXIMAL_TIE_TOL."""
+        proj = self.project_many([x])
+        return [p for p, tied in zip(proj.points[0], proj.tied[0]) if tied]
+
+    def distances(self, pts) -> np.ndarray:
+        return self.project_many(pts).nearest()[1]
+
     def distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(self.project(x)[0] - x))
+        return float(self.distances([x])[0])
 
 
 class PointOracle(ProximalOracle):
     def __init__(self, p):
         self.p = np.asarray(p, dtype=float)
 
-    def project(self, x):
-        return [self.p.copy()]
+    def _candidates(self, x):
+        return np.broadcast_to(self.p, (len(x), 1, len(self.p)))
 
 
 class LineOracle(ProximalOracle):
@@ -59,14 +93,14 @@ class LineOracle(ProximalOracle):
             raise ValueError("direction must be nonzero")
         self.direction = d / n
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        t = float((x - self.point) @ self.direction)
-        return [self.point + t * self.direction]
+    def _candidates(self, x):
+        t = dot_rows(x - self.point, self.direction)
+        return (self.point + t[:, None] * self.direction)[:, None, :]
 
 
 class SegmentsOracle(ProximalOracle):
-    """Finite union of closed segments; per-segment closed form, min over ties."""
+    """Finite union of closed segments; per-segment closed form, every
+    segment's nearest point a candidate, ties kept in segment order."""
 
     def __init__(self, segments):
         self.segments = [
@@ -74,34 +108,30 @@ class SegmentsOracle(ProximalOracle):
         ]
         if not self.segments:
             raise ValueError("need at least one segment")
+        self._a = np.array([a for a, _ in self.segments])
+        self._u = np.array([b - a for a, b in self.segments])
+        self._uu = dot_rows(self._u, self._u)
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        cands: list[tuple[float, np.ndarray]] = []
-        for a, b in self.segments:
-            u = b - a
-            denom = float(u @ u)
-            t = 0.0 if denom == 0.0 else float((x - a) @ u) / denom
-            t = min(1.0, max(0.0, t))
-            p = a + t * u
-            cands.append((float(np.linalg.norm(p - x)), p))
-        dmin = min(d for d, _ in cands)
-        return [p for d, p in cands if d <= dmin + PROXIMAL_TIE_TOL]
+    def _candidates(self, x):
+        num = dot_rows(x[:, None, :] - self._a, self._u)
+        t = np.divide(num, self._uu, out=np.zeros_like(num), where=self._uu != 0.0)
+        t = np.minimum(1.0, np.maximum(0.0, t))
+        return self._a + t[..., None] * self._u
 
 
 class HullOracle(ProximalOracle):
     """Convex hull of finitely many points; exact projection by face enumeration.
 
-    The faces and their KKT inverses are built once, so a projection costs
-    one small matrix-vector product per face.
+    The faces and their KKT inverses are built once; a projection solves
+    every face for every point in one array pass.
     """
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         self._faces = hull_faces(self.points)
 
-    def project(self, x):
-        return [nearest_on_faces(self._faces, x)[0]]
+    def _candidates(self, x):
+        return nearest_on_faces(self._faces, x)[0][:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -122,65 +152,71 @@ class CertReport:
         return asdict(self)
 
 
-def first_violation(samples: Iterable, violation: Callable[[object], dict | None],
+def first_violation(violated: np.ndarray, witness: Callable[[int], dict],
                     pitch: float | None = None) -> CertReport:
-    """Evaluate `violation` on the samples in order and stop at the first
-    one for which it returns a witness instead of None."""
-    checked = 0
-    for x in samples:
-        checked += 1
-        witness = violation(x)
-        if witness is not None:
-            return CertReport(holds=False, witness=witness, checked=checked, grid_pitch=pitch)
-    return CertReport(holds=True, witness=None, checked=checked, grid_pitch=pitch)
+    """The report of a certificate evaluated on all samples at once.
+
+    `violated` marks the failing samples in sample order; the first of them
+    becomes the witness (built by `witness(index)`), and `checked` counts
+    the samples up to it, as a loop stopping there would.
+    """
+    hits = np.flatnonzero(violated)
+    if len(hits) == 0:
+        return CertReport(holds=True, witness=None, checked=len(violated), grid_pitch=pitch)
+    first = int(hits[0])
+    return CertReport(holds=False, witness=witness(first), checked=first + 1, grid_pitch=pitch)
 
 
-def _best_inner(x: np.ndarray, step, proximal: Sequence[np.ndarray]):
-    """The least <x - y, step - y> over the proximal candidates y of x."""
-    step = np.asarray(step, dtype=float)
-    best = math.inf
-    best_y = None
-    for y in proximal:
-        inner = float((x - y) @ (step - y))
-        if inner < best:
-            best = inner
-            best_y = y
-    return best, best_y
+#: Rows per array pass of the certificates: keeps their temporaries small.
+BLOCK_ROWS = 1024
+
+
+def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
+    """Per row of x: the least <x - y, step - y> over the proximal candidates
+    y of x, the candidate attaining it (the first on a tie), and the
+    distance from x to the set.  Each row is projected once."""
+    inner = np.empty(len(x))
+    best = np.empty_like(x)
+    dist = np.empty(len(x))
+    for lo in range(0, len(x), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        proj = oracle.project_many(x[rows])
+        y = proj.points
+        vals = np.where(proj.tied, dot_rows(x[rows, None, :] - y, steps[rows, None, :] - y), np.inf)
+        k = np.argmin(vals, axis=1)
+        r = np.arange(len(k))
+        inner[rows], best[rows], dist[rows] = vals[r, k], y[r, k], proj.nearest()[1]
+    return inner, best, dist
 
 
 def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence, pitch: float | None = None,
                     tol: float = 1e-9) -> CertReport:
     """Certify <x - y, phi(x) - y> <= tol for some proximal y, on every sample.
 
-    The first failing sample becomes the witness: its point, step value,
-    best proximal candidate and the (positive) inner product, all of which
-    reproduce the violation bit-exactly on re-evaluation.
+    phi runs once per sample; the projections and inner products run over
+    the whole domain at once.  The first failing sample becomes the witness:
+    its point, step value, best proximal candidate and the (positive) inner
+    product, all of which reproduce the violation bit-exactly on
+    re-evaluation in dot3's operand order.
     """
-    def violation(x):
-        step = phi(tuple(x))
-        point = np.asarray(x, dtype=float)
-        inner, y = _best_inner(point, step, oracle.project(point))
-        if inner > tol:
-            return {
-                "x": [float(c) for c in x],
-                "phi_x": [float(c) for c in step],
-                "proximal": [float(c) for c in y],
-                "inner": inner,
-            }
-        return None
-
-    return first_violation(domain, violation, pitch)
+    steps = np.asarray([phi(tuple(x)) for x in domain], dtype=float)
+    x = np.asarray(domain, dtype=float).reshape(steps.shape)
+    inner, proximal, _ = _best_inner(oracle, x, steps)
+    return first_violation(inner > tol, lambda i: {
+        "x": x[i].tolist(),
+        "phi_x": steps[i].tolist(),
+        "proximal": proximal[i].tolist(),
+        "inner": float(inner[i]),
+    }, pitch)
 
 
 def premise_start(traj: Trajectory, oracle: ProximalOracle, tol: float = 1e-9) -> int | None:
     """Smallest 1-based n0 such that the Blackwell inner product is <= tol
     at every recorded stage from n0 on; None when even the last stage fails."""
-    last_bad = 0
-    for n in range(1, traj.horizon):  # stages with a recorded step
-        x = np.asarray(traj.means[n - 1], dtype=float)
-        inner, _ = _best_inner(x, traj.steps[n - 1], oracle.project(x))
-        if inner > tol:
-            last_bad = n
+    x = traj.means_array()[:-1]  # stages with a recorded step
+    inner, _, _ = _best_inner(oracle, x, np.asarray(traj.steps, dtype=float).reshape(x.shape))
+    bad = np.flatnonzero(inner > tol)
+    last_bad = int(bad[-1]) + 1 if len(bad) else 0
     return last_bad + 1 if last_bad + 1 < traj.horizon else None
 
 
@@ -208,20 +244,13 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int, tol: fl
     """
     if not 1 <= n0 <= traj.horizon:
         raise ValueError("n0 out of range")
-    premise_ok = True
-    c_const = 0.0
-    dists = np.empty(traj.horizon - n0 + 1)
-    for n in range(n0, traj.horizon + 1):
-        x = np.asarray(traj.means[n - 1], dtype=float)
-        proximal = oracle.project(x)
-        if n < traj.horizon:
-            step = np.asarray(traj.steps[n - 1])
-            inner, y = _best_inner(x, step, proximal)
-            if inner > tol:
-                premise_ok = False
-            c_const = max(c_const, float(np.sum((step - y) ** 2)))
-        # what oracle.distance(x) computes, without projecting x again
-        dists[n - n0] = float(np.linalg.norm(proximal[0] - x))
+    x = traj.means_array()[n0 - 1:]
+    m = traj.horizon - n0  # all but the last mean have a recorded next step
+    steps = np.asarray(traj.steps[n0 - 1:], dtype=float).reshape(x[:m].shape)
+    inner, y, dists = _best_inner(oracle, x[:m], steps)
+    dists = np.append(dists, oracle.distances(x[m:]))  # what oracle.distance gives
+    premise_ok = not np.any(inner > tol)
+    c_const = float(np.max(dot_rows(steps - y, steps - y), initial=0.0))
     d_n0 = n0 * n0 * dists[0] ** 2
     ns = np.arange(n0, traj.horizon + 1, dtype=float)
     bounds = (d_n0 + (ns - n0) * c_const) / ns
@@ -273,7 +302,7 @@ def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequenc
         idx = list(range(0, n, stride))
         if idx[-1] != n - 1:
             idx.append(n - 1)
-        dists = [oracle.distance(traj.means[i]) for i in idx]
+        dists = oracle.distances(traj.means_array()[idx]).tolist()
         worst = max(worst, dists[-1])
         series.append({
             "start": [float(c) for c in traj.start],
@@ -288,19 +317,24 @@ def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequenc
 
 def sample_intersection(oracle_a: ProximalOracle, oracle_b: ProximalOracle, seeds: Sequence,
                         tol: float = 1e-9, max_iter: int = 5000) -> list[np.ndarray]:
-    """Points of A∩B found by alternating projections from the seeds."""
+    """Points of A∩B found by alternating projections from the seeds.
+
+    The seeds iterate together; each stops once its step is shorter than
+    1e-13, or after max_iter steps.
+    """
+    y = np.array(seeds, dtype=float)
+    moving = np.arange(len(y))
+    for _ in range(max_iter):
+        if len(moving) == 0:
+            break
+        cur = y[moving]
+        y[moving] = oracle_b.project_many(oracle_a.project_many(cur).nearest()[0]).nearest()[0]
+        step = y[moving] - cur
+        moving = moving[~(np.sqrt(dot_rows(step, step)) < 1e-13)]
     found: list[np.ndarray] = []
-    for seed in seeds:
-        y = np.asarray(seed, dtype=float)
-        for _ in range(max_iter):
-            y_next = oracle_b.project(oracle_a.project(y)[0])[0]
-            if np.linalg.norm(y_next - y) < 1e-13:
-                y = y_next
-                break
-            y = y_next
-        if oracle_a.distance(y) <= tol and oracle_b.distance(y) <= tol:
-            if not any(np.linalg.norm(y - p) <= 1e-7 for p in found):
-                found.append(y)
+    for p in y[(oracle_a.distances(y) <= tol) & (oracle_b.distances(y) <= tol)]:
+        if not any(np.linalg.norm(p - q) <= 1e-7 for q in found):
+            found.append(p)
     return found
 
 
@@ -346,49 +380,38 @@ def clip_segments_to_neighborhood(segments, target: ProximalOracle, eps: float,
     out = []
     for a, b in segments:
         a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        u = np.asarray(b, dtype=float) - a
 
-        def g(t):
-            return target.distance(a + t * (b - a))
+        def g(*ts):
+            return target.distances(a + np.array(ts)[:, None] * u)
 
         # ternary search for the minimizer of the convex g
         l, r = 0.0, 1.0
         for _ in range(iters):
-            m1 = l + (r - l) / 3
-            m2 = r - (r - l) / 3
-            if g(m1) <= g(m2):
-                r = m2
-            else:
-                l = m1
+            m1, m2 = l + (r - l) / 3, r - (r - l) / 3
+            g1, g2 = g(m1, m2)
+            l, r = (l, m2) if g1 <= g2 else (m1, r)
         t_min = (l + r) / 2
-        if g(t_min) > eps:
+        g_min, g_lo, g_hi = g(t_min, 0.0, 1.0)
+        if g_min > eps:
             continue
-        # grow left boundary
-        if g(0.0) <= eps:
-            lo_t = 0.0
-        else:
-            lo, hi = 0.0, t_min
-            for _ in range(iters):
-                mid = (lo + hi) / 2
-                if g(mid) <= eps:
-                    hi = mid
-                else:
-                    lo = mid
-            lo_t = hi
-        if g(1.0) <= eps:
-            hi_t = 1.0
-        else:
-            lo, hi = t_min, 1.0
-            for _ in range(iters):
-                mid = (lo + hi) / 2
-                if g(mid) <= eps:
-                    lo = mid
-                else:
-                    hi = mid
-            hi_t = lo
+        lo_t = 0.0 if g_lo <= eps else _last_within(g, eps, t_min, 0.0, iters)
+        hi_t = 1.0 if g_hi <= eps else _last_within(g, eps, t_min, 1.0, iters)
         if hi_t > lo_t:
-            out.append((a + lo_t * (b - a), a + hi_t * (b - a)))
+            out.append((a + lo_t * u, a + hi_t * u))
     return out
+
+
+def _last_within(g, eps: float, inside: float, outside: float, iters: int) -> float:
+    """Bisect between a parameter where g <= eps and one where it is not;
+    the last parameter found within eps."""
+    for _ in range(iters):
+        mid = (inside + outside) / 2
+        if g(mid)[0] <= eps:
+            inside = mid
+        else:
+            outside = mid
+    return inside
 
 
 def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, schedule,

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import harness, lyapunov
+from . import harness
 from .dynamics import iterate, write_csv
 from .geometry import hull_point
 from .stage_game import GameParams, example_game, validate_params, vertices
@@ -219,16 +219,18 @@ def _certify_blackwell(cfg: dict) -> tuple[bool, dict]:
     if target in ("example1_line", "example1_segment", "example1_singleton"):
         a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
         b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
-        certs = harness.example1_certificates(a, b, pitch)
+        targets = harness.example1_targets(a, b, pitch)
     elif target in ("example2_triangle", "example2_union"):
-        certs = harness.example2_certificates(float(cfg.get("eps", 0.4)), pitch)
+        targets = harness.example2_targets(_finite(cfg.get("eps", 0.4), "eps"), pitch)
     else:
         raise ConfigError(f"unknown blackwell target {target!r}")
-    sub = certs["blackwell_" + target.partition("_")[2]].as_dict()
+    sub = targets.certify(target.partition("_")[2]).as_dict()
     return bool(sub["holds"]), sub
 
 
 def _certify_lyapunov(cfg: dict, want_decrease: bool) -> tuple[bool, dict]:
+    from . import lyapunov  # imported on use: verify and simulate never need it
+
     params = _load_game(cfg.get("game"))
     map_kind = cfg.get("map", "all_good")
     pitch = _positive(cfg.get("pitch", 0.25), "pitch")

@@ -66,6 +66,16 @@ def dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def dot_rows(a, b) -> np.ndarray:
+    """Inner products over the last axis of two broadcastable arrays, summed
+    in index order (dot3's operand order) elementwise: unlike `@`, each row
+    comes out as the scalar sum would, however many rows there are."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, np.shape(a)[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
 def norm3(a) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
@@ -328,57 +338,71 @@ def hull_point(vertex_set, weights) -> PayoffVector:
     return (out[0], out[1], out[2])
 
 
-def hull_faces(points) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Faces of conv(points) for exact projection: every affinely independent
-    subset with the inverse of its equality-constrained least-squares (KKT)
-    matrix, None for single points.  Exhaustive, for small point sets."""
-    pts = np.asarray(points, dtype=float)
-    faces: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for size in range(1, len(pts) + 1):
-        for idx in combinations(range(len(pts)), size):
-            sub = pts[list(idx)]
-            if size == 1:
-                faces.append((sub, None))
-                continue
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = sub @ sub.T
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            try:
-                faces.append((sub, np.linalg.inv(kkt)))
-            except np.linalg.LinAlgError:
-                continue
-    return faces
+def hull_faces(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Faces of conv(points) for exact projection, stacked for a batched solve.
 
-
-def nearest_on_faces(faces, x) -> tuple[np.ndarray, float]:
-    """Nearest point of a hull to x, given its hull_faces, and the distance.
-
-    Each face costs one small matrix-vector product; faces whose optimal
-    weights leave the simplex are skipped.
+    Every affinely independent subset is a face, in coordinates relative to
+    the points' mean (which keeps the KKT systems well scaled).  Returns that
+    origin, the faces' points `subs` (F, s, d) zero-padded to the largest
+    size s, and `solve` (F, s, s + 1), the weight rows of each face's inverse
+    KKT matrix: the weights are solve applied to (<p_j, x>..., 1), 0 in
+    padded slots.  Exhaustive, for small point sets.
     """
-    x = np.asarray(x, dtype=float)
-    best_p: np.ndarray | None = None
-    best_d = math.inf
-    for sub, inv in faces:
-        if inv is None:
-            cand = sub[0]
-        else:
-            w = (inv @ np.append(sub @ x, 1.0))[:len(sub)]
-            if np.any(w < -1e-12):
-                continue
-            cand = w @ sub
-        d = float(np.linalg.norm(cand - x))
-        if d < best_d - 1e-15:
-            best_d = d
-            best_p = cand
-    assert best_p is not None
-    return best_p, best_d
+    pts = np.asarray(points, dtype=float)
+    origin = pts.mean(axis=0)
+    rel = pts - origin
+    faces = [rel[list(idx)] for k in range(1, min(len(pts), pts.shape[1] + 1) + 1)
+             for idx in combinations(range(len(pts)), k) if _affinely_independent(rel[list(idx)])]
+    s = max(map(len, faces))
+    subs = np.zeros((len(faces), s, pts.shape[1]))
+    solve = np.zeros((len(faces), s, s + 1))
+    for f, sub in enumerate(faces):
+        k = len(sub)
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = sub @ sub.T
+        kkt[k, k] = 0.0
+        inv = np.linalg.inv(kkt)
+        subs[f, :k], solve[f, :k, :k], solve[f, :k, s] = sub, inv[:k, :k], inv[:k, k]
+    return origin, subs, solve
+
+
+def _affinely_independent(sub: np.ndarray) -> bool:
+    """The Gram determinant of the edges from sub[0] against its Hadamard
+    bound (the product of their squared lengths): 0 for a flat set."""
+    edges = sub[1:] - sub[0]
+    sq = (edges * edges).sum(axis=1)
+    return bool(np.all(sq > 0.0) and np.linalg.det(edges @ edges.T) > 1e-12 * np.prod(sq))
+
+
+def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest points of a hull to the rows of pts (M, d), given its
+    hull_faces, and their distances.
+
+    Every face is solved for a block of rows at once, in elementwise
+    arithmetic (see `dot_rows`), so a row's result does not depend on the
+    other rows.  Faces whose optimal weights leave the simplex are skipped;
+    the closest remaining candidate wins, the first face on an exact tie.
+    """
+    origin, subs, solve = faces
+    x = np.asarray(pts, dtype=float) - origin
+    near, dist = np.empty_like(x), np.empty(len(x))
+    step = max(1, 2048 // (subs.shape[0] * subs.shape[1]))  # keeps (rows, F, s) temporaries small
+    for lo in range(0, len(x), step):
+        xb = x[lo:lo + step, None, None, :]
+        w = dot_rows(solve[..., :-1], dot_rows(subs, xb)[:, :, None, :]) + solve[..., -1]  # (rows, F, s)
+        cand = dot_rows(w[:, :, None, :], subs.transpose(0, 2, 1))                         # (rows, F, d)
+        diff = cand - xb[:, :, 0]
+        d = np.where(np.all(w >= -1e-12, axis=-1), np.sqrt(dot_rows(diff, diff)), np.inf)
+        best = np.argmin(d, axis=1)
+        rows = np.arange(len(best))
+        near[lo:lo + step], dist[lo:lo + step] = cand[rows, best], d[rows, best]
+    return near + origin, dist
 
 
 def project_to_hull(x, points) -> tuple[np.ndarray, float]:
     """Exact nearest point of conv(points) to x, and its distance."""
-    return nearest_on_faces(hull_faces(points), x)
+    p, d = nearest_on_faces(hull_faces(points), np.asarray([x], dtype=float))
+    return p[0], float(d[0])
 
 
 def project_to_delta(spec: RegionSpec, y) -> tuple[np.ndarray, float]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .approachability import (
     HullOracle,
     LineOracle,
     PointOracle,
+    ProximalOracle,
     SegmentsOracle,
     check_blackwell,
     intersect_attractors,
@@ -318,33 +320,48 @@ def _box_grid(box: float, pitch: float) -> list[tuple[float, float]]:
     return [(float(u), float(v)) for u in axis for v in axis]
 
 
-def example1_certificates(a, b, pitch: float = 0.25, box: float = 3.0) -> dict[str, CertReport]:
-    """Blackwell certificates of the two-value map on a pitch grid of the box:
-    for the axis and the segment ab (both hold) and for the singleton {d}
-    (a violation witness is expected: the singleton is a weak attractor that
-    fails the condition)."""
+class BlackwellTargets(NamedTuple):
+    """A worked example's Blackwell targets: the step map, its sampled domain
+    and the oracle of each named target set.  Building them is cheap; each
+    `certify` call runs one certificate."""
+
+    phi: Callable
+    domain: list
+    pitch: float
+    oracles: dict[str, ProximalOracle]
+
+    def certify(self, name: str) -> CertReport:
+        return check_blackwell(self.phi, self.oracles[name], self.domain, self.pitch)
+
+    def certify_all(self) -> dict[str, CertReport]:
+        return {f"blackwell_{name}": self.certify(name) for name in self.oracles}
+
+
+def example1_targets(a, b, pitch: float = 0.25, box: float = 3.0) -> BlackwellTargets:
+    """The two-value map on a pitch grid of the box, against the axis and
+    the segment ab (both hold) and the singleton {d} (a violation witness
+    is expected: the singleton is a weak attractor that fails the
+    condition)."""
     a = tuple(map(float, a))
     b = tuple(map(float, b))
     if not (a[1] < 0.0 < b[1]):
         raise ValueError("need a below and b above the horizontal axis")
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
-    phi = example1_phi(a, b)
-    domain = _box_grid(box, pitch)
-    return {
-        "blackwell_line": check_blackwell(phi, LineOracle((0.0, 0.0), (1.0, 0.0)), domain, pitch),
-        "blackwell_segment": check_blackwell(phi, SegmentsOracle([(a, b)]), domain, pitch),
-        "blackwell_singleton": check_blackwell(phi, PointOracle(example1_limit(a, b)), domain, pitch),
-    }
+    return BlackwellTargets(example1_phi(a, b), _box_grid(box, pitch), pitch, {
+        "line": LineOracle((0.0, 0.0), (1.0, 0.0)),
+        "segment": SegmentsOracle([(a, b)]),
+        "singleton": PointOracle(example1_limit(a, b)),
+    })
 
 
 def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: float = 3.0) -> VerifyReport:
     """Mean dynamics of the two-value planar map.
 
     Checks convergence of every start to the segment/axis intersection d,
-    and the three example1_certificates.
+    and the certificates of all three example1_targets.
     """
-    certs = example1_certificates(a, b, pitch, box)
+    certs = example1_targets(a, b, pitch, box).certify_all()
     a = tuple(map(float, a))
     b = tuple(map(float, b))
     d = example1_limit(a, b)
@@ -434,15 +451,12 @@ def _example2_setup(eps: float):
     return params, defector, phi, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
 
 
-def example2_certificates(eps: float, pitch: float = 0.25) -> dict[str, CertReport]:
-    """Blackwell certificates of example 2 on a pitch grid of the slice Z,
-    for the triangle and for the segment union."""
+def example2_targets(eps: float, pitch: float = 0.25) -> BlackwellTargets:
+    """The (good, good, defector) map on a pitch grid of the slice Z,
+    against the triangle and the segment union."""
     params, _, phi, triangle, union_segments = _example2_setup(eps)
-    domain = z_grid(params, pitch)
-    return {
-        "blackwell_triangle": check_blackwell(phi, triangle, domain, pitch),
-        "blackwell_union": check_blackwell(phi, SegmentsOracle(union_segments), domain, pitch),
-    }
+    return BlackwellTargets(phi, z_grid(params, pitch), pitch,
+                            {"triangle": triangle, "union": SegmentsOracle(union_segments)})
 
 
 def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
@@ -452,9 +466,9 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
 
     D = (p3 - eps/2, p3 - eps/2, p3 + eps/2), so the defector's tail mean
     strictly exceeds p3 while still respecting the t4 cap p3 + 2*eps/3.
-    The attractor pipeline cross-check adds the example2_certificates for
-    the triangle co{C1_3, C2_3, D} and for the segment union BD u DC1_3 on
-    Z, refines the union to the segment BD, and intersects with the
+    The attractor pipeline cross-check adds the certificates of both
+    example2_targets (the triangle co{C1_3, C2_3, D} and the segment union
+    BD u DC1_3 on Z), refines the union to the segment BD, and intersects with the
     triangle to isolate {D}.
     """
     params, defector, phi, triangle, union_segments = _example2_setup(eps)
@@ -479,7 +493,7 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
     meta: dict = {"eps": eps, "d_point": list(d_point)}
     checks = True
     if pipeline:
-        certs = example2_certificates(eps, pitch)
+        certs = example2_targets(eps, pitch).certify_all()
         bd_segment = SegmentsOracle(union_segments[:1])
         refine = refine_attractor(
             phi,

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .approachability import CertReport, first_violation
+import numpy as np
+
+from .approachability import BLOCK_ROWS, CertReport, first_violation
 from .geometry import (
     V_DIRS,
     dot3,
@@ -74,6 +76,16 @@ def support_value(spec: SupportSpec, x) -> tuple[float, tuple[int, ...]]:
     return v, active
 
 
+def _support(spec: SupportSpec, cols) -> np.ndarray:
+    """V over many points, given their three coordinate columns; dot3 on
+    columns keeps its operand order, so each point's value is the scalar
+    one."""
+    out = dot3(spec.vectors[0], cols)
+    for p in spec.vectors[1:]:
+        out = np.maximum(out, dot3(p, cols))
+    return out
+
+
 @dataclass(frozen=True)
 class DropRule:
     direction: tuple[float, float, float]
@@ -89,12 +101,19 @@ class PlaneMultiMap:
         self.rules = tuple(rules)
         self.label = label
 
-    def __call__(self, x) -> list[tuple[float, float, float]]:
-        dropped: set[int] = set()
+    def alive(self, cols) -> np.ndarray:
+        """(M, len(values)): which values each of M plane points keeps, given
+        the points' coordinate columns; a rule fires where
+        <direction, y> > threshold and drops its values."""
+        keep = np.ones((len(cols[0]), len(self.values)), dtype=bool)
         for rule in self.rules:
-            if dot3(rule.direction, x) > rule.threshold:
-                dropped |= rule.drops
-        return [v for i, v in enumerate(self.values) if i not in dropped]
+            fired = dot3(rule.direction, cols) > rule.threshold
+            keep[:, sorted(rule.drops)] &= ~fired[:, None]
+        return keep
+
+    def __call__(self, x) -> list[tuple[float, float, float]]:
+        keep = self.alive(np.asarray([x], dtype=float).T)[0]
+        return [v for v, kept in zip(self.values, keep) if kept]
 
 
 def good_profile_plane_map(params: GameParams) -> PlaneMultiMap:
@@ -154,43 +173,64 @@ def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
 
 def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> list[tuple[float, float, float]]:
     """Plane-grid samples of the projected payoff hexagon outside Delta_c."""
-    pts = plane_grid(params, pitch)
-    out = []
-    for row in pts:
-        y = (float(row[0]), float(row[1]), float(row[2]))
-        if max(dot3(p, y) for p in spec.vectors) >= spec.c:
-            out.append(y)
-    return out
+    cols = plane_grid(params, pitch).T
+    outside = _support(spec, cols) >= spec.c
+    return list(zip(*(c[outside].tolist() for c in cols)))
 
 
-def check_lyapunov(spec: SupportSpec, mmap: Callable, grid: Sequence, tol: float = 1e-9,
+def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence, tol: float = 1e-9,
                    sufficient: bool = False, pitch: float | None = None) -> CertReport:
     """Certify the support function against the multimap outside Delta_c.
 
     For every sample x (which must satisfy V(x) >= c), every delta-active
     index i and every value w of the map: V_i(w) <= tol.  With
     sufficient=True the stronger sign condition is checked instead:
-    V_i(x) > 0 already forces V_i(w) <= tol.
+    V_i(x) > 0 already forces V_i(w) <= tol.  Evaluated over the whole grid,
+    one (i, w) pair at a time; the witness is the first violating pair at
+    the first violating sample.
     """
-    if not grid:
+    if len(grid) == 0:
         raise ValueError("empty certification grid")
+    inner = [[dot3(p, w) for w in mmap.values] for p in spec.vectors]
 
-    def violation(x):
-        v, active = support_value(spec, x)
-        if sufficient:
-            idxs = [i for i, p in enumerate(spec.vectors) if dot3(p, x) > 0.0]
-        else:
-            idxs = active
-        values = mmap(x)
-        for i in idxs:
-            for w in values:
-                inner = dot3(spec.vectors[i], w)
-                if inner > tol:
-                    return {"x": list(x), "direction_index": i + 1, "value": list(w),
-                            "inner": inner, "support": v}
-        return None
+    def violations(cols, support, alive):
+        for i, p in enumerate(spec.vectors):
+            val = dot3(p, cols)
+            active = val > 0.0 if sufficient else val >= support - spec.delta
+            for j in range(len(mmap.values)):
+                if inner[i][j] > tol:
+                    yield active & alive[:, j], (i, j, support)
 
-    return first_violation(grid, violation, pitch)
+    def witness(i, j, support):
+        return {"direction_index": i + 1, "value": list(mmap.values[j]), "inner": inner[i][j],
+                "support": float(support[0])}
+
+    return _grid_certificate(spec, mmap, grid, violations, witness, pitch)
+
+
+def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
+    """A grid certificate, evaluated a block of rows at a time.
+
+    `violations(cols, support, alive)` yields, for the rows' coordinate
+    columns, their support values and the map values each keeps, one
+    (mask, detail) pair per way a row can fail, in a per-sample loop's
+    order.  The first failing sample is evaluated again alone, and its
+    first failing detail goes to `witness(*detail)`.
+    """
+    def failing(rows):
+        cols = np.asarray(rows, dtype=float).reshape(-1, 3).T
+        return violations(cols, _support(spec, cols), mmap.alive(cols))
+
+    violated = np.zeros(len(grid), dtype=bool)
+    for lo in range(0, len(grid), BLOCK_ROWS):
+        for hit, _ in failing(grid[lo:lo + BLOCK_ROWS]):
+            violated[lo:lo + BLOCK_ROWS] |= hit
+
+    def first(g):
+        detail = next(d for hit, d in failing([grid[g]]) if hit[0])
+        return {"x": list(grid[g]), **witness(*detail)}
+
+    return first_violation(violated, first, pitch)
 
 
 @dataclass(frozen=True)
@@ -238,34 +278,31 @@ def t1_constants(spec: SupportSpec, m_bound: float) -> LyapunovConstants:
     return consts
 
 
-def decrease_check(spec: SupportSpec, mmap: Callable, consts: LyapunovConstants, grid: Sequence,
+def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConstants, grid: Sequence,
                    alphas: Sequence[float] | None = None, tol: float = 1e-9,
                    pitch: float | None = None) -> CertReport:
     """Certify V(a w + (1-a) x) <= V(x) - a gamma on the sampled domain.
 
     Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0} by default, for
-    every map value w at every grid point outside Delta_c.
+    every map value w at every grid point outside Delta_c, one (w, a) pair
+    at a time over the whole grid.  The witness is the first violating
+    (w, a) at the first violating sample.
     """
     if alphas is None:
         a0 = consts.alpha0
         alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
 
-    def violation(x):
-        v, _ = support_value(spec, x)
-        for w in mmap(x):
+    def violations(cols, support, alive):
+        for j, w in enumerate(mmap.values):
             for a in alphas:
-                pt = (
-                    a * w[0] + (1 - a) * x[0],
-                    a * w[1] + (1 - a) * x[1],
-                    a * w[2] + (1 - a) * x[2],
-                )
-                val = max(dot3(p, pt) for p in spec.vectors)
-                if val > v - a * consts.gamma + tol:
-                    return {"x": list(x), "value": list(w), "alpha": a,
-                            "lhs": val, "rhs": v - a * consts.gamma}
-        return None
+                lhs = _support(spec, [a * w[c] + (1 - a) * cols[c] for c in range(3)])
+                rhs = support - a * consts.gamma
+                yield alive[:, j] & (lhs > rhs + tol), (w, a, lhs, rhs)
 
-    return first_violation(grid, violation, pitch)
+    def witness(w, a, lhs, rhs):
+        return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}
+
+    return _grid_certificate(spec, mmap, grid, violations, witness, pitch)
 
 
 @dataclass

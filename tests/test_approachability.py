@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from investgame.approachability import (
+    PROXIMAL_TIE_TOL,
     HullOracle,
     LineOracle,
     PointOracle,
@@ -74,6 +76,158 @@ class TestOracles:
                 assert float((x - p) @ (v - p)) <= 1e-8
 
 
+def _ref_dot(a, b):
+    out = float(a[0]) * float(b[0])
+    for k in range(1, len(a)):
+        out += float(a[k]) * float(b[k])
+    return out
+
+
+def _ref_dist(p, x):
+    return math.sqrt(_ref_dot(np.subtract(p, x), np.subtract(p, x)))
+
+
+def ref_segments(segments, x):
+    """Per-point closed form on each segment; ties within the tolerance, in order."""
+    cands = []
+    for a, b in segments:
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        u = b - a
+        uu = _ref_dot(u, u)
+        t = 0.0 if uu == 0.0 else _ref_dot(np.subtract(x, a), u) / uu
+        p = a + min(1.0, max(0.0, t)) * u
+        cands.append((_ref_dist(p, x), p))
+    dmin = min(d for d, _ in cands)
+    return [p for d, p in cands if d <= dmin + PROXIMAL_TIE_TOL]
+
+
+def ref_hull(points, x):
+    """The per-point face loop: solve each affinely independent subset's KKT
+    system for x, keep feasible weights, take the closest candidate."""
+    pts = np.asarray(points, float)
+    best, best_d = None, math.inf
+    for size in range(1, min(len(pts), pts.shape[1] + 1) + 1):
+        for idx in itertools.combinations(range(len(pts)), size):
+            sub = pts[list(idx)]
+            if size > 1 and np.linalg.matrix_rank(sub[1:] - sub[0]) < size - 1:
+                continue
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = sub @ sub.T
+            kkt[:size, size] = kkt[size, :size] = 1.0
+            w = np.linalg.solve(kkt, np.append(sub @ x, 1.0))[:size]
+            if np.any(w < -1e-12):
+                continue
+            d = _ref_dist(w @ sub, x)
+            if d < best_d:
+                best, best_d = w @ sub, d
+    return [best]
+
+
+def _edge_and_vertex_points(verts, rng, count):
+    """Points outside a polygon or triangle near a vertex (pushed out from
+    the centre through the vertex) and near an edge (pushed out along the
+    edge's normal in the polygon's plane)."""
+    verts = np.asarray(verts, float)
+    center = verts.mean(axis=0)
+    out = []
+    for _ in range(count):
+        i = rng.integers(len(verts))
+        v = verts[i]
+        out.append(v + rng.uniform(0.1, 3.0) * (v - center))  # vertex region
+        e = verts[(i + 1) % len(verts)] - v
+        mid = v + rng.uniform(0.1, 0.9) * e
+        away = (mid - center) - ((mid - center) @ e) / (e @ e) * e
+        out.append(mid + rng.uniform(0.1, 3.0) * away)  # edge region
+    return np.array(out)
+
+
+class TestBatchedOracles:
+    """Each oracle's one-pass projection against a per-point reference, and
+    the one-point project against the matching row of the batch."""
+
+    TRIANGLE = [VS.c1[2], VS.c2[2], Example2Defector(PARAMS, 0.4).d_point]
+
+    @staticmethod
+    def _assert_rows_match(oracle, pts, ref):
+        proj = oracle.project_many(pts)
+        for m, x in enumerate(pts):
+            want = ref(x)
+            got = [p for p, tied in zip(proj.points[m], proj.tied[m]) if tied]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12
+            assert abs(proj.nearest()[1][m] - _ref_dist(want[0], x)) <= 1e-12
+            single = oracle.project(x)
+            assert len(single) == len(got)
+            for g, s in zip(got, single):
+                assert np.array_equal(g, s)  # bit for bit
+            assert oracle.distance(x) == proj.nearest()[1][m]
+
+    def _samples(self, verts, seed, lo, hi):
+        rng = np.random.default_rng(seed)
+        verts = np.asarray(verts, float)
+        inside = rng.dirichlet(np.ones(len(verts)), size=15) @ verts
+        rand = rng.uniform(lo, hi, size=(15, verts.shape[1]))
+        return np.vstack([rand, inside, _edge_and_vertex_points(verts, rng, 10)])
+
+    def test_point(self):
+        oracle = PointOracle((1.0, 2.0, 3.0))
+        pts = np.random.default_rng(1).uniform(-10, 10, size=(30, 3))
+        self._assert_rows_match(oracle, pts, lambda x: [np.array([1.0, 2.0, 3.0])])
+
+    def test_line(self):
+        point, direction = np.array([0.5, -1.0]), np.array([3.0, 4.0]) / 5.0
+        oracle = LineOracle(point, (3.0, 4.0))
+        pts = np.random.default_rng(2).uniform(-10, 10, size=(30, 2))
+        self._assert_rows_match(
+            oracle, pts, lambda x: [point + _ref_dot(np.subtract(x, point), direction) * direction])
+
+    def test_segments(self):
+        _, _, union = defector_setup()
+        oracle = SegmentsOracle(union)
+        pts = self._samples([VS.B, union[0][1], VS.c1[2]], 3, 0.0, 40.0)
+        self._assert_rows_match(oracle, pts, lambda x: ref_segments(union, x))
+
+    def test_equidistant_segments_return_both_in_order(self):
+        segs = [((0.0, 1.0), (1.0, 1.0)), ((0.0, -1.0), (1.0, -1.0)), ((5.0, 5.0), (6.0, 5.0))]
+        oracle = SegmentsOracle(segs)
+        # exactly equidistant, equidistant within the tie tolerance, and not
+        pts = np.array([(0.5, 0.0), (0.25, 0.0), (-3.0, 0.0), (0.5, 1e-12), (0.5, 1e-6), (0.5, 0.5)])
+        self._assert_rows_match(oracle, pts, lambda x: ref_segments(segs, x))
+        proj = oracle.project_many(pts)
+        assert proj.tied[:4, :2].all() and not proj.tied[:4, 2].any()
+        assert np.array_equal(proj.points[0, :2], [(0.5, 1.0), (0.5, -1.0)])
+        assert proj.tied[4:].tolist() == [[True, False, False]] * 2
+
+    def test_hull_triangle_in_r3(self):
+        oracle = HullOracle(self.TRIANGLE)
+        pts = self._samples(self.TRIANGLE, 4, 0.0, 40.0)
+        self._assert_rows_match(oracle, pts, lambda x: ref_hull(self.TRIANGLE, x))
+
+    def test_hull_of_the_payoff_set(self):
+        verts = VS.all_points()
+        oracle = HullOracle(verts)
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.uniform(0, 50, size=(20, 3)),
+                         rng.dirichlet(np.ones(8), size=10) @ np.asarray(verts)])
+        self._assert_rows_match(oracle, pts, lambda x: ref_hull(verts, x))
+
+    def test_hull_planar_polygon(self):
+        square = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
+        oracle = HullOracle(square)
+        pts = self._samples(square, 6, -4.0, 5.0)
+        self._assert_rows_match(oracle, pts, lambda x: ref_hull(square, x))
+
+    def test_degenerate_collinear_hull(self):
+        line = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 3.0, 3.0)]
+        oracle = HullOracle(line)
+        pts = np.random.default_rng(7).uniform(-3, 6, size=(30, 3))
+        self._assert_rows_match(oracle, pts, lambda x: ref_hull(line, x))
+        # the collinear hull is the segment from the first point to the last
+        seg = SegmentsOracle([(line[0], line[2])])
+        assert np.allclose(oracle.distances(pts), seg.distances(pts), atol=1e-12)
+
+
 class TestBlackwell:
     def test_line_holds(self):
         rep = check_blackwell(example1_phi(A1, B1), LineOracle((0, 0), (1, 0)), box_grid())
@@ -130,18 +284,19 @@ class TestDecayBound:
         assert rep.ok
 
     def test_projects_each_mean_once(self):
-        calls = []
+        rows = []
 
         class Counting(SegmentsOracle):
-            def project(self, x):
-                calls.append(1)
-                return super().project(x)
+            def project_many(self, pts):
+                rows.extend(map(tuple, np.asarray(pts).tolist()))
+                return super().project_many(pts)
 
         traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
         oracle = Counting([(A1, B1)])
         n0 = 7
         rep = decay_bound_check(traj, oracle, n0)
-        assert len(calls) == traj.horizon - n0 + 1
+        assert len(rows) == traj.horizon - n0 + 1
+        assert rows == traj.means[n0 - 1:]
         # the distance taken from that one projection is oracle.distance's
         assert rep.d_n0 == n0 * n0 * oracle.distance(traj.means[n0 - 1]) ** 2
 

@@ -265,6 +265,7 @@ BAD_INPUTS = {
     "t2-nan-slack": ("verify t2", {"slack": "nan", "n": 1000}, "slack"),
     "blackwell-zero-pitch": ("certify blackwell", {"target": "example1_line", "pitch": 0}, "pitch"),
     "blackwell-negative-pitch": ("certify blackwell", {"target": "example1_line", "pitch": -1}, "pitch"),
+    "blackwell-text-eps": ("certify blackwell", {"target": "example2_triangle", "eps": "abc"}, "eps must"),
     "lyapunov-nan-c": ("certify lyapunov", {"map": "all_good", "c": "nan"}, "c must"),
     "lyapunov-text-delta": ("certify lyapunov", {"map": "all_good", "delta": "abc"}, "delta"),
     "lyapunov-nan-pitch": ("certify lyapunov", {"map": "all_good", "pitch": "nan"}, "pitch"),

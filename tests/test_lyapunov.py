@@ -7,6 +7,7 @@ from investgame.dynamics import iterate
 from investgame.geometry import dot3, project_plane, sample_points
 from investgame.lyapunov import (
     LyapunovConstants,
+    PlaneMultiMap,
     certification_grid,
     check_lyapunov,
     decrease_check,
@@ -142,7 +143,7 @@ class TestCheckLyapunov:
 
     def test_negative_control_produces_witness(self):
         spec = six_direction_spec(0.3)
-        bad = lambda x: [(10.0, -5.0, -5.0)]
+        bad = PlaneMultiMap([(10.0, -5.0, -5.0)], (), label="bad")
         grid = certification_grid(spec, PARAMS, 0.3)
         rep = check_lyapunov(spec, bad, grid)
         assert not rep.holds
