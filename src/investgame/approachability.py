@@ -25,6 +25,16 @@ from .dynamics import Trajectory, iterate
 from .geometry import dot_rows, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
+#: Slack of every certificate inequality and of membership in a sampled intersection.
+CERT_TOL = 1e-9
+#: Distances recorded per trajectory in a weak-attractor report's series.
+SERIES_POINTS = 200
+#: Most alternating-projection steps per seed in `sample_intersection`.
+ALTPROJ_MAX_ITER = 5000
+#: Extra distance, beyond tol, the final mean may keep from a sampled intersection.
+INTERSECT_SLACK = 1e-6
+#: Ternary-search and bisection steps in `clip_segments_to_neighborhood`.
+CLIP_ITERS = 80
 
 
 class Projection(NamedTuple):
@@ -189,9 +199,9 @@ def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
     return inner, best, dist
 
 
-def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence, pitch: float | None = None,
-                    tol: float = 1e-9) -> CertReport:
-    """Certify <x - y, phi(x) - y> <= tol for some proximal y, on every sample.
+def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence,
+                    pitch: float | None = None) -> CertReport:
+    """Certify <x - y, phi(x) - y> <= CERT_TOL for some proximal y, on every sample.
 
     phi runs once per sample; the projections and inner products run over
     the whole domain at once.  The first failing sample becomes the witness:
@@ -202,7 +212,7 @@ def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence, pit
     steps = np.asarray([phi(tuple(x)) for x in domain], dtype=float)
     x = np.asarray(domain, dtype=float).reshape(steps.shape)
     inner, proximal, _ = _best_inner(oracle, x, steps)
-    return first_violation(inner > tol, lambda i: {
+    return first_violation(inner > CERT_TOL, lambda i: {
         "x": x[i].tolist(),
         "phi_x": steps[i].tolist(),
         "proximal": proximal[i].tolist(),
@@ -210,12 +220,12 @@ def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence, pit
     }, pitch)
 
 
-def premise_start(traj: Trajectory, oracle: ProximalOracle, tol: float = 1e-9) -> int | None:
-    """Smallest 1-based n0 such that the Blackwell inner product is <= tol
+def premise_start(traj: Trajectory, oracle: ProximalOracle) -> int | None:
+    """Smallest 1-based n0 such that the Blackwell inner product is <= CERT_TOL
     at every recorded stage from n0 on; None when even the last stage fails."""
     x = traj.means_array()[:-1]  # stages with a recorded step
     inner, _, _ = _best_inner(oracle, x, np.asarray(traj.steps, dtype=float).reshape(x.shape))
-    bad = np.flatnonzero(inner > tol)
+    bad = np.flatnonzero(inner > CERT_TOL)
     last_bad = int(bad[-1]) + 1 if len(bad) else 0
     return last_bad + 1 if last_bad + 1 < traj.horizon else None
 
@@ -234,13 +244,13 @@ class DecayReport:
         return asdict(self)
 
 
-def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int, tol: float = 1e-9) -> DecayReport:
+def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> DecayReport:
     """Check dist(mean_n, A)^2 <= (d_n0 + (n - n0) C) / n for all n >= n0.
 
     d_n0 = n0^2 dist(mean_n0, A)^2 and C bounds |x_{n+1} - y_n|^2, the
     squared distance from each realized stage payoff to the proximal point
-    chosen at the current mean; the premise (Blackwell inner products <= tol
-    from n0 on) is re-verified, not assumed.
+    chosen at the current mean; the premise (Blackwell inner products
+    <= CERT_TOL from n0 on) is re-verified, not assumed.
     """
     if not 1 <= n0 <= traj.horizon:
         raise ValueError("n0 out of range")
@@ -249,15 +259,15 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int, tol: fl
     steps = np.asarray(traj.steps[n0 - 1:], dtype=float).reshape(x[:m].shape)
     inner, y, dists = _best_inner(oracle, x[:m], steps)
     dists = np.append(dists, oracle.distances(x[m:]))  # what oracle.distance gives
-    premise_ok = not np.any(inner > tol)
+    premise_ok = not np.any(inner > CERT_TOL)
     c_const = float(np.max(dot_rows(steps - y, steps - y), initial=0.0))
     d_n0 = n0 * n0 * dists[0] ** 2
     ns = np.arange(n0, traj.horizon + 1, dtype=float)
     bounds = (d_n0 + (ns - n0) * c_const) / ns
     sq = dists**2
-    violations = int(np.sum(sq > bounds + tol))
+    violations = int(np.sum(sq > bounds + CERT_TOL))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bounds > 0, sq / bounds, np.where(sq <= tol, 0.0, np.inf))
+        ratios = np.where(bounds > 0, sq / bounds, np.where(sq <= CERT_TOL, 0.0, np.inf))
     return DecayReport(
         ok=premise_ok and violations == 0,
         premise_ok=premise_ok,
@@ -292,13 +302,13 @@ class AttractorReport:
 
 
 def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequence, n: int,
-                          tol: float, series_points: int = 200) -> AttractorReport:
+                          tol: float) -> AttractorReport:
     """Run the dynamics from every start and compare final distances to tol."""
     series = []
     worst = 0.0
     for x1 in starts:
         traj = iterate(phi, x1, n)
-        stride = max(1, n // series_points)
+        stride = max(1, n // SERIES_POINTS)
         idx = list(range(0, n, stride))
         if idx[-1] != n - 1:
             idx.append(n - 1)
@@ -315,16 +325,15 @@ def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequenc
     )
 
 
-def sample_intersection(oracle_a: ProximalOracle, oracle_b: ProximalOracle, seeds: Sequence,
-                        tol: float = 1e-9, max_iter: int = 5000) -> list[np.ndarray]:
+def sample_intersection(oracle_a: ProximalOracle, oracle_b: ProximalOracle, seeds: Sequence) -> list[np.ndarray]:
     """Points of A∩B found by alternating projections from the seeds.
 
     The seeds iterate together; each stops once its step is shorter than
-    1e-13, or after max_iter steps.
+    1e-13, or after ALTPROJ_MAX_ITER steps.  Points within CERT_TOL of both count.
     """
     y = np.array(seeds, dtype=float)
     moving = np.arange(len(y))
-    for _ in range(max_iter):
+    for _ in range(ALTPROJ_MAX_ITER):
         if len(moving) == 0:
             break
         cur = y[moving]
@@ -332,34 +341,33 @@ def sample_intersection(oracle_a: ProximalOracle, oracle_b: ProximalOracle, seed
         step = y[moving] - cur
         moving = moving[~(np.sqrt(dot_rows(step, step)) < 1e-13)]
     found: list[np.ndarray] = []
-    for p in y[(oracle_a.distances(y) <= tol) & (oracle_b.distances(y) <= tol)]:
+    for p in y[(oracle_a.distances(y) <= CERT_TOL) & (oracle_b.distances(y) <= CERT_TOL)]:
         if not any(np.linalg.norm(p - q) <= 1e-7 for q in found):
             found.append(p)
     return found
 
 
 def intersect_attractors(traj: Trajectory, oracle_a: ProximalOracle, oracle_b: ProximalOracle,
-                         tol: float, seeds: Sequence | None = None, slack: float = 1e-6) -> dict:
+                         tol: float) -> dict:
     """Check that the trajectory ends near the (sampled) intersection A∩B.
 
     Premise: the final mean is within tol of each set separately.  The
-    intersection is sampled by alternating projections from the seeds
-    (default: late trajectory points); the check compares the distance
-    from the final mean to those samples against tol + slack.
+    intersection is sampled by alternating projections from every
+    (horizon // 8)-th mean back from the last; the check compares the final
+    mean's distance to those samples against tol + INTERSECT_SLACK.
     """
     final = np.asarray(traj.final)
     da = oracle_a.distance(final)
     db = oracle_b.distance(final)
     premise_ok = da <= tol and db <= tol
-    if seeds is None:
-        take = max(1, traj.horizon // 8)
-        seeds = [traj.means[i] for i in range(traj.horizon - 1, -1, -take)]
+    take = max(1, traj.horizon // 8)
+    seeds = [traj.means[i] for i in range(traj.horizon - 1, -1, -take)]
     samples = sample_intersection(oracle_a, oracle_b, seeds)
     if not samples:
         raise ValueError("empty sampled intersection")
     d = min(float(np.linalg.norm(final - p)) for p in samples)
     return {
-        "passes": bool(premise_ok and d <= tol + slack),
+        "passes": bool(premise_ok and d <= tol + INTERSECT_SLACK),
         "premise_ok": bool(premise_ok),
         "dist_to_a": da,
         "dist_to_b": db,
@@ -369,13 +377,13 @@ def intersect_attractors(traj: Trajectory, oracle_a: ProximalOracle, oracle_b: P
     }
 
 
-def clip_segments_to_neighborhood(segments, target: ProximalOracle, eps: float,
-                                  iters: int = 80) -> list[tuple[np.ndarray, np.ndarray]]:
+def clip_segments_to_neighborhood(segments, target: ProximalOracle,
+                                  eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sub-segments of the union lying within distance eps of the target set.
 
     Along each segment the distance to a convex target is convex in the
     parameter, so the feasible part is a single sub-interval, located by
-    bisection around the minimizing parameter.
+    CLIP_ITERS steps of bisection around the minimizing parameter.
     """
     out = []
     for a, b in segments:
@@ -387,7 +395,7 @@ def clip_segments_to_neighborhood(segments, target: ProximalOracle, eps: float,
 
         # ternary search for the minimizer of the convex g
         l, r = 0.0, 1.0
-        for _ in range(iters):
+        for _ in range(CLIP_ITERS):
             m1, m2 = l + (r - l) / 3, r - (r - l) / 3
             g1, g2 = g(m1, m2)
             l, r = (l, m2) if g1 <= g2 else (m1, r)
@@ -395,17 +403,17 @@ def clip_segments_to_neighborhood(segments, target: ProximalOracle, eps: float,
         g_min, g_lo, g_hi = g(t_min, 0.0, 1.0)
         if g_min > eps:
             continue
-        lo_t = 0.0 if g_lo <= eps else _last_within(g, eps, t_min, 0.0, iters)
-        hi_t = 1.0 if g_hi <= eps else _last_within(g, eps, t_min, 1.0, iters)
+        lo_t = 0.0 if g_lo <= eps else _last_within(g, eps, t_min, 0.0)
+        hi_t = 1.0 if g_hi <= eps else _last_within(g, eps, t_min, 1.0)
         if hi_t > lo_t:
             out.append((a + lo_t * u, a + hi_t * u))
     return out
 
 
-def _last_within(g, eps: float, inside: float, outside: float, iters: int) -> float:
+def _last_within(g, eps: float, inside: float, outside: float) -> float:
     """Bisect between a parameter where g <= eps and one where it is not;
     the last parameter found within eps."""
-    for _ in range(iters):
+    for _ in range(CLIP_ITERS):
         mid = (inside + outside) / 2
         if g(mid)[0] <= eps:
             inside = mid

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -18,14 +17,19 @@ from dataclasses import asdict
 from . import harness
 from .dynamics import iterate, write_csv
 from .geometry import hull_point
-from .stage_game import GameParams, example_game, validate_params, vertices
+from .stage_game import (
+    GameParams,
+    example_game,
+    read_finite,
+    read_integer,
+    read_vector,
+    require_valid,
+    validate_params,
+    vertices,
+)
 from .strategies import build_profile, induced_map
 
 OUTDIR_ENV = "INVESTGAME_OUTDIR"
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -42,9 +46,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     return data
 
 
@@ -53,53 +57,39 @@ def _load_game(path: str | None) -> GameParams:
         return example_game()
     try:
         return GameParams.from_file(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"bad game file {path}: {exc}") from exc
-
-
-def _vector(value, length: int, what: str) -> tuple[float, ...]:
-    """A config list of `length` finite numbers."""
-    try:
-        vec = tuple(float(c) for c in value) if isinstance(value, (list, tuple)) else None
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or len(vec) != length or not all(math.isfinite(c) for c in vec):
-        raise ConfigError(f"{what} must be a list of {length} finite numbers, not {value!r}")
-    return vec
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad game file {path}: {exc}") from exc
 
 
 def _vectors(value, length: int, what: str) -> list[tuple[float, ...]]:
     """A non-empty config list of points, each `length` finite numbers."""
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{what} must be a non-empty list of points")
-    return [_vector(v, length, f"each of {what}") for v in value]
+        raise ValueError(f"{what} must be a non-empty list of points")
+    return [read_vector(v, length, f"each of {what}") for v in value]
 
 
 def _positive(value, what: str) -> float:
-    x = _finite(value, what)
+    x = read_finite(value, what)
     if not x > 0:
-        raise ConfigError(f"{what} must be positive and finite, not {value!r}")
+        raise ValueError(f"{what} must be positive and finite, not {value!r}")
     return x
 
 
-def _finite(value, what: str) -> float:
-    """A config number that must be finite; the error names the key."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be a finite number, not {value!r}")
-    return x
+#: Readers of example 1's segment ends, each a point of the plane.
+_EXAMPLE1_ENDS = dict.fromkeys("ab", lambda value, key: read_vector(value, 2, key))
 
 
-def _integer(value, what: str) -> int:
-    """A config integer; an integral float such as 1e9 is accepted, anything
-    else is an error that names the key."""
-    x = _finite(value, what)
-    if not x.is_integer():
-        raise ConfigError(f"{what} must be an integer, not {value!r}")
-    return int(x)
+def _given(cfg: dict, args, readers: dict) -> dict:
+    """The options a flag or the config file gives, parsed by their readers (a
+    flag wins); options given by neither are left out for the library's defaults."""
+    out = {}
+    for key, read in readers.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            out[key] = flag
+        elif key in cfg:
+            out[key] = read(cfg[key], key)
+    return out
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -113,16 +103,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        params = GameParams.from_file(args.game)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = validate_params(params)
-    except ValueError as exc:  # non-finite entries
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = validate_params(GameParams.from_file(args.game))
     if report.ok:
         print("ok")
         return 0
@@ -133,23 +114,20 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    game_path = args.game or cfg.get("game")
-    params = _load_game(game_path)
-    report = validate_params(params)
-    if not report.ok:
-        raise ConfigError("game parameters are inadmissible: " + "; ".join(report.violations))
+    params = _load_game(args.game or cfg.get("game"))
+    require_valid(params)
     descs = cfg.get("strategies")
     if descs is None:
-        raise ConfigError("run config needs a 'strategies' list of three descriptors")
+        raise ValueError("run config needs a 'strategies' list of three descriptors")
     profile = build_profile(descs, params)
-    n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
+    n = _given(cfg, args, {"n": read_integer}).get("n", harness.DEFAULT_N)
     start_cfg = cfg.get("start", {"weights": [0.125] * 8})
+    if not (isinstance(start_cfg, dict) and ("point" in start_cfg or "weights" in start_cfg)):
+        raise ValueError(f"start must be an object giving 'point' or 'weights', not {start_cfg!r}")
     if "point" in start_cfg:
-        x1 = _vector(start_cfg["point"], 3, "start point")
-    elif "weights" in start_cfg:
-        x1 = hull_point(vertices(params), start_cfg["weights"])
+        x1 = read_vector(start_cfg["point"], 3, "start point")
     else:
-        raise ConfigError("start must give 'point' or 'weights'")
+        x1 = hull_point(vertices(params), read_vector(start_cfg["weights"], 8, "start weights"))
     traj = iterate(induced_map(profile, params), x1, n)
     comment = "strategies: " + json.dumps([s.descriptor() for s in profile], sort_keys=True)
     out = _resolve_out(args.out or cfg.get("out"))
@@ -161,17 +139,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _harness_config(params: GameParams, cfg: dict, args) -> harness.HarnessConfig:
-    kwargs: dict = {"params": params}
-    for key in ("eps", "n", "slack", "window", "dist_slack", "dist_pitch"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            kwargs[key] = flag
-        elif key in cfg:
-            kwargs[key] = _integer(cfg[key], key) if key == "n" else _finite(cfg[key], key)
-    if "starts" in cfg:
-        kwargs["starts"] = tuple(_vectors(cfg["starts"], 8, "starts"))
-    return harness.HarnessConfig(**kwargs)
+def _example1_starts(cfg: dict):
+    """Example 1's starts: a list of points, or a count (and seed) of random ones."""
+    starts = cfg.get("starts")
+    if isinstance(starts, (list, tuple)):
+        return _vectors(starts, 2, "starts")
+    opts = _given(cfg, None, {"seed": read_integer})
+    if starts is not None:
+        opts["count"] = read_integer(starts, "starts")
+        if opts["count"] < 1:
+            raise ValueError("starts must be a positive count or a list of points")
+    return harness.example1_starts(**opts)
 
 
 def cmd_verify(args) -> int:
@@ -179,75 +157,55 @@ def cmd_verify(args) -> int:
     out = args.out or cfg.get("out")
     if args.claim in ("t3", "t4", "t2"):
         params = _load_game(args.game or cfg.get("game"))
-        config = _harness_config(params, cfg, args)
-        if args.claim == "t3":
-            report = harness.verify_t3(config)
-        elif args.claim == "t4":
-            report = harness.verify_t4(config)
-        else:
-            report = harness.verify_t2(config)
+        config = harness.HarnessConfig(params=params, **_given(cfg, args, {
+            "eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
+            "dist_slack": read_finite, "dist_pitch": read_finite,
+            "starts": lambda v, key: tuple(_vectors(v, 8, key)),
+        }))
+        report = {"t3": harness.verify_t3, "t4": harness.verify_t4, "t2": harness.verify_t2}[args.claim](config)
     elif args.claim == "example1":
-        a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
-        b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
-        n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
-        tol = _finite(cfg.get("tol", 0.05), "tol")
-        starts_cfg = cfg.get("starts", 20)
-        if isinstance(starts_cfg, int):
-            if starts_cfg < 1:
-                raise ConfigError("starts must be a positive count or a list of points")
-            starts = harness.example1_starts(starts_cfg, seed=_integer(cfg.get("seed", 7), "seed"))
-        else:
-            starts = _vectors(starts_cfg, 2, "starts")
-        report = harness.run_example1(a, b, starts, n, tol)
-    elif args.claim == "example2":
-        eps = args.eps if args.eps is not None else _finite(cfg.get("eps", 0.4), "eps")
-        n = args.n if args.n is not None else _integer(cfg.get("n", 100_000), "n")
-        tol = _finite(cfg.get("tol", 0.1), "tol")
-        starts = cfg.get("starts")
-        if starts is not None:
-            starts = _vectors(starts, 3, "starts")
-        report = harness.run_example2(eps, starts, n, tol, pipeline=bool(cfg.get("pipeline", True)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown claim {args.claim!r}")
+        report = harness.run_example1(starts=_example1_starts(cfg), **_given(cfg, args, {
+            **_EXAMPLE1_ENDS, "n": read_integer, "tol": read_finite,
+        }))
+    else:  # example2; argparse restricts the choices
+        report = harness.run_example2(**_given(cfg, args, {
+            "eps": read_finite, "n": read_integer, "tol": read_finite,
+            "starts": lambda v, key: _vectors(v, 3, key), "pipeline": lambda v, key: bool(v),
+        }))
     _emit(report.as_dict(), out)
     return 0 if report.passed else 1
 
 
-def _certify_blackwell(cfg: dict) -> tuple[bool, dict]:
+def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
     target = cfg.get("target")
-    pitch = _positive(cfg.get("pitch", 0.25), "pitch")
     if target in ("example1_line", "example1_segment", "example1_singleton"):
-        a = _vector(cfg.get("a", (0.0, -1.0)), 2, "a")
-        b = _vector(cfg.get("b", (2.0, 1.0)), 2, "b")
-        targets = harness.example1_targets(a, b, pitch)
+        targets = harness.example1_targets(**_given(cfg, None, _EXAMPLE1_ENDS), pitch=pitch)
     elif target in ("example2_triangle", "example2_union"):
-        targets = harness.example2_targets(_finite(cfg.get("eps", 0.4), "eps"), pitch)
+        targets = harness.example2_targets(**_given(cfg, None, {"eps": read_finite}), pitch=pitch)
     else:
-        raise ConfigError(f"unknown blackwell target {target!r}")
+        raise ValueError(f"unknown blackwell target {target!r}")
     sub = targets.certify(target.partition("_")[2]).as_dict()
-    return bool(sub["holds"]), sub
+    return bool(sub["holds"]), {"kind": "blackwell", **sub}
 
 
-def _certify_lyapunov(cfg: dict, want_decrease: bool) -> tuple[bool, dict]:
+def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
     from . import lyapunov  # imported on use: verify and simulate never need it
 
     params = _load_game(cfg.get("game"))
     map_kind = cfg.get("map", "all_good")
-    pitch = _positive(cfg.get("pitch", 0.25), "pitch")
     if map_kind == "all_good":
-        c = _finite(cfg.get("c", 0.3), "c")
-        delta = cfg.get("delta")
-        spec = lyapunov.six_direction_spec(c, None if delta is None else _finite(delta, "delta"))
+        c = read_finite(cfg.get("c", 0.3), "c")
+        spec = lyapunov.six_direction_spec(c, **_given(cfg, None, {"delta": read_finite}))
         mmap = lyapunov.good_profile_plane_map(params)
     elif map_kind == "two_good":
-        eps = _finite(cfg.get("eps", 0.4), "eps")
-        eta = _finite(cfg.get("eta", 0.1), "eta")
+        eps = read_finite(cfg.get("eps", harness.DEFAULT_EPS), "eps")
+        eta = read_finite(cfg.get("eta", 0.1), "eta")
         c = (eps + eta) / 2.0**0.5
-        delta = _finite(cfg.get("delta", eta / (2.0 * 2.0**0.5)), "delta")
+        delta = read_finite(cfg.get("delta", eta / (2.0 * 2.0**0.5)), "delta")
         spec = lyapunov.four_direction_spec(c, delta)
         mmap = lyapunov.two_good_plane_map(params, eps)
     else:
-        raise ConfigError(f"unknown map kind {map_kind!r}")
+        raise ValueError(f"unknown map kind {map_kind!r}")
     grid = lyapunov.certification_grid(spec, params, pitch)
     base = lyapunov.check_lyapunov(spec, mmap, grid, pitch=pitch)
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
@@ -263,16 +221,12 @@ def cmd_certify(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     if args.pitch is not None:
         cfg["pitch"] = args.pitch
+    pitch = _positive(cfg.get("pitch", harness.CERT_PITCH), "pitch")
     out = args.out or cfg.get("out")
     if args.kind == "blackwell":
-        ok, payload = _certify_blackwell(cfg)
-        payload = {"kind": "blackwell", **payload}
-    elif args.kind == "lyapunov":
-        ok, payload = _certify_lyapunov(cfg, want_decrease=False)
-    elif args.kind == "decrease":
-        ok, payload = _certify_lyapunov(cfg, want_decrease=True)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown certification kind {args.kind!r}")
+        ok, payload = _certify_blackwell(cfg, pitch)
+    else:  # lyapunov or decrease; argparse restricts the choices
+        ok, payload = _certify_lyapunov(cfg, pitch, want_decrease=args.kind == "decrease")
     _emit(payload, out)
     return 0 if ok else 1
 
@@ -323,9 +277,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,6 +131,16 @@ class BatchTails:
         return [list(pair) for pair in zip(self.tail_min[b].tolist(), self.tail_max[b].tolist())]
 
 
+#: Decision code of the all-invest profile (bit i set when seat i invests).
+ALL_INVEST = 7
+
+
+def payoff_table(params: GameParams) -> list[tuple[float, float, float]]:
+    """The stage payoff of each decision code 0..7 (bit i set when seat i invests)."""
+    return [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
+            for code in range(8)]
+
+
 #: Stages per block: a block's tail means are kept until they are folded
 #: into the running extrema, and its planned decisions are gathered at once.
 _BLOCK = 512
@@ -173,8 +183,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     if len(starts) != cells or any(len(p) != 3 for p in profiles) or any(len(x) != 3 for x in starts):
         raise ValueError("need one 3-vector start and one profile of three strategies per cell")
     means = np.array(starts, dtype=float).reshape(cells, 3)
-    table = np.array([payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
-                      for code in range(8)], dtype=float)
+    table = np.array(payoff_table(params), dtype=float)
 
     # Route every (cell, seat) slot; dst indexes the flattened (B, 3) decisions.
     cache: dict = {}
@@ -246,9 +255,6 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         fold(tail[:kept])
     return BatchTails(final=means, tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
 
-
-#: Decision code of the all-invest profile (bit i set when seat i invests).
-ALL_INVEST = 7
 
 #: Certification margin of `simulate_events`, relative to a bound S on every
 #: |mean coordinate| and |constant|.  With u = 2**-53, a computed mean
@@ -325,8 +331,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         elif owner is not ConstantStrategy:
             raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
     first_tail = tail_start(n, window) + 1
-    table = [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
-             for code in range(8)]
+    table = payoff_table(params)
     exact = _sums_exact(table, n)
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])

@@ -80,8 +80,8 @@ def norm3(a) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-def is_plane_point(y, tol: float = PLANE_SUM_TOL) -> bool:
-    return abs(y[0] + y[1] + y[2]) <= tol
+def is_plane_point(y) -> bool:
+    return abs(y[0] + y[1] + y[2]) <= PLANE_SUM_TOL
 
 
 # Orthonormal basis of the plane P, used for 2-d grids and projections.
@@ -306,17 +306,17 @@ def _hs_key(points) -> tuple:
     return tuple(tuple(float(c) for c in p) for p in points)
 
 
-def hull_mask(points, pts: np.ndarray, tol: float = HULL_TOL) -> np.ndarray:
+def hull_mask(points, pts: np.ndarray) -> np.ndarray:
     hs = _halfspaces_cached(_hs_key(points))
     scale = max(1.0, max(abs(c) for p in points for c in p))
     mask = np.ones(len(pts), dtype=bool)
     for n, b in hs:
-        mask &= pts @ np.asarray(n) <= b + tol * scale
+        mask &= pts @ np.asarray(n) <= b + HULL_TOL * scale
     return mask
 
 
-def in_hull(points, x, tol: float = HULL_TOL) -> bool:
-    return bool(hull_mask(points, np.asarray([x], dtype=float), tol)[0])
+def in_hull(points, x) -> bool:
+    return bool(hull_mask(points, np.asarray([x], dtype=float))[0])
 
 
 def hull_point(vertex_set, weights) -> PayoffVector:
@@ -445,14 +445,17 @@ def sample_points(params: GameParams, n: int, seed: int = 0) -> np.ndarray:
     return sample_weights(n, len(verts), seed) @ verts
 
 
+def polygon_2d(corners) -> np.ndarray:
+    """A convex polygon's corners as an array, counter-clockwise about their centroid."""
+    pts = np.asarray(corners, dtype=float)
+    center = pts.mean(axis=0)
+    return pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))]
+
+
 def hexagon_2d(params: GameParams) -> np.ndarray:
     """Vertices (2-d plane coordinates) of the projection of S onto P."""
     verts = vertices(params)
-    proj = [to_plane_coords(project_plane(p)) for p in verts.c1 + verts.c2]
-    pts = np.asarray(proj)
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    return pts[order]
+    return polygon_2d([to_plane_coords(project_plane(p)) for p in verts.c1 + verts.c2])
 
 
 def polygon_grid(poly_2d: np.ndarray, pitch: float) -> np.ndarray:

@@ -63,6 +63,7 @@ from .geometry import (
     hull_mask,
     hull_point,
     norm3,
+    polygon_2d,
     polygon_grid,
 )
 from .stage_game import (
@@ -85,13 +86,24 @@ from .strategies import (
 
 #: Named seeds of the standard random-deviant battery.
 DEFAULT_SEEDS = (11, 23, 37, 41, 53, 67, 79, 83, 97, 101)
-
-#: Default (eps, delta) schedule for the attractor refinement step.  The
-#: theory promises a workable delta for every eps but gives no formula; below
-#: a clip radius of roughly 0.43 * (defector eps) the certificate fails near
-#: the clipped set's free end for every delta, so the default stops at 0.25,
+#: Defaults of the batteries and worked examples: horizon, threshold eps, grid pitch.
+DEFAULT_N = 100_000
+DEFAULT_EPS = 0.4
+CERT_PITCH = 0.25
+#: Example 1's segment ends (a below the horizontal axis, b above it), and
+#: the half-width of the square around the origin holding its starts and grid.
+EXAMPLE1_A = (0.0, -1.0)
+EXAMPLE1_B = (2.0, 1.0)
+EXAMPLE1_BOX = 3.0
+#: `sample_near_segments_z`'s spacing along, and offsets across, each segment.
+Z_ALONG_PITCH = 0.25
+Z_OFFSETS = 5
+#: (eps, delta) schedule of example 2's attractor refinement.  The theory
+#: promises a workable delta for every eps but gives no formula; below a
+#: clip radius of roughly 0.43 * (defector eps) the certificate fails near
+#: the clipped set's free end for every delta, so the schedule stops at 0.25,
 #: which certifies for every admissible defector eps in (0, 1/2).
-DEFAULT_REFINE_SCHEDULE = ((0.5, 0.3), (0.25, 0.15))
+REFINE_SCHEDULE = ((0.5, 0.3), (0.25, 0.15))
 
 
 def default_starts() -> tuple[tuple[float, ...], ...]:
@@ -108,9 +120,9 @@ def default_starts() -> tuple[tuple[float, ...], ...]:
 @dataclass(frozen=True)
 class HarnessConfig:
     params: GameParams
-    eps: float = 0.4
+    eps: float = DEFAULT_EPS
     starts: tuple[tuple[float, ...], ...] = field(default_factory=default_starts)
-    n: int = 100_000
+    n: int = DEFAULT_N
     window: float = 0.5
     slack: float = 0.05
     dist_slack: float = 0.1
@@ -153,14 +165,17 @@ class VerifyReport:
         return asdict(self)
 
 
+def _defectors(params: GameParams, eps: float) -> list[Strategy]:
+    """The crafted defector, where the game and eps admit it."""
+    return [Example2Defector(params, eps)] if params == example_game() and 0.0 < eps < 0.5 else []
+
+
 def standard_deviants(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[Strategy]:
-    """Constant I, constant NI, seeded coin flips, and (when the game is the
-    canonical example and eps < 1/2) the crafted defector."""
+    """Constant I, constant NI, seeded coin flips, and the crafted defector
+    where it applies."""
     battery: list[Strategy] = [ConstantStrategy(INVEST), ConstantStrategy(NOT_INVEST)]
     battery += [RandomStrategy(0.5, s) for s in seeds]
-    if params == example_game() and 0.0 < eps < 0.5:
-        battery.append(Example2Defector(params, eps))
-    return battery
+    return battery + _defectors(params, eps)
 
 
 def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[tuple[Strategy, Strategy]]:
@@ -173,10 +188,7 @@ def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[t
         (const_ni, const_ni),
     ]
     pairs += [(RandomStrategy(0.5, s), RandomStrategy(0.5, s + 1000)) for s in seeds]
-    if params == example_game() and 0.0 < eps < 0.5:
-        defector = Example2Defector(params, eps)
-        pairs.append((defector, defector))
-    return pairs
+    return pairs + [(defector, defector) for defector in _defectors(params, eps)]
 
 
 def _run_battery(config: HarnessConfig, battery, goods: tuple[Strategy, ...]) -> BatchTails:
@@ -309,14 +321,14 @@ def example1_limit(a, b) -> tuple[float, float]:
     return (a[0] + t * (b[0] - a[0]), 0.0)
 
 
-def example1_starts(count: int = 20, seed: int = 7, box: float = 3.0) -> list[tuple[float, float]]:
+def example1_starts(count: int = 20, seed: int = 7) -> list[tuple[float, float]]:
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(count, 2))
+    pts = rng.uniform(-EXAMPLE1_BOX, EXAMPLE1_BOX, size=(count, 2))
     return [(float(p[0]), float(p[1])) for p in pts]
 
 
-def _box_grid(box: float, pitch: float) -> list[tuple[float, float]]:
-    axis = np.arange(-box, box + pitch / 2, pitch)
+def _box_grid(pitch: float) -> list[tuple[float, float]]:
+    axis = np.arange(-EXAMPLE1_BOX, EXAMPLE1_BOX + pitch / 2, pitch)
     return [(float(u), float(v)) for u in axis for v in axis]
 
 
@@ -337,7 +349,7 @@ class BlackwellTargets(NamedTuple):
         return {f"blackwell_{name}": self.certify(name) for name in self.oracles}
 
 
-def example1_targets(a, b, pitch: float = 0.25, box: float = 3.0) -> BlackwellTargets:
+def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> BlackwellTargets:
     """The two-value map on a pitch grid of the box, against the axis and
     the segment ab (both hold) and the singleton {d} (a violation witness
     is expected: the singleton is a weak attractor that fails the
@@ -348,20 +360,24 @@ def example1_targets(a, b, pitch: float = 0.25, box: float = 3.0) -> BlackwellTa
         raise ValueError("need a below and b above the horizontal axis")
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
-    return BlackwellTargets(example1_phi(a, b), _box_grid(box, pitch), pitch, {
+    return BlackwellTargets(example1_phi(a, b), _box_grid(pitch), pitch, {
         "line": LineOracle((0.0, 0.0), (1.0, 0.0)),
         "segment": SegmentsOracle([(a, b)]),
         "singleton": PointOracle(example1_limit(a, b)),
     })
 
 
-def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: float = 3.0) -> VerifyReport:
+def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
+                 tol: float = 0.05) -> VerifyReport:
     """Mean dynamics of the two-value planar map.
 
-    Checks convergence of every start to the segment/axis intersection d,
-    and the certificates of all three example1_targets.
+    Checks convergence of every start (default: example1_starts()) to the
+    segment/axis intersection d, and the certificates of all three
+    example1_targets.
     """
-    certs = example1_targets(a, b, pitch, box).certify_all()
+    certs = example1_targets(a, b).certify_all()
+    if starts is None:
+        starts = example1_starts()
     a = tuple(map(float, a))
     b = tuple(map(float, b))
     d = example1_limit(a, b)
@@ -389,15 +405,7 @@ def run_example1(a, b, starts, n: int, tol: float, pitch: float = 0.25, box: flo
 def z_polygon_2d(params: GameParams) -> np.ndarray:
     """Vertices of Z = {x in S : x1 = x2} in (t, z) coordinates, x = (t, t, z)."""
     vs = vertices(params)
-    pts = np.array([
-        (vs.A[0], vs.A[2]),
-        (vs.B[0], vs.B[2]),
-        (vs.c1[2][0], vs.c1[2][2]),
-        (vs.c2[2][0], vs.c2[2][2]),
-    ])
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    return pts[order]
+    return polygon_2d([(p[0], p[2]) for p in (vs.A, vs.B, vs.c1[2], vs.c2[2])])
 
 
 def lift_z(t: float, z: float) -> tuple[float, float, float]:
@@ -417,8 +425,7 @@ def z_starts(params: GameParams) -> list[tuple[float, float, float]]:
     return [vs.A, vs.B, mid_ab, low, high]
 
 
-def sample_near_segments_z(params: GameParams, segments, delta: float,
-                           along_pitch: float = 0.25, n_offsets: int = 5) -> list[tuple[float, float, float]]:
+def sample_near_segments_z(params: GameParams, segments, delta: float) -> list[tuple[float, float, float]]:
     """Points of Z within delta of the given segments (which must lie in Z)."""
     poly = z_polygon_2d(params)
     poly_key = [tuple(p) for p in poly]
@@ -428,11 +435,11 @@ def sample_near_segments_z(params: GameParams, segments, delta: float,
         b2 = np.array([b3[0], b3[2]])
         u = b2 - a2
         length = float(np.linalg.norm(u))
-        n_along = max(2, int(length / along_pitch) + 1)
+        n_along = max(2, int(length / Z_ALONG_PITCH) + 1)
         normal = np.array([-u[1], u[0]]) / (length if length else 1.0)
         for t in np.linspace(0.0, 1.0, n_along):
             base = a2 + t * u
-            for off in np.linspace(-delta, delta, n_offsets):
+            for off in np.linspace(-delta, delta, Z_OFFSETS):
                 q = base + off * normal
                 if hull_mask(poly_key, q.reshape(1, 2))[0]:
                     out.append(lift_z(float(q[0]), float(q[1])))
@@ -451,7 +458,7 @@ def _example2_setup(eps: float):
     return params, defector, phi, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
 
 
-def example2_targets(eps: float, pitch: float = 0.25) -> BlackwellTargets:
+def example2_targets(eps: float = DEFAULT_EPS, pitch: float = CERT_PITCH) -> BlackwellTargets:
     """The (good, good, defector) map on a pitch grid of the slice Z,
     against the triangle and the segment union."""
     params, _, phi, triangle, union_segments = _example2_setup(eps)
@@ -459,9 +466,8 @@ def example2_targets(eps: float, pitch: float = 0.25) -> BlackwellTargets:
                             {"triangle": triangle, "union": SegmentsOracle(union_segments)})
 
 
-def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
-                 pipeline: bool = True, pitch: float = 0.25,
-                 schedule=DEFAULT_REFINE_SCHEDULE, window: float = 0.5) -> VerifyReport:
+def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N, tol: float = 0.1,
+                 pipeline: bool = True) -> VerifyReport:
     """Good, good, crafted defector: play from Z converges to D.
 
     D = (p3 - eps/2, p3 - eps/2, p3 + eps/2), so the defector's tail mean
@@ -486,20 +492,20 @@ def run_example2(eps: float, starts=None, n: int = 100_000, tol: float = 0.1,
         traj = iterate(phi, x1, n)
         finals.append(traj.final)
         dist = norm3([traj.final[k] - d_point[k] for k in range(3)])
-        overshoot = tail_liminf(traj, coordinate(3), window)
+        overshoot = tail_liminf(traj, coordinate(3))
         cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
                            dist <= tol and overshoot > params.p3,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
     meta: dict = {"eps": eps, "d_point": list(d_point)}
     checks = True
     if pipeline:
-        certs = example2_targets(eps, pitch).certify_all()
+        certs = example2_targets(eps).certify_all()
         bd_segment = SegmentsOracle(union_segments[:1])
         refine = refine_attractor(
             phi,
             union_segments,
             bd_segment,
-            schedule,
+            REFINE_SCHEDULE,
             lambda delta: sample_near_segments_z(params, union_segments, delta),
             finals[:1],
             tol,

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approachability import BLOCK_ROWS, CertReport, first_violation
+from .approachability import BLOCK_ROWS, CERT_TOL, CertReport, first_violation
 from .geometry import (
     V_DIRS,
     dot3,
@@ -178,14 +178,14 @@ def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> l
     return list(zip(*(c[outside].tolist() for c in cols)))
 
 
-def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence, tol: float = 1e-9,
+def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
                    sufficient: bool = False, pitch: float | None = None) -> CertReport:
     """Certify the support function against the multimap outside Delta_c.
 
     For every sample x (which must satisfy V(x) >= c), every delta-active
-    index i and every value w of the map: V_i(w) <= tol.  With
+    index i and every value w of the map: V_i(w) <= CERT_TOL.  With
     sufficient=True the stronger sign condition is checked instead:
-    V_i(x) > 0 already forces V_i(w) <= tol.  Evaluated over the whole grid,
+    V_i(x) > 0 already forces V_i(w) <= CERT_TOL.  Evaluated over the whole grid,
     one (i, w) pair at a time; the witness is the first violating pair at
     the first violating sample.
     """
@@ -198,7 +198,7 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence, tol: 
             val = dot3(p, cols)
             active = val > 0.0 if sufficient else val >= support - spec.delta
             for j in range(len(mmap.values)):
-                if inner[i][j] > tol:
+                if inner[i][j] > CERT_TOL:
                     yield active & alive[:, j], (i, j, support)
 
     def witness(i, j, support):
@@ -268,8 +268,6 @@ def t1_constants(spec: SupportSpec, m_bound: float) -> LyapunovConstants:
     if m_bound <= 0:
         raise ValueError("norm bound must be positive")
     c, d = spec.c, spec.delta
-    if not 0.0 < d < c:
-        raise ValueError("infeasible: need 0 < delta < c")
     r = d / 4.0
     gamma = (c - d) / 2.0
     alpha0 = 0.9 * min((c - d - gamma) / (c - d + m_bound), r / (2.0 * m_bound), 1.0)
@@ -279,9 +277,8 @@ def t1_constants(spec: SupportSpec, m_bound: float) -> LyapunovConstants:
 
 
 def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConstants, grid: Sequence,
-                   alphas: Sequence[float] | None = None, tol: float = 1e-9,
-                   pitch: float | None = None) -> CertReport:
-    """Certify V(a w + (1-a) x) <= V(x) - a gamma on the sampled domain.
+                   alphas: Sequence[float] | None = None, pitch: float | None = None) -> CertReport:
+    """Certify V(a w + (1-a) x) <= V(x) - a gamma (+ CERT_TOL) on the sampled domain.
 
     Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0} by default, for
     every map value w at every grid point outside Delta_c, one (w, a) pair
@@ -297,7 +294,7 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
             for a in alphas:
                 lhs = _support(spec, [a * w[c] + (1 - a) * cols[c] for c in range(3)])
                 rhs = support - a * consts.gamma
-                yield alive[:, j] & (lhs > rhs + tol), (w, a, lhs, rhs)
+                yield alive[:, j] & (lhs > rhs + CERT_TOL), (w, a, lhs, rhs)
 
     def witness(w, a, lhs, rhs):
         return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}
@@ -328,14 +325,12 @@ def entrapment_check(spec: SupportSpec, means: Sequence, c1: float) -> Entrapmen
     """
     if c1 <= spec.c:
         raise ValueError("need c1 > c")
-    vals = [max(dot3(p, project_plane(x)) for p in spec.vectors) for x in means]
-    last_bad = 0
-    for idx, v in enumerate(vals, start=1):
-        if v >= c1:
-            last_bad = idx
+    vals = _support(spec, project_plane(np.asarray(means, dtype=float).T))
+    bad = np.flatnonzero(vals >= c1)
+    last_bad = int(bad[-1]) + 1 if len(bad) else 0
     if last_bad == len(vals):
-        return EntrapmentReport(ok=False, entry_index=None, c1=c1, max_after_entry=vals[-1])
+        return EntrapmentReport(ok=False, entry_index=None, c1=c1, max_after_entry=float(vals[-1]))
     entry = last_bad + 1
     return EntrapmentReport(
-        ok=True, entry_index=entry, c1=c1, max_after_entry=max(vals[entry - 1:]),
+        ok=True, entry_index=entry, c1=c1, max_after_entry=float(vals[entry - 1:].max()),
     )

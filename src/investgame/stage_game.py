@@ -72,7 +72,7 @@ class GameParams:
     @classmethod
     def from_dict(cls, d: dict) -> "GameParams":
         try:
-            return cls(*(float(d[k]) for k in ("r0", "r1", "r2", "p1", "p2", "p3")))
+            return cls(*(read_finite(d[k], k) for k in ("r0", "r1", "r2", "p1", "p2", "p3")))
         except KeyError as exc:
             raise ValueError(f"game file missing key {exc}") from exc
 
@@ -83,6 +83,34 @@ class GameParams:
         if not isinstance(data, dict):
             raise ValueError("game file must be a flat JSON object")
         return cls.from_dict(data)
+
+
+def read_finite(value, what: str) -> float:
+    """A config number that must be finite; the error names the key.  A JSON
+    boolean is not a number."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return x
+
+
+def read_integer(value, what: str) -> int:
+    """A config integer; an integral float such as 1e9 is accepted, anything
+    else is an error that names the key."""
+    x = read_finite(value, what)
+    if not x.is_integer():
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(x)
+
+
+def read_vector(value, length: int, what: str) -> tuple[float, ...]:
+    """A config list of `length` finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ValueError(f"{what} must be a list of {length} finite numbers, not {value!r}")
+    return tuple(read_finite(c, what) for c in value)
 
 
 def example_game() -> GameParams:

@@ -26,6 +26,8 @@ from .stage_game import (
     GameParams,
     example_game,
     payoff,
+    read_finite,
+    read_integer,
     require_valid,
 )
 
@@ -235,13 +237,13 @@ def build_strategy(desc: dict, params: GameParams, seat: int) -> Strategy:
         raise ValueError(f"a strategy descriptor must be a JSON object, not {desc!r}")
     kind = desc.get("kind")
     if kind == "good":
-        return GoodStrategy(seat, float(desc["eps"]), params)
+        return GoodStrategy(seat, read_finite(desc.get("eps"), "eps"), params)
     if kind == "constant":
-        return ConstantStrategy(desc["action"])
+        return ConstantStrategy(desc.get("action"))
     if kind == "random":
-        return RandomStrategy(float(desc["p"]), int(desc["seed"]))
+        return RandomStrategy(read_finite(desc.get("p"), "p"), read_integer(desc.get("seed"), "seed"))
     if kind == "example2_defector":
-        return Example2Defector(params, float(desc["eps"]))
+        return Example2Defector(params, read_finite(desc.get("eps"), "eps"))
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 

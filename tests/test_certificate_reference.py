@@ -24,7 +24,7 @@ from investgame.approachability import (
     premise_start,
 )
 from investgame.dynamics import iterate
-from investgame.geometry import dot3
+from investgame.geometry import dot3, project_plane
 from investgame.harness import (
     _example2_setup,
     example1_targets,
@@ -32,12 +32,14 @@ from investgame.harness import (
     sample_near_segments_z,
 )
 from investgame.lyapunov import (
+    EntrapmentReport,
     LyapunovConstants,
     PlaneMultiMap,
     SupportSpec,
     certification_grid,
     check_lyapunov,
     decrease_check,
+    entrapment_check,
     four_direction_spec,
     good_profile_plane_map,
     six_direction_spec,
@@ -46,6 +48,7 @@ from investgame.lyapunov import (
     two_good_plane_map,
 )
 from investgame.stage_game import example_game, vertices
+from investgame.strategies import ConstantStrategy, GoodStrategy, good_profile, induced_map
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -364,3 +367,42 @@ def test_decay_forced_failure_is_covered():
 def test_premise_on_a_one_stage_trajectory():
     traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 1)
     assert premise_start(traj, SegmentsOracle([((0.0, 0.0), (1.0, 0.0))])) is None
+
+
+# ---------------------------------------------------------------------------
+# Entrapment
+# ---------------------------------------------------------------------------
+
+def ref_entrapment_check(spec, means, c1) -> EntrapmentReport:
+    """V of each projected mean in a Python loop; the last stage at or above
+    c1 bounds the entry stage."""
+    vals = [max(dot3(p, project_plane(x)) for p in spec.vectors) for x in means]
+    last_bad = 0
+    for idx, v in enumerate(vals, start=1):
+        if v >= c1:
+            last_bad = idx
+    if last_bad == len(vals):
+        return EntrapmentReport(ok=False, entry_index=None, c1=c1, max_after_entry=vals[-1])
+    entry = last_bad + 1
+    return EntrapmentReport(ok=True, entry_index=entry, c1=c1, max_after_entry=max(vals[entry - 1:]))
+
+
+def _entrapment_cases():
+    start = tuple(0.7 * a + 0.3 * b for a, b in zip(VS.c1[0], VS.B))
+    deviant = (GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS), ConstantStrategy("NI"))
+    six = six_direction_spec(0.4 / S2)
+    four = four_direction_spec(0.5 / S2, delta=0.1 / (2 * S2))
+    return [
+        ("all-good", six, iterate(induced_map(good_profile(PARAMS, 0.4), PARAMS), start, 20_000).means),
+        ("two-good", four, iterate(induced_map(deviant, PARAMS), start, 20_000).means),
+        ("origin", six_direction_spec(0.3), [(0.0, 0.0, 0.0)] * 100),
+        # the tail never enters: the report fails
+        ("outside", six_direction_spec(0.3), [project_plane((36.0, 18.0, 18.0))] * 50),
+    ]
+
+
+@pytest.mark.parametrize("case", _entrapment_cases(), ids=lambda c: c[0])
+def test_entrapment_matches_reference(case):
+    _, spec, means = case
+    got = entrapment_check(spec, means, 1.5 * spec.c)
+    assert got == ref_entrapment_check(spec, means, 1.5 * spec.c)

@@ -288,6 +288,18 @@ BAD_INPUTS = {
     "example2-text-eps": ("verify example2", {"eps": "abc", "n": 1000}, "eps must"),
     "example2-fractional-n": ("verify example2", {"n": 1000.5}, "n must"),
     "simulate-fractional-n": ("simulate", {"strategies": GOOD3, "n": 1.5}, "n must"),
+    "simulate-fractional-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 1.5}] * 3,
+                                              "n": 5}, "seed must"),
+    "simulate-boolean-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": True}] * 3,
+                                           "n": 5}, "seed must"),
+    "simulate-text-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": "x"}] * 3,
+                                        "n": 5}, "seed must"),
+    "simulate-text-good-eps": ("simulate", {"strategies": [{"kind": "good", "eps": "abc"}] * 3, "n": 5},
+                               "eps must"),
+    "simulate-missing-good-eps": ("simulate", {"strategies": [{"kind": "good"}] * 3, "n": 5}, "eps must"),
+    "simulate-start-not-an-object": ("simulate", {"strategies": GOOD3, "start": "point", "n": 5}, "start must"),
+    "validate-text-r0": ("validate", dict(CANON, r0="abc"), "r0 must"),
+    "example1-boolean-starts": ("verify example1", {"n": 1000, "starts": True}, "starts must"),
 }
 
 
@@ -308,6 +320,13 @@ def test_integral_float_horizon(tmp_path, capsys):
     path = write_json(tmp_path, "cfg.json", {"n": 2e3, "starts": [[0.125] * 8]})
     assert main(["verify", "t3", path]) == 0
     assert json.loads(capsys.readouterr().out)["cells"][0]["N"] == 2000
+
+
+def test_integral_float_start_count(tmp_path, capsys):
+    # a count of starts reads like the horizon: 2.0 is the integer 2
+    path = write_json(tmp_path, "cfg.json", {"n": 2000, "starts": 2.0, "tol": 10.0})
+    assert main(["verify", "example1", path]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cells"]) == 2
 
 
 def test_console_entry_point_runs(game_file):
