@@ -25,14 +25,11 @@ from .dynamics import Trajectory, iterate
 from .geometry import dot_rows, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
-#: Slack of every certificate inequality and of membership in a sampled intersection.
+#: Slack of every certificate inequality, and the clip radius that finds where
+#: a segment union meets a convex set in `intersect_attractors`.
 CERT_TOL = 1e-9
 #: Distances recorded per trajectory in a weak-attractor report's series.
 SERIES_POINTS = 200
-#: Most alternating-projection steps per seed in `sample_intersection`.
-ALTPROJ_MAX_ITER = 5000
-#: Extra distance, beyond tol, the final mean may keep from a sampled intersection.
-INTERSECT_SLACK = 1e-6
 #: Ternary-search and bisection steps in `clip_segments_to_neighborhood`.
 CLIP_ITERS = 80
 
@@ -291,15 +288,6 @@ class AttractorReport:
     horizon: int
     series: list[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "max_distance": self.max_final_distance,
-            "tol": self.tol,
-            "horizon": self.horizon,
-            "series": self.series,
-        }
-
 
 def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequence, n: int,
                           tol: float) -> AttractorReport:
@@ -323,58 +311,6 @@ def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequenc
     return AttractorReport(
         passes=worst <= tol, max_final_distance=worst, tol=tol, horizon=n, series=series,
     )
-
-
-def sample_intersection(oracle_a: ProximalOracle, oracle_b: ProximalOracle, seeds: Sequence) -> list[np.ndarray]:
-    """Points of A∩B found by alternating projections from the seeds.
-
-    The seeds iterate together; each stops once its step is shorter than
-    1e-13, or after ALTPROJ_MAX_ITER steps.  Points within CERT_TOL of both count.
-    """
-    y = np.array(seeds, dtype=float)
-    moving = np.arange(len(y))
-    for _ in range(ALTPROJ_MAX_ITER):
-        if len(moving) == 0:
-            break
-        cur = y[moving]
-        y[moving] = oracle_b.project_many(oracle_a.project_many(cur).nearest()[0]).nearest()[0]
-        step = y[moving] - cur
-        moving = moving[~(np.sqrt(dot_rows(step, step)) < 1e-13)]
-    found: list[np.ndarray] = []
-    for p in y[(oracle_a.distances(y) <= CERT_TOL) & (oracle_b.distances(y) <= CERT_TOL)]:
-        if not any(np.linalg.norm(p - q) <= 1e-7 for q in found):
-            found.append(p)
-    return found
-
-
-def intersect_attractors(traj: Trajectory, oracle_a: ProximalOracle, oracle_b: ProximalOracle,
-                         tol: float) -> dict:
-    """Check that the trajectory ends near the (sampled) intersection A∩B.
-
-    Premise: the final mean is within tol of each set separately.  The
-    intersection is sampled by alternating projections from every
-    (horizon // 8)-th mean back from the last; the check compares the final
-    mean's distance to those samples against tol + INTERSECT_SLACK.
-    """
-    final = np.asarray(traj.final)
-    da = oracle_a.distance(final)
-    db = oracle_b.distance(final)
-    premise_ok = da <= tol and db <= tol
-    take = max(1, traj.horizon // 8)
-    seeds = [traj.means[i] for i in range(traj.horizon - 1, -1, -take)]
-    samples = sample_intersection(oracle_a, oracle_b, seeds)
-    if not samples:
-        raise ValueError("empty sampled intersection")
-    d = min(float(np.linalg.norm(final - p)) for p in samples)
-    return {
-        "passes": bool(premise_ok and d <= tol + INTERSECT_SLACK),
-        "premise_ok": bool(premise_ok),
-        "dist_to_a": da,
-        "dist_to_b": db,
-        "dist_to_intersection": d,
-        "intersection_samples": [[float(c) for c in p] for p in samples],
-        "tol": tol,
-    }
 
 
 def clip_segments_to_neighborhood(segments, target: ProximalOracle,
@@ -422,6 +358,36 @@ def _last_within(g, eps: float, inside: float, outside: float) -> float:
     return inside
 
 
+def intersect_attractors(finals: Sequence, segments: SegmentsOracle, other: ProximalOracle,
+                         tol: float) -> dict:
+    """Check that every final mean ends near the intersection of a segment
+    union A with a convex set B.
+
+    Premise: every final mean lies within tol of A and of B separately.  The
+    intersection is A clipped to within CERT_TOL of B, the pieces
+    `clip_segments_to_neighborhood` finds; the check compares the largest
+    distance from a final mean to those pieces against tol.  The distances
+    reported are maxima over all the final means passed in.
+    """
+    pieces = clip_segments_to_neighborhood(segments.segments, other, CERT_TOL)
+    if not pieces:
+        raise ValueError("empty intersection")
+    x = np.asarray(finals, dtype=float)
+    da = float(np.max(segments.distances(x)))
+    db = float(np.max(other.distances(x)))
+    d = float(np.max(SegmentsOracle(pieces).distances(x)))
+    premise_ok = da <= tol and db <= tol
+    return {
+        "passes": bool(premise_ok and d <= tol),
+        "premise_ok": bool(premise_ok),
+        "dist_to_a": da,
+        "dist_to_b": db,
+        "dist_to_intersection": d,
+        "intersection": [[end.tolist() for end in piece] for piece in pieces],
+        "tol": tol,
+    }
+
+
 def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, schedule,
                      domain_for_delta: Callable[[float], Sequence], finals: Sequence,
                      tol: float) -> dict:
@@ -429,11 +395,12 @@ def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, sched
 
     For each scheduled (eps, delta): certify the Blackwell condition for
     cl(N_eps(B)) ∩ A on a sampled delta-neighborhood of A, then check that
-    the trajectories' final means `finals` lie within eps + tol of B.  The
-    trajectories do not depend on (eps, delta), so the caller runs them
-    once.  The (eps, delta) schedule is caller-supplied configuration; the
-    theory guarantees existence of a workable delta per eps but not a
-    formula for it.
+    every final mean in `finals` lies within eps + tol of B; the stage
+    reports the largest of their distances to B.  The trajectories do not
+    depend on (eps, delta), so the caller runs them once and passes every
+    final mean.  The (eps, delta) schedule is caller-supplied
+    configuration; the theory guarantees existence of a workable delta per
+    eps but not a formula for it.
     """
     worst = max((inner.distance(x) for x in finals), default=0.0)
     stages = []

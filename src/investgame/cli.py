@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
     else:  # example2; argparse restricts the choices
         report = harness.run_example2(**_given(cfg, args, {
             "eps": read_finite, "n": read_integer, "tol": read_finite,
-            "starts": lambda v, key: _vectors(v, 3, key), "pipeline": lambda v, key: bool(v),
+            "starts": lambda v, key: _vectors(v, 3, key),
         }))
     _emit(report.as_dict(), out)
     return 0 if report.passed else 1

@@ -327,11 +327,6 @@ def example1_starts(count: int = 20, seed: int = 7) -> list[tuple[float, float]]
     return [(float(p[0]), float(p[1])) for p in pts]
 
 
-def _box_grid(pitch: float) -> list[tuple[float, float]]:
-    axis = np.arange(-EXAMPLE1_BOX, EXAMPLE1_BOX + pitch / 2, pitch)
-    return [(float(u), float(v)) for u in axis for v in axis]
-
-
 class BlackwellTargets(NamedTuple):
     """A worked example's Blackwell targets: the step map, its sampled domain
     and the oracle of each named target set.  Building them is cheap; each
@@ -360,7 +355,8 @@ def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> B
         raise ValueError("need a below and b above the horizontal axis")
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
-    return BlackwellTargets(example1_phi(a, b), _box_grid(pitch), pitch, {
+    box = polygon_2d([(sx * EXAMPLE1_BOX, sy * EXAMPLE1_BOX) for sx in (-1, 1) for sy in (-1, 1)])
+    return BlackwellTargets(example1_phi(a, b), polygon_grid(box, pitch).tolist(), pitch, {
         "line": LineOracle((0.0, 0.0), (1.0, 0.0)),
         "segment": SegmentsOracle([(a, b)]),
         "singleton": PointOracle(example1_limit(a, b)),
@@ -375,9 +371,11 @@ def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
     segment/axis intersection d, and the certificates of all three
     example1_targets.
     """
-    certs = example1_targets(a, b).certify_all()
     if starts is None:
         starts = example1_starts()
+    if not starts:
+        raise ValueError("at least one start is required")
+    certs = example1_targets(a, b).certify_all()
     a = tuple(map(float, a))
     b = tuple(map(float, b))
     d = example1_limit(a, b)
@@ -466,16 +464,17 @@ def example2_targets(eps: float = DEFAULT_EPS, pitch: float = CERT_PITCH) -> Bla
                             {"triangle": triangle, "union": SegmentsOracle(union_segments)})
 
 
-def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N, tol: float = 0.1,
-                 pipeline: bool = True) -> VerifyReport:
+def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
+                 tol: float = 0.1) -> VerifyReport:
     """Good, good, crafted defector: play from Z converges to D.
 
     D = (p3 - eps/2, p3 - eps/2, p3 + eps/2), so the defector's tail mean
     strictly exceeds p3 while still respecting the t4 cap p3 + 2*eps/3.
     The attractor pipeline cross-check adds the certificates of both
     example2_targets (the triangle co{C1_3, C2_3, D} and the segment union
-    BD u DC1_3 on Z), refines the union to the segment BD, and intersects with the
-    triangle to isolate {D}.
+    BD u DC1_3 on Z), refines the union to the segment BD, and intersects BD
+    with the triangle to isolate {D}; the refinement and the intersection
+    check the final mean of every start.
     """
     params, defector, phi, triangle, union_segments = _example2_setup(eps)
     if starts is None:
@@ -496,22 +495,20 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N, tol:
         cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
                            dist <= tol and overshoot > params.p3,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
-    meta: dict = {"eps": eps, "d_point": list(d_point)}
-    checks = True
-    if pipeline:
-        certs = example2_targets(eps).certify_all()
-        bd_segment = SegmentsOracle(union_segments[:1])
-        refine = refine_attractor(
-            phi,
-            union_segments,
-            bd_segment,
-            REFINE_SCHEDULE,
-            lambda delta: sample_near_segments_z(params, union_segments, delta),
-            finals[:1],
-            tol,
-        )
-        intersect = intersect_attractors(traj, bd_segment, triangle, tol)
-        meta.update({key: rep.as_dict() for key, rep in certs.items()})
-        meta.update({"refine_to_bd": refine, "intersect_bd_triangle": intersect})
-        checks = all(rep.holds for rep in certs.values()) and refine["passes"] and intersect["passes"]
+    certs = example2_targets(eps).certify_all()
+    bd_segment = SegmentsOracle(union_segments[:1])
+    refine = refine_attractor(
+        phi,
+        union_segments,
+        bd_segment,
+        REFINE_SCHEDULE,
+        lambda delta: sample_near_segments_z(params, union_segments, delta),
+        finals,
+        tol,
+    )
+    intersect = intersect_attractors(finals, bd_segment, triangle, tol)
+    meta = {"eps": eps, "d_point": list(d_point),
+            **{key: rep.as_dict() for key, rep in certs.items()},
+            "refine_to_bd": refine, "intersect_bd_triangle": intersect}
+    checks = all(rep.holds for rep in certs.values()) and refine["passes"] and intersect["passes"]
     return VerifyReport(name="example2", cells=cells, meta=meta, checks=checks)

@@ -309,13 +309,6 @@ class EntrapmentReport:
     c1: float
     max_after_entry: float
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "entrapment",
-            "holds": self.ok, "entry_index": self.entry_index,
-            "c1": self.c1, "max_after_entry": self.max_after_entry,
-        }
-
 
 def entrapment_check(spec: SupportSpec, means: Sequence, c1: float) -> EntrapmentReport:
     """Least stage N after which the projected means stay inside Delta_c1.

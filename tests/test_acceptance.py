@@ -113,7 +113,7 @@ def test_criterion_t2_two_deviator_safety():
 
 @pytest.mark.parametrize("eps", [0.1, 0.4])
 def test_criterion_example2_defector(eps):
-    rep = run_example2(eps, n=N_FULL, tol=0.1, pipeline=True)
+    rep = run_example2(eps, n=N_FULL, tol=0.1)
     worst = max(c["measured"] for c in rep.cells)
     tail3 = min(c["deviator_tail_min"] for c in rep.cells)
     ok = rep.passed and tail3 > PARAMS.p3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from investgame.approachability import (
+    CERT_TOL,
     PROXIMAL_TIE_TOL,
     HullOracle,
     LineOracle,
@@ -16,7 +17,6 @@ from investgame.approachability import (
     intersect_attractors,
     premise_start,
     refine_attractor,
-    sample_intersection,
     verify_weak_attractor,
 )
 from investgame.dynamics import iterate
@@ -334,26 +334,25 @@ class TestIntersect:
     def test_example1_line_cap_segment(self):
         traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 50_000)
         out = intersect_attractors(
-            traj, LineOracle((0, 0), (1, 0)), SegmentsOracle([(A1, B1)]), tol=0.05
+            [traj.final], SegmentsOracle([(A1, B1)]), LineOracle((0, 0), (1, 0)), tol=0.05
         )
         assert out["passes"]
-        assert len(out["intersection_samples"]) == 1
-        assert np.allclose(out["intersection_samples"][0], D1, atol=1e-6)
+        assert len(out["intersection"]) == 1
+        for end in out["intersection"][0]:
+            assert np.allclose(end, D1, atol=1e-6)
 
     def test_equal_regions_reduce_to_single_check(self):
         traj = iterate(example1_phi(A1, B1), (0.5, 0.5), 20_000)
         seg = SegmentsOracle([(A1, B1)])
-        out = intersect_attractors(traj, seg, SegmentsOracle([(A1, B1)]), tol=0.05)
+        out = intersect_attractors([traj.final], seg, SegmentsOracle([(A1, B1)]), tol=0.05)
         assert out["passes"]
         assert abs(out["dist_to_intersection"] - seg.distance(traj.final)) <= 1e-6
 
     def test_empty_intersection_raises(self):
-        traj = iterate(lambda x: (0.0, 0.0), (0.0, 0.0), 2000)
-        far_a = PointOracle((10.0, 0.0))
+        far_a = SegmentsOracle([((10.0, 0.0), (11.0, 0.0))])
         far_b = PointOracle((-10.0, 0.0))
-        # every mean is (0, 0), so the trajectory seeds alternating projection there
-        with pytest.raises(ValueError, match="empty sampled intersection"):
-            intersect_attractors(traj, far_a, far_b, tol=100.0)
+        with pytest.raises(ValueError, match="empty intersection"):
+            intersect_attractors([(0.0, 0.0)], far_a, far_b, tol=100.0)
 
 
 def defector_setup(eps=0.4):
@@ -447,10 +446,26 @@ class TestExample2Pipeline:
         defc, phi, union = defector_setup()
         bd = SegmentsOracle([union[0]])
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
-        samples = sample_intersection(bd, triangle, seeds=z_grid(PARAMS, 2.0))
-        assert samples
-        for p in samples:
-            assert np.allclose(p, defc.d_point, atol=1e-6)
+        out = intersect_attractors([defc.d_point], bd, triangle, tol=0.05)
+        assert out["passes"]
+        assert len(out["intersection"]) == 1
+        for end in out["intersection"][0]:
+            assert np.allclose(end, defc.d_point, rtol=0.0, atol=CERT_TOL)
+            assert triangle.distance(end) <= CERT_TOL
+
+    def test_one_final_far_from_d_fails(self):
+        # every final mean is checked: one far from D fails the check, and
+        # the distances reported are the worst over all of them
+        defc, phi, union = defector_setup()
+        bd = SegmentsOracle([union[0]])
+        triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
+        near = iterate(phi, VS.A, 20_000).final
+        far = VS.B  # the far end of BD, 0.35 from D
+        assert intersect_attractors([near], bd, triangle, tol=0.1)["passes"]
+        out = intersect_attractors([near, far], bd, triangle, tol=0.1)
+        assert not out["passes"]
+        assert out["dist_to_intersection"] > 0.3
+        assert out["dist_to_b"] == max(triangle.distance(near), triangle.distance(far))
 
 
 class TestCrossModuleConsistency:

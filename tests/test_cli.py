@@ -171,9 +171,7 @@ class TestVerify:
         assert main(["verify", "example1", cfg]) == 0
 
     def test_example2_quick(self, tmp_path):
-        cfg = write_json(
-            tmp_path, "e2.json", {"n": 5000, "tol": 0.1, "pipeline": False, "eps": 0.4}
-        )
+        cfg = write_json(tmp_path, "e2.json", {"n": 5000, "tol": 0.1, "eps": 0.4})
         assert main(["verify", "example2", cfg]) == 0
 
     def test_unknown_claim_is_usage_error(self):

@@ -403,6 +403,10 @@ class TestExample1:
         with pytest.raises(ValueError):
             run_example1((1, -1), (1, 1), [(0, 0)], 1000, 0.1)  # vertical segment
 
+    def test_no_starts_rejected(self):
+        with pytest.raises(ValueError, match="at least one start is required"):
+            run_example1(starts=[], n=1000)
+
     def test_asymmetric_instance(self):
         a, b = (-1.0, -2.0), (0.5, 0.5)
         d = example1_limit(a, b)
@@ -412,14 +416,14 @@ class TestExample1:
 
 
 class TestExample2:
-    def test_quick_run_without_pipeline(self):
-        rep = run_example2(0.4, n=5000, tol=0.1, pipeline=False)
+    def test_quick_run(self):
+        rep = run_example2(0.4, n=5000, tol=0.1)
         assert rep.passed
         for cell in rep.cells:
             assert cell["exceeds_p3"]
 
     def test_runs_each_start_once(self, monkeypatch):
-        # the refinement reuses the first cell's final mean
+        # the refinement and the intersection reuse the cells' final means
         from investgame import approachability
 
         runs = []
@@ -440,12 +444,12 @@ class TestExample2:
 
     def test_start_near_d_stays_near_d(self):
         d = (25.8, 25.8, 26.2)
-        rep = run_example2(0.4, starts=[d], n=5000, tol=0.05, pipeline=False)
+        rep = run_example2(0.4, starts=[d], n=5000, tol=0.05)
         assert rep.passed
 
     def test_start_outside_z_rejected(self):
         with pytest.raises(ValueError, match="outside the slice Z"):
-            run_example2(0.4, starts=[(20.0, 21.0, 20.0)], n=2000, pipeline=False)
+            run_example2(0.4, starts=[(20.0, 21.0, 20.0)], n=2000)
 
     def test_default_starts_lie_in_z(self):
         for s in z_starts(PARAMS):
