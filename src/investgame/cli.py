@@ -15,13 +15,14 @@ import sys
 from dataclasses import asdict
 
 from . import harness
-from .dynamics import iterate, write_csv
-from .geometry import hull_point
+from .dynamics import stages, write_csv
+from .geometry import hull_point, in_hull
 from .stage_game import (
     GameParams,
     example_game,
     read_finite,
     read_integer,
+    read_path,
     read_vector,
     require_valid,
     validate_params,
@@ -114,7 +115,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    params = _load_game(args.game or cfg.get("game"))
+    params = _load_game(_given(cfg, args, {"game": read_path}).get("game"))
     require_valid(params)
     descs = cfg.get("strategies")
     if descs is None:
@@ -128,14 +129,16 @@ def cmd_simulate(args) -> int:
         x1 = read_vector(start_cfg["point"], 3, "start point")
     else:
         x1 = hull_point(vertices(params), read_vector(start_cfg["weights"], 8, "start weights"))
-    traj = iterate(induced_map(profile, params), x1, n)
+    if not in_hull(vertices(params).all_points(), x1):
+        raise ValueError(f"start point {list(x1)} is outside the payoff hull S")
+    rows = stages(induced_map(profile, params), x1, n)
     comment = "strategies: " + json.dumps([s.descriptor() for s in profile], sort_keys=True)
-    out = _resolve_out(args.out or cfg.get("out"))
+    out = _resolve_out(_given(cfg, args, {"out": read_path}).get("out"))
     if out:
         with open(out, "w", newline="") as fh:
-            write_csv(traj, fh, comment=comment)
+            write_csv(rows, fh, comment=comment)
     else:
-        write_csv(traj, sys.stdout, comment=comment)
+        write_csv(rows, sys.stdout, comment=comment)
     return 0
 
 
@@ -154,9 +157,9 @@ def _example1_starts(cfg: dict):
 
 def cmd_verify(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    out = args.out or cfg.get("out")
+    out = _given(cfg, args, {"out": read_path}).get("out")
     if args.claim in ("t3", "t4", "t2"):
-        params = _load_game(args.game or cfg.get("game"))
+        params = _load_game(_given(cfg, args, {"game": read_path}).get("game"))
         config = harness.HarnessConfig(params=params, **_given(cfg, args, {
             "eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
             "dist_slack": read_finite, "dist_pitch": read_finite,
@@ -184,6 +187,8 @@ def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
         targets = harness.example2_targets(**_given(cfg, None, {"eps": read_finite}), pitch=pitch)
     else:
         raise ValueError(f"unknown blackwell target {target!r}")
+    if not targets.domain:
+        raise ValueError(f"pitch {pitch} leaves no grid point in the {target} domain")
     sub = targets.certify(target.partition("_")[2]).as_dict()
     return bool(sub["holds"]), {"kind": "blackwell", **sub}
 
@@ -191,7 +196,7 @@ def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
 def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
     from . import lyapunov  # imported on use: verify and simulate never need it
 
-    params = _load_game(cfg.get("game"))
+    params = _load_game(_given(cfg, None, {"game": read_path}).get("game"))
     map_kind = cfg.get("map", "all_good")
     if map_kind == "all_good":
         c = read_finite(cfg.get("c", 0.3), "c")
@@ -222,7 +227,7 @@ def cmd_certify(args) -> int:
     if args.pitch is not None:
         cfg["pitch"] = args.pitch
     pitch = _positive(cfg.get("pitch", harness.CERT_PITCH), "pitch")
-    out = args.out or cfg.get("out")
+    out = _given(cfg, args, {"out": read_path}).get("out")
     if args.kind == "blackwell":
         ok, payload = _certify_blackwell(cfg, pitch)
     else:  # lyapunov or decrease; argparse restricts the choices

@@ -9,8 +9,8 @@ Limits of the mean sequence are never reported as single numbers: tail
 statistics over a trailing window give [tail_min, tail_max] intervals,
 which is what a finite run can actually certify.
 
-Three engines share one arithmetic, the running sum of `RunningMean`.
-`iterate` runs one profile and records its whole trajectory.
+Three engines share one arithmetic, the running sum of `stages`; `iterate`
+collects its (mean, step) pairs into one profile's recorded trajectory.
 `simulate_batch` steps many (profile, start) cells together as a (B, 3)
 array and keeps only what the deviant batteries report.
 `simulate_events` runs one profile of good and constant seats and jumps
@@ -23,46 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import good_region, inequality_margins, project_to_hull
 from .stage_game import INVEST, NOT_INVEST, GameParams, payoff, require_valid
 from .strategies import ConstantStrategy, GoodStrategy
-
-
-class RunningMean:
-    """Arithmetic mean kept as the start x1 plus a plain running sum P of the
-    later values: mean_n = (x1 + P) / n.
-
-    When the values are integer multiples of 2**-e and max|v| * n * 2**e <
-    2**53, every partial sum P is exact, so P + m*s equals m sequential
-    additions of s bit for bit and the mean at any stage can be computed
-    directly.  The recorded means are exactly the values this class
-    produces, so replaying it reproduces a trajectory bit for bit.
-    """
-
-    __slots__ = ("start", "total", "count", "mean")
-
-    def __init__(self, first: Sequence[float]):
-        self.start = tuple(float(c) for c in first)
-        self.total = [0.0] * len(self.start)
-        self.count = 1
-        self.mean = self.start
-
-    def update(self, value: Sequence[float]) -> tuple[float, ...]:
-        n1 = self.count + 1
-        total = []
-        mean = []
-        for a, p, s in zip(self.start, self.total, value):
-            p += s
-            total.append(p)
-            mean.append((a + p) / n1)
-        self.total = total
-        self.count = n1
-        self.mean = tuple(mean)
-        return self.mean
 
 
 @dataclass
@@ -88,30 +55,44 @@ class Trajectory:
         return self.means[-1]
 
 
-def iterate(phi: Callable, x1: Sequence[float], n: int) -> Trajectory:
-    """Run the mean dynamics from x1 for n stages (x1 counts as stage 1)."""
+def stages(phi: Callable, x1: Sequence[float], n: int) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Yield (mean_k, step_k) for the stages k = 1..n of the mean dynamics
+    from x1, with step_1 = x1 and step_k = phi(mean_{k-1}).  n is checked on
+    the call, so a caller can fail before it opens an output file.
+
+    mean_k = (x1 + P) / k for the plain running sum P of the later steps.
+    With steps that are integer multiples of 2**-e and max|v| * n * 2**e <
+    2**53 every P is exact, so P + m*s equals m sequential additions of s.
+    """
     if n < 1:
         raise ValueError("horizon must be at least 1")
-    start = tuple(float(c) for c in x1)
-    means = [start]
-    steps: list[tuple[float, ...]] = []
-    rm = RunningMean(start)
-    append_mean = means.append
-    append_step = steps.append
-    for _ in range(n - 1):
-        step = phi(rm.mean)
-        append_step(tuple(step))
-        append_mean(rm.update(step))
-    return Trajectory(start=start, means=means, steps=steps)
+    return _stages(phi, tuple(float(c) for c in x1), n)
 
 
-def replay(traj: Trajectory) -> list[tuple[float, ...]]:
-    """Recompute the mean sequence from the recorded steps (bit-exact)."""
-    rm = RunningMean(traj.start)
-    means = [rm.mean]
-    for step in traj.steps:
-        means.append(rm.update(step))
-    return means
+def _stages(phi: Callable, start: tuple[float, ...], n: int):
+    mean = start
+    total = [0.0] * len(start)
+    yield mean, start
+    for k in range(2, n + 1):
+        step = tuple(phi(mean))
+        new_total = []
+        new_mean = []
+        for a, p, s in zip(start, total, step):
+            p += s
+            new_total.append(p)
+            new_mean.append((a + p) / k)
+        total = new_total
+        mean = tuple(new_mean)
+        yield mean, step
+
+
+def iterate(phi: Callable, x1: Sequence[float], n: int) -> Trajectory:
+    """Run the mean dynamics from x1 for n stages (x1 counts as stage 1)."""
+    means, steps = [], []
+    for mean, step in stages(phi, x1, n):
+        means.append(mean)
+        steps.append(step)
+    return Trajectory(start=means[0], means=means, steps=steps[1:])
 
 
 @dataclass(frozen=True)
@@ -162,7 +143,7 @@ def _batch_form(strategy, name: str):
 def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) -> BatchTails:
     """Run cell b = (profiles[b], starts[b]) for n stages, all cells at once.
 
-    Each stage applies `RunningMean.update`'s running sum elementwise to the
+    Each stage applies the running sum of `stages` elementwise to the
     (B, 3) means, so every cell is bit-identical to `iterate` on the step
     map `induced_map(profiles[b], params)`.  The payoff is looked up in an
     (8, 3) table by a 3-bit profile code (bit i set when seat i invests).
@@ -241,7 +222,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
                     raise ValueError(f"unknown action {action!r}")
                 decisions[dst] = action == INVEST
             codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
-            # RunningMean.update, count k -> k + 1.
+            # The running sum of `stages`, count k -> k + 1.
             total += table.take(codes, axis=0)
             np.add(start, total, out=means)
             means /= k + 1
@@ -510,18 +491,17 @@ def mixing_bound_check(a0, anchors, t_prefix: int, counts, eps: float) -> Mixing
     return MixingReport(ok=dist <= eps, distance=dist, point=point)
 
 
-def write_csv(traj: Trajectory, fh, comment: str | None = None) -> None:
-    """Trajectory CSV: header n,x1..,step1.. with one row per stage.
-
-    Stage 1's step columns carry the start itself (the stage-1 payoff in
-    the arithmetic-mean reading).  Floats use 17 significant digits, so a
-    round trip through the file is exact.
+def write_csv(rows: Iterable, fh, comment: str | None = None) -> None:
+    """Trajectory CSV: header n,x1..,step1.. and one row per (mean, step)
+    pair of `rows` (at least one, as `stages` yields them), written as they
+    arrive.  Floats use 17 significant digits, so a round trip is exact.
     """
-    d = len(traj.start)
+    rows = iter(rows)
+    first = next(rows)
+    d = len(first[0])
     if comment:
         fh.write(f"# {comment}\n")
     cols = ["n"] + [f"x{k + 1}" for k in range(d)] + [f"step{k + 1}" for k in range(d)]
     fh.write(",".join(cols) + "\n")
     row = "%d" + ",%.17g" * (2 * d) + "\n"
-    steps = chain((traj.start,), traj.steps)
-    fh.writelines(row % (idx, *mean, *step) for idx, mean, step in zip(count(1), traj.means, steps))
+    fh.writelines(row % (idx, *mean, *step) for idx, (mean, step) in zip(count(1), chain((first,), rows)))

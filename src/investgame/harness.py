@@ -62,6 +62,7 @@ from .geometry import (
     grid_slack,
     hull_mask,
     hull_point,
+    in_hull,
     norm3,
     polygon_2d,
     polygon_grid,
@@ -484,6 +485,8 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
     for x1 in starts:
         if x1[0] != x1[1]:
             raise ValueError(f"start {x1} is outside the slice Z (x1 != x2)")
+        if not in_hull(vertices(params).all_points(), x1):
+            raise ValueError(f"start {x1} is outside the payoff hull S")
     d_point = defector.d_point
     cells = []
     finals = []

@@ -35,7 +35,7 @@ from .geometry import (
     plane_grid,
     project_plane,
 )
-from .stage_game import GameParams, vertices
+from .stage_game import GameParams, require_valid, vertices
 
 _S2 = math.sqrt(2.0)
 
@@ -126,6 +126,7 @@ def good_profile_plane_map(params: GameParams) -> PlaneMultiMap:
     vertex (whose cell sits inside an argmax region) and one lone-refuser
     vertex (cell inside an argmin region).
     """
+    require_valid(params)
     vs = vertices(params)
     values = [project_plane(p) for p in (vs.B,) + vs.c1 + vs.c2]
     # index map: 0 B, 1..3 C1_j, 4..6 C2_j
@@ -154,6 +155,7 @@ def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
     above eps/sqrt(2), where every lift provably leaves Omega_2^eps resp.
     Omega_1^eps and with it V2 resp. V1.
     """
+    require_valid(params)
     if eps <= 0:
         raise ValueError("eps must be positive")
     vs = vertices(params)

@@ -97,6 +97,13 @@ def read_finite(value, what: str) -> float:
     return x
 
 
+def read_path(value, what: str) -> str:
+    """A config file path: a JSON string, never a number (open() takes one for a descriptor)."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a file path string, not {value!r}")
+    return value
+
+
 def read_integer(value, what: str) -> int:
     """A config integer; an integral float such as 1e9 is accepted, anything
     else is an error that names the key."""

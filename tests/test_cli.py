@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -136,6 +137,28 @@ class TestSimulate:
         cfg = write_json(tmp_path, "run.json", GOOD_RUN)
         assert main(["simulate", cfg, "--game", bad_game]) == 2
 
+    def test_zero_horizon_writes_no_file(self, tmp_path):
+        cfg = write_json(tmp_path, "run.json", dict(GOOD_RUN, n=0))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_rows_stream_in_constant_memory(self, tmp_path):
+        # 50 000 rows of means and steps held at once take several MB
+        run = dict(GOOD_RUN, n=50_000, strategies=[
+            {"kind": "good", "eps": 0.4}, {"kind": "good", "eps": 0.4},
+            {"kind": "random", "p": 0.5, "seed": 11}])
+        cfg = write_json(tmp_path, "run.json", run)
+        out = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", cfg, "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 2 + 50_000
+        assert peak < 2_000_000
+
 
 class TestVerify:
     def test_t3_passes_and_writes_report(self, tmp_path, game_file):
@@ -244,6 +267,15 @@ class TestCertify:
         cfg = write_json(tmp_path, "c.json", {"target": "mystery"})
         assert main(["certify", "blackwell", cfg]) == 2
 
+    @pytest.mark.parametrize("kind", ["lyapunov", "decrease"])
+    def test_inadmissible_game_rejected(self, kind, tmp_path, capsys):
+        # the plane maps' drop rules assume the admissibility inequalities
+        game = write_json(tmp_path, "bad.json", dict(CANON, r1=19))
+        cfg = write_json(tmp_path, "c.json", {"map": "all_good" if kind == "lyapunov" else "two_good",
+                                              "game": game})
+        assert main(["certify", kind, cfg]) == 2
+        assert "r0 < r1" in capsys.readouterr().err
+
 
 GOOD3 = [{"kind": "good", "eps": 0.4}] * 3
 # case -> (command, config, the name the error message must give)
@@ -298,6 +330,19 @@ BAD_INPUTS = {
     "simulate-start-not-an-object": ("simulate", {"strategies": GOOD3, "start": "point", "n": 5}, "start must"),
     "validate-text-r0": ("validate", dict(CANON, r0="abc"), "r0 must"),
     "example1-boolean-starts": ("verify example1", {"n": 1000, "starts": True}, "starts must"),
+    "blackwell-pitch-leaves-no-grid-point": ("certify blackwell", {"target": "example2_union", "pitch": 20},
+                                             "pitch"),
+    # a number would be opened as a file descriptor; 0, 1 and 2 are the runner's own stdio
+    "simulate-number-game": ("simulate", {"strategies": GOOD3, "n": 5, "game": 987654}, "game must"),
+    "simulate-list-out": ("simulate", {"strategies": GOOD3, "n": 5, "out": ["traj.csv"]}, "out must"),
+    "t3-number-out": ("verify t3", {"n": 1000, "out": 987654}, "out must"),
+    "t3-list-game": ("verify t3", {"n": 1000, "game": ["game.json"]}, "game must"),
+    "example2-number-out": ("verify example2", {"n": 1000, "out": 987654}, "out must"),
+    "lyapunov-number-game": ("certify lyapunov", {"map": "all_good", "game": 987654}, "game must"),
+    "blackwell-list-out": ("certify blackwell", {"target": "example1_line", "out": ["bw.json"]}, "out must"),
+    "simulate-start-outside-s": ("simulate", {"strategies": GOOD3, "start": {"point": [100, -5, 3]}, "n": 5},
+                                 "payoff hull"),
+    "example2-start-outside-s": ("verify example2", {"starts": [[100, 100, -3]], "n": 1000}, "payoff hull"),
 }
 
 

@@ -6,13 +6,12 @@ import pytest
 
 from investgame import dynamics
 from investgame.dynamics import (
-    RunningMean,
     coordinate,
     coordinate_sum,
     iterate,
     mixing_bound_check,
-    replay,
     simulate_events,
+    stages,
     step_size_bound,
     tail_interval,
     tail_liminf,
@@ -68,7 +67,8 @@ class TestIterate:
             PARAMS,
         )
         traj = iterate(phi, (18.0, 18.0, 36.0), 5000)
-        assert replay(traj) == traj.means
+        recorded = iter(traj.steps)
+        assert [mean for mean, _ in stages(lambda x: next(recorded), traj.start, traj.horizon)] == traj.means
 
     def test_recurrence_holds_numerically(self):
         traj = iterate(all_good_phi(), VS.c1[0], 5000)
@@ -110,25 +110,34 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(lambda x: x, (0.0, 0.0), 0)
 
+    def test_stages_checks_the_horizon_when_called(self):
+        # before the first pair is asked for, so a caller can fail before it opens a file
+        with pytest.raises(ValueError):
+            stages(lambda x: x, (0.0, 0.0), 0)
+
+
+def last_mean(phi, x1, n):
+    *_, (mean, _) = stages(phi, x1, n)
+    return mean
+
 
 class TestRunningMean:
+    """The running mean of `stages`, driven by a scripted step sequence."""
+
     def test_matches_plain_average_closely(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(-30, 30, size=(50_000, 3))
-        rm = RunningMean(values[0])
-        for v in values[1:]:
-            rm.update(v)
+        script = iter(values[1:])
+        mean = last_mean(lambda x: next(script), values[0], len(values))
         direct = values.mean(axis=0)
-        assert np.allclose(rm.mean, direct, atol=1e-11)
+        assert np.allclose(mean, direct, atol=1e-11)
 
     def test_dyadic_sums_jump_exactly(self):
         # integer payoffs: P + m*s is m sequential additions, bit for bit
-        rm = RunningMean((20.0, 20.125, 19.875))
-        for _ in range(999):
-            rm.update(VS.c1[0])
+        start = (20.0, 20.125, 19.875)
+        mean = last_mean(lambda x: VS.c1[0], start, 1000)
         total = [p + 999 * s for p, s in zip([0.0] * 3, VS.c1[0])]
-        assert rm.total == total
-        assert rm.mean == tuple((a + p) / 1000 for a, p in zip(rm.start, total))
+        assert mean == tuple((a + p) / 1000 for a, p in zip(start, total))
 
 
 class TestStepSizeBound:
@@ -235,7 +244,7 @@ class TestCsv:
     def test_round_trip_at_full_precision(self):
         traj = iterate(all_good_phi(), (20.0, 20.0, 20.0), 50)
         buf = io.StringIO()
-        write_csv(traj, buf, comment="profile: all good")
+        write_csv(zip(traj.means, [traj.start] + traj.steps), buf, comment="profile: all good")
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "n,x1,x2,x3,step1,step2,step3"
@@ -265,7 +274,7 @@ class TestCsvRows:
     ], ids=["3-d", "2-d"])
     def test_rows_match_old_formatting_byte_for_byte(self, traj):
         buf = io.StringIO()
-        write_csv(traj, buf)
+        write_csv(zip(traj.means, [traj.start] + traj.steps), buf)
         lines = buf.getvalue().splitlines(keepends=True)
         assert lines[1:] == old_csv_rows(traj)
 
