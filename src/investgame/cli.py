@@ -212,6 +212,8 @@ def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[boo
     else:
         raise ValueError(f"unknown map kind {map_kind!r}")
     grid = lyapunov.certification_grid(spec, params, pitch)
+    if not grid:
+        raise ValueError(f"pitch {pitch} leaves no grid point outside Delta_c")
     base = lyapunov.check_lyapunov(spec, mmap, grid, pitch=pitch)
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
     if not want_decrease:

@@ -57,8 +57,9 @@ class Trajectory:
 
 def stages(phi: Callable, x1: Sequence[float], n: int) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Yield (mean_k, step_k) for the stages k = 1..n of the mean dynamics
-    from x1, with step_1 = x1 and step_k = phi(mean_{k-1}).  n is checked on
-    the call, so a caller can fail before it opens an output file.
+    from x1, with step_1 = x1 and step_k = phi(mean_{k-1}).  x1 is a 3-vector
+    or (example 1's plane) a 2-vector.  n and len(x1) are checked on the
+    call, so a caller can fail before it opens an output file.
 
     mean_k = (x1 + P) / k for the plain running sum P of the later steps.
     With steps that are integer multiples of 2**-e and max|v| * n * 2**e <
@@ -66,23 +67,39 @@ def stages(phi: Callable, x1: Sequence[float], n: int) -> Iterator[tuple[tuple[f
     """
     if n < 1:
         raise ValueError("horizon must be at least 1")
-    return _stages(phi, tuple(float(c) for c in x1), n)
+    start = tuple(float(c) for c in x1)
+    body = {2: _stages_2d, 3: _stages_3d}.get(len(start))
+    if body is None:
+        raise ValueError(f"stages runs 2- or 3-vectors, not {len(start)}-vectors")
+    return body(phi, start, n)
 
 
-def _stages(phi: Callable, start: tuple[float, ...], n: int):
+# One body per dimension, with the running sums as locals: the per-stage
+# cost of a generic coordinate loop is about half again as much.
+def _stages_3d(phi: Callable, start: tuple[float, ...], n: int):
+    a0, a1, a2 = start
+    p0 = p1 = p2 = 0.0
     mean = start
-    total = [0.0] * len(start)
     yield mean, start
     for k in range(2, n + 1):
-        step = tuple(phi(mean))
-        new_total = []
-        new_mean = []
-        for a, p, s in zip(start, total, step):
-            p += s
-            new_total.append(p)
-            new_mean.append((a + p) / k)
-        total = new_total
-        mean = tuple(new_mean)
+        s0, s1, s2 = step = tuple(phi(mean))
+        p0 += s0
+        p1 += s1
+        p2 += s2
+        mean = ((a0 + p0) / k, (a1 + p1) / k, (a2 + p2) / k)
+        yield mean, step
+
+
+def _stages_2d(phi: Callable, start: tuple[float, ...], n: int):
+    a0, a1 = start
+    p0 = p1 = 0.0
+    mean = start
+    yield mean, start
+    for k in range(2, n + 1):
+        s0, s1 = step = tuple(phi(mean))
+        p0 += s0
+        p1 += s1
+        mean = ((a0 + p0) / k, (a1 + p1) / k)
         yield mean, step
 
 
@@ -491,17 +508,37 @@ def mixing_bound_check(a0, anchors, t_prefix: int, counts, eps: float) -> Mixing
     return MixingReport(ok=dist <= eps, distance=dist, point=point)
 
 
+#: Step texts `write_csv` keeps at once: induced_map's phi has 8 steps, and
+#: a phi that builds a fresh tuple every stage grows no memory.
+_STEP_MEMO_CAP = 64
+
+
 def write_csv(rows: Iterable, fh, comment: str | None = None) -> None:
     """Trajectory CSV: header n,x1..,step1.. and one row per (mean, step)
     pair of `rows` (at least one, as `stages` yields them), written as they
     arrive.  Floats use 17 significant digits, so a round trip is exact.
     """
     rows = iter(rows)
-    first = next(rows)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError("no rows to write")
     d = len(first[0])
     if comment:
         fh.write(f"# {comment}\n")
     cols = ["n"] + [f"x{k + 1}" for k in range(d)] + [f"step{k + 1}" for k in range(d)]
     fh.write(",".join(cols) + "\n")
-    row = "%d" + ",%.17g" * (2 * d) + "\n"
-    fh.writelines(row % (idx, *mean, *step) for idx, (mean, step) in zip(count(1), chain((first,), rows)))
+    mean_fmt = "%d" + ",%.17g" * d
+    step_fmt = ",%.17g" * d + "\n"
+    # induced_map's phi returns one shared tuple per action profile, so a
+    # step's text is formatted once per object (a yielded step must not
+    # change).  Keyed by id, not value, as 0.0 == -0.0; an entry holds its
+    # step, so the id is not reused while the entry lives.
+    memo: dict[int, tuple[tuple[float, ...], str]] = {}
+    write = fh.write
+    for idx, (mean, step) in zip(count(1), chain((first,), rows)):
+        hit = memo.get(id(step))
+        if hit is None:
+            if len(memo) >= _STEP_MEMO_CAP:
+                memo.clear()
+            hit = memo[id(step)] = (step, step_fmt % tuple(step))
+        write(mean_fmt % (idx, *mean) + hit[1])

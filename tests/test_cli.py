@@ -300,6 +300,8 @@ BAD_INPUTS = {
     "lyapunov-text-delta": ("certify lyapunov", {"map": "all_good", "delta": "abc"}, "delta"),
     "lyapunov-nan-pitch": ("certify lyapunov", {"map": "all_good", "pitch": "nan"}, "pitch"),
     "lyapunov-zero-pitch": ("certify lyapunov", {"map": "all_good", "pitch": 0}, "pitch"),
+    "lyapunov-empty-grid": ("certify lyapunov", {"map": "all_good", "pitch": 50}, "pitch"),
+    "decrease-empty-grid": ("certify decrease", {"map": "two_good", "pitch": 50}, "pitch"),
     "two-good-nan-eps": ("certify lyapunov", {"map": "two_good", "eps": "nan"}, "eps"),
     "two-good-infinite-eta": ("certify lyapunov", {"map": "two_good", "eta": "inf"}, "eta"),
     "decrease-nan-delta": ("certify decrease", {"map": "two_good", "delta": "nan"}, "delta"),

@@ -1,5 +1,6 @@
 import io
 import math
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from investgame.dynamics import (
     write_csv,
 )
 from investgame.geometry import hull_mask, hull_point, norm3
+from investgame.harness import EXAMPLE1_A, EXAMPLE1_B, example1_phi
 from investgame.stage_game import INVEST, NOT_INVEST, GameParams, example_game, payoff, vertices
 from investgame.strategies import (
     ConstantStrategy,
@@ -114,6 +116,58 @@ class TestIterate:
         # before the first pair is asked for, so a caller can fail before it opens a file
         with pytest.raises(ValueError):
             stages(lambda x: x, (0.0, 0.0), 0)
+
+
+def reference_stages(phi, x1, n):
+    """The generic per-coordinate stage loop that `stages` unrolls per dimension."""
+    start = tuple(float(c) for c in x1)
+    mean = start
+    total = [0.0] * len(start)
+    yield mean, start
+    for k in range(2, n + 1):
+        step = tuple(phi(mean))
+        new_total = []
+        new_mean = []
+        for a, p, s in zip(start, total, step):
+            p += s
+            new_total.append(p)
+            new_mean.append((a + p) / k)
+        total = new_total
+        mean = tuple(new_mean)
+        yield mean, step
+
+
+def float_bits(pairs):
+    """Every float of (mean, step) pairs as hex, so -0.0 differs from 0.0."""
+    return [tuple(tuple(c.hex() for c in v) for v in pair) for pair in pairs]
+
+
+# Admissible games: integer payoffs, and the canonical game scaled by 1/10,
+# whose payoffs are not dyadic, so payoff sums round.
+OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
+TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
+
+
+class TestStageBodies:
+    """The unrolled 2-D and 3-D bodies of `stages` against the generic loop."""
+
+    @pytest.mark.parametrize("make_phi, x1, n", [
+        (lambda: induced_map((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS),
+                              RandomStrategy(0.5, 11)), PARAMS), (20.0, 20.0, 20.0), 20_000),
+        (lambda: induced_map(good_profile(TENTHS, 0.04), TENTHS),
+         hull_point(vertices(TENTHS), [0.1, 0.3, 0.6] + [0.0] * 5), 5000),
+        (lambda: example1_phi(EXAMPLE1_A, EXAMPLE1_B), (2.5, -1.7), 5000),
+        (lambda: (lambda x: [x[1] * 0.5 + 0.1, -x[0], 1.0 / 3.0]), (0.3, -0.7, 0.1), 2000),
+    ], ids=["readme-profile", "tenths-game", "example1-plane", "list-steps"])
+    def test_bit_identical_to_reference_loop(self, make_phi, x1, n):
+        got = float_bits(stages(make_phi(), x1, n))
+        assert len(got) == n
+        assert got == float_bits(reference_stages(make_phi(), x1, n))
+
+    @pytest.mark.parametrize("x1", [(1.0,), (1.0, 2.0, 3.0, 4.0)], ids=["1-vector", "4-vector"])
+    def test_other_dimensions_fail_on_the_call(self, x1):
+        with pytest.raises(ValueError, match="2- or 3-vectors"):
+            stages(lambda x: x, x1, 10)
 
 
 def last_mean(phi, x1, n):
@@ -254,6 +308,12 @@ class TestCsv:
         assert tuple(float(c) for c in row[1:4]) == traj.means[1]
         assert tuple(float(c) for c in row[4:7]) == traj.steps[0]
 
+    def test_no_rows_is_a_value_error(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="no rows"):
+            write_csv(iter([]), buf)
+        assert buf.getvalue() == ""
+
 
 def old_csv_rows(traj):
     """The row formatting write_csv had before it used one format string."""
@@ -271,18 +331,16 @@ class TestCsvRows:
         iterate(induced_map((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS),
                              RandomStrategy(0.5, 11)), PARAMS), (20.0, 20.0, 20.0), 3000),
         iterate(lambda x: (0.1, -1e-300) if x[1] > 0 else (2.0, 1.0), (2.5, -1.7), 500),
-    ], ids=["3-d", "2-d"])
+        # equal by value, not by sign: a value-keyed step memo would print 0 for -0
+        iterate(lambda x, steps=cycle([(0.0, 1.0), (-0.0, 1.0)]): next(steps), (0.0, -0.0), 500),
+        # a fresh tuple every stage, more than the step memo keeps
+        iterate(lambda x: (x[1] * 0.5 + 0.1, -x[0], x[2] + 1.0 / 3.0), (0.3, -0.7, 0.1), 500),
+    ], ids=["3-d", "2-d", "signed-zeros", "fresh-steps"])
     def test_rows_match_old_formatting_byte_for_byte(self, traj):
         buf = io.StringIO()
         write_csv(zip(traj.means, [traj.start] + traj.steps), buf)
         lines = buf.getvalue().splitlines(keepends=True)
         assert lines[1:] == old_csv_rows(traj)
-
-
-# Admissible games: integer payoffs, and the canonical game scaled by 1/10,
-# whose payoffs are not dyadic, so payoff sums round.
-OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
-TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
 
 
 def codes_along(traj, profile):
