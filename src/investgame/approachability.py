@@ -1,4 +1,4 @@
-"""Blackwell-condition certification and weak-attractor verification.
+"""Blackwell-condition certification, decay bounds and attractors.
 
 A step map phi satisfies the Blackwell condition for a set A on a domain
 D when every x in D admits a proximal point y of A with
@@ -16,20 +16,18 @@ open sets and a grid of the reported pitch finds them reliably.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, iterate
+from .dynamics import Trajectory
 from .geometry import dot_rows, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
 #: Slack of every certificate inequality, and the clip radius that finds where
 #: a segment union meets a convex set in `intersect_attractors`.
 CERT_TOL = 1e-9
-#: Distances recorded per trajectory in a weak-attractor report's series.
-SERIES_POINTS = 200
 #: Ternary-search and bisection steps in `clip_segments_to_neighborhood`.
 CLIP_ITERS = 80
 
@@ -277,41 +275,8 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
 
 
 # ---------------------------------------------------------------------------
-# Weak attractors
+# Attractor intersection and refinement
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AttractorReport:
-    passes: bool
-    max_final_distance: float
-    tol: float
-    horizon: int
-    series: list[dict] = field(default_factory=list)
-
-
-def verify_weak_attractor(phi: Callable, oracle: ProximalOracle, starts: Sequence, n: int,
-                          tol: float) -> AttractorReport:
-    """Run the dynamics from every start and compare final distances to tol."""
-    series = []
-    worst = 0.0
-    for x1 in starts:
-        traj = iterate(phi, x1, n)
-        stride = max(1, n // SERIES_POINTS)
-        idx = list(range(0, n, stride))
-        if idx[-1] != n - 1:
-            idx.append(n - 1)
-        dists = oracle.distances(traj.means_array()[idx]).tolist()
-        worst = max(worst, dists[-1])
-        series.append({
-            "start": [float(c) for c in traj.start],
-            "indices": [i + 1 for i in idx],
-            "distances": dists,
-            "final_distance": dists[-1],
-        })
-    return AttractorReport(
-        passes=worst <= tol, max_final_distance=worst, tol=tol, horizon=n, series=series,
-    )
-
 
 def clip_segments_to_neighborhood(segments, target: ProximalOracle,
                                   eps: float) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -190,7 +190,7 @@ def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
     if not targets.domain:
         raise ValueError(f"pitch {pitch} leaves no grid point in the {target} domain")
     sub = targets.certify(target.partition("_")[2]).as_dict()
-    return bool(sub["holds"]), {"kind": "blackwell", **sub}
+    return bool(sub["holds"]), {"kind": "blackwell", "target": target, **sub}
 
 
 def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import good_region, inequality_margins, project_to_hull
+from .geometry import good_region, inequality_margins
 from .stage_game import INVEST, NOT_INVEST, GameParams, payoff, require_valid
 from .strategies import ConstantStrategy, GoodStrategy
 
@@ -432,17 +432,6 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
                       tail_max=tuple(tail_max), evaluations=evaluations)
 
 
-def step_size_bound(diameter: float, xi: float) -> int:
-    """Smallest N0 with |mean_{n+1} - mean_n| < xi for all n > N0, any step map.
-
-    The one-stage move is |phi(x) - x| / (n + 1) <= diameter / (n + 1), so
-    N0 = ceil(diameter / xi) suffices.
-    """
-    if xi <= 0 or diameter < 0:
-        raise ValueError("need diameter >= 0 and xi > 0")
-    return max(1, math.ceil(diameter / xi))
-
-
 def tail_start(n: int, w: float) -> int:
     """0-based index of the first mean inside the trailing window."""
     if not 0.0 < w < 1.0:
@@ -475,37 +464,6 @@ def coordinate(i: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def coordinate_sum(i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda arr: arr[:, i - 1] + arr[:, j - 1]
-
-
-@dataclass(frozen=True)
-class MixingReport:
-    ok: bool
-    distance: float
-    point: tuple[float, ...]
-
-
-def mixing_bound_check(a0, anchors, t_prefix: int, counts, eps: float) -> MixingReport:
-    """Check (T*a0 + sum n_i a_i) / (T + n) lands within eps of co(anchors).
-
-    An old prefix of T identical summands a0 is diluted by n = sum(n_i)
-    later summands drawn from the anchors; the witness distance to the
-    anchors' hull is returned.
-    """
-    anchors = [tuple(map(float, a)) for a in anchors]
-    counts = [int(c) for c in counts]
-    if len(counts) != len(anchors) or any(c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative, one per anchor")
-    n = sum(counts)
-    total = t_prefix + n
-    if total <= 0:
-        raise ValueError("need T + n > 0")
-    acc = [t_prefix * c for c in a0]
-    for cnt, a in zip(counts, anchors):
-        for d in range(len(acc)):
-            acc[d] += cnt * a[d]
-    point = tuple(c / total for c in acc)
-    _, dist = project_to_hull(point, anchors)
-    return MixingReport(ok=dist <= eps, distance=dist, point=point)
 
 
 #: Step texts `write_csv` keeps at once: induced_map's phi has 8 steps, and

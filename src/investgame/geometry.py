@@ -1,18 +1,17 @@
 """Geometry of the payoff set S: projections, regions, distances.
 
-S is the convex hull of the eight stage-game payoff vertices.  Two
-orthogonal projections structure the analysis: onto the diagonal line
-u = {x1 = x2 = x3} and onto the zero-sum plane P = {x1 + x2 + x3 = 0}.
-Six unit directions v1..v6 in P encode pairwise payoff comparisons and
-cut the sub-level regions Delta_c(K) used by the support-function
-machinery.
+S is the convex hull of the eight stage-game payoff vertices.  The
+orthogonal projection onto the zero-sum plane P = {x1 + x2 + x3 = 0},
+along the diagonal line {x1 = x2 = x3}, structures the analysis.  Six
+unit directions v1..v6 in P encode pairwise payoff comparisons and cut
+the sub-level regions Delta_c(K) used by the support-function machinery.
 
 Each region kind lists its inequalities once; membership follows the
 strict-inequality definitions exactly, and the "closure" used by distance
 computations relaxes strict inequalities to non-strict ones.  Distances
-are exact for the convex kinds (closed-form polygon projection for plane
-sub-level regions, face enumeration for hulls) and grid-approximated
-(ambient pitch h, error at most h*sqrt(3)) for the non-convex ones.
+to payoff regions are grid-approximated (ambient pitch h, error at most
+h*sqrt(3)).  The hull faces here are the kernel of the exact convex
+projections, which `approachability`'s oracles offer.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ def v_dir(i: int) -> tuple[float, float, float]:
     if not 1 <= i <= 6:
         raise ValueError(f"direction index {i} out of range 1..6")
     return V_DIRS[i - 1]
-
-
-def project_diagonal(x) -> PayoffVector:
-    """Orthogonal projection onto the line {x1 = x2 = x3}."""
-    m = (x[0] + x[1] + x[2]) / 3.0
-    return (m, m, m)
 
 
 def project_plane(x) -> PayoffVector:
@@ -98,7 +91,7 @@ def to_plane_coords(y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 # Payoff-space kinds are predicates on R^3 points; "delta" acts on plane points.
-_PAYOFF_KINDS = ("omega_eps", "w", "v", "omega_max", "phi_min", "hull")
+_PAYOFF_KINDS = ("omega_eps", "w", "v", "omega_max", "phi_min")
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class RegionSpec:
     eps: float = 0.0
     ks: tuple[int, ...] = ()
     c: float = 0.0
-    points: tuple = ()
 
 
 def omega_eps_region(i: int, eps: float) -> RegionSpec:
@@ -141,10 +133,6 @@ def argmin_region(i: int) -> RegionSpec:
 def delta_region(ks, c: float) -> RegionSpec:
     """{y in P : <v_k, y> < c for k in ks} (strict), a plane region."""
     return RegionSpec(kind="delta", ks=tuple(sorted(int(k) for k in ks)), c=float(c))
-
-
-def hull_region(points) -> RegionSpec:
-    return RegionSpec(kind="hull", points=tuple(tuple(map(float, p)) for p in points))
 
 
 def _others(i: int) -> tuple[int, int]:
@@ -200,8 +188,6 @@ def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: b
     single row gives the same answer as the scalar arithmetic would.
     """
     pts = np.asarray(pts, dtype=float)
-    if spec.kind == "hull":
-        return hull_mask(spec.points, pts)
     mask = None
     for lhs, op, rhs in _inequalities(params, spec, (pts[:, 0], pts[:, 1], pts[:, 2])):
         if closed:
@@ -241,11 +227,10 @@ def in_region(params: GameParams, spec: RegionSpec, x) -> bool:
 def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
     """Membership in the region's closure (strict inequalities relaxed).
 
-    For payoff-space kinds other than hulls this includes membership in
-    the closed hull S.
+    For payoff-space kinds this includes membership in the closed hull S.
     """
     _check_point(spec, x)
-    if spec.kind not in ("delta", "hull") and not in_hull(vertices(params).all_points(), x):
+    if spec.kind != "delta" and not in_hull(vertices(params).all_points(), x):
         return False
     return bool(region_mask(params, spec, np.asarray([x], dtype=float), closed=True)[0])
 
@@ -399,50 +384,16 @@ def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
     return near + origin, dist
 
 
-def project_to_hull(x, points) -> tuple[np.ndarray, float]:
-    """Exact nearest point of conv(points) to x, and its distance."""
-    p, d = nearest_on_faces(hull_faces(points), np.asarray([x], dtype=float))
-    return p[0], float(d[0])
-
-
-def project_to_delta(spec: RegionSpec, y) -> tuple[np.ndarray, float]:
-    """Exact nearest point of the closed polygon {z in P : <v_k, z> <= c,
-    k in ks} to y, and its distance.
-
-    The nearest point is y's own projection onto P, its projection onto an
-    edge line, or a corner where two edge lines meet: the closest feasible
-    candidate wins.
-    """
-    y = np.asarray(y, dtype=float)
-    yp = y - y.mean()
-    dirs = [np.asarray(v_dir(k)) for k in spec.ks]
-    c = spec.c
-    cands = [yp] + [yp - (v @ yp - c) * v for v in dirs]
-    cands += [c / (1.0 + u @ v) * (u + v) for u, v in combinations(dirs, 2) if abs(u @ v) < 1.0 - 1e-9]
-    tol = 1e-12 * max(1.0, abs(c), float(np.abs(yp).max()))
-    feasible = [z for z in cands if all(v @ z <= c + tol for v in dirs)]
-    if not feasible:
-        raise ValueError(f"empty region {spec}")
-    dists = [float(np.linalg.norm(z - y)) for z in feasible]
-    best = int(np.argmin(dists))
-    return feasible[best], dists[best]
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_weights(n: int, k: int = 8, seed: int = 0) -> np.ndarray:
-    """n barycentric weight vectors, uniform on the simplex (rejection-free)."""
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(k), size=n)
-
-
 def sample_points(params: GameParams, n: int, seed: int = 0) -> np.ndarray:
-    """n points of S sampled in barycentric weight space over the 8 vertices."""
+    """n points of S, barycentric weights over the 8 vertices drawn uniformly
+    from the simplex."""
     require_valid(params)
     verts = np.asarray(vertices(params).all_points())
-    return sample_weights(n, len(verts), seed) @ verts
+    return np.random.default_rng(seed).dirichlet(np.ones(len(verts)), size=n) @ verts
 
 
 def polygon_2d(corners) -> np.ndarray:
@@ -501,20 +452,14 @@ def _region_grid_cached(params: GameParams, spec: RegionSpec, h: float) -> np.nd
 
 
 def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float = 0.25) -> float:
-    """Distance from x to the region's closure.
-
-    Exact for the convex kinds (delta by the closed-form polygon projection,
-    hull via face enumeration); for the rest, the minimum over a pitch-h
-    ambient grid intersected with the closure, an overestimate by at most
-    grid_slack(h).  Points already in the closure report distance 0.
+    """Distance from x to a payoff region's closure: 0 for points in the
+    closure, otherwise the minimum over a pitch-h ambient grid intersected
+    with it, an overestimate by at most grid_slack(h).
     """
     if h <= 0:
         raise ValueError("resolution h must be positive")
-    if spec.kind == "delta":
-        _check_point(spec, x)
-        return project_to_delta(spec, x)[1]
-    if spec.kind == "hull":
-        return project_to_hull(x, spec.points)[1]
+    if spec.kind not in _PAYOFF_KINDS:
+        raise ValueError(f"distances are to payoff regions, not {spec.kind!r}")
     if in_closure(params, spec, x):
         return 0.0
     grid = _region_grid_cached(params, spec, float(h))

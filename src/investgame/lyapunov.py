@@ -181,15 +181,13 @@ def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> l
 
 
 def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
-                   sufficient: bool = False, pitch: float | None = None) -> CertReport:
+                   pitch: float | None = None) -> CertReport:
     """Certify the support function against the multimap outside Delta_c.
 
     For every sample x (which must satisfy V(x) >= c), every delta-active
-    index i and every value w of the map: V_i(w) <= CERT_TOL.  With
-    sufficient=True the stronger sign condition is checked instead:
-    V_i(x) > 0 already forces V_i(w) <= CERT_TOL.  Evaluated over the whole grid,
-    one (i, w) pair at a time; the witness is the first violating pair at
-    the first violating sample.
+    index i and every value w of the map: V_i(w) <= CERT_TOL.  Evaluated
+    over the whole grid, one (i, w) pair at a time; the witness is the
+    first violating pair at the first violating sample.
     """
     if len(grid) == 0:
         raise ValueError("empty certification grid")
@@ -197,8 +195,7 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
 
     def violations(cols, support, alive):
         for i, p in enumerate(spec.vectors):
-            val = dot3(p, cols)
-            active = val > 0.0 if sufficient else val >= support - spec.delta
+            active = dot3(p, cols) >= support - spec.delta
             for j in range(len(mmap.values)):
                 if inner[i][j] > CERT_TOL:
                     yield active & alive[:, j], (i, j, support)

@@ -51,9 +51,6 @@ class Strategy:
     def decide(self, x) -> str:
         raise NotImplementedError
 
-    def __call__(self, x) -> str:
-        return self.decide(x)
-
     def descriptor(self) -> dict:
         raise NotImplementedError
 

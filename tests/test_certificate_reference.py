@@ -135,15 +135,11 @@ def ref_decay_bound_check(traj, oracle, n0, tol=1e-9) -> DecayReport:
                        violations=violations)
 
 
-def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, sufficient=False, pitch=None):
+def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, pitch=None):
     def violation(x):
         v, active = support_value(spec, x)
-        if sufficient:
-            idxs = [i for i, p in enumerate(spec.vectors) if dot3(p, x) > 0.0]
-        else:
-            idxs = active
         values = mmap(x)
-        for i in idxs:
+        for i in active:
             for w in values:
                 inner = dot3(spec.vectors[i], w)
                 if inner > tol:
@@ -246,14 +242,13 @@ def _plane_cases():
     }
 
 
-@pytest.mark.parametrize("sufficient", [False, True])
 @pytest.mark.parametrize("name", sorted(_plane_cases()))
-def test_lyapunov_matches_reference(name, sufficient):
+def test_lyapunov_matches_reference(name):
     spec, mmap = _plane_cases()[name]
     grid = certification_grid(spec, PARAMS, 0.25)
-    got = check_lyapunov(spec, mmap, grid, sufficient=sufficient, pitch=0.25)
-    assert_same_report(got, ref_check_lyapunov(spec, mmap, grid, sufficient=sufficient, pitch=0.25))
-    if name == "two_good_small_c" or sufficient and name == "two_good":
+    got = check_lyapunov(spec, mmap, grid, pitch=0.25)
+    assert_same_report(got, ref_check_lyapunov(spec, mmap, grid, pitch=0.25))
+    if name == "two_good_small_c":
         assert not got.holds
 
 
@@ -292,17 +287,6 @@ def test_witness_is_the_first_failing_pair_of_the_sample():
     rep = decrease_check(spec, mmap, consts, grid, alphas=(0.1, 0.9))
     assert_same_report(rep, ref_decrease_check(spec, mmap, consts, grid, alphas=(0.1, 0.9)))
     assert (rep.witness["value"], rep.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.9)
-
-
-def test_sufficient_mode_needs_a_positive_form():
-    # v1 and v4 vanish exactly at both samples; only directions with a
-    # positive form count, and those accept the value
-    spec = six_direction_spec(0.3)
-    grid = [(0.0, 0.0, 0.0), (1.0, -0.5, -0.5)]
-    mmap = PlaneMultiMap([(-1.0, 0.0, 1.0)], (), label="probe")
-    rep = check_lyapunov(spec, mmap, grid, sufficient=True)
-    assert_same_report(rep, ref_check_lyapunov(spec, mmap, grid, sufficient=True))
-    assert rep.holds and rep.checked == 2
 
 
 def test_delta_active_set_includes_its_boundary():

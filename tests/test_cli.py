@@ -242,7 +242,19 @@ class TestCertify:
             out = str(tmp_path / f"{target}.out.json")
             assert main(["certify", "blackwell", cfg, "--out", out]) == 0
             payload = json.loads(open(out).read())
-            assert payload == {"kind": "blackwell", **json.loads(json.dumps(meta[key]))}
+            assert payload == {"kind": "blackwell", "target": target, **json.loads(json.dumps(meta[key]))}
+
+    def test_blackwell_reports_name_their_target(self, tmp_path, capsys):
+        # line and segment (and triangle and union) certify alike
+        texts = set()
+        for target in ("example1_line", "example1_segment", "example1_singleton",
+                       "example2_triangle", "example2_union"):
+            cfg = write_json(tmp_path, f"{target}.json", {"target": target})
+            main(["certify", "blackwell", cfg])
+            out = capsys.readouterr().out
+            assert json.loads(out)["target"] == target
+            texts.add(out)
+        assert len(texts) == 5
 
     def test_pitch_flag_overrides_config(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {"map": "all_good", "c": 0.3, "pitch": 0.25})
@@ -345,6 +357,9 @@ BAD_INPUTS = {
     "simulate-start-outside-s": ("simulate", {"strategies": GOOD3, "start": {"point": [100, -5, 3]}, "n": 5},
                                  "payoff hull"),
     "example2-start-outside-s": ("verify example2", {"starts": [[100, 100, -3]], "n": 1000}, "payoff hull"),
+    # grids too fine to allocate fail at once, before any memory is taken
+    "blackwell-grid-too-fine": ("certify blackwell", {"target": "example1_line", "pitch": 1e-6}, "allocate"),
+    "t2-distance-grid-too-fine": ("verify t2", {"n": 1000, "dist_pitch": 1e-4}, "allocate"),
 }
 
 

@@ -10,10 +10,8 @@ from investgame.dynamics import (
     coordinate,
     coordinate_sum,
     iterate,
-    mixing_bound_check,
     simulate_events,
     stages,
-    step_size_bound,
     tail_interval,
     tail_liminf,
     tail_limsup,
@@ -195,22 +193,15 @@ class TestRunningMean:
 
 
 class TestStepSizeBound:
-    def test_formula(self):
-        assert step_size_bound(60.0, 0.1) == 600
-        assert step_size_bound(60.0, 60.0) == 1
-        assert step_size_bound(60.0, 100.0) == 1
-
     def test_empirical_sweep(self):
+        # one stage moves the mean by |phi(x) - x| / (n + 1) <= diameter / (n + 1),
+        # so past N0 = ceil(diameter / xi) every move is below xi
         xi = 0.1
-        n0 = step_size_bound(60.0, xi)
+        n0 = math.ceil(60.0 / xi)
         traj = iterate(all_good_phi(), VS.c2[0], 3000)
         arr = traj.means_array()
         moves = np.linalg.norm(np.diff(arr, axis=0), axis=1)
         assert float(moves[n0:].max()) < xi
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            step_size_bound(60.0, 0.0)
 
 
 class TestTailStats:
@@ -271,27 +262,6 @@ class TestLimitLocalization:
         for i in (1, 2, 3):
             lo, hi = tail_interval(traj, coordinate(i), 0.2)
             assert PARAMS.p3 - 0.05 <= lo <= hi <= PARAMS.p3 + 0.05
-
-
-class TestMixingBound:
-    def test_single_anchor_exact_distance(self):
-        rep = mixing_bound_check((5.0, 1.0), [(1.0, 1.0)], 10, [30], eps=10.0)
-        assert abs(rep.distance - np.hypot(4.0, 0.0) * 10 / 40) <= 1e-12
-
-    def test_prefix_equals_anchor(self):
-        rep = mixing_bound_check((2.0, 3.0), [(2.0, 3.0)], 5, [95], eps=1e-12)
-        assert rep.ok
-        assert rep.distance <= 1e-12
-
-    def test_vertex_mixture_lands_in_hull(self):
-        anchors = list(VS.c1 + VS.c2)
-        counts = [100_000 // 6] * 6
-        rep = mixing_bound_check(VS.A, anchors, 10, counts, eps=0.01)
-        assert rep.ok
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            mixing_bound_check((0.0,), [(1.0,)], 1, [2, 3], eps=1.0)
 
 
 class TestCsv:

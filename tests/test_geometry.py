@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from investgame.approachability import HullOracle
 from investgame.geometry import (
     V_DIRS,
     argmax_region,
@@ -14,15 +15,10 @@ from investgame.geometry import (
     grid_slack,
     hull_mask,
     hull_point,
-    hull_region,
     in_closure,
     in_region,
     omega_eps_region,
-    plane_grid,
-    project_diagonal,
     project_plane,
-    project_to_delta,
-    project_to_hull,
     region_mask,
     sample_points,
     v_dir,
@@ -36,11 +32,6 @@ VS = vertices(PARAMS)
 
 
 class TestProjections:
-    def test_diagonal_examples(self):
-        assert project_diagonal((1, 2, 3)) == (2, 2, 2)
-        assert project_diagonal((26, 26, 26)) == (26, 26, 26)
-        assert project_diagonal((36, 18, 18)) == (24, 24, 24)
-
     def test_plane_examples(self):
         assert project_plane((1, 2, 3)) == (-1, 0, 1)
         for c in (0.0, 7.5, -3.25):
@@ -50,10 +41,10 @@ class TestProjections:
     def test_decomposition_is_exact(self):
         rng = np.random.default_rng(11)
         for x in rng.uniform(-50, 50, size=(200, 3)):
-            u = project_diagonal(x)
+            u = (x[0] + x[1] + x[2]) / 3.0  # the projection onto the diagonal
             p = project_plane(x)
             for k in range(3):
-                assert abs(u[k] + p[k] - x[k]) <= 1e-12 * max(1.0, abs(x[k]))
+                assert abs(u + p[k] - x[k]) <= 1e-12 * max(1.0, abs(x[k]))
 
     def test_plane_projection_idempotent_and_orthogonal(self):
         y = project_plane((3.7, -9.1, 4.4))
@@ -160,7 +151,7 @@ class TestMembership:
         # agree with the reference predicates and with the good strategies.
         pts = _boundary_points()
         in_s = hull_mask(VS.all_points(), pts)
-        specs = [hull_region(VS.all_points())]
+        specs = []
         for i in (1, 2, 3):
             specs += [good_region(i, 0.4), omega_eps_region(i, 0.1), w_region(i),
                       argmax_region(i), argmin_region(i)]
@@ -168,9 +159,6 @@ class TestMembership:
             vec = region_mask(PARAMS, spec, pts)
             vec_closed = region_mask(PARAMS, spec, pts, closed=True)
             assert np.array_equal(vec, [in_region(PARAMS, spec, tuple(x)) for x in pts])
-            if spec.kind == "hull":
-                assert np.array_equal(vec_closed, vec)
-                continue
             assert np.array_equal(vec, [_reference(spec, x, closed=False) for x in pts])
             assert np.array_equal(vec_closed, [_reference(spec, x, closed=True) for x in pts])
             assert np.array_equal(vec_closed & in_s, [in_closure(PARAMS, spec, tuple(x)) for x in pts])
@@ -263,52 +251,22 @@ class TestHullPoint:
 
 
 class TestProjectToHull:
+    """The exact projection onto conv(points), `HullOracle` over `hull_faces`."""
+
     def test_variational_optimality(self):
         # p is the projection iff <x - p, v - p> <= 0 for every hull vertex v
         pts = np.asarray(VS.all_points())
         rng = np.random.default_rng(17)
-        for x in rng.uniform(0, 50, size=(40, 3)):
-            p, d = project_to_hull(x, pts)
+        xs = rng.uniform(0, 50, size=(40, 3))
+        proj = HullOracle(pts).project_many(xs)
+        for x, p, d in zip(xs, proj.points[:, 0], proj.dist[:, 0]):
             assert d >= -1e-12
             for v in pts:
                 assert float((x - p) @ (v - p)) <= 1e-8
 
     def test_interior_point_has_zero_distance(self):
         centroid = np.asarray(VS.all_points()).mean(axis=0)
-        _, d = project_to_hull(centroid, VS.all_points())
-        assert d <= 1e-9
-
-
-class TestProjectToDelta:
-    def test_projection_satisfies_constraints_and_optimality(self):
-        # the hexagon, and direction subsets whose regions are unbounded
-        # wedges, strips or half-planes
-        rng = np.random.default_rng(23)
-        grid = plane_grid(PARAMS, 0.2)
-        cases = [(range(1, 7), 0.25)] * 4
-        cases += [(ks, c) for ks in ((1,), (1, 2), (1, 4), (2, 3, 5)) for c in (0.0, 2.5)]
-        for ks, c in cases:
-            spec = delta_region(ks, c)
-            halfspaces = [np.asarray(v_dir(k)) for k in spec.ks]
-            feas = grid[region_mask(PARAMS, spec, grid, closed=True)]
-            for _ in range(5):
-                y = project_plane(rng.uniform(-20, 20, size=3))
-                p, d = project_to_delta(spec, y)
-                assert d == float(np.linalg.norm(p - np.asarray(y)))
-                assert abs(p.sum()) <= 1e-9
-                assert max(float(p @ n) for n in halfspaces) <= c + 1e-9
-                # optimality against a dense feasible sample, and the
-                # variational inequality <y - p, z - p> <= 0 on it
-                if len(feas):
-                    best = np.linalg.norm(feas - np.asarray(y), axis=1).min()
-                    assert d <= best + 1e-6
-                    assert np.all((feas - p) @ (np.asarray(y) - p) <= 1e-9)
-                if in_closure(PARAMS, spec, y):
-                    assert d <= 1e-12
-
-    def test_empty_region_raises(self):
-        with pytest.raises(ValueError, match="empty region"):
-            project_to_delta(delta_region(range(1, 7), -0.1), (1.0, -1.0, 0.0))
+        assert HullOracle(VS.all_points()).distance(centroid) <= 1e-9
 
 
 class TestDistances:
@@ -327,26 +285,16 @@ class TestDistances:
         assert abs(d - oracle) <= grid_slack(0.25) + 0.05
 
     def test_exact_hull_distance(self):
-        region = hull_region([VS.A, VS.B])
-        # distance from C1_1 to the segment AB
+        # distance from C1_1 to the segment AB, the hull of its ends
         x = np.asarray(VS.c1[0])
         a, b = np.asarray(VS.A), np.asarray(VS.B)
         t = np.clip(((x - a) @ (b - a)) / ((b - a) @ (b - a)), 0, 1)
         expected = float(np.linalg.norm(a + t * (b - a) - x))
-        assert abs(dist_to_region(PARAMS, region, tuple(x), 0.25) - expected) <= 1e-9
+        assert abs(HullOracle([VS.A, VS.B]).distance(tuple(x)) - expected) <= 1e-9
 
-    def test_delta_distance_exact(self):
-        spec = delta_region(range(1, 7), 0.1)
-        y = project_plane((36.0, 18.0, 18.0))
-        d = dist_to_region(PARAMS, spec, y, 0.25)
-        # the support function is 1-Lipschitz, so dist >= V(y) - c
-        v = max(dot3(v_dir(k), y) for k in range(1, 7))
-        assert d >= v - 0.1 - 1e-9
-        # optimality against a dense feasible sample of the plane
-        grid = plane_grid(PARAMS, 0.1)
-        feas = grid[region_mask(PARAMS, spec, grid, closed=True)]
-        best = float(np.linalg.norm(feas - np.asarray(y), axis=1).min())
-        assert d <= best + 1e-9
+    def test_plane_regions_are_rejected(self):
+        with pytest.raises(ValueError, match="payoff regions"):
+            dist_to_region(PARAMS, delta_region(range(1, 7), 0.1), (1.0, -1.0, 0.0), 0.25)
 
     def test_empty_sampled_region_raises(self):
         with pytest.raises(ValueError, match="empty sampled region"):

@@ -9,6 +9,7 @@ from investgame.dynamics import (
     coordinate_sum,
     iterate,
     simulate_events,
+    stages,
     tail_interval,
     tail_liminf,
     tail_limsup,
@@ -424,22 +425,24 @@ class TestExample2:
 
     def test_runs_each_start_once(self, monkeypatch):
         # the refinement and the intersection reuse the cells' final means
-        from investgame import approachability
+        from investgame import dynamics
 
-        runs = []
+        runs, engine_runs = [], []
 
         def counting_iterate(phi, x1, n):
             runs.append(x1)
             return iterate(phi, x1, n)
 
-        def refuse(*args):
-            raise AssertionError("the refinement must not run trajectories")
+        def counting_stages(*args):
+            engine_runs.append(args[1])
+            return stages(*args)
 
         monkeypatch.setattr(harness, "iterate", counting_iterate)
-        monkeypatch.setattr(approachability, "iterate", refuse)
+        monkeypatch.setattr(dynamics, "stages", counting_stages)  # every `iterate` runs `stages`
         rep = run_example2(0.4, n=1000)
         assert runs == z_starts(PARAMS)
         assert len(runs) == 5
+        assert engine_runs == runs  # no trajectory besides the cells'
         assert "refine_to_bd" in rep.meta
 
     def test_start_near_d_stays_near_d(self):

@@ -124,7 +124,6 @@ class TestCheckLyapunov:
         mmap = good_profile_plane_map(PARAMS)
         grid = certification_grid(spec, PARAMS, 0.25)
         assert check_lyapunov(spec, mmap, grid).holds
-        assert check_lyapunov(spec, mmap, grid, sufficient=True).holds
 
     def test_two_good_certifies(self):
         eps, eta = 0.4, 0.1

@@ -32,15 +32,15 @@ VS = vertices(PARAMS)
 class TestGoodStrategy:
     def test_invests_at_a(self):
         s = GoodStrategy(1, 0.4, PARAMS)
-        assert s((20.0, 20.0, 20.0)) == INVEST
+        assert s.decide((20.0, 20.0, 20.0)) == INVEST
 
     def test_stops_when_own_mean_drops(self):
         s = GoodStrategy(1, 0.4, PARAMS)
-        assert s((19.0, 26.0, 26.0)) == NOT_INVEST
+        assert s.decide((19.0, 26.0, 26.0)) == NOT_INVEST
 
     def test_stops_when_too_far_behind(self):
         s = GoodStrategy(3, 0.4, PARAMS)
-        assert s((28.0, 28.0, 10.0)) == NOT_INVEST  # 10 <= 28 - 0.4
+        assert s.decide((28.0, 28.0, 10.0)) == NOT_INVEST  # 10 <= 28 - 0.4
 
     def test_matches_region_predicate_on_samples(self):
         pts = sample_points(PARAMS, 3000, seed=2)
@@ -49,7 +49,7 @@ class TestGoodStrategy:
             spec = good_region(i, 0.4)
             for x in pts:
                 want = INVEST if in_region(PARAMS, spec, tuple(x)) else NOT_INVEST
-                assert s(tuple(x)) == want
+                assert s.decide(tuple(x)) == want
 
     def test_permutation_equivariance(self):
         pts = sample_points(PARAMS, 300, seed=4)
@@ -58,8 +58,8 @@ class TestGoodStrategy:
             for x in pts:
                 x = tuple(x)
                 for i in (1, 2, 3):
-                    lhs = strategies[sigma[i - 1] + 1](permute(x, sigma))
-                    assert lhs == strategies[i](x)
+                    lhs = strategies[sigma[i - 1] + 1].decide(permute(x, sigma))
+                    assert lhs == strategies[i].decide(x)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -76,28 +76,28 @@ class TestGoodStrategy:
 
 class TestConstantAndRandom:
     def test_constant(self):
-        assert ConstantStrategy(INVEST)((0.0, 0.0, 0.0)) == INVEST
+        assert ConstantStrategy(INVEST).decide((0.0, 0.0, 0.0)) == INVEST
         with pytest.raises(ValueError):
             ConstantStrategy("X")
 
     def test_degenerate_probability(self):
         s = RandomStrategy(0.0, seed=1)
-        assert all(s((1.0, 1.0, 1.0)) == NOT_INVEST for _ in range(50))
+        assert all(s.decide((1.0, 1.0, 1.0)) == NOT_INVEST for _ in range(50))
         t = RandomStrategy(1.0, seed=1)
-        assert all(t((1.0, 1.0, 1.0)) == INVEST for _ in range(50))
+        assert all(t.decide((1.0, 1.0, 1.0)) == INVEST for _ in range(50))
 
     def test_golden_transcript_seed_42(self):
         # Mersenne Twister via random.Random(42), invest iff draw < 0.5;
         # frozen once from the documented generator.
         s = RandomStrategy(0.5, seed=42)
-        got = [s((0.0, 0.0, 0.0)) for _ in range(5)]
+        got = [s.decide((0.0, 0.0, 0.0)) for _ in range(5)]
         assert got == [NOT_INVEST, INVEST, INVEST, INVEST, NOT_INVEST]
 
     def test_fresh_restores_the_transcript(self):
         s = RandomStrategy(0.5, seed=42)
-        first = [s((0.0,) * 3) for _ in range(10)]
+        first = [s.decide((0.0,) * 3) for _ in range(10)]
         clone = s.fresh()
-        again = [clone((0.0,) * 3) for _ in range(10)]
+        again = [clone.decide((0.0,) * 3) for _ in range(10)]
         assert first == again
 
     def test_probability_range_enforced(self):
@@ -110,14 +110,14 @@ class TestDefector:
         return Example2Defector(PARAMS, eps)
 
     def test_refuses_at_b(self):
-        assert self.make()(VS.B) == NOT_INVEST
+        assert self.make().decide(VS.B) == NOT_INVEST
 
     def test_invests_at_a(self):
         # A's coordinate mean sits below the triangle's lowest mean
-        assert self.make()(VS.A) == INVEST
+        assert self.make().decide(VS.A) == INVEST
 
     def test_invests_off_the_symmetric_slice(self):
-        assert self.make()((25.0, 25.1, 26.0)) == INVEST
+        assert self.make().decide((25.0, 25.1, 26.0)) == INVEST
 
     def test_requires_canonical_game(self):
         other = GameParams(r0=5, r1=8, r2=12, p1=3, p2=7, p3=11)
@@ -156,17 +156,17 @@ class TestBatchForms:
 
     def test_random_plan_equals_successive_decisions(self):
         s = RandomStrategy(0.3, seed=7)
-        s((0.0,) * 3)  # the plan starts from the current state, not the seed
+        s.decide((0.0,) * 3)  # the plan starts from the current state, not the seed
         ref = s.fresh()
-        ref((0.0,) * 3)
-        want = [ref((0.0,) * 3) == INVEST for _ in range(999)]
+        ref.decide((0.0,) * 3)
+        want = [ref.decide((0.0,) * 3) == INVEST for _ in range(999)]
         cache = {}
         plan = s.plan(999, cache)
         assert plan.tolist() == want
         assert s._rng.getstate() == ref._rng.getstate()
         # a second instance in the same state reuses the draws and the end state
         again = RandomStrategy(0.3, seed=7)
-        again((0.0,) * 3)
+        again.decide((0.0,) * 3)
         assert again.plan(999, cache) is plan
         assert again._rng.getstate() == ref._rng.getstate()
         assert RandomStrategy(0.3, seed=8).plan(999, cache).tolist() != want
