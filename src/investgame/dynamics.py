@@ -9,13 +9,16 @@ Limits of the mean sequence are never reported as single numbers: tail
 statistics over a trailing window give [tail_min, tail_max] intervals,
 which is what a finite run can actually certify.
 
-Three engines share one arithmetic, the running sum of `stages`; `iterate`
-collects its (mean, step) pairs into one profile's recorded trajectory.
-`simulate_batch` steps many (profile, start) cells together as a (B, 3)
-array and keeps only what the deviant batteries report.
-`simulate_events` runs one profile of good and constant seats and jumps
-over the stretches where the action profile provably stays fixed.  The
-means of the last two are bit-identical to `iterate` on the same cell.
+Three engines share one arithmetic, the running sum of `stages`, and one
+payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
+seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
+`stages` into one profile's recorded trajectory.  `simulate_batch` steps
+many (profile, start) cells together as a (B, 3) array, evaluating
+`invests` on coordinate columns, and keeps only what the deviant
+batteries report.  `simulate_events` runs one profile of good and
+constant seats and jumps over the stretches where the action profile
+provably stays fixed.  The means of the last two are bit-identical to
+`iterate` on the same cell.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .geometry import good_region, inequality_margins
-from .stage_game import INVEST, NOT_INVEST, GameParams, payoff, require_valid
+from .stage_game import GameParams, payoff_table, require_valid
 from .strategies import ConstantStrategy, GoodStrategy
 
 
@@ -129,16 +132,6 @@ class BatchTails:
         return [list(pair) for pair in zip(self.tail_min[b].tolist(), self.tail_max[b].tolist())]
 
 
-#: Decision code of the all-invest profile (bit i set when seat i invests).
-ALL_INVEST = 7
-
-
-def payoff_table(params: GameParams) -> list[tuple[float, float, float]]:
-    """The stage payoff of each decision code 0..7 (bit i set when seat i invests)."""
-    return [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
-            for code in range(8)]
-
-
 #: Stages per block: a block's tail means are kept until they are folded
 #: into the running extrema, and its planned decisions are gathered at once.
 _BLOCK = 512
@@ -148,13 +141,13 @@ def _owner(cls: type, name: str) -> type | None:
     return next((k for k in cls.__mro__ if name in vars(k)), None)
 
 
-def _batch_form(strategy, name: str):
-    """strategy.<name> if its class defines it at or below the definer of decide."""
+def _plan(strategy):
+    """strategy.plan if its class defines it at or below the definer of invests."""
     cls = type(strategy)
-    owner = _owner(cls, name)
-    if owner is None or not issubclass(owner, _owner(cls, "decide")):
+    owner = _owner(cls, "plan")
+    if owner is None or not issubclass(owner, _owner(cls, "invests")):
         return None
-    return getattr(strategy, name)
+    return strategy.plan
 
 
 def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) -> BatchTails:
@@ -162,13 +155,14 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
 
     Each stage applies the running sum of `stages` elementwise to the
     (B, 3) means, so every cell is bit-identical to `iterate` on the step
-    map `induced_map(profiles[b], params)`.  The payoff is looked up in an
-    (8, 3) table by a 3-bit profile code (bit i set when seat i invests).
-    Decisions come from, per strategy kind:
-      - `plan`: drawn before the loop, n - 1 per (cell, seat) in cell order;
-      - `decide_batch`: one call per instance and stage on its rows, so a
-        stateless instance shared by many cells costs one call;
-      - otherwise `decide` on each row's mean as a tuple of floats.
+    map `induced_map(profiles[b], params)`.  The payoff is looked up in
+    `payoff_table` by the 3-bit profile code (bit i set when seat i invests).
+    Decisions come from, per strategy:
+      - `plan` (see `Strategy`): drawn before the loop, n - 1 per
+        (cell, seat) in cell order;
+      - otherwise `invests` on the coordinate columns of its rows' means,
+        one call per instance and stage, so a stateless instance shared by
+        many cells costs one call.
     Strategies are left in the state `iterate` would leave them in, provided
     no stateful instance sits in two cells (`fresh()` copies ensure that).
     Tail statistics cover the means from `tail_start(n, window)` on.
@@ -187,26 +181,23 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     cache: dict = {}
     plans: dict[int, tuple[int, np.ndarray]] = {}
     plan_dst, plan_src = [], []
-    batched: dict[int, tuple] = {}
-    scalar: list[tuple[int, int, object]] = []
+    evaluated: dict[int, tuple] = {}
     for b, profile in enumerate(profiles):
         for seat, s in enumerate(profile):
             dst = 3 * b + seat
-            if (plan := _batch_form(s, "plan")) is not None:
+            if (plan := _plan(s)) is not None:
                 arr = plan(n - 1, cache)
                 plan_dst.append(dst)
                 plan_src.append(plans.setdefault(id(arr), (len(plans), arr))[0])
-            elif (decide_batch := _batch_form(s, "decide_batch")) is not None:
-                group = batched.setdefault(id(s), (decide_batch, [], []))
+            else:
+                group = evaluated.setdefault(id(s), (s.invests, [], []))
                 group[1].append(b)
                 group[2].append(dst)
-            else:
-                scalar.append((b, dst, s.decide))
     plan_table = np.array([arr for _, arr in plans.values()], dtype=bool).reshape(len(plans), n - 1)
     plan_dst = np.array(plan_dst, dtype=np.intp)
     plan_src = np.array(plan_src, dtype=np.intp)
-    batched_groups = [(fn, np.array(rows, dtype=np.intp), np.array(dst, dtype=np.intp))
-                      for fn, rows, dst in batched.values()]
+    groups = [(fn, np.array(rows, dtype=np.intp), np.array(dst, dtype=np.intp))
+              for fn, rows, dst in evaluated.values()]
 
     decisions = np.zeros(3 * cells, dtype=bool)
     decision_rows = decisions.reshape(cells, 3)
@@ -231,13 +222,8 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         block_plan = plan_table[plan_src, lo - 1:hi - 1].T
         for k in range(lo, hi):
             decisions[plan_dst] = block_plan[k - lo]
-            for decide_batch, rows, dst in batched_groups:
-                decisions[dst] = decide_batch(means[rows])
-            for b, dst, decide in scalar:
-                action = decide(tuple(means[b].tolist()))
-                if action not in (INVEST, NOT_INVEST):
-                    raise ValueError(f"unknown action {action!r}")
-                decisions[dst] = action == INVEST
+            for invests, rows, dst in groups:
+                decisions[dst] = invests(means[rows].T)
             codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
             # The running sum of `stages`, count k -> k + 1.
             total += table.take(codes, axis=0)
@@ -293,8 +279,9 @@ def _sums_exact(table, n: int) -> bool:
 
 
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
-    """Run one profile of `GoodStrategy` and `ConstantStrategy` seats from x1
-    for n stages, jumping over stretches of one fixed profile.
+    """Run one profile of `GoodStrategy` and `ConstantStrategy` seats (their
+    own `invests`, not a subclass's) from x1 for n stages, jumping over
+    stretches of one fixed profile.
 
     The means are those of `iterate` on `induced_map(profile, params)`, bit
     for bit.  At each stage the profile is decided, then the farthest stage
@@ -323,7 +310,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         raise ValueError("need a 3-vector start and a profile of three strategies")
     specs = []
     for s in profile:
-        owner = _owner(type(s), "decide")
+        owner = _owner(type(s), "invests")
         if owner is GoodStrategy:
             specs.append(good_region(s.player, s.eps))
         elif owner is not ConstantStrategy:
@@ -334,7 +321,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
     threshold = _MARGIN_REL * scale
-    decides = [s.decide for s in profile]
+    i1, i2, i3 = (s.invests for s in profile)
     evaluations = 0
 
     def margins(x):
@@ -402,13 +389,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     k, total, mean = 1, [0.0, 0.0, 0.0], start
     while True:
         evaluations += 1
-        code = 0
-        for i, decide in enumerate(decides):
-            action = decide(mean)
-            if action == INVEST:
-                code |= 1 << i
-            elif action != NOT_INVEST:
-                raise ValueError(f"unknown action {action!r}")
+        code = i1(mean) | i2(mean) << 1 | i3(mean) << 2
         step = table[code]
         last = farthest(k, total, mean, step) if exact and k < n else k
         if segments and segments[-1][2] == code:

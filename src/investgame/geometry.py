@@ -175,7 +175,7 @@ def inequality_margins(params: GameParams, spec: RegionSpec, x) -> list[tuple[bo
     """Each of the region's inequalities at the point x as (holds, lhs - rhs).
 
     Evaluated in the scalar operand order, as `region_mask` and the good
-    strategies' `decide` evaluate them; a NaN coordinate makes the margin
+    strategies' `invests` evaluate them; a NaN coordinate makes the margin
     of every inequality that reads it NaN.
     """
     return [(_OPS[op](lhs, rhs), lhs - rhs) for lhs, op, rhs in _inequalities(params, spec, x)]
@@ -440,15 +440,21 @@ def grid_slack(h: float) -> float:
 
 @lru_cache(maxsize=32)
 def _region_grid_cached(params: GameParams, spec: RegionSpec, h: float) -> np.ndarray:
+    """The pitch-h points of S's bounding-box grid in the region's closure,
+    in meshgrid ("ij") order.  Built one x1 slab at a time, so memory
+    follows the kept points, not the bounding box (pitch**-3 points)."""
     verts = vertices(params).all_points()
     arr = np.asarray(verts)
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
     axes = [np.arange(lo[d], hi[d] + h / 2, h) for d in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    grid = grid[hull_mask(verts, grid)]
-    grid = grid[region_mask(params, spec, grid, closed=True)]
-    return grid
+    rest = np.stack(np.meshgrid(axes[1], axes[2], indexing="ij"), axis=-1).reshape(-1, 2)
+    slabs = []
+    for x1 in axes[0]:
+        slab = np.column_stack([np.full(len(rest), x1), rest])
+        slab = slab[hull_mask(verts, slab)]
+        slabs.append(slab[region_mask(params, spec, slab, closed=True)])
+    return np.concatenate(slabs)
 
 
 def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float = 0.25) -> float:

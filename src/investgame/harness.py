@@ -17,14 +17,18 @@ Blackwell condition, and example 2, a crafted third-player defector that
 drags the play to a point D overshooting p3 by eps/2 while still
 respecting the t4 cap.  "Arbitrary strategy" is not testable as stated,
 so the battery below (constants, seeded coin flips, the crafted
-defector) is the documented adversarial stand-in, extendable by callers.
+defector) is the documented adversarial stand-in, extendable by callers:
+`verify_t4` and `verify_t2` take any `strategies.Strategy` that defines
+`invests` so that it also runs on coordinate columns (or `plan`, for one
+that ignores the mean), plus `fresh()` when it keeps state.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The t3 cells run on
 `dynamics.simulate_events`, which jumps over fixed-profile stretches, and
 the t4 and t2 batteries step all their cells together with
-`dynamics.simulate_batch`; both keep each cell's means bit-identical to a
-run of `dynamics.iterate`.
+`dynamics.simulate_batch`, one `invests` call per deviant instance and
+stage; both keep each cell's means bit-identical to a run of
+`dynamics.iterate`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .approachability import (
     refine_attractor,
 )
 from .dynamics import (
-    ALL_INVEST,
     BatchTails,
     coordinate,
     iterate,
@@ -68,6 +71,7 @@ from .geometry import (
     polygon_grid,
 )
 from .stage_game import (
+    ALL_INVEST,
     INVEST,
     NOT_INVEST,
     GameParams,

@@ -186,6 +186,16 @@ def payoff(params: GameParams, profile: ActionProfile) -> PayoffVector:
     return (out[0], out[1], out[2])
 
 
+#: Decision code of the all-invest profile (bit i set when seat i invests).
+ALL_INVEST = 7
+
+
+def payoff_table(params: GameParams) -> list[PayoffVector]:
+    """The stage payoff of each decision code 0..7 (bit i set when seat i invests)."""
+    return [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
+            for code in range(8)]
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """The eight labeled payoff vertices spanning the feasible set S.

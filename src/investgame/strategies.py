@@ -1,9 +1,12 @@
 """Strategies of the repeated game and the induced step map.
 
 A strategy is a total function from the payoff hull S to {I, NI}; the
-only observable it may read is the current mean payoff vector.  A
-profile of three strategies composed with the stage payoff map yields
-the step map phi driving the mean dynamics.
+only observable it may read is the current mean payoff vector.  Each kind
+declares it once, as the predicate `invests(x)`, which every engine
+evaluates: on a tuple of floats for one mean, or on coordinate columns
+for many means at once (`dynamics.simulate_batch`).  A profile of three
+strategies composed with the stage payoff map yields the step map phi
+driving the mean dynamics.
 
 Strategy kinds double as JSON descriptors for run configuration files:
   {"kind": "good", "eps": 0.4}
@@ -20,12 +23,11 @@ import random
 import numpy as np
 
 from .stage_game import (
-    ALL_PROFILES,
     INVEST,
     NOT_INVEST,
     GameParams,
     example_game,
-    payoff,
+    payoff_table,
     read_finite,
     read_integer,
     require_valid,
@@ -35,21 +37,25 @@ from .stage_game import (
 class Strategy:
     """Base: deterministic given (point, own generator state), total on S.
 
-    Besides the scalar `decide`, a kind may offer one of two batch forms
-    for `dynamics.simulate_batch`:
-      decide_batch(X) -> bool[B], the invest mask at the rows of a (B, 3)
-        array of means, for kinds that read the mean;
+    A kind defines `invests(x)`: whether it invests at the mean x, a
+    3-sequence whose coordinates are floats (one mean, giving a bool) or
+    numpy columns (one mean per row, giving a bool mask).  It is written
+    with `&`, `|` and `^` only, since `and`/`not` fail on arrays, so both
+    forms decide alike.  A kind that ignores the mean may also offer
       plan(stages, cache) -> bool[stages], the invest mask of the next
-        `stages` decisions, for kinds that ignore it.
-    A batch form counts only where its class is the class that defines
-    `decide` or a subclass of it, so a subclass that overrides `decide`
-    alone is stepped through `decide`, as are kinds with neither form.
+        `stages` decisions,
+    which `dynamics.simulate_batch` uses only where its class is the class
+    that defines `invests` or a subclass of it: a subclass that overrides
+    `invests` is evaluated through it.
     """
 
     name = "strategy"
 
-    def decide(self, x) -> str:
+    def invests(self, x):
         raise NotImplementedError
+
+    def decide(self, x) -> str:
+        return INVEST if self.invests(x) else NOT_INVEST
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -82,20 +88,10 @@ class GoodStrategy(Strategy):
         self._cap = 2.0 * params.p3
         self.name = f"good(eps={eps:g})"
 
-    def decide(self, x) -> str:
+    def invests(self, x):
         xi = x[self._i]
         xj = x[self._j]
         xk = x[self._k]
-        eps = self.eps
-        if xi > xj - eps and xi > xk - eps:
-            if xi >= self._r0 and xj + xk <= self._cap:
-                return INVEST
-        return NOT_INVEST
-
-    def decide_batch(self, x: np.ndarray) -> np.ndarray:
-        xi = x[:, self._i]
-        xj = x[:, self._j]
-        xk = x[:, self._k]
         eps = self.eps
         return (xi > xj - eps) & (xi > xk - eps) & (xi >= self._r0) & (xj + xk <= self._cap)
 
@@ -108,17 +104,18 @@ class ConstantStrategy(Strategy):
         if action not in (INVEST, NOT_INVEST):
             raise ValueError(f"unknown action {action!r}")
         self.action = action
+        self._invests = action == INVEST
         self.name = f"constant({action})"
 
-    def decide(self, x) -> str:
-        return self.action
+    def invests(self, x) -> bool:
+        return self._invests
 
     def plan(self, stages: int, cache: dict) -> np.ndarray:
         """`stages` copies of the action as an invest mask; `cache` shares
         one array among equal constants."""
         key = ("constant", self.action, stages)
         if key not in cache:
-            cache[key] = np.full(stages, self.action == INVEST)
+            cache[key] = np.full(stages, self._invests)
         return cache[key]
 
     def descriptor(self) -> dict:
@@ -142,13 +139,13 @@ class RandomStrategy(Strategy):
         self._rng = random.Random(self.seed)
         self.name = f"random({p:g},seed={seed})"
 
-    def decide(self, x) -> str:
-        return INVEST if self._rng.random() < self.p else NOT_INVEST
+    def invests(self, x) -> bool:
+        return self._rng.random() < self.p
 
     def plan(self, stages: int, cache: dict) -> np.ndarray:
         """The next `stages` decisions as an invest mask.
 
-        Draws exactly as `stages` calls to decide would and leaves the
+        Draws exactly as `stages` calls to invests would and leaves the
         generator in the same state.  `cache` shares the draws among
         instances whose generators are in equal states (fresh copies of
         one seed), which then only jump to the end state.
@@ -214,15 +211,9 @@ class Example2Defector(Strategy):
         l3 = 1.0 - l1 - l2
         return (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
 
-    def decide(self, x) -> str:
-        if x[0] != x[1]:  # outside the slice Z
-            return INVEST
-        if self._good1.decide(x) == NOT_INVEST:  # outside V_1 (= V_2 on Z)
-            return INVEST
-        return NOT_INVEST if self._in_triangle(x[0], x[2]) else INVEST
-
-    def decide_batch(self, x: np.ndarray) -> np.ndarray:
-        return (x[:, 0] != x[:, 1]) | ~self._good1.decide_batch(x) | ~self._in_triangle(x[:, 0], x[:, 2])
+    def invests(self, x):
+        # invest off the slice Z, else unless in V_1 (= V_2 on Z) and the triangle
+        return (x[0] != x[1]) | (self._good1.invests(x) & self._in_triangle(x[0], x[2])) ^ True
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}
@@ -257,11 +248,10 @@ def good_profile(params: GameParams, eps: float) -> tuple[Strategy, Strategy, St
 def induced_map(profile, params: GameParams):
     """phi = payoff o profile: the step map of the mean dynamics."""
     require_valid(params)
-    s1, s2, s3 = profile
-    table = {acts: payoff(params, acts) for acts in ALL_PROFILES}
-    d1, d2, d3 = s1.decide, s2.decide, s3.decide
+    table = payoff_table(params)
+    i1, i2, i3 = (s.invests for s in profile)
 
     def phi(x):
-        return table[(d1(x), d2(x), d3(x))]
+        return table[i1(x) | i2(x) << 1 | i3(x) << 2]
 
     return phi

@@ -20,7 +20,7 @@ from investgame.dynamics import (
 )
 from investgame.geometry import hull_mask, hull_point, norm3
 from investgame.harness import EXAMPLE1_A, EXAMPLE1_B, example1_phi
-from investgame.stage_game import INVEST, NOT_INVEST, GameParams, example_game, payoff, vertices
+from investgame.stage_game import ALL_INVEST, INVEST, NOT_INVEST, GameParams, example_game, payoff, vertices
 from investgame.strategies import (
     ConstantStrategy,
     GoodStrategy,
@@ -358,7 +358,7 @@ class TestEventEngine:
 
     def test_jumps_fixed_profile_stretches(self):
         run = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
-        assert run.segments == [(1, 20_000, dynamics.ALL_INVEST)]
+        assert run.segments == [(1, 20_000, ALL_INVEST)]
         assert run.evaluations < 50
 
     def test_start_on_a_boundary_jumps(self):
@@ -383,8 +383,8 @@ class TestEventEngine:
 
     def test_rejects_other_seats(self):
         class Shy(GoodStrategy):
-            def decide(self, x):
-                return NOT_INVEST
+            def invests(self, x):
+                return False
 
         for third in (RandomStrategy(0.5, 1), Shy(3, 0.4, PARAMS)):
             with pytest.raises(ValueError):

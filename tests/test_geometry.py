@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from investgame import geometry
 from investgame.approachability import HullOracle
 from investgame.geometry import (
     V_DIRS,
@@ -303,6 +304,19 @@ class TestDistances:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             dist_to_region(PARAMS, argmax_region(1), VS.A, 0.0)
+
+    @pytest.mark.parametrize("spec", [good_region(1, 0.4), argmax_region(2), w_region(3)],
+                             ids=["v1", "argmax2", "w3"])
+    def test_slab_grid_equals_bounding_box_grid(self, spec):
+        # the whole bounding-box meshgrid, masked by S and then the region
+        arr = np.asarray(VS.all_points())
+        axes = [np.arange(lo, hi + 0.25, 0.5) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = grid[hull_mask(VS.all_points(), grid)]
+        want = grid[region_mask(PARAMS, spec, grid, closed=True)]
+        got = geometry._region_grid_cached(PARAMS, spec, 0.5)
+        assert len(got) > 0
+        assert np.array_equal(got, want)
 
 
 def test_all_vertices_lie_in_s():

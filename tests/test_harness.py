@@ -29,7 +29,7 @@ from investgame.harness import (
     verify_t4,
     z_starts,
 )
-from investgame.stage_game import INVEST, NOT_INVEST, GameParams, example_game, permute, vertices
+from investgame.stage_game import GameParams, example_game, permute, vertices
 from investgame.strategies import (
     ConstantStrategy,
     Example2Defector,
@@ -232,27 +232,38 @@ class TestT2:
 
 
 class Alternator(Strategy):
-    """A caller's strategy with neither batch form: reads the mean and keeps
-    state, investing on every other call while x3 < p3."""
+    """A caller's strategy that defines only a column-capable invests: reads
+    the mean and keeps state, investing on every other call while x3 < p3."""
 
     name = "alternator"
 
     def __init__(self):
         self.calls = 0
 
-    def decide(self, x):
+    def invests(self, x):
         self.calls += 1
-        return INVEST if self.calls % 2 and x[2] < PARAMS.p3 else NOT_INVEST
+        return bool(self.calls % 2) & (x[2] < PARAMS.p3)
 
     def fresh(self):
         return Alternator()
 
 
 class Reluctant(GoodStrategy):
-    """Overrides decide only, so the inherited decide_batch must not be used."""
+    """Overrides invests, refusing while its own mean is below 21."""
 
-    def decide(self, x):
-        return NOT_INVEST if x[self.player - 1] < 21.0 else super().decide(x)
+    def invests(self, x):
+        return (x[self.player - 1] >= 21.0) & super().invests(x)
+
+
+class Contrary(RandomStrategy):
+    """Overrides invests (invest where the draw says refuse), so the inherited
+    plan, which gives the parent's decisions, must not be used."""
+
+    def invests(self, x):
+        return super().invests(x) ^ True
+
+    def fresh(self):
+        return Contrary(self.p, self.seed)
 
 
 def _reference_cells(theorem, config, battery):
@@ -328,8 +339,9 @@ class TestBatchedEngine:
                           (GoodStrategy(2, 0.7, PARAMS), Example2Defector(PARAMS, 0.2))])
 
     def test_strategies_without_batch_forms(self):
-        self.check("t4", [(Alternator(),), (Reluctant(3, 0.4, PARAMS),)])
-        self.check("t2", [(Alternator(), RandomStrategy(0.5, 3)), (Reluctant(2, 0.4, PARAMS), Alternator())])
+        self.check("t4", [(Alternator(),), (Reluctant(3, 0.4, PARAMS),), (Contrary(0.3, 3),)])
+        self.check("t2", [(Alternator(), RandomStrategy(0.5, 3)), (Reluctant(2, 0.4, PARAMS), Alternator()),
+                          (Contrary(0.3, 3), RandomStrategy(0.3, 3))])
 
     def test_no_trajectory_per_cell(self, monkeypatch):
         def refuse(*args):

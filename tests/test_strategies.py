@@ -151,8 +151,30 @@ def _slice_points(eps: float) -> np.ndarray:
     return np.vstack([pts, grid, tri, v1])
 
 
+def _invest_points(eps: float) -> list[np.ndarray]:
+    """The boundary points, the slice points, the slice points moved one ulp
+    off the slice in x2, and every sign pattern of zero coordinates."""
+    on = _slice_points(eps)
+    off = on.copy()
+    off[:, 1] = np.nextafter(off[:, 1], np.inf)
+    zeros = np.array(list(product((0.0, -0.0), repeat=3)))
+    return [_boundary_points(), on, off, zeros]
+
+
+def _same_on_columns(s, pts: np.ndarray) -> list[bool]:
+    """invests at each row as a tuple of floats, checked equal to invests on
+    the columns of all rows at once (as simulate_batch calls it)."""
+    want = [s.invests(x) for x in map(tuple, pts.tolist())]
+    assert all(type(w) is bool for w in want)
+    got = s.invests(pts.T)
+    assert got.dtype == bool
+    assert got.tolist() == want
+    return want
+
+
 class TestBatchForms:
-    """The batch forms the batched engine uses agree with decide row by row."""
+    """The batched engine's decisions agree with the scalar ones row by row:
+    plans with successive decisions, invests on columns with invests on floats."""
 
     def test_random_plan_equals_successive_decisions(self):
         s = RandomStrategy(0.3, seed=7)
@@ -177,20 +199,18 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("eps", [0.1, 0.4])
     def test_good_batch_matches_decide(self, eps):
-        for pts in (_boundary_points(), _slice_points(eps)):
-            rows = [tuple(x) for x in pts.tolist()]
+        for pts in _invest_points(eps):
             for i in (1, 2, 3):
-                s = GoodStrategy(i, eps, PARAMS)
-                assert s.decide_batch(pts).tolist() == [s.decide(x) == INVEST for x in rows]
+                _same_on_columns(GoodStrategy(i, eps, PARAMS), pts)
 
     @pytest.mark.parametrize("eps", [0.1, 0.4])
     def test_defector_batch_matches_decide(self, eps):
         s = Example2Defector(PARAMS, eps)
-        for pts in (_boundary_points(), _slice_points(eps)):
-            want = [s.decide(x) == INVEST for x in (tuple(r) for r in pts.tolist())]
-            assert s.decide_batch(pts).tolist() == want
-        # both actions occur on the slice, so the test tells them apart
-        assert 0 < sum(want) < len(want)
+        _, on, off, _ = [_same_on_columns(s, pts) for pts in _invest_points(eps)]
+        # both actions occur on the slice, so the test tells them apart; one
+        # ulp off it the defector always invests
+        assert 0 < sum(on) < len(on)
+        assert all(off)
 
 
 class TestInducedMap:
