@@ -14,11 +14,11 @@ payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
 seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
 `stages` into one profile's recorded trajectory.  `simulate_batch` steps
 many (profile, start) cells together as a (B, 3) array, evaluating
-`invests` on coordinate columns, and keeps only what the deviant
-batteries report.  `simulate_events` runs one profile of good and
-constant seats and jumps over the stretches where the action profile
-provably stays fixed.  The means of the last two are bit-identical to
-`iterate` on the same cell.
+`invests` on coordinate columns, one call per kind and stage (defectors
+once per row), and keeps only what the deviant batteries report.
+`simulate_events` runs one profile of good and constant seats and jumps
+over the stretches where the action profile provably stays fixed.  The
+means of the last two are bit-identical to `iterate` on the same cell.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .geometry import good_region, inequality_margins
 from .stage_game import GameParams, payoff_table, require_valid
-from .strategies import ConstantStrategy, GoodStrategy
+from .strategies import ConstantStrategy, Example2Defector, GoodStrategy
 
 
 @dataclass
@@ -160,9 +160,11 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     Decisions come from, per strategy:
       - `plan` (see `Strategy`): drawn before the loop, n - 1 per
         (cell, seat) in cell order;
+      - `GoodStrategy.invests` itself, and exactly `Example2Defector`: one call
+        per kind and stage (`stacked`), defectors once per (instance, row);
       - otherwise `invests` on the coordinate columns of its rows' means,
-        one call per instance and stage, so a stateless instance shared by
-        many cells costs one call.
+        one call per instance and stage (stateful kinds, and subclasses
+        overriding `invests` or `_in_triangle`).
     Strategies are left in the state `iterate` would leave them in, provided
     no stateful instance sits in two cells (`fresh()` copies ensure that).
     Tail statistics cover the means from `tail_start(n, window)` on.
@@ -181,7 +183,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     cache: dict = {}
     plans: dict[int, tuple[int, np.ndarray]] = {}
     plan_dst, plan_src = [], []
-    evaluated: dict[int, tuple] = {}
+    goods, defectors, evaluated = [], {}, {}
     for b, profile in enumerate(profiles):
         for seat, s in enumerate(profile):
             dst = 3 * b + seat
@@ -189,6 +191,10 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
                 arr = plan(n - 1, cache)
                 plan_dst.append(dst)
                 plan_src.append(plans.setdefault(id(arr), (len(plans), arr))[0])
+            elif _owner(type(s), "invests") is GoodStrategy:
+                goods.append((s, b, dst))
+            elif type(s) is Example2Defector:
+                defectors.setdefault((id(s), b), (s, b, []))[2].append(dst)
             else:
                 group = evaluated.setdefault(id(s), (s.invests, [], []))
                 group[1].append(b)
@@ -196,11 +202,22 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     plan_table = np.array([arr for _, arr in plans.values()], dtype=bool).reshape(len(plans), n - 1)
     plan_dst = np.array(plan_dst, dtype=np.intp)
     plan_src = np.array(plan_src, dtype=np.intp)
-    groups = [(fn, np.array(rows, dtype=np.intp), np.array(dst, dtype=np.intp))
-              for fn, rows, dst in evaluated.values()]
+    decisions = np.zeros(3 * cells + len(defectors), dtype=bool)
+    decision_rows = decisions[:3 * cells].reshape(cells, 3)
+    goods += [(d._good1, b, 3 * cells + u) for u, (d, b, _) in enumerate(defectors.values())]
+    # (invests, (3, m) take indices into the means, dst); goods fill V_1 before defectors read it.
+    xyz = np.arange(3)[:, None]
+    groups = [(fn, 3 * np.array(rows) + xyz, np.array(dst)) for fn, rows, dst in evaluated.values()]
+    if goods:
+        insts, rows, dst = zip(*goods)
+        idx = 3 * np.array(rows) + np.array([(g._i, g._j, g._k) for g in insts]).T
+        groups.append((GoodStrategy.stacked(insts).invests, idx, np.array(dst)))
+    if defectors:
+        insts, rows, dsts = zip(*defectors.values())
+        stack = Example2Defector.stacked(insts, decisions[3 * cells:])
+        def_dst, def_row = np.array([(d, u) for u, ds in enumerate(dsts) for d in ds]).T
+        groups.append((lambda x: stack.invests(x)[def_row], 3 * np.array(rows) + xyz, def_dst))
 
-    decisions = np.zeros(3 * cells, dtype=bool)
-    decision_rows = decisions.reshape(cells, 3)
     start = means.copy()
     total = np.zeros_like(means)
     tail_min = np.full_like(means, np.inf)
@@ -222,8 +239,8 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         block_plan = plan_table[plan_src, lo - 1:hi - 1].T
         for k in range(lo, hi):
             decisions[plan_dst] = block_plan[k - lo]
-            for invests, rows, dst in groups:
-                decisions[dst] = invests(means[rows].T)
+            for invests, idx, dst in groups:
+                decisions[dst] = invests(means.take(idx))
             codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
             # The running sum of `stages`, count k -> k + 1.
             total += table.take(codes, axis=0)

@@ -26,9 +26,9 @@ Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The t3 cells run on
 `dynamics.simulate_events`, which jumps over fixed-profile stretches, and
 the t4 and t2 batteries step all their cells together with
-`dynamics.simulate_batch`, one `invests` call per deviant instance and
-stage; both keep each cell's means bit-identical to a run of
-`dynamics.iterate`.
+`dynamics.simulate_batch`, one `invests` call per kind and stage,
+defectors once per row; both keep each cell's means bit-identical to
+a run of `dynamics.iterate`.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ Strategy kinds double as JSON descriptors for run configuration files:
 
 from __future__ import annotations
 
+import copy
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,6 +97,15 @@ class GoodStrategy(Strategy):
         eps = self.eps
         return (xi > xj - eps) & (xi > xk - eps) & (xi >= self._r0) & (xj + xk <= self._cap)
 
+    @classmethod
+    def stacked(cls, instances) -> "GoodStrategy":
+        """One instance deciding column m as instances[m] does, on each slot's
+        (own, lower opponent, higher opponent) columns: eps, r0, cap per column."""
+        stack = object.__new__(cls)
+        stack._i, stack._j, stack._k = 0, 1, 2
+        stack.eps, stack._r0, stack._cap = np.array([(g.eps, g._r0, g._cap) for g in instances]).T
+        return stack
+
     def descriptor(self) -> dict:
         return {"kind": "good", "eps": self.eps}
 
@@ -164,7 +175,9 @@ class RandomStrategy(Strategy):
         return {"kind": "random", "p": self.p, "seed": self.seed}
 
     def fresh(self) -> "RandomStrategy":
-        return RandomStrategy(self.p, self.seed)
+        clean = copy.copy(self)
+        clean._rng = random.Random(self.seed)
+        return clean
 
 
 class Example2Defector(Strategy):
@@ -214,6 +227,16 @@ class Example2Defector(Strategy):
     def invests(self, x):
         # invest off the slice Z, else unless in V_1 (= V_2 on Z) and the triangle
         return (x[0] != x[1]) | (self._good1.invests(x) & self._in_triangle(x[0], x[2])) ^ True
+
+    @classmethod
+    def stacked(cls, instances, v1: np.ndarray) -> "Example2Defector":
+        """One instance deciding column m as instances[m] does, on each slot's
+        (x1, x2, x3) columns; its V_1 test returns `v1`, filled in place by the caller."""
+        stack = object.__new__(cls)
+        stack._good1 = SimpleNamespace(invests=lambda x: v1)
+        stack._tc, stack._zc = np.array([(d._tc, d._zc) for d in instances]).T
+        stack._inv = tuple(np.array([d._inv for d in instances]).T)
+        return stack
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}

@@ -8,6 +8,7 @@ from investgame.dynamics import (
     coordinate,
     coordinate_sum,
     iterate,
+    simulate_batch,
     simulate_events,
     stages,
     tail_interval,
@@ -351,6 +352,88 @@ class TestBatchedEngine:
         cfg = HarnessConfig(params=PARAMS, n=1000, starts=((0.125,) * 8,))
         assert len(verify_t4(cfg).cells) == 13
         assert len(verify_t2(cfg).cells) == 15
+
+
+class WideDefector(Example2Defector):
+    """Overrides _in_triangle: refuses anywhere on Z inside V_1."""
+
+    def _in_triangle(self, t, z):
+        return super()._in_triangle(t, z) | (z >= 0.0)
+
+
+class Inverted(RandomStrategy):
+    """Overrides invests but not fresh."""
+
+    def invests(self, x):
+        return super().invests(x) ^ True
+
+
+class TestStackedRouting:
+    """simulate_batch decides the seats of `GoodStrategy` and `Example2Defector`
+    in one stacked call per kind and stage; every cell still matches `iterate`."""
+
+    CONFIG = TestBatchedEngine.CONFIG
+    check = TestBatchedEngine.check
+
+    def test_defector_subclass_uses_its_own_triangle(self):
+        self.check("t4", [(WideDefector(PARAMS, 0.4),), (Example2Defector(PARAMS, 0.4),)])
+        cfg = HarnessConfig(params=PARAMS, n=2000, starts=((0.125,) * 8,))
+        wide, plain = verify_t4(cfg, [WideDefector(PARAMS, 0.4), Example2Defector(PARAMS, 0.4)]).cells
+        assert wide["measured"] != plain["measured"]
+
+    def test_defector_in_both_seats_next_to_other_eps(self):
+        d4, d2, d1 = (Example2Defector(PARAMS, eps) for eps in (0.4, 0.2, 0.1))
+        self.check("t2", [(d4, d4), (d2, d2), (d4, d2), (d1, d4), (d2, ConstantStrategy("I")), (d1, d1)])
+        self.check("t4", [(d4,), (d2,), (d1,)])
+
+    def test_good_subclass_overriding_invests(self):
+        self.check("t4", [(Reluctant(3, 0.4, PARAMS),), (GoodStrategy(3, 0.4, PARAMS),)])
+        self.check("t2", [(Reluctant(2, 0.4, PARAMS), GoodStrategy(3, 0.25, PARAMS)),
+                          (GoodStrategy(2, 0.4, PARAMS), Reluctant(3, 0.4, PARAMS))])
+
+    def test_one_call_per_stacked_kind_and_stage(self, monkeypatch):
+        calls = []
+
+        def spy(kind):
+            inner = kind.invests
+
+            def invests(self, x):
+                calls.append((type(self), len(x[0])))
+                return inner(self, x)
+            monkeypatch.setattr(kind, "invests", invests)
+
+        spy(GoodStrategy)
+        spy(Example2Defector)
+        n = 300
+        d4, d2 = Example2Defector(PARAMS, 0.4), Example2Defector(PARAMS, 0.2)
+        g1, g2 = GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.25, PARAMS)
+        alt_a, alt_b = Alternator(), Alternator()
+        profiles = [(g1, g2, d4), (g1, d4, d4), (g1, d2, alt_a), (g1, alt_b, Reluctant(3, 0.4, PARAMS)),
+                    (g1, g2, GoodStrategy(3, 0.4, PARAMS)), (g1, d2, d2)]
+        starts = [VS.A, VS.B, VS.c1[0], VS.A, VS.c2[2], VS.B]
+        run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
+        # good slots 6 + 2 + 1 = 9, plus one V_1 slot per defector row: 4
+        assert calls.count((GoodStrategy, 13)) == n - 1
+        assert calls.count((Example2Defector, 4)) == n - 1
+        assert calls.count((Reluctant, 1)) == n - 1  # its own invests, through super()
+        assert len(calls) == 3 * (n - 1)
+        assert alt_a.calls == alt_b.calls == n - 1
+        monkeypatch.undo()
+        fresh = {id(alt_a): Alternator(), id(alt_b): Alternator()}
+        for b, (profile, x1) in enumerate(zip(profiles, starts)):
+            profile = tuple(fresh.get(id(s), s) for s in profile)
+            assert run.final[b].tolist() == list(iterate(induced_map(profile, PARAMS), x1, n).final)
+
+    def test_random_subclass_fresh_keeps_its_type(self):
+        s = Inverted(0.3, 3)
+        first = [s.decide((0.0,) * 3) for _ in range(5)]
+        clean = s.fresh()
+        assert type(clean) is Inverted and clean.name == s.name
+        assert [clean.decide((0.0,) * 3) for _ in range(5)] == first
+        self.check("t4", [(Inverted(0.3, 3),)])
+        cfg = HarnessConfig(params=PARAMS, n=2000, starts=((0.125,) * 8,))
+        inverted, parent = verify_t4(cfg, [Inverted(0.3, 3), RandomStrategy(0.3, 3)]).cells
+        assert inverted["measured"] != parent["measured"]
 
 
 class TestSafetyChain:
