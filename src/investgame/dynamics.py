@@ -32,7 +32,7 @@ import numpy as np
 
 from .geometry import good_region, inequality_margins
 from .stage_game import GameParams, payoff_table, require_valid
-from .strategies import ConstantStrategy, Example2Defector, GoodStrategy
+from .strategies import ConstantStrategy, Example2Defector, GoodStrategy, RandomStrategy, Strategy
 
 
 @dataclass
@@ -137,19 +137,6 @@ class BatchTails:
 _BLOCK = 512
 
 
-def _owner(cls: type, name: str) -> type | None:
-    return next((k for k in cls.__mro__ if name in vars(k)), None)
-
-
-def _plan(strategy):
-    """strategy.plan if its class defines it at or below the definer of invests."""
-    cls = type(strategy)
-    owner = _owner(cls, "plan")
-    if owner is None or not issubclass(owner, _owner(cls, "invests")):
-        return None
-    return strategy.plan
-
-
 def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) -> BatchTails:
     """Run cell b = (profiles[b], starts[b]) for n stages, all cells at once.
 
@@ -157,16 +144,17 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     (B, 3) means, so every cell is bit-identical to `iterate` on the step
     map `induced_map(profiles[b], params)`.  The payoff is looked up in
     `payoff_table` by the 3-bit profile code (bit i set when seat i invests).
-    Decisions come from, per strategy:
-      - `plan` (see `Strategy`): drawn before the loop, n - 1 per
+    Each seat's decisions come from one route, chosen by its exact type:
+      - `ConstantStrategy`: its bit, written once before the loop;
+      - `RandomStrategy`: `plan`, drawn before the loop, n - 1 per
         (cell, seat) in cell order;
-      - `GoodStrategy.invests` itself, and exactly `Example2Defector`: one call
-        per kind and stage (`stacked`), defectors once per (instance, row);
-      - otherwise `invests` on the coordinate columns of its rows' means,
-        one call per instance and stage (stateful kinds, and subclasses
-        overriding `invests` or `_in_triangle`).
-    Strategies are left in the state `iterate` would leave them in, provided
-    no stateful instance sits in two cells (`fresh()` copies ensure that).
+      - `GoodStrategy` and `Example2Defector`: one call per kind and stage
+        (`stacked`), defectors once per (instance, row);
+      - any other class, subclasses included: `invests` on the coordinate
+        columns of its rows' means, one call per instance and stage.
+    An instance of a stateful class (one that overrides `Strategy.fresh`)
+    may fill one slot only, so that it is left in the state `iterate` would
+    leave it in; give each seat its own `fresh()` copy.
     Tail statistics cover the means from `tail_start(n, window)` on.
     """
     require_valid(params)
@@ -182,18 +170,27 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     # Route every (cell, seat) slot; dst indexes the flattened (B, 3) decisions.
     cache: dict = {}
     plans: dict[int, tuple[int, np.ndarray]] = {}
-    plan_dst, plan_src = [], []
-    goods, defectors, evaluated = [], {}, {}
+    plan_dst, plan_src, invest_dst = [], [], []
+    goods, defectors, evaluated, stateful = [], {}, {}, set()
     for b, profile in enumerate(profiles):
         for seat, s in enumerate(profile):
             dst = 3 * b + seat
-            if (plan := _plan(s)) is not None:
-                arr = plan(n - 1, cache)
+            kind = type(s)
+            if kind.fresh is not Strategy.fresh:
+                if id(s) in stateful:
+                    raise ValueError(f"{s.name} fills more than one slot of the batch, but keeps "
+                                     "state: give each seat its own fresh() copy")
+                stateful.add(id(s))
+            if kind is ConstantStrategy:
+                if s._invests:
+                    invest_dst.append(dst)
+            elif kind is RandomStrategy:
+                arr = s.plan(n - 1, cache)
                 plan_dst.append(dst)
                 plan_src.append(plans.setdefault(id(arr), (len(plans), arr))[0])
-            elif _owner(type(s), "invests") is GoodStrategy:
+            elif kind is GoodStrategy:
                 goods.append((s, b, dst))
-            elif type(s) is Example2Defector:
+            elif kind is Example2Defector:
                 defectors.setdefault((id(s), b), (s, b, []))[2].append(dst)
             else:
                 group = evaluated.setdefault(id(s), (s.invests, [], []))
@@ -203,6 +200,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     plan_dst = np.array(plan_dst, dtype=np.intp)
     plan_src = np.array(plan_src, dtype=np.intp)
     decisions = np.zeros(3 * cells + len(defectors), dtype=bool)
+    decisions[invest_dst] = True
     decision_rows = decisions[:3 * cells].reshape(cells, 3)
     goods += [(d._good1, b, 3 * cells + u) for u, (d, b, _) in enumerate(defectors.values())]
     # (invests, (3, m) take indices into the means, dst); goods fill V_1 before defectors read it.
@@ -223,8 +221,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     tail_min = np.full_like(means, np.inf)
     tail_max = np.full_like(means, -np.inf)
     tail_max_23 = np.full(cells, -np.inf)
-    tail = np.empty((min(_BLOCK, n - first), cells, 3))
-    kept = 0
+    tail = np.empty((_BLOCK, cells, 3))
 
     def fold(part):
         np.minimum(tail_min, part.min(axis=0), out=tail_min)
@@ -232,8 +229,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         np.maximum(tail_max_23, (part[:, :, 1] + part[:, :, 2]).max(axis=0), out=tail_max_23)
 
     if first == 0:
-        tail[0] = means
-        kept = 1
+        fold(means[None])
     for lo in range(1, n, _BLOCK):
         hi = min(n, lo + _BLOCK)
         block_plan = plan_table[plan_src, lo - 1:hi - 1].T
@@ -247,13 +243,9 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
             np.add(start, total, out=means)
             means /= k + 1
             if k >= first:
-                tail[kept] = means
-                kept += 1
-                if kept == len(tail):
-                    fold(tail)
-                    kept = 0
-    if kept:
-        fold(tail[:kept])
+                tail[k - lo] = means
+        if hi > first:
+            fold(tail[max(first, lo) - lo:hi - lo])
     return BatchTails(final=means, tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
 
 
@@ -296,9 +288,9 @@ def _sums_exact(table, n: int) -> bool:
 
 
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
-    """Run one profile of `GoodStrategy` and `ConstantStrategy` seats (their
-    own `invests`, not a subclass's) from x1 for n stages, jumping over
-    stretches of one fixed profile.
+    """Run one profile of seats of type exactly `GoodStrategy` or
+    `ConstantStrategy` from x1 for n stages, jumping over stretches of one
+    fixed profile.
 
     The means are those of `iterate` on `induced_map(profile, params)`, bit
     for bit.  At each stage the profile is decided, then the farthest stage
@@ -327,10 +319,9 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         raise ValueError("need a 3-vector start and a profile of three strategies")
     specs = []
     for s in profile:
-        owner = _owner(type(s), "invests")
-        if owner is GoodStrategy:
+        if type(s) is GoodStrategy:
             specs.append(good_region(s.player, s.eps))
-        elif owner is not ConstantStrategy:
+        elif type(s) is not ConstantStrategy:
             raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
     first_tail = tail_start(n, window) + 1
     table = payoff_table(params)

@@ -19,8 +19,8 @@ respecting the t4 cap.  "Arbitrary strategy" is not testable as stated,
 so the battery below (constants, seeded coin flips, the crafted
 defector) is the documented adversarial stand-in, extendable by callers:
 `verify_t4` and `verify_t2` take any `strategies.Strategy` that defines
-`invests` so that it also runs on coordinate columns (or `plan`, for one
-that ignores the mean), plus `fresh()` when it keeps state.
+`invests` so that it also runs on coordinate columns, plus `fresh()` when
+it keeps state.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The t3 cells run on
@@ -481,6 +481,8 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
     with the triangle to isolate {D}; the refinement and the intersection
     check the final mean of every start.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2: the deviator's tail minimum reads the second half of the run")
     params, defector, phi, triangle, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)

@@ -43,12 +43,7 @@ class Strategy:
     3-sequence whose coordinates are floats (one mean, giving a bool) or
     numpy columns (one mean per row, giving a bool mask).  It is written
     with `&`, `|` and `^` only, since `and`/`not` fail on arrays, so both
-    forms decide alike.  A kind that ignores the mean may also offer
-      plan(stages, cache) -> bool[stages], the invest mask of the next
-        `stages` decisions,
-    which `dynamics.simulate_batch` uses only where its class is the class
-    that defines `invests` or a subclass of it: a subclass that overrides
-    `invests` is evaluated through it.
+    forms decide alike.
     """
 
     name = "strategy"
@@ -63,7 +58,8 @@ class Strategy:
         raise NotImplementedError
 
     def fresh(self) -> "Strategy":
-        """Instance with pristine generator state; stateless kinds return self."""
+        """Instance with pristine generator state; stateless kinds return self,
+        and a kind that keeps state overrides this."""
         return self
 
 
@@ -121,14 +117,6 @@ class ConstantStrategy(Strategy):
     def invests(self, x) -> bool:
         return self._invests
 
-    def plan(self, stages: int, cache: dict) -> np.ndarray:
-        """`stages` copies of the action as an invest mask; `cache` shares
-        one array among equal constants."""
-        key = ("constant", self.action, stages)
-        if key not in cache:
-            cache[key] = np.full(stages, self._invests)
-        return cache[key]
-
     def descriptor(self) -> dict:
         return {"kind": "constant", "action": self.action}
 
@@ -161,7 +149,7 @@ class RandomStrategy(Strategy):
         instances whose generators are in equal states (fresh copies of
         one seed), which then only jump to the end state.
         """
-        key = ("random", self.p, stages, self._rng.getstate())
+        key = (self.p, stages, self._rng.getstate())
         hit = cache.get(key)
         if hit is None:
             rnd = self._rng.random

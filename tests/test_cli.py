@@ -331,6 +331,7 @@ BAD_INPUTS = {
     "example1-text-seed": ("verify example1", {"n": 1000, "starts": 2, "seed": "x"}, "seed must"),
     "example2-text-eps": ("verify example2", {"eps": "abc", "n": 1000}, "eps must"),
     "example2-fractional-n": ("verify example2", {"n": 1000.5}, "n must"),
+    "example2-one-stage": ("verify example2", {"n": 1}, "n must"),
     "simulate-fractional-n": ("simulate", {"strategies": GOOD3, "n": 1.5}, "n must"),
     "simulate-fractional-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 1.5}] * 3,
                                               "n": 5}, "seed must"),

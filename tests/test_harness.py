@@ -368,6 +368,14 @@ class Inverted(RandomStrategy):
         return super().invests(x) ^ True
 
 
+class Renamed(GoodStrategy):
+    """Overrides nothing but its name."""
+
+    def __init__(self, player, eps, params):
+        super().__init__(player, eps, params)
+        self.name = f"renamed(eps={eps:g})"
+
+
 class TestStackedRouting:
     """simulate_batch decides the seats of `GoodStrategy` and `Example2Defector`
     in one stacked call per kind and stage; every cell still matches `iterate`."""
@@ -409,20 +417,64 @@ class TestStackedRouting:
         g1, g2 = GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.25, PARAMS)
         alt_a, alt_b = Alternator(), Alternator()
         profiles = [(g1, g2, d4), (g1, d4, d4), (g1, d2, alt_a), (g1, alt_b, Reluctant(3, 0.4, PARAMS)),
-                    (g1, g2, GoodStrategy(3, 0.4, PARAMS)), (g1, d2, d2)]
-        starts = [VS.A, VS.B, VS.c1[0], VS.A, VS.c2[2], VS.B]
+                    (g1, g2, GoodStrategy(3, 0.4, PARAMS)), (g1, d2, d2),
+                    (Renamed(1, 0.4, PARAMS), ConstantStrategy("I"), ConstantStrategy("NI"))]
+        starts = [VS.A, VS.B, VS.c1[0], VS.A, VS.c2[2], VS.B, VS.c1[1]]
         run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
         # good slots 6 + 2 + 1 = 9, plus one V_1 slot per defector row: 4
         assert calls.count((GoodStrategy, 13)) == n - 1
         assert calls.count((Example2Defector, 4)) == n - 1
         assert calls.count((Reluctant, 1)) == n - 1  # its own invests, through super()
-        assert len(calls) == 3 * (n - 1)
+        assert calls.count((Renamed, 1)) == n - 1  # a subclass is not stacked, even one that overrides nothing
+        assert len(calls) == 4 * (n - 1)
         assert alt_a.calls == alt_b.calls == n - 1
         monkeypatch.undo()
         fresh = {id(alt_a): Alternator(), id(alt_b): Alternator()}
         for b, (profile, x1) in enumerate(zip(profiles, starts)):
             profile = tuple(fresh.get(id(s), s) for s in profile)
             assert run.final[b].tolist() == list(iterate(induced_map(profile, PARAMS), x1, n).final)
+
+    def test_good_subclass_overriding_nothing(self):
+        self.check("t4", [(Renamed(3, 0.4, PARAMS),), (GoodStrategy(3, 0.4, PARAMS),)])
+        self.check("t2", [(Renamed(2, 0.4, PARAMS), Renamed(3, 0.25, PARAMS)),
+                          (Renamed(2, 0.4, PARAMS), Example2Defector(PARAMS, 0.4))])
+
+    def test_constants_are_not_called_per_stage(self, monkeypatch):
+        calls = []
+        inner = ConstantStrategy.invests
+
+        def invests(self, x):
+            calls.append(self.action)
+            return inner(self, x)
+
+        monkeypatch.setattr(ConstantStrategy, "invests", invests)
+        n = 300
+        inv, refuse, g1 = ConstantStrategy("I"), ConstantStrategy("NI"), GoodStrategy(1, 0.4, PARAMS)
+        profiles = [(inv, inv, inv), (refuse, refuse, refuse), (inv, refuse, inv), (g1, inv, refuse),
+                    (g1, refuse, refuse), (g1, inv, inv)]
+        starts = [VS.A, VS.B, VS.c1[0], VS.c2[1], VS.A, VS.B]
+        run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
+        assert calls == []
+        monkeypatch.undo()
+        for b, (profile, x1) in enumerate(zip(profiles, starts)):
+            traj = iterate(induced_map(profile, PARAMS), x1, n)
+            assert run.final[b].tolist() == list(traj.final)
+            assert run.intervals(b) == [list(tail_interval(traj, coordinate(i), 0.5)) for i in (1, 2, 3)]
+        both = [ConstantStrategy("I"), ConstantStrategy("NI")]
+        self.check("t2", [(a, b) for a in both for b in both])
+
+    def test_stateful_instance_in_two_slots_is_rejected(self):
+        g1, g2 = GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS)
+        alt = Alternator()
+        two_seats = [(g1, alt, alt)]
+        two_cells = [(g1, g2, alt), (g1, g2, alt)]
+        for profiles in (two_seats, two_cells):
+            with pytest.raises(ValueError, match="alternator .*own fresh"):
+                simulate_batch(profiles, PARAMS, [VS.A] * len(profiles), 50, 0.5)
+        # with one copy per seat the cell matches iterate
+        run = simulate_batch([(g1, Alternator(), Alternator())], PARAMS, [VS.A], 50, 0.5)
+        traj = iterate(induced_map((g1, Alternator(), Alternator()), PARAMS), VS.A, 50)
+        assert run.final[0].tolist() == list(traj.final)
 
     def test_random_subclass_fresh_keeps_its_type(self):
         s = Inverted(0.3, 3)

@@ -193,10 +193,6 @@ class TestBatchForms:
         assert again._rng.getstate() == ref._rng.getstate()
         assert RandomStrategy(0.3, seed=8).plan(999, cache).tolist() != want
 
-    def test_constant_plan(self):
-        assert ConstantStrategy(INVEST).plan(5, {}).tolist() == [True] * 5
-        assert ConstantStrategy(NOT_INVEST).plan(5, {}).tolist() == [False] * 5
-
     @pytest.mark.parametrize("eps", [0.1, 0.4])
     def test_good_batch_matches_decide(self, eps):
         for pts in _invest_points(eps):
