@@ -3,8 +3,8 @@
 S is the convex hull of the eight stage-game payoff vertices.  The
 orthogonal projection onto the zero-sum plane P = {x1 + x2 + x3 = 0},
 along the diagonal line {x1 = x2 = x3}, structures the analysis.  Six
-unit directions v1..v6 in P encode pairwise payoff comparisons and cut
-the sub-level regions Delta_c(K) used by the support-function machinery.
+unit directions v1..v6 in P encode pairwise payoff comparisons; their
+support function, in `lyapunov`, cuts the sub-level regions Delta_c.
 
 Each region kind lists its inequalities once; membership follows the
 strict-inequality definitions exactly, and the "closure" used by distance
@@ -38,15 +38,7 @@ V_DIRS: tuple[tuple[float, float, float], ...] = (
     (1.0 / _S2, -1.0 / _S2, 0.0),
 )
 
-PLANE_SUM_TOL = 1e-9
 HULL_TOL = 1e-9
-
-
-def v_dir(i: int) -> tuple[float, float, float]:
-    """The i-th plane direction, 1-based (i in 1..6)."""
-    if not 1 <= i <= 6:
-        raise ValueError(f"direction index {i} out of range 1..6")
-    return V_DIRS[i - 1]
 
 
 def project_plane(x) -> PayoffVector:
@@ -73,10 +65,6 @@ def norm3(a) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-def is_plane_point(y) -> bool:
-    return abs(y[0] + y[1] + y[2]) <= PLANE_SUM_TOL
-
-
 # Orthonormal basis of the plane P, used for 2-d grids and projections.
 _E1 = (1.0 / _S2, -1.0 / _S2, 0.0)
 _E2 = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
@@ -90,10 +78,6 @@ def to_plane_coords(y) -> tuple[float, float]:
 # Region specifications
 # ---------------------------------------------------------------------------
 
-# Payoff-space kinds are predicates on R^3 points; "delta" acts on plane points.
-_PAYOFF_KINDS = ("omega_eps", "w", "v", "omega_max", "phi_min")
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """A labeled region with the parameters its membership predicate needs."""
@@ -101,8 +85,6 @@ class RegionSpec:
     kind: str
     player: int = 0
     eps: float = 0.0
-    ks: tuple[int, ...] = ()
-    c: float = 0.0
 
 
 def omega_eps_region(i: int, eps: float) -> RegionSpec:
@@ -130,11 +112,6 @@ def argmin_region(i: int) -> RegionSpec:
     return RegionSpec(kind="phi_min", player=i)
 
 
-def delta_region(ks, c: float) -> RegionSpec:
-    """{y in P : <v_k, y> < c for k in ks} (strict), a plane region."""
-    return RegionSpec(kind="delta", ks=tuple(sorted(int(k) for k in ks)), c=float(c))
-
-
 def _others(i: int) -> tuple[int, int]:
     if i not in (1, 2, 3):
         raise ValueError(f"player index {i} out of range 1..3")
@@ -147,9 +124,8 @@ def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
     Strict ops ("<", ">") relax to non-strict ones in the closure.  "w" is
     the union of its inequalities, every other kind their intersection.
     """
-    if spec.kind == "delta":
-        y0, y1, y2 = cols
-        return [(v[0] * y0 + v[1] * y1 + v[2] * y2, "<", spec.c) for v in map(v_dir, spec.ks)]
+    if spec.kind not in ("omega_eps", "w", "v", "omega_max", "phi_min"):
+        raise ValueError(f"unknown region kind {spec.kind!r}")
     i = spec.player
     j, k = _others(i)
     xi, xj, xk = cols[i - 1], cols[j - 1], cols[k - 1]
@@ -162,9 +138,8 @@ def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
     omega = [(xi, ">", xj - spec.eps), (xi, ">", xk - spec.eps)]
     if spec.kind == "omega_eps":
         return omega
-    if spec.kind == "v":  # Omega_i^eps minus W_i: both W_i inequalities negated
-        return omega + [(xi, ">=", params.r0), (xj + xk, "<=", 2.0 * params.p3)]
-    raise ValueError(f"unknown region kind {spec.kind!r}")
+    # "v": Omega_i^eps minus W_i, both W_i inequalities negated
+    return omega + [(xi, ">=", params.r0), (xj + xk, "<=", 2.0 * params.p3)]
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -192,8 +167,6 @@ def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: b
     for lhs, op, rhs in _inequalities(params, spec, (pts[:, 0], pts[:, 1], pts[:, 2])):
         if closed:
             op = _RELAXED.get(op, op)
-            if spec.kind == "delta":
-                rhs = rhs + 1e-12
         held = _OPS[op](lhs, rhs)
         if mask is None:
             mask = held
@@ -204,35 +177,27 @@ def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: b
     return np.ones(len(pts), dtype=bool) if mask is None else mask
 
 
-def _check_point(spec: RegionSpec, x) -> None:
-    if spec.kind == "delta":
-        if len(x) != 3 or not is_plane_point(x):
-            raise ValueError("delta regions take plane points (coordinates summing to 0)")
-    elif spec.kind not in _PAYOFF_KINDS:
-        raise ValueError(f"unknown region kind {spec.kind!r}")
-    elif len(x) != 3:
+def _check_point(x) -> None:
+    if len(x) != 3:
         raise ValueError("payoff regions take points of R^3")
 
 
 def in_region(params: GameParams, spec: RegionSpec, x) -> bool:
     """Membership predicate, strict inequalities evaluated strictly.
 
-    Raises ValueError when the point kind does not match the region kind
-    (plane regions demand a zero-sum point, payoff regions a 3-vector).
+    Raises ValueError unless x is a 3-vector and the kind is known.
     """
-    _check_point(spec, x)
+    _check_point(x)
     return bool(region_mask(params, spec, np.asarray([x], dtype=float))[0])
 
 
 def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
-    """Membership in the region's closure (strict inequalities relaxed).
-
-    For payoff-space kinds this includes membership in the closed hull S.
+    """Membership in the region's closure (strict inequalities relaxed),
+    which includes membership in the closed hull S.
     """
-    _check_point(spec, x)
-    if spec.kind != "delta" and not in_hull(vertices(params).all_points(), x):
-        return False
-    return bool(region_mask(params, spec, np.asarray([x], dtype=float), closed=True)[0])
+    _check_point(x)
+    held = region_mask(params, spec, np.asarray([x], dtype=float), closed=True)[0]
+    return bool(held) and in_hull(vertices(params).all_points(), x)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +422,13 @@ def _region_grid_cached(params: GameParams, spec: RegionSpec, h: float) -> np.nd
     return np.concatenate(slabs)
 
 
-def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float = 0.25) -> float:
+def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float) -> float:
     """Distance from x to a payoff region's closure: 0 for points in the
     closure, otherwise the minimum over a pitch-h ambient grid intersected
     with it, an overestimate by at most grid_slack(h).
     """
     if h <= 0:
         raise ValueError("resolution h must be positive")
-    if spec.kind not in _PAYOFF_KINDS:
-        raise ValueError(f"distances are to payoff regions, not {spec.kind!r}")
     if in_closure(params, spec, x):
         return 0.0
     grid = _region_grid_cached(params, spec, float(h))

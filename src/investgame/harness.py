@@ -376,6 +376,8 @@ def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
     segment/axis intersection d, and the certificates of all three
     example1_targets.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     if starts is None:
         starts = example1_starts()
     if not starts:
@@ -483,6 +485,8 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
     """
     if n < 2:
         raise ValueError("n must be at least 2: the deviator's tail minimum reads the second half of the run")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     params, defector, phi, triangle, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)

@@ -23,7 +23,6 @@ from investgame.approachability import (
 from investgame.cli import main
 from investgame.dynamics import iterate, tail_start
 from investgame.geometry import (
-    delta_region,
     good_region,
     argmax_region,
     argmin_region,
@@ -42,6 +41,7 @@ from investgame.harness import (
     verify_t4,
 )
 from investgame.lyapunov import (
+    _support,
     certification_grid,
     check_lyapunov,
     decrease_check,
@@ -250,7 +250,8 @@ def test_criterion_region_algebra():
         omega = np.ones(n, dtype=bool)
         for i in (1, 2, 3):
             omega &= region_mask(PARAMS, omega_eps_region(i, e), pts)
-        dl = region_mask(PARAMS, delta_region(range(1, 7), e / S2), proj)
+        c = e / S2
+        dl = _support(six_direction_spec(c), proj.T) < c
         eq20_fails += int(np.sum(omega != dl))
 
     report(

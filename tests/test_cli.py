@@ -332,6 +332,8 @@ BAD_INPUTS = {
     "example2-text-eps": ("verify example2", {"eps": "abc", "n": 1000}, "eps must"),
     "example2-fractional-n": ("verify example2", {"n": 1000.5}, "n must"),
     "example2-one-stage": ("verify example2", {"n": 1}, "n must"),
+    "example1-negative-tol": ("verify example1", {"n": 1000, "starts": 2, "tol": -0.01}, "tol must"),
+    "example2-negative-tol": ("verify example2", {"n": 1000, "tol": -0.01}, "tol must"),
     "simulate-fractional-n": ("simulate", {"strategies": GOOD3, "n": 1.5}, "n must"),
     "simulate-fractional-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 1.5}] * 3,
                                               "n": 5}, "seed must"),

@@ -9,7 +9,6 @@ import pytest
 from investgame.geometry import (
     argmax_region,
     argmin_region,
-    delta_region,
     dist_to_region,
     good_region,
     grid_slack,
@@ -20,6 +19,7 @@ from investgame.geometry import (
 )
 from investgame.harness import HarnessConfig, standard_deviants, verify_t2, verify_t3, verify_t4
 from investgame.lyapunov import (
+    _support,
     certification_grid,
     check_lyapunov,
     decrease_check,
@@ -63,7 +63,7 @@ def test_plane_equivalence_transfers():
     for i in (1, 2, 3):
         omega &= region_mask(OTHER, omega_eps_region(i, EPS), pts)
     proj = pts - pts.mean(axis=1, keepdims=True)
-    assert np.array_equal(omega, region_mask(OTHER, delta_region(range(1, 7), c), proj))
+    assert np.array_equal(omega, _support(six_direction_spec(c), proj.T) < c)
 
 
 def test_claims_hold_for_the_other_game():

@@ -7,9 +7,9 @@ from investgame import geometry
 from investgame.approachability import HullOracle
 from investgame.geometry import (
     V_DIRS,
+    RegionSpec,
     argmax_region,
     argmin_region,
-    delta_region,
     dist_to_region,
     dot3,
     good_region,
@@ -22,9 +22,9 @@ from investgame.geometry import (
     project_plane,
     region_mask,
     sample_points,
-    v_dir,
     w_region,
 )
+from investgame.lyapunov import _support, six_direction_spec
 from investgame.stage_game import INVEST, example_game, vertices
 from investgame.strategies import GoodStrategy
 
@@ -56,17 +56,11 @@ class TestProjections:
 
 class TestDirections:
     def test_unit_norms_and_antipodes(self):
-        for i in range(1, 7):
-            v = v_dir(i)
+        assert len(V_DIRS) == 6
+        for v in V_DIRS:
             assert abs(dot3(v, v) - 1.0) <= 1e-12
         for i in range(3):
             assert all(V_DIRS[i + 3][k] == -V_DIRS[i][k] for k in range(3))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            v_dir(0)
-        with pytest.raises(ValueError):
-            v_dir(7)
 
 
 def _boundary_points() -> np.ndarray:
@@ -90,9 +84,6 @@ def _boundary_points() -> np.ndarray:
 
 def _reference(spec, x, closed: bool) -> bool:
     """The regions' defining inequalities, written out on scalars."""
-    if spec.kind == "delta":
-        vals = [dot3(v_dir(k), x) for k in spec.ks]
-        return all(v <= spec.c + 1e-12 if closed else v < spec.c for v in vals)
     i = spec.player
     j, k = [m for m in (1, 2, 3) if m != i]
     xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
@@ -122,19 +113,20 @@ class TestMembership:
     def test_good_region_excludes_low_own_payoff(self):
         assert not in_region(PARAMS, good_region(1, 0.4), (19.0, 26.0, 26.0))
 
-    def test_delta_at_origin(self):
-        for c in (1e-9, 0.3, 5.0):
-            assert in_region(PARAMS, delta_region(range(1, 7), c), (0.0, 0.0, 0.0))
-
     def test_boundary_own_payoff_still_invests(self):
         # x1 exactly r0: the strict exploitation trigger does not fire
         assert in_region(PARAMS, good_region(1, 0.4), (20.0, 20.3, 20.1))
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(ValueError):
-            in_region(PARAMS, delta_region((1, 2), 0.3), (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
             in_region(PARAMS, good_region(1, 0.4), (1.0, 2.0))
+
+    def test_unknown_kind_raises(self):
+        pts = sample_points(PARAMS, 4, seed=1)
+        with pytest.raises(ValueError, match="unknown region kind"):
+            region_mask(PARAMS, RegionSpec("bogus"), pts)
+        with pytest.raises(ValueError, match="unknown region kind"):
+            in_region(PARAMS, RegionSpec("bogus"), tuple(pts[0]))
 
     def test_scalar_matches_vectorized(self):
         pts = sample_points(PARAMS, 1500, seed=3)
@@ -166,18 +158,6 @@ class TestMembership:
             if spec.kind == "v":
                 good = GoodStrategy(spec.player, spec.eps, PARAMS)
                 assert np.array_equal(vec, [good.decide(tuple(x)) == INVEST for x in pts])
-
-        # Delta regions: c := <v_k, y> puts y exactly on the k-th edge line;
-        # 5e-13 less leaves it inside the closure's 1e-12 slack.
-        ys = np.asarray([project_plane(x) for x in sample_points(PARAMS, 300, seed=5)])
-        for m, y in enumerate(ys):
-            ks = (1, 2, 3, 4, 5, 6) if m % 2 else (1 + m % 6, 1 + (m + 2) % 6)
-            c = dot3(v_dir(ks[m % len(ks)]), y) - (5e-13 if m % 3 == 0 else 0.0)
-            spec = delta_region(ks, c)
-            for closed, scalar in ((False, in_region), (True, in_closure)):
-                want = _reference(spec, y, closed)
-                assert region_mask(PARAMS, spec, ys, closed=closed)[m] == want
-                assert scalar(PARAMS, spec, tuple(y)) == want
 
 
 class TestRegionAlgebra:
@@ -218,15 +198,16 @@ class TestRegionAlgebra:
             assert np.all(self.ph[i][refuse])
 
     def test_plane_equivalence(self):
-        # the three pairwise-threshold regions match the sub-level region of
-        # the plane directions at c = eps / sqrt(2)
+        # the three pairwise-threshold regions match the sub-level region
+        # Delta_c of the six plane directions' support function at
+        # c = eps / sqrt(2)
         for eps in (0.1, 0.4):
             c = eps / math.sqrt(2.0)
             om = np.ones(self.N, dtype=bool)
             for i in (1, 2, 3):
                 om &= region_mask(PARAMS, omega_eps_region(i, eps), self.pts)
             proj = self.pts - self.pts.mean(axis=1, keepdims=True)
-            dl = region_mask(PARAMS, delta_region(range(1, 7), c), proj)
+            dl = _support(six_direction_spec(c), proj.T) < c
             assert np.array_equal(om, dl)
 
 
@@ -292,10 +273,6 @@ class TestDistances:
         t = np.clip(((x - a) @ (b - a)) / ((b - a) @ (b - a)), 0, 1)
         expected = float(np.linalg.norm(a + t * (b - a) - x))
         assert abs(HullOracle([VS.A, VS.B]).distance(tuple(x)) - expected) <= 1e-9
-
-    def test_plane_regions_are_rejected(self):
-        with pytest.raises(ValueError, match="payoff regions"):
-            dist_to_region(PARAMS, delta_region(range(1, 7), 0.1), (1.0, -1.0, 0.0), 0.25)
 
     def test_empty_sampled_region_raises(self):
         with pytest.raises(ValueError, match="empty sampled region"):

@@ -1,9 +1,11 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from investgame import harness
+from investgame.approachability import HullOracle
 from investgame.dynamics import (
     coordinate,
     coordinate_sum,
@@ -15,7 +17,15 @@ from investgame.dynamics import (
     tail_liminf,
     tail_limsup,
 )
-from investgame.geometry import dist_to_region, good_region, grid_slack, norm3, region_mask
+from investgame.geometry import (
+    HULL_TOL,
+    dist_to_region,
+    good_region,
+    grid_slack,
+    hull_halfspaces,
+    norm3,
+    region_mask,
+)
 from investgame.harness import (
     HarnessConfig,
     default_starts,
@@ -230,6 +240,44 @@ class TestT2:
         assert rep.passed
         assert cell["measured"]["own_tail_min"] >= PARAMS.p3 - 0.05
         assert cell["measured"]["deviators_tail_sum_max"] <= 2 * PARAMS.p3 + 0.05
+
+    def test_dist_to_v1_against_exact_distance(self, monkeypatch):
+        # cl(V_1) and S are polytopes, so their intersection is the hull of
+        # the feasible points where three of their bounding planes meet, and
+        # the exact distance is the projection onto that hull.  The grid
+        # distance may only overestimate it, by at most its slack; `band`
+        # is the hull tolerance of `in_closure`, whose zero may sit that far
+        # outside S.
+        cfg = HarnessConfig(params=PARAMS, n=2000)
+        planes = [  # <n, x> <= b: x1 >= x2 - eps, x1 >= x3 - eps, x1 >= r0, x2 + x3 <= 2 p3
+            (np.array([-1.0, 1.0, 0.0]), cfg.eps),
+            (np.array([-1.0, 0.0, 1.0]), cfg.eps),
+            (np.array([-1.0, 0.0, 0.0]), -PARAMS.r0),
+            (np.array([0.0, 1.0, 1.0]), 2.0 * PARAMS.p3),
+        ] + hull_halfspaces(VS.all_points())
+        corners = []
+        for trio in combinations(planes, 3):
+            a = np.array([n for n, _ in trio])
+            if abs(np.linalg.det(a)) > 1e-9:
+                x = np.linalg.solve(a, [b for _, b in trio])
+                if all(n @ x <= b + 1e-9 for n, b in planes):
+                    corners.append(x)
+        exact = HullOracle(np.unique(np.round(corners, 9), axis=0))
+        band = HULL_TOL * float(np.abs(VS.all_points()).max())
+
+        seen = []
+
+        def recording(params, spec, x, h):
+            seen.append((x, dist_to_region(params, spec, x, h)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(harness, "dist_to_region", recording)
+        rep = verify_t2(cfg)
+        assert [d for _, d in seen] == [cell["measured"]["dist_to_v1"] for cell in rep.cells]
+        for x, reported in seen:
+            d = exact.distance(x)
+            assert d - band <= reported <= d + grid_slack(cfg.dist_pitch)
+            assert d <= cfg.dist_slack
 
 
 class Alternator(Strategy):
@@ -555,6 +603,12 @@ class TestExample1:
         with pytest.raises(ValueError, match="at least one start is required"):
             run_example1(starts=[], n=1000)
 
+    @pytest.mark.parametrize("tol", [-0.01, float("nan")])
+    def test_invalid_tol_rejected(self, tol):
+        # a negative tolerance fails every cell whatever the dynamics do
+        with pytest.raises(ValueError, match="tol must"):
+            run_example1(starts=[(0.0, 0.0)], n=1000, tol=tol)
+
     def test_asymmetric_instance(self):
         a, b = (-1.0, -2.0), (0.5, 0.5)
         d = example1_limit(a, b)
@@ -600,6 +654,11 @@ class TestExample2:
     def test_start_outside_z_rejected(self):
         with pytest.raises(ValueError, match="outside the slice Z"):
             run_example2(0.4, starts=[(20.0, 21.0, 20.0)], n=2000)
+
+    @pytest.mark.parametrize("tol", [-0.01, float("nan")])
+    def test_invalid_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must"):
+            run_example2(0.4, n=1000, tol=tol)
 
     def test_default_starts_lie_in_z(self):
         for s in z_starts(PARAMS):

@@ -20,7 +20,6 @@ ALLOWED = {
     "geometry.w_region": "region factory of test_criterion_region_algebra",
     "geometry.argmax_region": "region factory of test_criterion_region_algebra",
     "geometry.argmin_region": "region factory of test_criterion_region_algebra",
-    "geometry.delta_region": "region factory of test_criterion_region_algebra",
     "geometry.sample_points": "sampler of S behind the region and certificate tests",
     "lyapunov.support_value": "scalar reference of lyapunov._support",
     "stage_game.permute": "player permutation of the symmetry tests",
