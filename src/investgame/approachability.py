@@ -7,7 +7,8 @@ squared distance n^2 dist(mean_n, A)^2 to grow at most linearly, hence
 dist(mean_n, A) -> 0.  This module certifies the condition on sampled
 domains, checks the induced decay bound on recorded trajectories, and
 implements the attractor intersection/refinement steps used to pin down
-limit points.
+limit points.  Those steps clip segments to the eps-neighbourhood of a
+convex hull in closed form, from the faces its exact projection solves.
 
 Certification on samples is evidence, not proof: the step maps here are
 piecewise constant with polyhedral pieces, so genuine violations fill
@@ -22,14 +23,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .geometry import dot_rows, hull_faces, nearest_on_faces
+from .geometry import FACE_WEIGHT_TOL, dot_rows, face_projections, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
 #: Slack of every certificate inequality, and the clip radius that finds where
-#: a segment union meets a convex set in `intersect_attractors`.
+#: a segment union meets a convex hull in `intersect_attractors`.
 CERT_TOL = 1e-9
-#: Ternary-search and bisection steps in `clip_segments_to_neighborhood`.
-CLIP_ITERS = 80
 
 
 class Projection(NamedTuple):
@@ -278,55 +277,48 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
 # Attractor intersection and refinement
 # ---------------------------------------------------------------------------
 
-def clip_segments_to_neighborhood(segments, target: ProximalOracle,
+def clip_segments_to_neighborhood(segments, target: HullOracle,
                                   eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sub-segments of the union lying within distance eps of the target set.
+    """Sub-segments of the union lying within distance eps of the hull `target`.
 
-    Along each segment the distance to a convex target is convex in the
-    parameter, so the feasible part is a single sub-interval, located by
-    CLIP_ITERS steps of bisection around the minimizing parameter.
+    Along a segment a + t u, each face's projection weights w0 + t w1 and
+    residual r0 + t r1 are affine in t.  The face keeps the t where no weight
+    is below -FACE_WEIGHT_TOL and the residual is at most eps long: tc +- h
+    around the residual's shortest point tc, h = sqrt((eps^2 - d^2) / r1.r1)
+    with d the residual at tc (the quadratic's roots would lose every digit
+    at eps = CERT_TOL), or every t where r1 = 0 and |r0| <= eps.  Distance to
+    a convex set is convex in t, so the faces' intervals form one: the clip.
     """
+    if not isinstance(target, HullOracle):
+        raise TypeError(f"the clip target must be a HullOracle, not {type(target).__name__}")
     out = []
     for a, b in segments:
         a = np.asarray(a, dtype=float)
         u = np.asarray(b, dtype=float) - a
-
-        def g(*ts):
-            return target.distances(a + np.array(ts)[:, None] * u)
-
-        # ternary search for the minimizer of the convex g
-        l, r = 0.0, 1.0
-        for _ in range(CLIP_ITERS):
-            m1, m2 = l + (r - l) / 3, r - (r - l) / 3
-            g1, g2 = g(m1, m2)
-            l, r = (l, m2) if g1 <= g2 else (m1, r)
-        t_min = (l + r) / 2
-        g_min, g_lo, g_hi = g(t_min, 0.0, 1.0)
-        if g_min > eps:
-            continue
-        lo_t = 0.0 if g_lo <= eps else _last_within(g, eps, t_min, 0.0)
-        hi_t = 1.0 if g_hi <= eps else _last_within(g, eps, t_min, 1.0)
+        ends = np.array([a, a + u]) - target._faces[0]
+        w, p = face_projections(target._faces, ends)
+        r = p - ends[:, None, :]
+        w0, w1, r0, r1 = w[0], w[1] - w[0], r[0], r[1] - r[0]
+        rr = dot_rows(r1, r1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops the zero divisions
+            tc = np.where(rr > 0.0, -dot_rows(r0, r1) / rr, 0.0)
+            rc = r0 + tc[:, None] * r1
+            slack = eps * eps - dot_rows(rc, rc)
+            h = np.where(rr > 0.0, np.sqrt(np.maximum(slack, 0.0) / rr), np.inf)
+            cross = (-FACE_WEIGHT_TOL - w0) / w1  # where each weight reaches -FACE_WEIGHT_TOL
+        lo = np.maximum(np.max(np.where(w1 > 0.0, cross, -np.inf), axis=1), tc - h)
+        hi = np.minimum(np.min(np.where(w1 < 0.0, cross, np.inf), axis=1), tc + h)
+        ok = (slack >= 0.0) & np.all((w1 != 0.0) | (w0 >= -FACE_WEIGHT_TOL), axis=1) & (lo <= hi)
+        lo_t, hi_t = max(0.0, np.min(lo[ok], initial=1.0)), min(1.0, np.max(hi[ok], initial=0.0))
         if hi_t > lo_t:
             out.append((a + lo_t * u, a + hi_t * u))
     return out
 
 
-def _last_within(g, eps: float, inside: float, outside: float) -> float:
-    """Bisect between a parameter where g <= eps and one where it is not;
-    the last parameter found within eps."""
-    for _ in range(CLIP_ITERS):
-        mid = (inside + outside) / 2
-        if g(mid)[0] <= eps:
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def intersect_attractors(finals: Sequence, segments: SegmentsOracle, other: ProximalOracle,
+def intersect_attractors(finals: Sequence, segments: SegmentsOracle, other: HullOracle,
                          tol: float) -> dict:
     """Check that every final mean ends near the intersection of a segment
-    union A with a convex set B.
+    union A with a convex hull B.
 
     Premise: every final mean lies within tol of A and of B separately.  The
     intersection is A clipped to within CERT_TOL of B, the pieces
@@ -353,10 +345,10 @@ def intersect_attractors(finals: Sequence, segments: SegmentsOracle, other: Prox
     }
 
 
-def refine_attractor(phi: Callable, outer_segments, inner: ProximalOracle, schedule,
+def refine_attractor(phi: Callable, outer_segments, inner: HullOracle, schedule,
                      domain_for_delta: Callable[[float], Sequence], finals: Sequence,
                      tol: float) -> dict:
-    """Shrink a known segment-union attractor A to a subset B.
+    """Shrink a known segment-union attractor A to a subset B, a convex hull.
 
     For each scheduled (eps, delta): certify the Blackwell condition for
     cl(N_eps(B)) ∩ A on a sampled delta-neighborhood of A, then check that

@@ -39,6 +39,8 @@ V_DIRS: tuple[tuple[float, float, float], ...] = (
 )
 
 HULL_TOL = 1e-9
+#: A face's projection lies on the face while no weight is below -FACE_WEIGHT_TOL.
+FACE_WEIGHT_TOL = 1e-12
 
 
 def project_plane(x) -> PayoffVector:
@@ -324,6 +326,14 @@ def _affinely_independent(sub: np.ndarray) -> bool:
     return bool(np.all(sq > 0.0) and np.linalg.det(edges @ edges.T) > 1e-12 * np.prod(sq))
 
 
+def face_projections(faces, x) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (..., F, s) and points (..., F, d) of the projections of x
+    (..., d), relative to the faces' origin, onto each face's affine hull."""
+    _, subs, solve = faces
+    w = dot_rows(solve[..., :-1], dot_rows(subs, x[..., None, None, :])[..., None, :]) + solve[..., -1]
+    return w, dot_rows(w[..., None, :], subs.transpose(0, 2, 1))
+
+
 def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
     """Nearest points of a hull to the rows of pts (M, d), given its
     hull_faces, and their distances.
@@ -333,16 +343,15 @@ def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
     other rows.  Faces whose optimal weights leave the simplex are skipped;
     the closest remaining candidate wins, the first face on an exact tie.
     """
-    origin, subs, solve = faces
+    origin, subs, _ = faces
     x = np.asarray(pts, dtype=float) - origin
     near, dist = np.empty_like(x), np.empty(len(x))
     step = max(1, 2048 // (subs.shape[0] * subs.shape[1]))  # keeps (rows, F, s) temporaries small
     for lo in range(0, len(x), step):
-        xb = x[lo:lo + step, None, None, :]
-        w = dot_rows(solve[..., :-1], dot_rows(subs, xb)[:, :, None, :]) + solve[..., -1]  # (rows, F, s)
-        cand = dot_rows(w[:, :, None, :], subs.transpose(0, 2, 1))                         # (rows, F, d)
-        diff = cand - xb[:, :, 0]
-        d = np.where(np.all(w >= -1e-12, axis=-1), np.sqrt(dot_rows(diff, diff)), np.inf)
+        xb = x[lo:lo + step]
+        w, cand = face_projections(faces, xb)  # (rows, F, s), (rows, F, d)
+        diff = cand - xb[:, None, :]
+        d = np.where(np.all(w >= -FACE_WEIGHT_TOL, axis=-1), np.sqrt(dot_rows(diff, diff)), np.inf)
         best = np.argmin(d, axis=1)
         rows = np.arange(len(best))
         near[lo:lo + step], dist[lo:lo + step] = cand[rows, best], d[rows, best]

@@ -140,8 +140,9 @@ class HarnessConfig:
             raise ValueError("eps must be positive and finite")
         if not (math.isfinite(self.dist_pitch) and self.dist_pitch > 0):
             raise ValueError("dist_pitch must be positive and finite")
-        if not (math.isfinite(self.slack) and math.isfinite(self.dist_slack)):
-            raise ValueError("slack and dist_slack must be finite")
+        for key in ("slack", "dist_slack"):
+            if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
+                raise ValueError(f"{key} must be nonnegative and finite")
         if self.n < 1000:
             raise ValueError("horizon must be at least 1000")
         if not self.starts:
@@ -509,17 +510,10 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
                            dist <= tol and overshoot > params.p3,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
     certs = example2_targets(eps).certify_all()
-    bd_segment = SegmentsOracle(union_segments[:1])
-    refine = refine_attractor(
-        phi,
-        union_segments,
-        bd_segment,
-        REFINE_SCHEDULE,
-        lambda delta: sample_near_segments_z(params, union_segments, delta),
-        finals,
-        tol,
-    )
-    intersect = intersect_attractors(finals, bd_segment, triangle, tol)
+    refine = refine_attractor(phi, union_segments, HullOracle(union_segments[0]), REFINE_SCHEDULE,
+                              lambda delta: sample_near_segments_z(params, union_segments, delta),
+                              finals, tol)
+    intersect = intersect_attractors(finals, SegmentsOracle(union_segments[:1]), triangle, tol)
     meta = {"eps": eps, "d_point": list(d_point),
             **{key: rep.as_dict() for key, rep in certs.items()},
             "refine_to_bd": refine, "intersect_bd_triangle": intersect}

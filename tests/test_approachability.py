@@ -331,7 +331,7 @@ class TestIntersect:
     def test_example1_line_cap_segment(self):
         traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 50_000)
         out = intersect_attractors(
-            [traj.final], SegmentsOracle([(A1, B1)]), LineOracle((0, 0), (1, 0)), tol=0.05
+            [traj.final], SegmentsOracle([(A1, B1)]), HullOracle([(-3, 0), (3, 0)]), tol=0.05
         )
         assert out["passes"]
         assert len(out["intersection"]) == 1
@@ -341,13 +341,13 @@ class TestIntersect:
     def test_equal_regions_reduce_to_single_check(self):
         traj = iterate(example1_phi(A1, B1), (0.5, 0.5), 20_000)
         seg = SegmentsOracle([(A1, B1)])
-        out = intersect_attractors([traj.final], seg, SegmentsOracle([(A1, B1)]), tol=0.05)
+        out = intersect_attractors([traj.final], seg, HullOracle([A1, B1]), tol=0.05)
         assert out["passes"]
         assert abs(out["dist_to_intersection"] - seg.distance(traj.final)) <= 1e-6
 
     def test_empty_intersection_raises(self):
         far_a = SegmentsOracle([((10.0, 0.0), (11.0, 0.0))])
-        far_b = PointOracle((-10.0, 0.0))
+        far_b = HullOracle([(-10.0, 0.0)])
         with pytest.raises(ValueError, match="empty intersection"):
             intersect_attractors([(0.0, 0.0)], far_a, far_b, tol=100.0)
 
@@ -364,7 +364,7 @@ def defector_setup(eps=0.4):
 class TestClipAndRefine:
     def test_clip_keeps_inner_segment_whole(self):
         defc, _, union = defector_setup()
-        bd = SegmentsOracle([union[0]])
+        bd = HullOracle(union[0])
         clipped = clip_segments_to_neighborhood(union, bd, eps=0.25)
         # BD survives unchanged; the tail segment is shortened
         assert np.allclose(clipped[0][0], VS.B)
@@ -373,9 +373,10 @@ class TestClipAndRefine:
         far_end = clipped[1][1]
         assert bd.distance(far_end) <= 0.25 + 1e-6
 
-    def test_vacuous_refinement_to_itself(self):
+    def test_vacuous_refinement_to_the_union_hull(self):
+        # the hull of the union's ends holds the whole union: no clip cuts it
         _, phi, union = defector_setup()
-        inner = SegmentsOracle(union)
+        inner = HullOracle([end for seg in union for end in seg])
         out = refine_attractor(
             phi, union, inner, [(0.5, 0.3)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
@@ -385,7 +386,7 @@ class TestClipAndRefine:
 
     def test_example2_refinement_to_bd(self):
         defc, phi, union = defector_setup()
-        bd = SegmentsOracle([union[0]])
+        bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
@@ -405,7 +406,7 @@ class TestClipAndRefine:
             raise AssertionError("refine_attractor must not run trajectories")
 
         monkeypatch.setattr(dynamics, "stages", refuse)  # every `iterate` runs `stages`
-        bd = SegmentsOracle([union[0]])
+        bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
@@ -418,7 +419,7 @@ class TestClipAndRefine:
         # below ~0.43*eps the clipped set's free end violates the condition
         # for every delta; the checker must report it rather than pass
         defc, phi, union = defector_setup(eps=0.4)
-        bd = SegmentsOracle([union[0]])
+        bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.1, 0.3)],
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
@@ -429,6 +430,71 @@ class TestClipAndRefine:
         assert not stage["blackwell_holds"]
         assert stage["witness"] is not None
         assert stage["witness"]["inner"] > 0
+
+
+class TestClipExact:
+    """The closed-form clip against the hull's distance on 4 001 values of t:
+    the samples inside the piece are within eps, the others beyond it, and
+    an end strictly inside (0, 1) lies at distance eps."""
+
+    TS = np.linspace(0.0, 1.0, 4001)
+
+    def check(self, target, a, b, eps) -> bool:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        u = b - a
+        pieces = clip_segments_to_neighborhood([(a, b)], target, eps)
+        dist = target.distances(a + self.TS[:, None] * u)
+        if not pieces:
+            assert dist.min() > eps
+            return False
+        (lo, hi), = pieces
+        t_lo, t_hi = (float((end - a) @ u / (u @ u)) for end in (lo, hi))
+        inside = (self.TS >= t_lo) & (self.TS <= t_hi)
+        assert np.all(dist[inside] <= eps)
+        assert np.all(dist[~inside] > eps)
+        for t, end in ((t_lo, lo), (t_hi, hi)):
+            if 0.0 < t < 1.0:
+                assert abs(target.distance(end) - eps) <= 1e-9
+        return True
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-9, 0.1, 0.5, 2.0])
+    def test_random_hulls_and_segments(self, dim, eps):
+        rng = np.random.default_rng(100 * dim + int(10 * eps))
+        kept = 0
+        for size in (1, 2, 3, 4):
+            for _ in range(10):
+                target = HullOracle(rng.uniform(-1.0, 1.0, (size, dim)))
+                kept += self.check(target, *rng.uniform(-2.0, 2.0, (2, dim)), eps)
+        assert kept > 0
+
+    @pytest.mark.parametrize("eps", [CERT_TOL, 0.1])
+    def test_segment_across_a_triangle_in_its_plane(self, eps):
+        # BD lies in the triangle's plane, the slice Z; a segment from B
+        # through the triangle's centroid crosses it
+        defc, _, _ = defector_setup()
+        corners = np.array([VS.c1[2], VS.c2[2], defc.d_point])
+        b = np.asarray(VS.B)
+        assert self.check(HullOracle(corners), b, 2.0 * corners.mean(axis=0) - b, eps)
+
+    def test_segment_square_to_an_edge_beyond_its_end(self):
+        # the edge's weights do not move along the segment and one stays
+        # negative: the edge's line passes within eps, the edge does not
+        edge = HullOracle([(0.0, 0.0), (1.0, 0.0)])
+        assert not self.check(edge, (2.0, -2.0), (2.0, 2.0), 0.5)
+        assert self.check(edge, (2.0, -2.0), (2.0, 2.0), 1.5)
+
+    def test_zero_length_segment_keeps_its_point(self):
+        # the residual does not move: the point is kept whole or dropped,
+        # kept on the boundary (distance 0.5 exactly)
+        square = HullOracle([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        (p, q), = clip_segments_to_neighborhood([((1.5, 0.5), (1.5, 0.5))], square, 0.5)
+        assert p.tolist() == q.tolist() == [1.5, 0.5]
+        assert clip_segments_to_neighborhood([((1.5, 0.5), (1.5, 0.5))], square, 0.4) == []
+
+    def test_target_must_be_a_hull(self):
+        with pytest.raises(TypeError, match="HullOracle"):
+            clip_segments_to_neighborhood([((0.0, 0.0), (1.0, 0.0))], SegmentsOracle([((0.0, 0.0), (1.0, 0.0))]), 0.1)
 
 
 class TestExample2Pipeline:

@@ -17,6 +17,7 @@ import pytest
 from investgame.approachability import (
     CertReport,
     DecayReport,
+    HullOracle,
     SegmentsOracle,
     check_blackwell,
     clip_segments_to_neighborhood,
@@ -191,7 +192,7 @@ def _blackwell_cases():
     # a refinement stage whose clip radius is too small: a failing witness
     # on a clipped segment, where nothing is exactly representable
     _, _, phi, _, union = _example2_setup(0.4)
-    clipped = SegmentsOracle(clip_segments_to_neighborhood(union, SegmentsOracle(union[:1]), 0.1))
+    clipped = SegmentsOracle(clip_segments_to_neighborhood(union, HullOracle(union[0]), 0.1))
     cases.append(("clipped", phi, clipped, sample_near_segments_z(PARAMS, union, 0.3), None))
     return cases
 

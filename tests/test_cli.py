@@ -305,6 +305,9 @@ BAD_INPUTS = {
     "t3-window-above-one": ("verify t3", {"window": 1.5, "n": 1000}, "window"),
     "t4-infinite-eps": ("verify t4", {"eps": "inf", "n": 1000}, "eps"),
     "t2-nan-slack": ("verify t2", {"slack": "nan", "n": 1000}, "slack"),
+    "t3-negative-slack": ("verify t3", {"n": 1000, "slack": -0.01}, "slack must"),
+    "t2-negative-dist-slack": ("verify t2", {"n": 1000, "dist_slack": -1, "starts": [[0.125] * 8]},
+                               "dist_slack must"),
     "blackwell-zero-pitch": ("certify blackwell", {"target": "example1_line", "pitch": 0}, "pitch"),
     "blackwell-negative-pitch": ("certify blackwell", {"target": "example1_line", "pitch": -1}, "pitch"),
     "blackwell-text-eps": ("certify blackwell", {"target": "example2_triangle", "eps": "abc"}, "eps must"),
