@@ -13,9 +13,11 @@ Three engines share one arithmetic, the running sum of `stages`, and one
 payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
 seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
 `stages` into one profile's recorded trajectory.  `simulate_batch` steps
-many (profile, start) cells together as a (B, 3) array, evaluating
-`invests` on coordinate columns, one call per kind and stage (defectors
-once per row), and keeps only what the deviant batteries report.
+many (profile, start) cells together as a (B, 3) array and keeps only
+what the deviant batteries report; it decides the good seats in one
+`invests` call per stage on coordinate columns, and every other seat but
+constants and coin flips by its own `invests` on its row's mean as
+floats, so that cost grows with the number of such rows.
 `simulate_events` runs one profile of good and constant seats and jumps
 over the stretches where the action profile provably stays fixed.  The
 means of the last two are bit-identical to `iterate` on the same cell.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .geometry import good_region, inequality_margins
 from .stage_game import GameParams, payoff_table, require_valid
-from .strategies import ConstantStrategy, Example2Defector, GoodStrategy, RandomStrategy, Strategy
+from .strategies import ConstantStrategy, GoodStrategy, RandomStrategy, Strategy
 
 
 @dataclass
@@ -148,10 +150,12 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
       - `ConstantStrategy`: its bit, written once before the loop;
       - `RandomStrategy`: `plan`, drawn before the loop, n - 1 per
         (cell, seat) in cell order;
-      - `GoodStrategy` and `Example2Defector`: one call per kind and stage
-        (`stacked`), defectors once per (instance, row);
-      - any other class, subclasses included: `invests` on the coordinate
-        columns of its rows' means, one call per instance and stage.
+      - `GoodStrategy`: one `stacked` call per stage on the coordinate
+        columns of all its slots;
+      - any other class, `Example2Defector` and subclasses included: its
+        own `invests` on its row's mean as a tuple of floats, as `iterate`
+        calls it, once per (instance, row) and stage.  This costs a Python
+        call per such row and stage, so it grows with their number.
     An instance of a stateful class (one that overrides `Strategy.fresh`)
     may fill one slot only, so that it is left in the state `iterate` would
     leave it in; give each seat its own `fresh()` copy.
@@ -171,7 +175,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     cache: dict = {}
     plans: dict[int, tuple[int, np.ndarray]] = {}
     plan_dst, plan_src, invest_dst = [], [], []
-    goods, defectors, evaluated, stateful = [], {}, {}, set()
+    goods, calls, stateful = [], {}, set()
     for b, profile in enumerate(profiles):
         for seat, s in enumerate(profile):
             dst = 3 * b + seat
@@ -190,31 +194,28 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
                 plan_src.append(plans.setdefault(id(arr), (len(plans), arr))[0])
             elif kind is GoodStrategy:
                 goods.append((s, b, dst))
-            elif kind is Example2Defector:
-                defectors.setdefault((id(s), b), (s, b, []))[2].append(dst)
             else:
-                group = evaluated.setdefault(id(s), (s.invests, [], []))
-                group[1].append(b)
-                group[2].append(dst)
+                calls.setdefault((id(s), b), (s.invests, b, []))[2].append(dst)
     plan_table = np.array([arr for _, arr in plans.values()], dtype=bool).reshape(len(plans), n - 1)
     plan_dst = np.array(plan_dst, dtype=np.intp)
     plan_src = np.array(plan_src, dtype=np.intp)
-    decisions = np.zeros(3 * cells + len(defectors), dtype=bool)
+    decisions = np.zeros(3 * cells, dtype=bool)
     decisions[invest_dst] = True
-    decision_rows = decisions[:3 * cells].reshape(cells, 3)
-    goods += [(d._good1, b, 3 * cells + u) for u, (d, b, _) in enumerate(defectors.values())]
-    # (invests, (3, m) take indices into the means, dst); goods fill V_1 before defectors read it.
-    xyz = np.arange(3)[:, None]
-    groups = [(fn, 3 * np.array(rows) + xyz, np.array(dst)) for fn, rows, dst in evaluated.values()]
+    # codes = bytes @ weights: bit i set when seat i invests
+    decision_bytes = decisions.view(np.uint8).reshape(cells, 3)
+    weights = np.array([1, 2, 4], dtype=np.uint8)
     if goods:
-        insts, rows, dst = zip(*goods)
-        idx = 3 * np.array(rows) + np.array([(g._i, g._j, g._k) for g in insts]).T
-        groups.append((GoodStrategy.stacked(insts).invests, idx, np.array(dst)))
-    if defectors:
-        insts, rows, dsts = zip(*defectors.values())
-        stack = Example2Defector.stacked(insts, decisions[3 * cells:])
-        def_dst, def_row = np.array([(d, u) for u, ds in enumerate(dsts) for d in ds]).T
-        groups.append((lambda x: stack.invests(x)[def_row], 3 * np.array(rows) + xyz, def_dst))
+        insts, rows, good_dst = zip(*goods)
+        good = GoodStrategy.stacked(insts).invests
+        # (3, m) take indices: each slot's own, lower and higher opponent coordinate
+        good_idx = 3 * np.array(rows) + np.array([(g._i, g._j, g._k) for g in insts]).T
+        good_dst = np.array(good_dst)
+    if calls:
+        # call c is fns[c] on row call_rows[c]; float_src maps each of float_dst to its call
+        fns, call_rows, dsts = zip(*calls.values())
+        call_rows = np.array(call_rows)
+        float_src = [c for c, ds in enumerate(dsts) for _ in ds]
+        float_dst = np.array([d for ds in dsts for d in ds])
 
     start = means.copy()
     total = np.zeros_like(means)
@@ -235,9 +236,12 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
         block_plan = plan_table[plan_src, lo - 1:hi - 1].T
         for k in range(lo, hi):
             decisions[plan_dst] = block_plan[k - lo]
-            for invests, idx, dst in groups:
-                decisions[dst] = invests(means.take(idx))
-            codes = np.packbits(decision_rows, axis=1, bitorder="little").ravel()
+            if goods:
+                decisions[good_dst] = good(means.take(good_idx))
+            if calls:
+                out = [fn(tuple(x)) for fn, x in zip(fns, means.take(call_rows, axis=0).tolist())]
+                decisions[float_dst] = [out[c] for c in float_src]
+            codes = decision_bytes @ weights
             # The running sum of `stages`, count k -> k + 1.
             total += table.take(codes, axis=0)
             np.add(start, total, out=means)

@@ -19,16 +19,17 @@ respecting the t4 cap.  "Arbitrary strategy" is not testable as stated,
 so the battery below (constants, seeded coin flips, the crafted
 defector) is the documented adversarial stand-in, extendable by callers:
 `verify_t4` and `verify_t2` take any `strategies.Strategy` that defines
-`invests` so that it also runs on coordinate columns, plus `fresh()` when
-it keeps state.
+`invests` on a mean, a tuple of floats, plus `fresh()` when it keeps state.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The t3 cells run on
 `dynamics.simulate_events`, which jumps over fixed-profile stretches, and
 the t4 and t2 batteries step all their cells together with
-`dynamics.simulate_batch`, one `invests` call per kind and stage,
-defectors once per row; both keep each cell's means bit-identical to
-a run of `dynamics.iterate`.
+`dynamics.simulate_batch`: one `invests` call per stage on columns for
+the good seats, and one on floats per stage and row for each other
+deviant that is not a constant or a coin flip, so that the cost grows
+with the number of such rows.  Both keep each cell's means bit-identical
+to a run of `dynamics.iterate`.
 """
 
 from __future__ import annotations

@@ -87,10 +87,10 @@ class GameParams:
 
 def read_finite(value, what: str) -> float:
     """A config number that must be finite; the error names the key.  A JSON
-    boolean is not a number."""
+    boolean is not a number, nor is an integer too large for a float."""
     try:
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
@@ -105,9 +105,11 @@ def read_path(value, what: str) -> str:
 
 
 def read_integer(value, what: str) -> int:
-    """A config integer; an integral float such as 1e9 is accepted, anything
-    else is an error that names the key."""
+    """A config integer in the range of a float, taken exactly; an integral
+    float such as 1e9 is accepted, anything else is an error that names the key."""
     x = read_finite(value, what)
+    if isinstance(value, int):
+        return value
     if not x.is_integer():
         raise ValueError(f"{what} must be an integer, not {value!r}")
     return int(x)

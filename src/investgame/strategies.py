@@ -2,11 +2,11 @@
 
 A strategy is a total function from the payoff hull S to {I, NI}; the
 only observable it may read is the current mean payoff vector.  Each kind
-declares it once, as the predicate `invests(x)`, which every engine
-evaluates: on a tuple of floats for one mean, or on coordinate columns
-for many means at once (`dynamics.simulate_batch`).  A profile of three
-strategies composed with the stage payoff map yields the step map phi
-driving the mean dynamics.
+declares it once, as the predicate `invests(x)` on a mean, which every
+engine evaluates on a tuple of floats; `dynamics.simulate_batch` also
+evaluates the good strategy's on coordinate columns, many means at once.
+A profile of three strategies composed with the stage payoff map yields
+the step map phi driving the mean dynamics.
 
 Strategy kinds double as JSON descriptors for run configuration files:
   {"kind": "good", "eps": 0.4}
@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from types import SimpleNamespace
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -39,11 +39,11 @@ from .stage_game import (
 class Strategy:
     """Base: deterministic given (point, own generator state), total on S.
 
-    A kind defines `invests(x)`: whether it invests at the mean x, a
-    3-sequence whose coordinates are floats (one mean, giving a bool) or
-    numpy columns (one mean per row, giving a bool mask).  It is written
-    with `&`, `|` and `^` only, since `and`/`not` fail on arrays, so both
-    forms decide alike.
+    A kind defines `invests(x)`: whether it invests at the mean x, a tuple
+    of three floats, as a bool; a kind that keeps state also overrides
+    `fresh`.  Engines call it once per seat and stage, except on the array
+    routes of `dynamics.simulate_batch`: constants, coin flips (`plan`) and
+    exact-type `GoodStrategy`, whose `invests` also runs on numpy columns.
     """
 
     name = "strategy"
@@ -153,7 +153,7 @@ class RandomStrategy(Strategy):
         hit = cache.get(key)
         if hit is None:
             rnd = self._rng.random
-            draws = np.fromiter((rnd() for _ in range(stages)), dtype=float, count=stages)
+            draws = np.fromiter(starmap(rnd, repeat((), stages)), dtype=float, count=stages)
             hit = cache[key] = (draws < self.p, self._rng.getstate())
         else:
             self._rng.setstate(hit[1])
@@ -215,16 +215,6 @@ class Example2Defector(Strategy):
     def invests(self, x):
         # invest off the slice Z, else unless in V_1 (= V_2 on Z) and the triangle
         return (x[0] != x[1]) | (self._good1.invests(x) & self._in_triangle(x[0], x[2])) ^ True
-
-    @classmethod
-    def stacked(cls, instances, v1: np.ndarray) -> "Example2Defector":
-        """One instance deciding column m as instances[m] does, on each slot's
-        (x1, x2, x3) columns; its V_1 test returns `v1`, filled in place by the caller."""
-        stack = object.__new__(cls)
-        stack._good1 = SimpleNamespace(invests=lambda x: v1)
-        stack._tc, stack._zc = np.array([(d._tc, d._zc) for d in instances]).T
-        stack._inv = tuple(np.array([d._inv for d in instances]).T)
-        return stack
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}

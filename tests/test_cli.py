@@ -366,6 +366,12 @@ BAD_INPUTS = {
     # grids too fine to allocate fail at once, before any memory is taken
     "blackwell-grid-too-fine": ("certify blackwell", {"target": "example1_line", "pitch": 1e-6}, "allocate"),
     "t2-distance-grid-too-fine": ("verify t2", {"n": 1000, "dist_pitch": 1e-4}, "allocate"),
+    # JSON integers too large for a float
+    "t3-overflowing-eps": ("verify t3", {"eps": 10**400, "n": 1000}, "eps must"),
+    "t3-overflowing-n": ("verify t3", {"n": 10**400}, "n must"),
+    "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
+                                               "n": 5}, "seed must"),
+    "validate-overflowing-r0": ("validate", dict(CANON, r0=10**400), "r0 must"),
 }
 
 
@@ -393,6 +399,20 @@ def test_integral_float_start_count(tmp_path, capsys):
     path = write_json(tmp_path, "cfg.json", {"n": 2000, "starts": 2.0, "tol": 10.0})
     assert main(["verify", "example1", path]) == 0
     assert len(json.loads(capsys.readouterr().out)["cells"]) == 2
+
+
+def test_seed_beyond_float_precision_round_trips(tmp_path):
+    # 2**53 + 1 has no float of its own; the seed is the exact integer
+    def run(seed):
+        descs = [{"kind": "good", "eps": 0.4}] * 2 + [{"kind": "random", "p": 0.5, "seed": seed}]
+        out = tmp_path / f"{seed}.csv"
+        cfg = write_json(tmp_path, "run.json", {"strategies": descs, "n": 200, "out": str(out)})
+        assert main(["simulate", cfg]) == 0
+        comment, *rows = out.read_text().splitlines()
+        assert json.loads(comment.removeprefix("# strategies: "))[2]["seed"] == seed
+        return rows
+
+    assert run(2**53 + 1) != run(2**53)
 
 
 def test_console_entry_point_runs(game_file):

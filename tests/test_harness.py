@@ -281,8 +281,8 @@ class TestT2:
 
 
 class Alternator(Strategy):
-    """A caller's strategy that defines only a column-capable invests: reads
-    the mean and keeps state, investing on every other call while x3 < p3."""
+    """A caller's strategy that reads the mean and keeps state, investing on
+    every other call while x3 < p3."""
 
     name = "alternator"
 
@@ -424,9 +424,30 @@ class Renamed(GoodStrategy):
         self.name = f"renamed(eps={eps:g})"
 
 
+class Hesitant(Strategy):
+    """A caller's stateless strategy written with `if`, `and` and `not`, so
+    that its invests runs on floats only: refuses while x3 is above a cap and
+    x1 is not below x2, and invests otherwise while x2 + x3 <= 2 p3.  It
+    counts its calls, which no decision reads."""
+
+    name = "hesitant"
+
+    def __init__(self, x3_cap=PARAMS.p3):
+        self.x3_cap = x3_cap
+        self.calls = 0
+
+    def invests(self, x):
+        self.calls += 1
+        if x[2] > self.x3_cap and not x[0] < x[1]:
+            return False
+        return not x[1] + x[2] > 2.0 * PARAMS.p3
+
+
 class TestStackedRouting:
-    """simulate_batch decides the seats of `GoodStrategy` and `Example2Defector`
-    in one stacked call per kind and stage; every cell still matches `iterate`."""
+    """simulate_batch decides the seats of `GoodStrategy` in one stacked call
+    per stage and every other seat but constants and coin flips by its own
+    `invests` on floats, once per (instance, row); every cell still matches
+    `iterate`."""
 
     CONFIG = TestBatchedEngine.CONFIG
     check = TestBatchedEngine.check
@@ -454,7 +475,9 @@ class TestStackedRouting:
             inner = kind.invests
 
             def invests(self, x):
-                calls.append((type(self), len(x[0])))
+                calls.append((type(self), np.shape(x[0])))
+                if not calls[-1][1]:
+                    assert type(x) is tuple and all(type(c) is float for c in x)
                 return inner(self, x)
             monkeypatch.setattr(kind, "invests", invests)
 
@@ -469,18 +492,40 @@ class TestStackedRouting:
                     (Renamed(1, 0.4, PARAMS), ConstantStrategy("I"), ConstantStrategy("NI"))]
         starts = [VS.A, VS.B, VS.c1[0], VS.A, VS.c2[2], VS.B, VS.c1[1]]
         run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
-        # good slots 6 + 2 + 1 = 9, plus one V_1 slot per defector row: 4
-        assert calls.count((GoodStrategy, 13)) == n - 1
-        assert calls.count((Example2Defector, 4)) == n - 1
-        assert calls.count((Reluctant, 1)) == n - 1  # its own invests, through super()
-        assert calls.count((Renamed, 1)) == n - 1  # a subclass is not stacked, even one that overrides nothing
-        assert len(calls) == 4 * (n - 1)
+        # good slots 6 + 2 + 1 = 9, on columns
+        assert calls.count((GoodStrategy, (9,))) == n - 1
+        # defector rows 0, 1, 2 and 5 on floats, once per row with both seats,
+        # and each such call's own V_1 test
+        assert calls.count((Example2Defector, ())) == 4 * (n - 1)
+        assert calls.count((GoodStrategy, ())) == 4 * (n - 1)
+        assert calls.count((Reluctant, ())) == n - 1  # its own invests, through super()
+        assert calls.count((Renamed, ())) == n - 1  # a subclass is not stacked, even one that overrides nothing
+        assert len(calls) == 11 * (n - 1)
         assert alt_a.calls == alt_b.calls == n - 1
         monkeypatch.undo()
         fresh = {id(alt_a): Alternator(), id(alt_b): Alternator()}
         for b, (profile, x1) in enumerate(zip(profiles, starts)):
             profile = tuple(fresh.get(id(s), s) for s in profile)
             assert run.final[b].tolist() == list(iterate(induced_map(profile, PARAMS), x1, n).final)
+
+    def test_deviant_written_for_floats_only(self):
+        with pytest.raises(ValueError, match="ambiguous"):
+            Hesitant().invests(np.full((3, 4), 20.0))
+        self.check("t4", [(Hesitant(),), (Hesitant(x3_cap=24.0),)])
+        self.check("t2", [(Hesitant(), RandomStrategy(0.5, 3)), (GoodStrategy(2, 0.4, PARAMS), Hesitant()),
+                          (Hesitant(), Hesitant(x3_cap=24.0))])
+        n, g1, g2 = 300, GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS)
+        once, both = Hesitant(), Hesitant(x3_cap=24.0)
+        profiles = [(g1, g2, once), (g1, both, both), (g1, g2, Example2Defector(PARAMS, 0.4))]
+        starts = [VS.A, VS.c1[0], VS.B]
+        run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
+        # a stateless instance filling both t2 seats is called once per row
+        assert once.calls == both.calls == n - 1
+        for b, (profile, x1) in enumerate(zip(profiles, starts)):
+            traj = iterate(induced_map(profile, PARAMS), x1, n)
+            assert run.final[b].tolist() == list(traj.final)
+            assert run.intervals(b) == [list(tail_interval(traj, coordinate(i), 0.5)) for i in (1, 2, 3)]
+        assert both.calls == n - 1 + 2 * (n - 1)  # iterate calls it once per seat
 
     def test_good_subclass_overriding_nothing(self):
         self.check("t4", [(Renamed(3, 0.4, PARAMS),), (GoodStrategy(3, 0.4, PARAMS),)])

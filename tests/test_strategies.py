@@ -163,7 +163,8 @@ def _invest_points(eps: float) -> list[np.ndarray]:
 
 def _same_on_columns(s, pts: np.ndarray) -> list[bool]:
     """invests at each row as a tuple of floats, checked equal to invests on
-    the columns of all rows at once (as simulate_batch calls it)."""
+    the columns of all rows at once (as simulate_batch calls the good
+    strategy's)."""
     want = [s.invests(x) for x in map(tuple, pts.tolist())]
     assert all(type(w) is bool for w in want)
     got = s.invests(pts.T)
