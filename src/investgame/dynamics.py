@@ -283,12 +283,18 @@ class SegmentRun:
     evaluations: int
 
 
-def _sums_exact(table, n: int) -> bool:
-    """Whether every sum of up to n payoffs is exact: all entries integer
-    multiples of 2**-e with max|v| * n * 2**e < 2**53."""
+def _exact_horizon(table) -> int:
+    """The largest n at which every sum of up to n payoffs is exact: all
+    entries are integer multiples of 2**-e with max|v| * n * 2**e < 2**53
+    (0 when no n is)."""
     ratios = [abs(v).as_integer_ratio() for row in table for v in row]
     scale = max(den for _, den in ratios)  # 2**e
-    return all(num * (scale // den) * n < 2**53 for num, den in ratios)
+    return (2**53 - 1) // max(1, max(num * (scale // den) for num, den in ratios))
+
+
+def _sums_exact(table, n: int) -> bool:
+    """Whether every sum of up to n payoffs is exact."""
+    return n <= _exact_horizon(table)
 
 
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
@@ -330,6 +336,10 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     first_tail = tail_start(n, window) + 1
     table = payoff_table(params)
     exact = _sums_exact(table, n)
+    if not exact and _sums_exact(table, 1):
+        # every stage would be stepped: hours at 1e12 stages, forever beyond
+        raise ValueError(f"n = {n:.15g} is beyond {_exact_horizon(table)}, the largest horizon "
+                         "at which this game's payoff sums are exact")
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
     threshold = _MARGIN_REL * scale

@@ -412,36 +412,66 @@ def grid_slack(h: float) -> float:
     return h * math.sqrt(3.0)
 
 
+class _RegionSlabs:
+    """The pitch-h points of S's bounding-box grid in a region's closure, one
+    x1-slab per grid value of x1, each built on first use.  The (x2, x3)
+    cross-section is built at once, so a pitch too fine to allocate fails
+    before any slab is built; memory follows the slabs used, not the
+    bounding box (pitch**-3 points)."""
+
+    def __init__(self, params: GameParams, spec: RegionSpec, h: float):
+        self.params, self.spec = params, spec
+        self.verts = vertices(params).all_points()
+        lo, hi = np.min(self.verts, axis=0), np.max(self.verts, axis=0)
+        axes = [np.arange(lo[d], hi[d] + h / 2, h) for d in range(3)]
+        self.x1s = axes[0]
+        self.rest = np.stack(np.meshgrid(axes[1], axes[2], indexing="ij"), axis=-1).reshape(-1, 2)
+        self.slabs: list[np.ndarray | None] = [None] * len(self.x1s)
+
+    def slab(self, i: int) -> np.ndarray:
+        """The grid points with x1 = x1s[i], in meshgrid ("ij") order."""
+        if self.slabs[i] is None:
+            self.slabs[i] = self._build(self.x1s[i])
+        return self.slabs[i]
+
+    def _build(self, x1) -> np.ndarray:
+        slab = np.column_stack([np.full(len(self.rest), x1), self.rest])
+        slab = slab[hull_mask(self.verts, slab)]
+        return slab[region_mask(self.params, self.spec, slab, closed=True)]
+
+
 @lru_cache(maxsize=32)
-def _region_grid_cached(params: GameParams, spec: RegionSpec, h: float) -> np.ndarray:
-    """The pitch-h points of S's bounding-box grid in the region's closure,
-    in meshgrid ("ij") order.  Built one x1 slab at a time, so memory
-    follows the kept points, not the bounding box (pitch**-3 points)."""
-    verts = vertices(params).all_points()
-    arr = np.asarray(verts)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    axes = [np.arange(lo[d], hi[d] + h / 2, h) for d in range(3)]
-    rest = np.stack(np.meshgrid(axes[1], axes[2], indexing="ij"), axis=-1).reshape(-1, 2)
-    slabs = []
-    for x1 in axes[0]:
-        slab = np.column_stack([np.full(len(rest), x1), rest])
-        slab = slab[hull_mask(verts, slab)]
-        slabs.append(slab[region_mask(params, spec, slab, closed=True)])
-    return np.concatenate(slabs)
+def _region_slabs(params: GameParams, spec: RegionSpec, h: float) -> _RegionSlabs:
+    return _RegionSlabs(params, spec, h)
 
 
 def dist_to_region(params: GameParams, spec: RegionSpec, x, h: float) -> float:
     """Distance from x to a payoff region's closure: 0 for points in the
     closure, otherwise the minimum over a pitch-h ambient grid intersected
     with it, an overestimate by at most grid_slack(h).
+
+    The grid's x1-slabs are visited by their gap d = |g1 - x1| to x, nearest
+    first, up to the first with d above the best norm so far: each norm of
+    that slab and the ones beyond is at least d, since a rounded sum of
+    nonnegative squares is at least each of them and sqrt(fl(d*d)) == d.
+    So the result is the whole grid's minimum, bit for bit.
     """
     if h <= 0:
         raise ValueError("resolution h must be positive")
     if in_closure(params, spec, x):
         return 0.0
-    grid = _region_grid_cached(params, spec, float(h))
-    if len(grid) == 0:
+    point = np.asarray(x, float)
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"distance from a non-finite point {tuple(x)}")
+    store = _region_slabs(params, spec, float(h))
+    gaps = np.abs(store.x1s - point[0])
+    best = math.inf
+    for i in np.argsort(gaps, kind="stable"):
+        if gaps[i] > best:
+            break
+        pts = store.slab(i)
+        if len(pts):
+            best = min(best, float(np.linalg.norm(pts - point, axis=1).min()))
+    if best == math.inf:
         raise ValueError(f"empty sampled region for {spec} at resolution {h}")
-    d = np.linalg.norm(grid - np.asarray(x, float), axis=1)
-    return float(d.min())
+    return best

@@ -105,11 +105,17 @@ def read_path(value, what: str) -> str:
 
 
 def read_integer(value, what: str) -> int:
-    """A config integer in the range of a float, taken exactly; an integral
-    float such as 1e9 is accepted, anything else is an error that names the key."""
+    """A config integer in the range of a float, taken exactly, as is an
+    integer string; an integral float such as 1e9 (or "1e9") is accepted,
+    anything else is an error that names the key."""
     x = read_finite(value, what)
     if isinstance(value, int):
         return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     if not x.is_integer():
         raise ValueError(f"{what} must be an integer, not {value!r}")
     return int(x)

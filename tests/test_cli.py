@@ -369,6 +369,8 @@ BAD_INPUTS = {
     # JSON integers too large for a float
     "t3-overflowing-eps": ("verify t3", {"eps": 10**400, "n": 1000}, "eps must"),
     "t3-overflowing-n": ("verify t3", {"n": 10**400}, "n must"),
+    # payoff sums are exact up to 2**53 // 36 stages; beyond, every stage would be stepped
+    "t3-horizon-beyond-exact-sums": ("verify t3", {"n": 1e300}, "n = 1e+300 is beyond 250199979298360"),
     "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
                                                "n": 5}, "seed must"),
     "validate-overflowing-r0": ("validate", dict(CANON, r0=10**400), "r0 must"),
@@ -413,6 +415,24 @@ def test_seed_beyond_float_precision_round_trips(tmp_path):
         return rows
 
     assert run(2**53 + 1) != run(2**53)
+
+
+def test_integer_strings_are_taken_exactly(tmp_path):
+    # an integer string is read with int, as a JSON integer is: no rounding through float
+    def run(seed, n, *flags):
+        descs = [{"kind": "good", "eps": 0.4}] * 2 + [{"kind": "random", "p": 0.5, "seed": seed}]
+        out = tmp_path / "traj.csv"
+        cfg = write_json(tmp_path, "run.json", {"strategies": descs, "n": n, "out": str(out)})
+        assert main(["simulate", cfg, *flags]) == 0
+        comment, header, *rows = out.read_text().splitlines()
+        return json.loads(comment.removeprefix("# strategies: "))[2]["seed"], rows
+
+    seed, rows = run("9007199254740993", "200")
+    assert seed == 2**53 + 1
+    assert len(rows) == 200
+    assert (seed, rows) == run(2**53 + 1, 200)
+    assert run("9007199254740993", 200, "--n", "150") == (seed, rows[:150])
+    assert run(2**53 + 1, "2e2") == (seed, rows)
 
 
 def test_console_entry_point_runs(game_file):

@@ -380,6 +380,14 @@ class TestEventEngine:
         assert not dynamics._sums_exact(table, 2**53 // 36 + 1)
         assert not dynamics._sums_exact([(0.1, 2.0, 3.0)], 10)
         assert dynamics._sums_exact([(0.5, 0.25, -0.125)], 2**49)
+        assert dynamics._exact_horizon(table) == 2**53 // 36
+        assert dynamics._exact_horizon([(0.1, 2.0, 3.0)]) == 0
+
+    @pytest.mark.parametrize("n", [2**53 // 36 + 1, 10**300])
+    def test_horizon_beyond_exact_sums_is_an_error(self, n):
+        # stepping every stage of such a horizon would not end
+        with pytest.raises(ValueError, match=f"is beyond {2**53 // 36}, the largest horizon"):
+            simulate_events(good_profile(PARAMS, 0.4), PARAMS, VS.A, n, 0.5)
 
     def test_rejects_other_seats(self):
         class Shy(GoodStrategy):

@@ -1,9 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from investgame import geometry
+from investgame import geometry, harness
 from investgame.approachability import HullOracle
 from investgame.geometry import (
     V_DIRS,
@@ -25,7 +26,7 @@ from investgame.geometry import (
     w_region,
 )
 from investgame.lyapunov import _support, six_direction_spec
-from investgame.stage_game import INVEST, example_game, vertices
+from investgame.stage_game import INVEST, GameParams, example_game, vertices
 from investgame.strategies import GoodStrategy
 
 PARAMS = example_game()
@@ -286,14 +287,72 @@ class TestDistances:
                              ids=["v1", "argmax2", "w3"])
     def test_slab_grid_equals_bounding_box_grid(self, spec):
         # the whole bounding-box meshgrid, masked by S and then the region
-        arr = np.asarray(VS.all_points())
-        axes = [np.arange(lo, hi + 0.25, 0.5) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        grid = grid[hull_mask(VS.all_points(), grid)]
-        want = grid[region_mask(PARAMS, spec, grid, closed=True)]
-        got = geometry._region_grid_cached(PARAMS, spec, 0.5)
+        want = _closure_grid(PARAMS, spec, 0.5)
+        store = geometry._region_slabs(PARAMS, spec, 0.5)
+        got = np.concatenate([store.slab(i) for i in range(len(store.x1s))])
         assert len(got) > 0
         assert np.array_equal(got, want)
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dist_to_region(PARAMS, good_region(1, 0.4), (math.nan, 20.0, 20.0), 0.25)
+
+
+#: test_cross_game's admissible game, with payoffs unlike the canonical ones.
+OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
+
+
+@lru_cache(maxsize=None)
+def _closure_grid(params, spec, h):
+    """S's whole bounding-box meshgrid at pitch h, masked by S and then by
+    the region's closure: the grid the slabs of dist_to_region cut up."""
+    pts = vertices(params).all_points()
+    arr = np.asarray(pts)
+    axes = [np.arange(lo, hi + h / 2, h) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid[hull_mask(pts, grid)]
+    return grid[region_mask(params, spec, grid, closed=True)]
+
+
+@pytest.fixture(scope="module")
+def t2_finals():
+    """The final means of the README t2 battery at n = 2e3, as `verify_t2`
+    hands them to dist_to_region."""
+    seen = []
+
+    def recording(params, spec, x, h):
+        seen.append(x)
+        return dist_to_region(params, spec, x, h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "dist_to_region", recording)
+        harness.verify_t2(harness.HarnessConfig(params=PARAMS, n=2000))
+    return seen
+
+
+class TestGridDistanceIsTheWholeGridMinimum:
+    """The slab search returns the minimum over the whole grid, bit for bit."""
+
+    @pytest.mark.parametrize("params,eps", [(PARAMS, 0.4), (PARAMS, 0.1), (OTHER, 0.3)],
+                             ids=["eps0.4", "eps0.1", "other-game"])
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_equals_brute_force(self, params, eps, h, t2_finals):
+        spec = good_region(1, eps)
+        grid = _closure_grid(params, spec, h)
+        queries = [tuple(x) for x in sample_points(params, 300, seed=41)] + list(vertices(params).all_points())
+        if params == PARAMS:
+            assert len(t2_finals) == 135
+            queries += t2_finals
+        inside = outside = 0
+        for x in queries:
+            got = dist_to_region(params, spec, x, h)
+            if in_closure(params, spec, x):
+                assert got == 0.0
+                inside += 1
+            else:
+                assert got == float(np.linalg.norm(grid - np.asarray(x), axis=1).min())
+                outside += 1
+        assert inside > 0 and outside > 0
 
 
 def test_all_vertices_lie_in_s():

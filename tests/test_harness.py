@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from investgame import harness
+from investgame import geometry, harness
 from investgame.approachability import HullOracle
 from investgame.dynamics import (
     coordinate,
@@ -278,6 +278,27 @@ class TestT2:
             d = exact.distance(x)
             assert d - band <= reported <= d + grid_slack(cfg.dist_pitch)
             assert d <= cfg.dist_slack
+
+
+    def test_distance_builds_few_slabs(self, monkeypatch):
+        # the README starts at n = 2e3: the distance search builds only the
+        # x1-slabs next to the final means outside cl(V_1)
+        built = []
+        build = geometry._RegionSlabs._build
+
+        def spy(store, x1):
+            built.append(x1)
+            return build(store, x1)
+
+        monkeypatch.setattr(geometry._RegionSlabs, "_build", spy)
+        geometry._region_slabs.cache_clear()
+        try:
+            verify_t2(HarnessConfig(params=PARAMS, n=2000))
+            slabs = len(geometry._region_slabs(PARAMS, good_region(1, harness.DEFAULT_EPS), 0.25).x1s)
+        finally:
+            geometry._region_slabs.cache_clear()
+        assert slabs == 105
+        assert 0 < len(built) <= 8
 
 
 class Alternator(Strategy):
