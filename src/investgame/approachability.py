@@ -197,14 +197,14 @@ def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence,
                     pitch: float | None = None) -> CertReport:
     """Certify <x - y, phi(x) - y> <= CERT_TOL for some proximal y, on every sample.
 
-    phi runs once per sample; the projections and inner products run over
-    the whole domain at once.  The first failing sample becomes the witness:
-    its point, step value, best proximal candidate and the (positive) inner
-    product, all of which reproduce the violation bit-exactly on
-    re-evaluation in dot3's operand order.
+    phi runs once per sample, a row of the (M, d) domain as floats; the
+    projections and inner products run over the whole domain at once.  The
+    first failing sample becomes the witness: its point, step value, best
+    proximal candidate and the (positive) inner product, all of which
+    reproduce the violation bit-exactly on re-evaluation in dot3's order.
     """
-    steps = np.asarray([phi(tuple(x)) for x in domain], dtype=float)
-    x = np.asarray(domain, dtype=float).reshape(steps.shape)
+    x = np.asarray(domain, dtype=float)
+    steps = np.asarray([phi(tuple(p)) for p in x.tolist()], dtype=float).reshape(x.shape)
     inner, proximal, _ = _best_inner(oracle, x, steps)
     return first_violation(inner > CERT_TOL, lambda i: {
         "x": x[i].tolist(),
@@ -359,7 +359,7 @@ def refine_attractor(phi: Callable, outer_segments, inner: HullOracle, schedule,
     configuration; the theory guarantees existence of a workable delta per
     eps but not a formula for it.
     """
-    worst = max((inner.distance(x) for x in finals), default=0.0)
+    worst = float(np.max(inner.distances(np.reshape(finals, (-1, inner.points.shape[1]))), initial=0.0))
     stages = []
     ok = True
     for eps, delta in schedule:

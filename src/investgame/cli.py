@@ -187,7 +187,7 @@ def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
         targets = harness.example2_targets(**_given(cfg, None, {"eps": read_finite}), pitch=pitch)
     else:
         raise ValueError(f"unknown blackwell target {target!r}")
-    if not targets.domain:
+    if len(targets.domain) == 0:
         raise ValueError(f"pitch {pitch} leaves no grid point in the {target} domain")
     sub = targets.certify(target.partition("_")[2]).as_dict()
     return bool(sub["holds"]), {"kind": "blackwell", "target": target, **sub}
@@ -212,7 +212,7 @@ def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[boo
     else:
         raise ValueError(f"unknown map kind {map_kind!r}")
     grid = lyapunov.certification_grid(spec, params, pitch)
-    if not grid:
+    if len(grid) == 0:
         raise ValueError(f"pitch {pitch} leaves no grid point outside Delta_c")
     base = lyapunov.check_lyapunov(spec, mmap, grid, pitch=pitch)
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}

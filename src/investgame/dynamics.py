@@ -26,6 +26,7 @@ means of the last two are bit-identical to `iterate` on the same cell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, Sequence
@@ -164,6 +165,8 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     require_valid(params)
     if n < 1:
         raise ValueError("horizon must be at least 1")
+    if n > sys.maxsize:
+        raise ValueError(f"n = {n:.15g} is beyond {sys.maxsize}, the largest horizon an array index holds")
     first = tail_start(n, window)
     cells = len(profiles)
     if len(starts) != cells or any(len(p) != 3 for p in profiles) or any(len(x) != 3 for x in starts):

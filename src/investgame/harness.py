@@ -340,7 +340,7 @@ class BlackwellTargets(NamedTuple):
     `certify` call runs one certificate."""
 
     phi: Callable
-    domain: list
+    domain: np.ndarray
     pitch: float
     oracles: dict[str, ProximalOracle]
 
@@ -363,7 +363,7 @@ def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> B
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
     box = polygon_2d([(sx * EXAMPLE1_BOX, sy * EXAMPLE1_BOX) for sx in (-1, 1) for sy in (-1, 1)])
-    return BlackwellTargets(example1_phi(a, b), polygon_grid(box, pitch).tolist(), pitch, {
+    return BlackwellTargets(example1_phi(a, b), polygon_grid(box, pitch), pitch, {
         "line": LineOracle((0.0, 0.0), (1.0, 0.0)),
         "segment": SegmentsOracle([(a, b)]),
         "singleton": PointOracle(example1_limit(a, b)),
@@ -415,13 +415,9 @@ def z_polygon_2d(params: GameParams) -> np.ndarray:
     return polygon_2d([(p[0], p[2]) for p in (vs.A, vs.B, vs.c1[2], vs.c2[2])])
 
 
-def lift_z(t: float, z: float) -> tuple[float, float, float]:
-    return (t, t, z)
-
-
-def z_grid(params: GameParams, pitch: float) -> list[tuple[float, float, float]]:
-    poly = z_polygon_2d(params)
-    return [lift_z(float(p[0]), float(p[1])) for p in polygon_grid(poly, pitch)]
+def z_grid(params: GameParams, pitch: float) -> np.ndarray:
+    """Pitch grid of Z as (M, 3) points (t, t, z)."""
+    return polygon_grid(z_polygon_2d(params), pitch)[:, [0, 0, 1]]
 
 
 def z_starts(params: GameParams) -> list[tuple[float, float, float]]:
@@ -432,25 +428,21 @@ def z_starts(params: GameParams) -> list[tuple[float, float, float]]:
     return [vs.A, vs.B, mid_ab, low, high]
 
 
-def sample_near_segments_z(params: GameParams, segments, delta: float) -> list[tuple[float, float, float]]:
-    """Points of Z within delta of the given segments (which must lie in Z)."""
-    poly = z_polygon_2d(params)
-    poly_key = [tuple(p) for p in poly]
-    out: list[tuple[float, float, float]] = []
+def sample_near_segments_z(params: GameParams, segments, delta: float) -> np.ndarray:
+    """Points of Z within delta of the given segments (which must lie in Z),
+    as (M, 3) points (t, t, z): per segment, Z_OFFSETS offsets across it at
+    each of its steps along it, in that order."""
+    offsets = np.linspace(-delta, delta, Z_OFFSETS)
+    cands = [np.empty((0, 2))]
     for a3, b3 in segments:
         a2 = np.array([a3[0], a3[2]])
-        b2 = np.array([b3[0], b3[2]])
-        u = b2 - a2
+        u = np.array([b3[0], b3[2]]) - a2
         length = float(np.linalg.norm(u))
-        n_along = max(2, int(length / Z_ALONG_PITCH) + 1)
         normal = np.array([-u[1], u[0]]) / (length if length else 1.0)
-        for t in np.linspace(0.0, 1.0, n_along):
-            base = a2 + t * u
-            for off in np.linspace(-delta, delta, Z_OFFSETS):
-                q = base + off * normal
-                if hull_mask(poly_key, q.reshape(1, 2))[0]:
-                    out.append(lift_z(float(q[0]), float(q[1])))
-    return out
+        base = a2 + np.linspace(0.0, 1.0, max(2, int(length / Z_ALONG_PITCH) + 1))[:, None] * u
+        cands.append((base[:, None, :] + offsets[:, None] * normal).reshape(-1, 2))
+    q = np.concatenate(cands)
+    return q[hull_mask(z_polygon_2d(params), q)][:, [0, 0, 1]]
 
 
 def _example2_setup(eps: float):

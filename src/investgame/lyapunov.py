@@ -173,11 +173,10 @@ def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
     return PlaneMultiMap(values, rules, label="two_good")
 
 
-def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> list[tuple[float, float, float]]:
-    """Plane-grid samples of the projected payoff hexagon outside Delta_c."""
-    cols = plane_grid(params, pitch).T
-    outside = _support(spec, cols) >= spec.c
-    return list(zip(*(c[outside].tolist() for c in cols)))
+def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> np.ndarray:
+    """Plane-grid samples of the projected payoff hexagon outside Delta_c, (M, 3)."""
+    grid = plane_grid(params, pitch)
+    return grid[_support(spec, grid.T) >= spec.c]
 
 
 def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
@@ -208,7 +207,7 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
 
 
 def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
-    """A grid certificate, evaluated a block of rows at a time.
+    """A grid certificate over an (M, 3) grid, evaluated a block of rows at a time.
 
     `violations(cols, support, alive)` yields, for the rows' coordinate
     columns, their support values and the map values each keeps, one
@@ -216,9 +215,10 @@ def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertRepor
     order.  The first failing sample is evaluated again alone, and its
     first failing detail goes to `witness(*detail)`.
     """
+    grid = np.asarray(grid, dtype=float).reshape(-1, 3)
+
     def failing(rows):
-        cols = np.asarray(rows, dtype=float).reshape(-1, 3).T
-        return violations(cols, _support(spec, cols), mmap.alive(cols))
+        return violations(rows.T, _support(spec, rows.T), mmap.alive(rows.T))
 
     violated = np.zeros(len(grid), dtype=bool)
     for lo in range(0, len(grid), BLOCK_ROWS):
@@ -226,8 +226,8 @@ def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertRepor
             violated[lo:lo + BLOCK_ROWS] |= hit
 
     def first(g):
-        detail = next(d for hit, d in failing([grid[g]]) if hit[0])
-        return {"x": list(grid[g]), **witness(*detail)}
+        detail = next(d for hit, d in failing(grid[g:g + 1]) if hit[0])
+        return {"x": grid[g].tolist(), **witness(*detail)}
 
     return first_violation(violated, first, pitch)
 

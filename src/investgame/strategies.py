@@ -186,7 +186,6 @@ class Example2Defector(Strategy):
         if not 0.0 < eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = float(eps)
-        self.params = params
         self._good1 = GoodStrategy(1, eps, params)
         # Triangle vertices in the (t, z) coordinates of Z, x = (t, t, z).
         p3, r1, p1 = params.p3, params.r1, params.p1
@@ -202,19 +201,19 @@ class Example2Defector(Strategy):
         self.d_point = (td, td, zd)
         self.name = f"example2_defector(eps={eps:g})"
 
-    def _in_triangle(self, t, z):
-        """Barycentric test of (t, z); floats give a bool, arrays a mask."""
+    def _in_triangle(self, t, z) -> bool:
+        """Barycentric test of the float pair (t, z)."""
         a11, a12, a21, a22 = self._inv
         dt = t - self._tc
         dz = z - self._zc
         l1 = a11 * dt + a12 * dz
         l2 = a21 * dt + a22 * dz
         l3 = 1.0 - l1 - l2
-        return (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
+        return l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10
 
-    def invests(self, x):
+    def invests(self, x) -> bool:
         # invest off the slice Z, else unless in V_1 (= V_2 on Z) and the triangle
-        return (x[0] != x[1]) | (self._good1.invests(x) & self._in_triangle(x[0], x[2])) ^ True
+        return x[0] != x[1] or not (self._good1.invests(x) and self._in_triangle(x[0], x[2]))
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}

@@ -25,18 +25,22 @@ from investgame.approachability import (
     premise_start,
 )
 from investgame.dynamics import iterate
-from investgame.geometry import dot3, project_plane
+from investgame.geometry import dot3, hull_mask, plane_grid, project_plane
 from investgame.harness import (
+    Z_ALONG_PITCH,
+    Z_OFFSETS,
     _example2_setup,
     example1_targets,
     example2_targets,
     sample_near_segments_z,
+    z_polygon_2d,
 )
 from investgame.lyapunov import (
     EntrapmentReport,
     LyapunovConstants,
     PlaneMultiMap,
     SupportSpec,
+    _support,
     certification_grid,
     check_lyapunov,
     decrease_check,
@@ -214,10 +218,59 @@ def test_blackwell_forced_failures_are_covered():
 def test_blackwell_on_an_empty_domain_holds_vacuously():
     # a pitch wider than the slice leaves no grid point
     targets = example2_targets(0.4, pitch=1000.0)
-    assert targets.domain == []
+    assert targets.domain.shape == (0, 3)
     rep = targets.certify("triangle")
     assert_same_report(rep, ref_check_blackwell(targets.phi, targets.oracles["triangle"], [], 1000.0))
     assert rep.holds and rep.checked == 0
+
+
+def ref_sample_near_segments_z(params, segments, delta):
+    """The per-point sampler: one hull test per candidate, kept points as
+    float tuples (t, t, z)."""
+    poly_key = [tuple(p) for p in z_polygon_2d(params)]
+    out = []
+    for a3, b3 in segments:
+        a2 = np.array([a3[0], a3[2]])
+        b2 = np.array([b3[0], b3[2]])
+        u = b2 - a2
+        length = float(np.linalg.norm(u))
+        n_along = max(2, int(length / Z_ALONG_PITCH) + 1)
+        normal = np.array([-u[1], u[0]]) / (length if length else 1.0)
+        for t in np.linspace(0.0, 1.0, n_along):
+            base = a2 + t * u
+            for off in np.linspace(-delta, delta, Z_OFFSETS):
+                q = base + off * normal
+                if hull_mask(poly_key, q.reshape(1, 2))[0]:
+                    out.append((float(q[0]), float(q[0]), float(q[1])))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+@pytest.mark.parametrize("delta", [0.5, 0.3, 0.15])
+def test_slice_samples_match_the_per_point_loop(eps, delta):
+    # example 2's union BD u DC1_3, at the refinement schedule's deltas
+    _, _, _, _, union = _example2_setup(eps)
+    got = sample_near_segments_z(PARAMS, union, delta)
+    want = ref_sample_near_segments_z(PARAMS, union, delta)
+    assert got.dtype == float and got.shape == (len(want), 3)
+    assert list(map(tuple, got.tolist())) == want
+
+
+def test_slice_samples_of_no_segments():
+    assert sample_near_segments_z(PARAMS, [], 0.3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("pitch", [0.25, 0.13])
+@pytest.mark.parametrize("spec", [six_direction_spec(0.3), four_direction_spec(0.5 / S2, 0.1 / (2 * S2))],
+                         ids=["six", "four"])
+def test_certification_grid_matches_the_list(spec, pitch):
+    # reference: the grid outside Delta_c as a list of float tuples, from its columns
+    cols = plane_grid(PARAMS, pitch).T
+    outside = _support(spec, cols) >= spec.c
+    want = list(zip(*(c[outside].tolist() for c in cols)))
+    got = certification_grid(spec, PARAMS, pitch)
+    assert got.dtype == float and got.shape == (len(want), 3)
+    assert list(map(tuple, got.tolist())) == want
 
 
 def test_singleton_witness_reproduces_exactly():

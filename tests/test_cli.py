@@ -371,6 +371,9 @@ BAD_INPUTS = {
     "t3-overflowing-n": ("verify t3", {"n": 10**400}, "n must"),
     # payoff sums are exact up to 2**53 // 36 stages; beyond, every stage would be stepped
     "t3-horizon-beyond-exact-sums": ("verify t3", {"n": 1e300}, "n = 1e+300 is beyond 250199979298360"),
+    # the batteries index their stages: a horizon past sys.maxsize is refused before any draw
+    "t4-horizon-beyond-index": ("verify t4", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
+    "t2-horizon-beyond-index": ("verify t2", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
                                                "n": 5}, "seed must"),
     "validate-overflowing-r0": ("validate", dict(CANON, r0=10**400), "r0 must"),

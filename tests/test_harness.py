@@ -490,7 +490,7 @@ class TestStackedRouting:
                           (GoodStrategy(2, 0.4, PARAMS), Reluctant(3, 0.4, PARAMS))])
 
     def test_one_call_per_stacked_kind_and_stage(self, monkeypatch):
-        calls = []
+        calls, on_slice = [], []
 
         def spy(kind):
             inner = kind.invests
@@ -499,6 +499,8 @@ class TestStackedRouting:
                 calls.append((type(self), np.shape(x[0])))
                 if not calls[-1][1]:
                     assert type(x) is tuple and all(type(c) is float for c in x)
+                    if type(self) is Example2Defector and x[0] == x[1]:
+                        on_slice.append(x)
                 return inner(self, x)
             monkeypatch.setattr(kind, "invests", invests)
 
@@ -516,12 +518,13 @@ class TestStackedRouting:
         # good slots 6 + 2 + 1 = 9, on columns
         assert calls.count((GoodStrategy, (9,))) == n - 1
         # defector rows 0, 1, 2 and 5 on floats, once per row with both seats,
-        # and each such call's own V_1 test
+        # and the defector's own V_1 test once per such call on the slice x1 == x2
         assert calls.count((Example2Defector, ())) == 4 * (n - 1)
-        assert calls.count((GoodStrategy, ())) == 4 * (n - 1)
+        assert 0 < len(on_slice) < 4 * (n - 1)
+        assert calls.count((GoodStrategy, ())) == len(on_slice)
         assert calls.count((Reluctant, ())) == n - 1  # its own invests, through super()
         assert calls.count((Renamed, ())) == n - 1  # a subclass is not stacked, even one that overrides nothing
-        assert len(calls) == 11 * (n - 1)
+        assert len(calls) == 7 * (n - 1) + len(on_slice)
         assert alt_a.calls == alt_b.calls == n - 1
         monkeypatch.undo()
         fresh = {id(alt_a): Alternator(), id(alt_b): Alternator()}

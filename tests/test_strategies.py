@@ -175,7 +175,8 @@ def _same_on_columns(s, pts: np.ndarray) -> list[bool]:
 
 class TestBatchForms:
     """The batched engine's decisions agree with the scalar ones row by row:
-    plans with successive decisions, invests on columns with invests on floats."""
+    plans with successive decisions, the good strategy's invests on columns
+    with its invests on floats; the defector decides on floats only."""
 
     def test_random_plan_equals_successive_decisions(self):
         s = RandomStrategy(0.3, seed=7)
@@ -202,8 +203,10 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("eps", [0.1, 0.4])
     def test_defector_batch_matches_decide(self, eps):
+        # the defector decides on floats only: every engine calls it on a row's mean
         s = Example2Defector(PARAMS, eps)
-        _, on, off, _ = [_same_on_columns(s, pts) for pts in _invest_points(eps)]
+        _, on, off, _ = [[s.invests(x) for x in map(tuple, pts.tolist())] for pts in _invest_points(eps)]
+        assert all(type(w) is bool for w in on + off)
         # both actions occur on the slice, so the test tells them apart; one
         # ulp off it the defector always invests
         assert 0 < sum(on) < len(on)
