@@ -81,13 +81,13 @@ _EXAMPLE1_ENDS = dict.fromkeys("ab", lambda value, key: read_vector(value, 2, ke
 
 
 def _given(cfg: dict, args, readers: dict) -> dict:
-    """The options a flag or the config file gives, parsed by their readers (a
-    flag wins); options given by neither are left out for the library's defaults."""
+    """The options a flag or the config file gives, each parsed by its reader
+    (a flag wins); options given by neither are left out for the library's defaults."""
     out = {}
     for key, read in readers.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            out[key] = flag
+            out[key] = read(flag, key)
         elif key in cfg:
             out[key] = read(cfg[key], key)
     return out

@@ -136,6 +136,8 @@ class HarnessConfig:
 
     def __post_init__(self):
         require_valid(self.params)
+        if self.n < 1000:
+            raise ValueError("horizon must be at least 1000")
         tail_start(self.n, self.window)
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
@@ -144,8 +146,6 @@ class HarnessConfig:
         for key in ("slack", "dist_slack"):
             if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
                 raise ValueError(f"{key} must be nonnegative and finite")
-        if self.n < 1000:
-            raise ValueError("horizon must be at least 1000")
         if not self.starts:
             raise ValueError("at least one start is required")
 

@@ -28,14 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .approachability import BLOCK_ROWS, CERT_TOL, CertReport, first_violation
-from .geometry import (
-    V_DIRS,
-    dot3,
-    norm3,
-    plane_grid,
-    project_plane,
-)
-from .stage_game import GameParams, require_valid, vertices
+from .geometry import V_DIRS, dot3, norm3, plane_grid, project_plane
+from .stage_game import ALL_INVEST, GameParams, payoff_table, require_valid
 
 _S2 = math.sqrt(2.0)
 
@@ -86,17 +80,10 @@ def _support(spec: SupportSpec, cols) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DropRule:
-    direction: tuple[float, float, float]
-    threshold: float
-    drops: frozenset[int]
-
-
 class PlaneMultiMap:
-    """Finite-valued multimap on the plane P with direction-keyed drop rules."""
+    """Finite-valued multimap on the plane P with (direction, threshold, drops) rules."""
 
-    def __init__(self, values, rules: Sequence[DropRule], label: str):
+    def __init__(self, values, rules: Sequence[tuple], label: str):
         self.values = [tuple(map(float, v)) for v in values]
         self.rules = tuple(rules)
         self.label = label
@@ -106,9 +93,9 @@ class PlaneMultiMap:
         the points' coordinate columns; a rule fires where
         <direction, y> > threshold and drops its values."""
         keep = np.ones((len(cols[0]), len(self.values)), dtype=bool)
-        for rule in self.rules:
-            fired = dot3(rule.direction, cols) > rule.threshold
-            keep[:, sorted(rule.drops)] &= ~fired[:, None]
+        for direction, threshold, drops in self.rules:
+            fired = dot3(direction, cols) > threshold
+            keep[:, drops] &= ~fired[:, None]
         return keep
 
     def __call__(self, x) -> list[tuple[float, float, float]]:
@@ -116,33 +103,29 @@ class PlaneMultiMap:
         return [v for v, kept in zip(self.values, keep) if kept]
 
 
+def _coded_map(params: GameParams, codes, rules, label: str) -> PlaneMultiMap:
+    """The projected payoffs of decision `codes` (bit i set when seat i invests), in
+    order, under rules (direction, threshold, dropped codes) turned into value indices."""
+    table = payoff_table(params)
+    return PlaneMultiMap([project_plane(table[c]) for c in codes],
+                         [(v, t, [j for j, c in enumerate(codes) if c in dropped]) for v, t, dropped in rules],
+                         label)
+
+
 def good_profile_plane_map(params: GameParams) -> PlaneMultiMap:
     """Projected step map of the all-good profile.
 
-    Value order: B, C1_1, C1_2, C1_3, C2_1, C2_2, C2_3 (projected onto P).
-    A never occurs: the coordinate-sum bounds of S force the argmax player
-    to invest.  Drops per direction: a positive <v, y> orients one pairwise
-    coordinate comparison for every lift, which removes one lone-investor
-    vertex (whose cell sits inside an argmax region) and one lone-refuser
-    vertex (cell inside an argmin region).
+    Values: B, C1_1, C1_2, C1_3, C2_1, C2_2, C2_3 (projected onto P).  A
+    never occurs: the coordinate-sum bounds of S force the argmax player to
+    invest.  A positive <v, y> orients one pairwise coordinate comparison
+    for every lift, y_lo < y_hi with lo = argmin v and hi = argmax v.  A
+    lone investor is an argmax, so seat lo does not invest alone, and a
+    lone refuser is an argmin, so seat hi does not refuse alone.
     """
     require_valid(params)
-    vs = vertices(params)
-    values = [project_plane(p) for p in (vs.B,) + vs.c1 + vs.c2]
-    # index map: 0 B, 1..3 C1_j, 4..6 C2_j
-    drops_by_dir = (
-        frozenset({2, 6}),  # v1: y3 > y2 -> no C1_2, no C2_3
-        frozenset({1, 6}),  # v2: y3 > y1 -> no C1_1, no C2_3
-        frozenset({1, 5}),  # v3: y2 > y1 -> no C1_1, no C2_2
-        frozenset({3, 5}),  # v4: y2 > y3 -> no C1_3, no C2_2
-        frozenset({3, 4}),  # v5: y1 > y3 -> no C1_3, no C2_1
-        frozenset({2, 4}),  # v6: y1 > y2 -> no C1_2, no C2_1
-    )
-    rules = [
-        DropRule(direction=V_DIRS[i], threshold=0.0, drops=drops_by_dir[i])
-        for i in range(6)
-    ]
-    return PlaneMultiMap(values, rules, label="all_good")
+    return _coded_map(params, (ALL_INVEST, 1, 2, 4, 6, 5, 3), [
+        (v, 0.0, {1 << v.index(min(v)), ALL_INVEST ^ 1 << v.index(max(v))}) for v in V_DIRS
+    ], label="all_good")
 
 
 def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
@@ -150,27 +133,21 @@ def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
 
     Value cells on the lifts: {C1_1, C2_2} on V1 minus V2, {C1_2, C2_1} on
     V2 minus V1, {B, C2_3} on V1 and V2, {A, C1_3} on neither.  Value order
-    here: C1_1, C2_2, C1_2, C2_1, B, C2_3, A, C1_3.  The v3/v6 rules drop a
-    whole cell via the argmax/argmin algebra; the v1/v2 rules fire only
-    above eps/sqrt(2), where every lift provably leaves Omega_2^eps resp.
-    Omega_1^eps and with it V2 resp. V1.
-    """
+    here: C1_1, C2_2, C1_2, C2_1, B, C2_3, A, C1_3.  The v6 (v3) rule drops
+    the cell where seat 2 (1) is the lone investor of the good seats, by the
+    argmax/argmin algebra; the v1 (v2) rule fires only above eps/sqrt(2),
+    where every lift leaves Omega_2^eps (Omega_1^eps) and with it V2 (V1),
+    and drops every code where that seat invests."""
     require_valid(params)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    vs = vertices(params)
-    values = [
-        project_plane(p)
-        for p in (vs.c1[0], vs.c2[1], vs.c1[1], vs.c2[0], vs.B, vs.c2[2], vs.A, vs.c1[2])
-    ]
     thr = eps / _S2
-    rules = [
-        DropRule(direction=V_DIRS[5], threshold=0.0, drops=frozenset({2, 3})),
-        DropRule(direction=V_DIRS[2], threshold=0.0, drops=frozenset({0, 1})),
-        DropRule(direction=V_DIRS[0], threshold=thr, drops=frozenset({2, 3, 4, 5})),
-        DropRule(direction=V_DIRS[1], threshold=thr, drops=frozenset({0, 1, 4, 5})),
-    ]
-    return PlaneMultiMap(values, rules, label="two_good")
+    return _coded_map(params, (1, 5, 2, 6, ALL_INVEST, 3, 0, 4), [
+        (V_DIRS[5], 0.0, {c for c in range(8) if c & 3 == 2}),
+        (V_DIRS[2], 0.0, {c for c in range(8) if c & 3 == 1}),
+        (V_DIRS[0], thr, {c for c in range(8) if c & 2}),
+        (V_DIRS[1], thr, {c for c in range(8) if c & 1}),
+    ], label="two_good")
 
 
 def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> np.ndarray:

@@ -206,11 +206,10 @@ def payoff_table(params: GameParams) -> list[PayoffVector]:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The eight labeled payoff vertices spanning the feasible set S.
-
-    A: all-NI payoff.  B: all-invest payoff.  c1[j]: exactly one investor,
-    sitting at coordinate j.  c2[j]: exactly one non-investor, at coordinate j.
-    (j is 0-based here; labels C1_1..C2_3 are 1-based.)
+    """The eight labeled payoff vertices spanning the feasible set S, read
+    from `payoff_table` by decision code: A all-NI (code 0), B all-invest
+    (code 7), c1[j] seat j investing alone (code 1 << j), c2[j] seat j
+    refusing alone (code 7 ^ 1 << j); j is 0-based, labels C1_1..C2_3 1-based.
     """
 
     A: PayoffVector
@@ -231,19 +230,12 @@ class VertexSet:
 
 
 def vertices(params: GameParams) -> VertexSet:
-    r0, r1, r2 = params.r0, params.r1, params.r2
-    p1, p2, p3 = params.p1, params.p2, params.p3
-
-    def lone(value: float, rest: float, j: int) -> PayoffVector:
-        v = [rest, rest, rest]
-        v[j] = value
-        return (v[0], v[1], v[2])
-
+    t = payoff_table(params)
     return VertexSet(
-        A=(r0, r0, r0),
-        B=(p3, p3, p3),
-        c1=tuple(lone(p1, r1, j) for j in range(3)),
-        c2=tuple(lone(r2, p2, j) for j in range(3)),
+        A=t[0],
+        B=t[ALL_INVEST],
+        c1=tuple(t[1 << j] for j in range(3)),
+        c2=tuple(t[ALL_INVEST ^ 1 << j] for j in range(3)),
     )
 
 

@@ -374,6 +374,8 @@ BAD_INPUTS = {
     # the batteries index their stages: a horizon past sys.maxsize is refused before any draw
     "t4-horizon-beyond-index": ("verify t4", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     "t2-horizon-beyond-index": ("verify t2", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
+    # the horizon is checked before the tail window is placed in it
+    "t4-negative-horizon": ("verify t4", {"n": -5}, "horizon must be at least 1000"),
     "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
                                                "n": 5}, "seed must"),
     "validate-overflowing-r0": ("validate", dict(CANON, r0=10**400), "r0 must"),
@@ -389,6 +391,18 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify t3", "verify t4", "verify t2", "verify example1",
+                                     "verify example2", "simulate"])
+def test_flags_are_read_like_config_keys(command, tmp_path, capsys):
+    # a flag passes its config key's reader: a horizon too large for a float
+    # is refused at once, not carried into the run
+    cfg = write_json(tmp_path, "cfg.json", GOOD_RUN if command == "simulate" else {})
+    assert main(command.split() + [cfg, "--n", "1" + "0" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n must be a finite number")
     assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from investgame.dynamics import iterate
-from investgame.geometry import dot3, project_plane, sample_points
+from investgame.geometry import V_DIRS, dot3, hull_mask, project_plane, sample_points
 from investgame.lyapunov import (
     LyapunovConstants,
     PlaneMultiMap,
@@ -20,7 +20,7 @@ from investgame.lyapunov import (
     two_good_plane_map,
     validate_constants,
 )
-from investgame.stage_game import example_game, vertices
+from investgame.stage_game import GameParams, example_game, payoff_table, vertices
 from investgame.strategies import (
     ConstantStrategy,
     Example2Defector,
@@ -270,3 +270,89 @@ def test_active_indices_positive_outside_delta_c():
         assert v >= spec.c
         for i in active:
             assert dot3(spec.vectors[i], x) >= spec.c - spec.delta > 0
+
+
+OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
+TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
+
+
+def _vertices_by_hand(params):
+    """The labeled vertices as written out from the six payoffs."""
+    r0, r1, r2, p1, p2, p3 = params.r0, params.r1, params.r2, params.p1, params.p2, params.p3
+
+    def lone(value, rest, j):
+        return tuple(value if k == j else rest for k in range(3))
+
+    return {"A": (r0,) * 3, "B": (p3,) * 3,
+            **{f"C1_{j + 1}": lone(p1, r1, j) for j in range(3)},
+            **{f"C2_{j + 1}": lone(r2, p2, j) for j in range(3)}}
+
+
+#: The hand-indexed drop sets of the all-good map, one per direction v1..v6,
+#: over the value order B, C1_1, C1_2, C1_3, C2_1, C2_2, C2_3.
+ALL_GOOD_DROPS = ({2, 6}, {1, 6}, {1, 5}, {3, 5}, {3, 4}, {2, 4})
+
+
+def _rule_triples(mmap):
+    return [(direction, threshold, set(drops)) for direction, threshold, drops in mmap.rules]
+
+
+@pytest.mark.parametrize("params", [PARAMS, OTHER, TENTHS], ids=["canonical", "other", "tenths"])
+@pytest.mark.parametrize("eps", [0.1, 0.4, 1.5])
+def test_coded_maps_equal_the_hand_indexed_tables(params, eps):
+    # the maps derived from decision codes are the literal vertex lists and drop tables
+    vs = _vertices_by_hand(params)
+    good = good_profile_plane_map(params)
+    assert good.values == [project_plane(vs[k]) for k in ("B", "C1_1", "C1_2", "C1_3", "C2_1", "C2_2", "C2_3")]
+    assert _rule_triples(good) == [(V_DIRS[i], 0.0, ALL_GOOD_DROPS[i]) for i in range(6)]
+    two = two_good_plane_map(params, eps)
+    assert two.values == [project_plane(vs[k])
+                          for k in ("C1_1", "C2_2", "C1_2", "C2_1", "B", "C2_3", "A", "C1_3")]
+    thr = eps / S2
+    assert _rule_triples(two) == [
+        (V_DIRS[5], 0.0, {2, 3}),
+        (V_DIRS[2], 0.0, {0, 1}),
+        (V_DIRS[0], thr, {2, 3, 4, 5}),
+        (V_DIRS[1], thr, {0, 1, 4, 5}),
+    ]
+
+
+def _grid_of_s(params, pitch):
+    """The points of S on the pitch grid of its bounding box, (M, 3)."""
+    verts = np.asarray(vertices(params).all_points())
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    axes = [np.arange(lo[d], hi[d] + pitch / 2, pitch) for d in range(3)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid[hull_mask(verts, grid)]
+
+
+@pytest.fixture(scope="module")
+def s_grid():
+    return _grid_of_s(PARAMS, 0.5)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 1.5])
+def test_maps_are_sound_on_the_rule_lines(s_grid, eps):
+    # random interior points miss the lines where the region inequalities
+    # switch; a dyadic grid of S lies on many of them exactly
+    x = s_grid
+    assert len(x) == 15997
+    assert np.any(x[:, 0] == PARAMS.r0)
+    assert np.any(x[:, 1] + x[:, 2] == 2 * PARAMS.p3)
+    assert np.any(x[:, 0] == x[:, 1])
+    table = np.asarray(payoff_table(PARAMS))
+    cols = x.T
+    y = project_plane(cols)
+    good = [GoodStrategy(i, eps, PARAMS).invests(cols) for i in (1, 2, 3)]
+    two = good[0] * 1 + good[1] * 2
+
+    def assert_step_alive(mmap, codes):
+        steps = np.column_stack(project_plane(table[codes].T))
+        matches = np.all(steps[:, None, :] == np.asarray(mmap.values)[None, :, :], axis=2)
+        sound = np.any(matches & mmap.alive(y), axis=1)
+        assert sound.all(), x[~sound][:5]
+
+    assert_step_alive(good_profile_plane_map(PARAMS), two + good[2] * 4)
+    mmap = two_good_plane_map(PARAMS, eps)
+    assert_step_alive(mmap, two)
+    assert_step_alive(mmap, two + 4)
