@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the mean dynamics and emit a trajectory CSV")
     p_sim.add_argument("config", nargs="?", help="run configuration JSON")
     p_sim.add_argument("--game")
-    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--n")
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -260,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("claim", choices=("t3", "t4", "t2", "example1", "example2"))
     p_ver.add_argument("config", nargs="?")
     p_ver.add_argument("--game")
-    p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--eps", type=float)
-    p_ver.add_argument("--slack", type=float)
+    p_ver.add_argument("--n")
+    p_ver.add_argument("--eps")
+    p_ver.add_argument("--slack")
     p_ver.add_argument("--out")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cert = sub.add_parser("certify", help="grid-certify a Blackwell or Lyapunov property")
     p_cert.add_argument("kind", choices=("blackwell", "lyapunov", "decrease"))
     p_cert.add_argument("config", nargs="?")
-    p_cert.add_argument("--pitch", type=float, help="certification grid pitch (payoff units)")
+    p_cert.add_argument("--pitch", help="certification grid pitch (payoff units)")
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
     return parser

@@ -25,8 +25,12 @@ means of the last two are bit-identical to `iterate` on the same cell.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, Sequence
@@ -476,11 +480,25 @@ def coordinate_sum(i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
 #: a phi that builds a fresh tuple every stage grows no memory.
 _STEP_MEMO_CAP = 64
 
+#: Rows per block of `write_csv`: the stage loop packs this many rows'
+#: values before one `_format_block` call turns them into text.
+_CSV_BLOCK = 2048
+
 
 def write_csv(rows: Iterable, fh, comment: str | None = None) -> None:
     """Trajectory CSV: header n,x1..,step1.. and one row per (mean, step)
-    pair of `rows` (at least one, as `stages` yields them), written as they
-    arrive.  Floats use 17 significant digits, so a round trip is exact.
+    pair of `rows` (at least one, as `stages` yields them), written in
+    blocks of `_CSV_BLOCK` rows as they arrive.  Floats use 17 significant
+    digits, so a round trip is exact.
+
+    When fh is a text file over an OS file descriptor (`open`, `sys.stdout`)
+    and this process may fork, one forked writer process formats the blocks
+    and writes them to fh while this process runs the loop over `rows`;
+    otherwise (a `StringIO`, say) they are formatted and written here.  Both
+    paths format with `_format_block`, so their bytes are the same.  A failed
+    write raises OSError here either way, and the writer is reaped first.  If
+    `rows` raises, the writer is stopped, and only some of the rows before
+    the failure are written.
     """
     rows = iter(rows)
     first = next(rows, None)
@@ -491,18 +509,116 @@ def write_csv(rows: Iterable, fh, comment: str | None = None) -> None:
         fh.write(f"# {comment}\n")
     cols = ["n"] + [f"x{k + 1}" for k in range(d)] + [f"step{k + 1}" for k in range(d)]
     fh.write(",".join(cols) + "\n")
-    mean_fmt = "%d" + ",%.17g" * d
+    # A row is its index, its mean's coordinates and its step's text.
+    row_fmt = "%d" + ",%.17g" * d + "%s"
     step_fmt = ",%.17g" * d + "\n"
     # induced_map's phi returns one shared tuple per action profile, so a
     # step's text is formatted once per object (a yielded step must not
     # change).  Keyed by id, not value, as 0.0 == -0.0; an entry holds its
     # step, so the id is not reused while the entry lives.
     memo: dict[int, tuple[tuple[float, ...], str]] = {}
-    write = fh.write
-    for idx, (mean, step) in zip(count(1), chain((first,), rows)):
-        hit = memo.get(id(step))
-        if hit is None:
-            if len(memo) >= _STEP_MEMO_CAP:
-                memo.clear()
-            hit = memo[id(step)] = (step, step_fmt % tuple(step))
-        write(mean_fmt % (idx, *mean) + hit[1])
+    block: list = []
+    add, extend = block.append, block.extend
+    with _block_writer(fh, row_fmt, d + 2) as put:
+        for idx, (mean, step) in zip(count(1), chain((first,), rows)):
+            hit = memo.get(id(step))
+            if hit is None:
+                if len(memo) >= _STEP_MEMO_CAP:
+                    memo.clear()
+                hit = memo[id(step)] = (step, step_fmt % tuple(step))
+            add(idx)
+            extend(mean)
+            add(hit[1])
+            if idx % _CSV_BLOCK == 0:
+                put(block)  # done with the block when it returns
+                block.clear()
+        if block:
+            put(block)
+
+
+def _format_block(row_fmt: str, width: int, values: list) -> str:
+    """The text of consecutive rows, each `width` of `values` in turn, with
+    one % on row_fmt repeated once per row."""
+    return (row_fmt * (len(values) // width)) % tuple(values)
+
+
+def _forkable(fh) -> bool:
+    """Whether a forked writer can write to fh as this process would: fh is
+    a text file straight over an OS file (`open`, `sys.stdout`), os.fork
+    exists and no other thread is alive, which a fork would not copy."""
+    raw = getattr(fh, "buffer", None)
+    raw = getattr(raw, "raw", raw)  # an unbuffered file (python -u) has no buffer layer
+    return (hasattr(os, "fork") and type(fh) is io.TextIOWrapper and type(raw) is io.FileIO
+            and threading.active_count() == 1)
+
+
+@contextmanager
+def _block_writer(fh, row_fmt: str, width: int):
+    """Yield put(values), which writes a block of rows to fh: through one
+    forked writer fed by a one-way pipe, or here (see `write_csv`).
+
+    The writer is reaped on leaving, whatever happened.  If it failed, an
+    OSError with its errno (or its exit status) is raised; if the caller's
+    loop raised, the writer is killed first, as it may be blocked on fh."""
+    if not _forkable(fh):
+        yield lambda values: fh.write(_format_block(row_fmt, width, values))
+        return
+    import pickle  # the process machinery is imported on use
+    import signal
+
+    fh.flush()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the writer: it leaves only through os._exit, so no traceback
+        status = 255
+        try:
+            os.close(w)
+            status = _write_blocks(r, fh, row_fmt, width)
+        finally:
+            os._exit(status)
+    os.close(r)
+
+    def put(values):
+        data = memoryview(pickle.dumps(values, pickle.HIGHEST_PROTOCOL))
+        while data:  # a write a signal interrupts may be partial
+            data = data[os.write(w, data):]
+
+    killed = False
+    try:
+        yield put
+    except BrokenPipeError:
+        raise  # put's, once the writer has exited: its status replaces it
+    except BaseException:
+        killed = True
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(w)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status and not killed:
+            raise (OSError(status, os.strerror(status)) if 0 < status < 255
+                   else OSError(f"the CSV writer process ended with status {status}"))
+
+
+def _write_blocks(fd: int, fh, row_fmt: str, width: int) -> int:
+    """The writer's loop: format and write to fh every block read from fd
+    until the parent closes it; returns 0, or the errno of a failed write
+    (255 when it has none)."""
+    import pickle
+    import signal
+
+    # Ctrl-C reaches the parent too, which then stops this process: its
+    # KeyboardInterrupt, not this one's exit, is what the caller sees.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with open(fd, "rb") as src:
+            while True:
+                try:
+                    values = pickle.load(src)
+                except EOFError:
+                    break
+                fh.write(_format_block(row_fmt, width, values))
+        fh.flush()
+    except OSError as exc:
+        return exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    return 0

@@ -1,7 +1,10 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,99 @@ class TestSimulate:
             tracemalloc.stop()
         assert len(out.read_text().splitlines()) == 2 + 50_000
         assert peak < 2_000_000
+
+
+#: Runs the CLI on its arguments, as `python -m investgame.cli` does, and
+#: appends every pid os.fork returns to the parent to the file $FORK_LOG.
+FORK_LOGGING_CLI = """
+import os, sys
+fork = os.fork
+def logged():
+    pid = fork()
+    if pid:
+        with open(os.environ["FORK_LOG"], "a") as log:
+            print(pid, file=log)
+    return pid
+os.fork = logged
+from investgame.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: A hung writer fails a test rather than blocking it.
+CLI_TIMEOUT_S = 60
+
+SIM_RUN = dict(GOOD_RUN, n=100_000, strategies=[
+    {"kind": "good", "eps": 0.4}, {"kind": "good", "eps": 0.4}, {"kind": "random", "p": 0.5, "seed": 11}])
+
+
+class TestSimulateWriter:
+    """simulate's rows go through one forked writer when the output is a file
+    or a pipe; no writer outlives the command, whichever way it ends."""
+
+    def spawn(self, tmp_path, *args, **popen):
+        log = tmp_path / "forks.log"
+        log.write_text("")
+        env = dict(os.environ, FORK_LOG=str(log),
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", FORK_LOGGING_CLI, *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+        return proc, log
+
+    @staticmethod
+    def assert_gone(log, forked):
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == forked
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_stdout_matches_out_file(self, tmp_path):
+        cfg = write_json(tmp_path, "run.json", dict(SIM_RUN, n=5_000))
+        out = tmp_path / "traj.csv"
+        proc, log = self.spawn(tmp_path, "simulate", cfg, "--out", str(out))
+        assert proc.communicate(timeout=CLI_TIMEOUT_S) == (b"", b"")
+        assert proc.returncode == 0
+        self.assert_gone(log, forked=1)
+        proc, log = self.spawn(tmp_path, "simulate", cfg)
+        stdout, stderr = proc.communicate(timeout=CLI_TIMEOUT_S)
+        assert (proc.returncode, stderr) == (0, b"")
+        assert stdout == out.read_bytes()
+        assert len(stdout.splitlines()) == 2 + 5_000
+        self.assert_gone(log, forked=1)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2_without_traceback(self, tmp_path):
+        # the header's flush fails, before any writer is forked
+        cfg = write_json(tmp_path, "run.json", SIM_RUN)
+        proc, log = self.spawn(tmp_path, "simulate", cfg, "--out", "/dev/full")
+        _, stderr = proc.communicate(timeout=CLI_TIMEOUT_S)
+        assert proc.returncode == 2
+        assert stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+        self.assert_gone(log, forked=0)
+
+    def test_closed_pipe_exits_2_without_traceback(self, tmp_path):
+        cfg = write_json(tmp_path, "run.json", SIM_RUN)
+        proc, log = self.spawn(tmp_path, "simulate", cfg)
+        # the header is flushed before the writer is forked, and the rows come after it
+        assert proc.stdout.readline().startswith(b"# strategies: ")
+        assert proc.stdout.readline() == b"n,x1,x2,x3,step1,step2,step3\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=CLI_TIMEOUT_S)
+        assert proc.returncode == 2
+        assert stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
+        self.assert_gone(log, forked=1)
+
+    def test_writer_error_exits_2_without_traceback(self, tmp_path):
+        # the header fits under the file size limit, the first block of rows does not
+        cfg = write_json(tmp_path, "run.json", SIM_RUN)
+        proc, log = self.spawn(tmp_path, "simulate", cfg, "--out", str(tmp_path / "traj.csv"),
+                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)))
+        _, stderr = proc.communicate(timeout=CLI_TIMEOUT_S)
+        assert proc.returncode == 2
+        assert stderr.decode().splitlines() == ["error: [Errno 27] File too large"]
+        self.assert_gone(log, forked=1)
 
 
 class TestVerify:
@@ -403,6 +499,29 @@ def test_flags_are_read_like_config_keys(command, tmp_path, capsys):
     assert main(command.split() + [cfg, "--n", "1" + "0" * 400]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n must be a finite number")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify t3", "simulate"])
+def test_integral_float_horizon_flag(command, tmp_path, capsys):
+    # a flag is parsed by its key's reader, so an integral float is an integer
+    cfg = write_json(tmp_path, "cfg.json", GOOD_RUN if command == "simulate" else {})
+
+    def run(value):
+        assert main(command.split() + [cfg, "--n", value]) == 0
+        return capsys.readouterr().out
+
+    assert run("1e3") == run("1000")
+
+
+@pytest.mark.parametrize("command, flag", [("verify t3", "--n"), ("verify t4", "--eps"),
+                                           ("verify t2", "--slack"), ("simulate", "--n"),
+                                           ("certify lyapunov", "--pitch")])
+def test_text_flag_is_a_config_error(command, flag, tmp_path, capsys):
+    cfg = write_json(tmp_path, "cfg.json", GOOD_RUN if command == "simulate" else {})
+    assert main(command.split() + [cfg, flag, "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must")
     assert "Traceback" not in err
 
 

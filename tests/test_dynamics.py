@@ -1,5 +1,10 @@
 import io
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from itertools import cycle
 
 import numpy as np
@@ -296,21 +301,132 @@ def old_csv_rows(traj):
     return out
 
 
+CSV_TRAJS = pytest.mark.parametrize("traj", [
+    iterate(induced_map((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS),
+                         RandomStrategy(0.5, 11)), PARAMS), (20.0, 20.0, 20.0), 3000),
+    iterate(lambda x: (0.1, -1e-300) if x[1] > 0 else (2.0, 1.0), (2.5, -1.7), 500),
+    # equal by value, not by sign: a value-keyed step memo would print 0 for -0
+    iterate(lambda x, steps=cycle([(0.0, 1.0), (-0.0, 1.0)]): next(steps), (0.0, -0.0), 500),
+    # a fresh tuple every stage, more than the step memo keeps
+    iterate(lambda x: (x[1] * 0.5 + 0.1, -x[0], x[2] + 1.0 / 3.0), (0.3, -0.7, 0.1), 500),
+    # more than one block of rows, and not a whole number of blocks
+    iterate(all_good_phi(), VS.c1[1], 2 * dynamics._CSV_BLOCK + 77),
+], ids=["3-d", "2-d", "signed-zeros", "fresh-steps", "blocks-and-a-part"])
+
+
+def csv_rows(traj):
+    return zip(traj.means, [traj.start] + traj.steps)
+
+
+class ForkLog:
+    """The pids os.fork returns to this process, recorded as they are forked."""
+
+    def __init__(self):
+        self.pids = []
+
+    def assert_reaped(self):
+        assert not multiprocessing.active_children()
+        for pid in self.pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    log = ForkLog()
+    fork = os.fork
+
+    def logged():
+        pid = fork()
+        if pid:
+            log.pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged)
+    return log
+
+
 class TestCsvRows:
-    @pytest.mark.parametrize("traj", [
-        iterate(induced_map((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS),
-                             RandomStrategy(0.5, 11)), PARAMS), (20.0, 20.0, 20.0), 3000),
-        iterate(lambda x: (0.1, -1e-300) if x[1] > 0 else (2.0, 1.0), (2.5, -1.7), 500),
-        # equal by value, not by sign: a value-keyed step memo would print 0 for -0
-        iterate(lambda x, steps=cycle([(0.0, 1.0), (-0.0, 1.0)]): next(steps), (0.0, -0.0), 500),
-        # a fresh tuple every stage, more than the step memo keeps
-        iterate(lambda x: (x[1] * 0.5 + 0.1, -x[0], x[2] + 1.0 / 3.0), (0.3, -0.7, 0.1), 500),
-    ], ids=["3-d", "2-d", "signed-zeros", "fresh-steps"])
+    @CSV_TRAJS
     def test_rows_match_old_formatting_byte_for_byte(self, traj):
         buf = io.StringIO()
-        write_csv(zip(traj.means, [traj.start] + traj.steps), buf)
+        write_csv(csv_rows(traj), buf)
         lines = buf.getvalue().splitlines(keepends=True)
         assert lines[1:] == old_csv_rows(traj)
+
+    @CSV_TRAJS
+    def test_forked_writer_writes_the_same_bytes(self, traj, tmp_path, forks):
+        path = tmp_path / "traj.csv"
+        with open(path, "w", newline="") as fh:
+            write_csv(csv_rows(traj), fh, comment="c")
+        assert len(forks.pids) == 1
+        forks.assert_reaped()
+        buf = io.StringIO()
+        write_csv(csv_rows(traj), buf, comment="c")
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_text().splitlines(keepends=True)[2:] == old_csv_rows(traj)
+
+    def test_writes_in_process_without_fork_or_beside_a_thread(self, tmp_path, forks, monkeypatch):
+        traj = iterate(all_good_phi(), VS.c1[1], 100)
+        buf = io.StringIO()
+        write_csv(csv_rows(traj), buf)
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        helper.start()
+        try:
+            with open(tmp_path / "threaded.csv", "w", newline="") as fh:
+                write_csv(csv_rows(traj), fh)
+        finally:
+            stop.set()
+            helper.join()
+        monkeypatch.delattr(os, "fork")
+        with open(tmp_path / "forkless.csv", "w", newline="") as fh:
+            write_csv(csv_rows(traj), fh)
+        assert forks.pids == []
+        for name in ("threaded.csv", "forkless.csv"):
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
+
+    def test_file_continues_after_the_writer(self, tmp_path):
+        # the writer shares the file offset, so later writes follow its rows
+        traj = iterate(all_good_phi(), VS.c1[1], dynamics._CSV_BLOCK + 1)
+        path = tmp_path / "traj.csv"
+        with open(path, "w", newline="") as fh:
+            write_csv(csv_rows(traj), fh)
+            fh.write("# end\n")
+        buf = io.StringIO()
+        write_csv(csv_rows(traj), buf)
+        assert path.read_text() == buf.getvalue() + "# end\n"
+
+    def test_a_failing_writer_raises_its_error_here(self, forks):
+        # a reader that takes one byte of the header and exits: the writer's
+        # EPIPE comes back here as BrokenPipeError
+        traj = iterate(all_good_phi(), VS.c1[1], 3 * dynamics._CSV_BLOCK)
+        reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.buffer.read(1)"],
+                                  stdin=subprocess.PIPE)
+        try:
+            with open(reader.stdin.fileno(), "w", closefd=False) as fh:
+                with pytest.raises(BrokenPipeError, match=r"\[Errno 32\] Broken pipe"):
+                    write_csv(csv_rows(traj), fh)
+        finally:
+            reader.stdin.close()
+            reader.wait(timeout=60)
+        assert len(forks.pids) == 1
+        forks.assert_reaped()
+
+    def test_a_failing_row_source_reaps_the_writer(self, tmp_path, forks):
+        traj = iterate(all_good_phi(), VS.c1[1], 3000)
+
+        def rows():
+            yield from csv_rows(traj)
+            raise RuntimeError("stage loop failed")
+
+        with open(tmp_path / "traj.csv", "w", newline="") as fh:
+            with pytest.raises(RuntimeError, match="stage loop failed"):
+                write_csv(rows(), fh)
+        assert len(forks.pids) == 1
+        forks.assert_reaped()
+        header, written = (tmp_path / "traj.csv").read_text().split("\n", 1)
+        assert "".join(old_csv_rows(traj)).startswith(written)
 
 
 def codes_along(traj, profile):
