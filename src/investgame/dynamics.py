@@ -15,12 +15,13 @@ seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
 `stages` into one profile's recorded trajectory.  `simulate_batch` steps
 many (profile, start) cells together as a (B, 3) array and keeps only
 what the deviant batteries report; it decides the good seats in one
-`invests` call per stage on coordinate columns, and every other seat but
-constants and coin flips by its own `invests` on its row's mean as
-floats, so that cost grows with the number of such rows.
-`simulate_events` runs one profile of good and constant seats and jumps
-over the stretches where the action profile provably stays fixed.  The
-means of the last two are bit-identical to `iterate` on the same cell.
+`GoodStrategy.invests_columns` call per stage on coordinate columns, a
+fused test equal to `invests` exactly since rounding is monotone, and
+every other seat but constants and coin flips by its own `invests` on
+its row's mean as floats, so that cost grows with the number of such
+rows.  `simulate_events` runs one profile of good and constant seats and
+jumps over the stretches where the action profile provably stays fixed.
+The means of the last two are bit-identical to `iterate` on the same cell.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
       - `ConstantStrategy`: its bit, written once before the loop;
       - `RandomStrategy`: `plan`, drawn before the loop, n - 1 per
         (cell, seat) in cell order;
-      - `GoodStrategy`: one `stacked` call per stage on the coordinate
-        columns of all its slots;
+      - `GoodStrategy`: one fused `invests_columns` call per stage on the
+        columns of all its slots, equal to `invests` as rounding is monotone;
       - any other class, `Example2Defector` and subclasses included: its
         own `invests` on its row's mean as a tuple of floats, as `iterate`
         calls it, once per (instance, row) and stage.  This costs a Python
@@ -175,7 +176,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     cells = len(profiles)
     if len(starts) != cells or any(len(p) != 3 for p in profiles) or any(len(x) != 3 for x in starts):
         raise ValueError("need one 3-vector start and one profile of three strategies per cell")
-    means = np.array(starts, dtype=float).reshape(cells, 3)
+    start = np.array(starts, dtype=float).reshape(cells, 3)
     table = np.array(payoff_table(params), dtype=float)
 
     # Route every (cell, seat) slot; dst indexes the flattened (B, 3) decisions.
@@ -206,58 +207,60 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     plan_table = np.array([arr for _, arr in plans.values()], dtype=bool).reshape(len(plans), n - 1)
     plan_dst = np.array(plan_dst, dtype=np.intp)
     plan_src = np.array(plan_src, dtype=np.intp)
-    decisions = np.zeros(3 * cells, dtype=bool)
-    decisions[invest_dst] = True
+    # Row k - lo: stage k's decisions; a stage writes its good and float slots only.
+    decisions = np.zeros((_BLOCK, 3 * cells), dtype=bool)
+    decisions[:, invest_dst] = True
+    decision_rows = list(decisions)
     # codes = bytes @ weights: bit i set when seat i invests
-    decision_bytes = decisions.view(np.uint8).reshape(cells, 3)
+    decision_bytes = list(decisions.view(np.uint8).reshape(_BLOCK, cells, 3))
     weights = np.array([1, 2, 4], dtype=np.uint8)
     if goods:
         insts, rows, good_dst = zip(*goods)
-        good = GoodStrategy.stacked(insts).invests
+        good = GoodStrategy.stacked(insts).invests_columns
         # (3, m) take indices: each slot's own, lower and higher opponent coordinate
         good_idx = 3 * np.array(rows) + np.array([(g._i, g._j, g._k) for g in insts]).T
         good_dst = np.array(good_dst)
     if calls:
-        # call c is fns[c] on row call_rows[c]; float_src maps each of float_dst to its call
+        # call c is fns[c] on row call_rows[c], and its result goes to each (c, dst) of float_route
         fns, call_rows, dsts = zip(*calls.values())
         call_rows = np.array(call_rows)
-        float_src = [c for c, ds in enumerate(dsts) for _ in ds]
-        float_dst = np.array([d for ds in dsts for d in ds])
+        float_route = [(c, d) for c, ds in enumerate(dsts) for d in ds]
 
-    start = means.copy()
-    total = np.zeros_like(means)
-    tail_min = np.full_like(means, np.inf)
-    tail_max = np.full_like(means, -np.inf)
+    total = np.zeros_like(start)
+    tail_min = np.full_like(start, np.inf)
+    tail_max = np.full_like(start, -np.inf)
     tail_max_23 = np.full(cells, -np.inf)
-    tail = np.empty((_BLOCK, cells, 3))
+    # Stage k's means go to tail row k - lo, or to the spare last row before the window.
+    tail = np.empty((_BLOCK + 1, cells, 3))
+    tail_rows = list(tail)
 
     def fold(part):
         np.minimum(tail_min, part.min(axis=0), out=tail_min)
         np.maximum(tail_max, part.max(axis=0), out=tail_max)
         np.maximum(tail_max_23, (part[:, :, 1] + part[:, :, 2]).max(axis=0), out=tail_max_23)
 
+    means = start
     if first == 0:
         fold(means[None])
     for lo in range(1, n, _BLOCK):
         hi = min(n, lo + _BLOCK)
-        block_plan = plan_table[plan_src, lo - 1:hi - 1].T
+        decisions[:hi - lo, plan_dst] = plan_table[plan_src, lo - 1:hi - 1].T
         for k in range(lo, hi):
-            decisions[plan_dst] = block_plan[k - lo]
+            row = decision_rows[k - lo]
             if goods:
-                decisions[good_dst] = good(means.take(good_idx))
+                row[good_dst] = good(means.take(good_idx))
             if calls:
                 out = [fn(tuple(x)) for fn, x in zip(fns, means.take(call_rows, axis=0).tolist())]
-                decisions[float_dst] = [out[c] for c in float_src]
-            codes = decision_bytes @ weights
+                for c, d in float_route:
+                    row[d] = out[c]
             # The running sum of `stages`, count k -> k + 1.
-            total += table.take(codes, axis=0)
+            total += table.take(decision_bytes[k - lo] @ weights, axis=0)
+            means = tail_rows[k - lo if k >= first else _BLOCK]
             np.add(start, total, out=means)
-            means /= k + 1
-            if k >= first:
-                tail[k - lo] = means
+            means /= float(k + 1)
         if hi > first:
             fold(tail[max(first, lo) - lo:hi - lo])
-    return BatchTails(final=means, tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
+    return BatchTails(final=means.copy(), tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
 
 
 #: Certification margin of `simulate_events`, relative to a bound S on every

@@ -3,8 +3,8 @@
 A strategy is a total function from the payoff hull S to {I, NI}; the
 only observable it may read is the current mean payoff vector.  Each kind
 declares it once, as the predicate `invests(x)` on a mean, which every
-engine evaluates on a tuple of floats; `dynamics.simulate_batch` also
-evaluates the good strategy's on coordinate columns, many means at once.
+engine evaluates on a tuple of floats; `dynamics.simulate_batch` decides
+the good strategy's on columns, many means at once, by `invests_columns`.
 A profile of three strategies composed with the stage payoff map yields
 the step map phi driving the mean dynamics.
 
@@ -43,7 +43,8 @@ class Strategy:
     of three floats, as a bool; a kind that keeps state also overrides
     `fresh`.  Engines call it once per seat and stage, except on the array
     routes of `dynamics.simulate_batch`: constants, coin flips (`plan`) and
-    exact-type `GoodStrategy`, whose `invests` also runs on numpy columns.
+    exact-type `GoodStrategy`, decided on numpy columns by the fused test
+    `invests_columns`, which equals `invests` exactly as rounding is monotone.
     """
 
     name = "strategy"
@@ -69,7 +70,8 @@ class GoodStrategy(Strategy):
     Player i invests while close enough to the top (strictly within eps of
     every opponent) and not exploited (own mean at least r0, opponents' sum
     at most 2 p3, the strict complement of the W_i trigger).  Boundary
-    points follow the letter of these definitions with no tolerance band.
+    points follow the letter of these definitions with no tolerance band,
+    also in the fused column test `invests_columns`, exact as rounding is monotone.
     """
 
     def __init__(self, player: int, eps: float, params: GameParams):
@@ -95,12 +97,22 @@ class GoodStrategy(Strategy):
 
     @classmethod
     def stacked(cls, instances) -> "GoodStrategy":
-        """One instance deciding column m as instances[m] does, on each slot's
-        (own, lower opponent, higher opponent) columns: eps, r0, cap per column."""
+        """One instance whose `invests_columns` decides column m as instances[m] does."""
         stack = object.__new__(cls)
-        stack._i, stack._j, stack._k = 0, 1, 2
-        stack.eps, stack._r0, stack._cap = np.array([(g.eps, g._r0, g._cap) for g in instances]).T
+        rows = [(g.eps, math.nextafter(g._r0, -math.inf), g._cap) for g in instances]
+        stack.eps, stack._r0_below, stack._cap = np.array(rows).T
         return stack
+
+    def invests_columns(self, x):
+        """`invests` of a stack on a (3, m) array x of each slot's own, lower
+        and higher opponent coordinate, as xi > max(max(xj, xk) - eps, r0_below)
+        & (xj + xk <= cap).  This is the scalar test exactly at every non-NaN
+        point: rounding is monotone, so fl(max(xj, xk) - eps) equals
+        max(fl(xj - eps), fl(xk - eps)), and xi >= r0 holds exactly when
+        xi > r0_below = nextafter(r0, -inf), as no float lies between."""
+        xj, xk = x[1], x[2]
+        above = np.maximum(np.maximum(xj, xk) - self.eps, self._r0_below)
+        return (x[0] > above) & (xj + xk <= self._cap)
 
     def descriptor(self) -> dict:
         return {"kind": "good", "eps": self.eps}

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_strategies import NON_DYADIC
 
 from investgame import geometry, harness
 from investgame.approachability import HullOracle
@@ -381,8 +382,8 @@ class TestBatchedEngine:
 
     CONFIG = HarnessConfig(params=PARAMS, n=2000)
 
-    def check(self, theorem, battery):
-        config = self.CONFIG
+    def check(self, theorem, battery, config=None):
+        config = config or self.CONFIG
         if theorem == "t4":
             report = verify_t4(config, [devs[0] for devs in battery]).as_dict()
         else:
@@ -412,6 +413,14 @@ class TestBatchedEngine:
         self.check("t4", [(Alternator(),), (Reluctant(3, 0.4, PARAMS),), (Contrary(0.3, 3),)])
         self.check("t2", [(Alternator(), RandomStrategy(0.5, 3)), (Reluctant(2, 0.4, PARAMS), Alternator()),
                           (Contrary(0.3, 3), RandomStrategy(0.3, 3))])
+
+    @pytest.mark.parametrize("eps", [0.1, 0.4])
+    def test_non_dyadic_game(self, eps):
+        # the other batteries run dyadic payoffs, whose running sums never round
+        config = HarnessConfig(params=NON_DYADIC, eps=eps, n=2000)
+        self.check("t4", [(d,) for d in standard_deviants(NON_DYADIC, eps)]
+                   + [(GoodStrategy(3, eps, NON_DYADIC),), (Hesitant(x3_cap=NON_DYADIC.p3),)], config)
+        self.check("t2", deviant_pairs(NON_DYADIC, eps) + [(GoodStrategy(2, eps, NON_DYADIC), Alternator())], config)
 
     def test_no_trajectory_per_cell(self, monkeypatch):
         def refuse(*args):
@@ -465,8 +474,8 @@ class Hesitant(Strategy):
 
 
 class TestStackedRouting:
-    """simulate_batch decides the seats of `GoodStrategy` in one stacked call
-    per stage and every other seat but constants and coin flips by its own
+    """simulate_batch decides the seats of `GoodStrategy` in one stacked
+    `invests_columns` call per stage and every other seat but constants and coin flips by its own
     `invests` on floats, once per (instance, row); every cell still matches
     `iterate`."""
 
@@ -492,8 +501,8 @@ class TestStackedRouting:
     def test_one_call_per_stacked_kind_and_stage(self, monkeypatch):
         calls, on_slice = [], []
 
-        def spy(kind):
-            inner = kind.invests
+        def spy(kind, name="invests"):
+            inner = getattr(kind, name)
 
             def invests(self, x):
                 calls.append((type(self), np.shape(x[0])))
@@ -502,9 +511,10 @@ class TestStackedRouting:
                     if type(self) is Example2Defector and x[0] == x[1]:
                         on_slice.append(x)
                 return inner(self, x)
-            monkeypatch.setattr(kind, "invests", invests)
+            monkeypatch.setattr(kind, name, invests)
 
         spy(GoodStrategy)
+        spy(GoodStrategy, "invests_columns")
         spy(Example2Defector)
         n = 300
         d4, d2 = Example2Defector(PARAMS, 0.4), Example2Defector(PARAMS, 0.2)

@@ -27,6 +27,8 @@ from investgame.strategies import (
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
+#: An admissible game whose payoff sums round.
+NON_DYADIC = GameParams(r0=5.1, r1=8.3, r2=12.7, p1=3.3, p2=7.1, p3=11.3)
 
 
 class TestGoodStrategy:
@@ -151,25 +153,62 @@ def _slice_points(eps: float) -> np.ndarray:
     return np.vstack([pts, grid, tri, v1])
 
 
-def _invest_points(eps: float) -> list[np.ndarray]:
+def _ulps(x, steps: int) -> np.ndarray:
+    """x moved `steps` ulps up (down when negative), elementwise."""
+    x = np.asarray(x, dtype=float)
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(np.inf, steps))
+    return x
+
+
+def _surface_points(params: GameParams, eps: float) -> np.ndarray:
+    """For every player i with opponents j < k, points at 0, +-1 and +-2 ulp
+    from each surface of its test: x_i = fl(x_j - eps), x_i = fl(x_k - eps),
+    x_i = r0, fl(x_j + x_k) = 2 p3 and x_j = x_k.  The other coordinates are
+    values around the game's constants, +-0 included."""
+    p, cap = params, 2.0 * params.p3
+    base = np.array([0.0, -0.0, p.r0, p.r0 + eps, p.p1, p.p3 - eps, p.p3, p.p3 + eps, p.r1, p.r2, cap - p.r0])
+    a, b = (g.ravel() for g in np.meshgrid(base, base))
+    triples = []  # (x_i, x_j, x_k) columns
+    for u in range(-2, 3):
+        triples += [(_ulps(a - eps, u), a, b), (_ulps(b - eps, u), a, b), (_ulps(np.full_like(a, p.r0), u), a, b),
+                    (b, a, _ulps(cap - a, u)), (b, a, _ulps(a, u))]
+        # on and next to the tie x_j = x_k, where both eps surfaces meet
+        triples += [(_ulps(a - eps, v), a, _ulps(a, u)) for v in range(-2, 3)]
+    own, low, high = (np.concatenate(c) for c in zip(*triples))
+    out = []
+    for i in range(3):
+        j, k = [m for m in range(3) if m != i]
+        pts = np.empty((len(own), 3))
+        pts[:, i], pts[:, j], pts[:, k] = own, low, high
+        out.append(pts)
+    return np.vstack(out)
+
+
+def _invest_points(eps: float, params: GameParams = PARAMS) -> list[np.ndarray]:
     """The boundary points, the slice points, the slice points moved one ulp
-    off the slice in x2, and every sign pattern of zero coordinates."""
+    off the slice in x2, every sign pattern of zero coordinates, and the
+    points next to every surface of the good strategies' tests."""
     on = _slice_points(eps)
     off = on.copy()
     off[:, 1] = np.nextafter(off[:, 1], np.inf)
     zeros = np.array(list(product((0.0, -0.0), repeat=3)))
-    return [_boundary_points(), on, off, zeros]
+    return [_boundary_points(), on, off, zeros, _surface_points(params, eps)]
 
 
 def _same_on_columns(s, pts: np.ndarray) -> list[bool]:
     """invests at each row as a tuple of floats, checked equal to invests on
-    the columns of all rows at once (as simulate_batch calls the good
-    strategy's)."""
+    the columns of all rows at once, and to the column form `simulate_batch`
+    calls, `invests_columns` of a stack, on the gathered (own, lower, higher
+    opponent) columns."""
     want = [s.invests(x) for x in map(tuple, pts.tolist())]
     assert all(type(w) is bool for w in want)
     got = s.invests(pts.T)
     assert got.dtype == bool
     assert got.tolist() == want
+    fused = GoodStrategy.stacked([s] * len(pts)).invests_columns(pts.T[[s._i, s._j, s._k]])
+    assert fused.dtype == bool
+    assert fused.tolist() == want
     return want
 
 
@@ -195,17 +234,28 @@ class TestBatchForms:
         assert again._rng.getstate() == ref._rng.getstate()
         assert RandomStrategy(0.3, seed=8).plan(999, cache).tolist() != want
 
-    @pytest.mark.parametrize("eps", [0.1, 0.4])
+    @pytest.mark.parametrize("eps", [1e-9, 0.1, 0.4, 7.0])
     def test_good_batch_matches_decide(self, eps):
-        for pts in _invest_points(eps):
-            for i in (1, 2, 3):
-                _same_on_columns(GoodStrategy(i, eps, PARAMS), pts)
+        # the example game, and one whose payoff sums round
+        for params in (PARAMS, NON_DYADIC):
+            for pts in _invest_points(eps, params):
+                for i in (1, 2, 3):
+                    _same_on_columns(GoodStrategy(i, eps, params), pts)
+
+    def test_stacked_columns_keep_their_own_parameters(self):
+        # one stack of every player and threshold, each column deciding as its own instance
+        pts = _surface_points(NON_DYADIC, 0.4)
+        insts = [GoodStrategy(i, eps, NON_DYADIC) for i in (1, 2, 3) for eps in (1e-9, 0.4, 7.0)]
+        rows = np.arange(len(pts)) % len(insts)
+        cols = np.array([pts[m, [insts[r]._i, insts[r]._j, insts[r]._k]] for m, r in enumerate(rows)]).T
+        got = GoodStrategy.stacked([insts[r] for r in rows]).invests_columns(cols)
+        assert got.tolist() == [insts[r].invests(tuple(x)) for r, x in zip(rows, pts.tolist())]
 
     @pytest.mark.parametrize("eps", [0.1, 0.4])
     def test_defector_batch_matches_decide(self, eps):
         # the defector decides on floats only: every engine calls it on a row's mean
         s = Example2Defector(PARAMS, eps)
-        _, on, off, _ = [[s.invests(x) for x in map(tuple, pts.tolist())] for pts in _invest_points(eps)]
+        on, off = [[s.invests(x) for x in map(tuple, pts.tolist())] for pts in _invest_points(eps)[1:3]]
         assert all(type(w) is bool for w in on + off)
         # both actions occur on the slice, so the test tells them apart; one
         # ulp off it the defector always invests
