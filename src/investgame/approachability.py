@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import geometry
 from .dynamics import Trajectory
 from .geometry import FACE_WEIGHT_TOL, dot_rows, face_projections, hull_faces, nearest_on_faces
 
@@ -51,8 +52,10 @@ class ProximalOracle:
 
     A subclass gives its candidates for an (M, d) array of points in
     `_candidates`, in elementwise arithmetic, so each row's projection is
-    the same whether it is projected alone or with others.
+    the same whether it is projected alone or with others; `pieces` is K.
     """
+
+    pieces = 1
 
     def _candidates(self, x: np.ndarray) -> np.ndarray:
         """(M, K, d): the nearest point of each of the K pieces."""
@@ -115,6 +118,7 @@ class SegmentsOracle(ProximalOracle):
         self._a = np.array([a for a, _ in self.segments])
         self._u = np.array([b - a for a, b in self.segments])
         self._uu = dot_rows(self._u, self._u)
+        self.pieces = len(self.segments)
 
     def _candidates(self, x):
         num = dot_rows(x[:, None, :] - self._a, self._u)
@@ -171,19 +175,17 @@ def first_violation(violated: np.ndarray, witness: Callable[[int], dict],
     return CertReport(holds=False, witness=witness(first), checked=first + 1, grid_pitch=pitch)
 
 
-#: Rows per array pass of the certificates: keeps their temporaries small.
-BLOCK_ROWS = 1024
-
-
 def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
     """Per row of x: the least <x - y, step - y> over the proximal candidates
     y of x, the candidate attaining it (the first on a tie), and the
-    distance from x to the set.  Each row is projected once."""
+    distance from x to the set.  Each row is projected once, in passes of
+    as many rows as `geometry.PASS_ELEMENTS` holds at K * d elements a row."""
     inner = np.empty(len(x))
     best = np.empty_like(x)
     dist = np.empty(len(x))
-    for lo in range(0, len(x), BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
+    step = max(1, geometry.PASS_ELEMENTS // (oracle.pieces * x.shape[1]))
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
         proj = oracle.project_many(x[rows])
         y = proj.points
         vals = np.where(proj.tied, dot_rows(x[rows, None, :] - y, steps[rows, None, :] - y), np.inf)
@@ -216,9 +218,13 @@ def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence,
 
 def premise_start(traj: Trajectory, oracle: ProximalOracle) -> int | None:
     """Smallest 1-based n0 such that the Blackwell inner product is <= CERT_TOL
-    at every recorded stage from n0 on; None when even the last stage fails."""
+    at every recorded stage from n0 on; None when even the last stage fails.
+
+    The projections are kept on the trajectory, keyed by the oracle, for
+    `decay_bound_check` to read."""
     x = traj.means_array()[:-1]  # stages with a recorded step
-    inner, _, _ = _best_inner(oracle, x, np.asarray(traj.steps, dtype=float).reshape(x.shape))
+    steps = np.asarray(traj.steps, dtype=float).reshape(x.shape)
+    inner, _, _ = traj._proximal[oracle] = _best_inner(oracle, x, steps)
     bad = np.flatnonzero(inner > CERT_TOL)
     last_bad = int(bad[-1]) + 1 if len(bad) else 0
     return last_bad + 1 if last_bad + 1 < traj.horizon else None
@@ -244,14 +250,20 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
     d_n0 = n0^2 dist(mean_n0, A)^2 and C bounds |x_{n+1} - y_n|^2, the
     squared distance from each realized stage payoff to the proximal point
     chosen at the current mean; the premise (Blackwell inner products
-    <= CERT_TOL from n0 on) is re-verified, not assumed.
+    <= CERT_TOL from n0 on) is re-verified, not assumed.  What
+    `premise_start` kept for this oracle is read, not projected again; it is
+    the same, since each row's projection does not depend on the others.
     """
     if not 1 <= n0 <= traj.horizon:
         raise ValueError("n0 out of range")
     x = traj.means_array()[n0 - 1:]
     m = traj.horizon - n0  # all but the last mean have a recorded next step
     steps = np.asarray(traj.steps[n0 - 1:], dtype=float).reshape(x[:m].shape)
-    inner, y, dists = _best_inner(oracle, x[:m], steps)
+    kept = traj._proximal.get(oracle)
+    if kept is None:
+        inner, y, dists = _best_inner(oracle, x[:m], steps)
+    else:
+        inner, y, dists = (a[n0 - 1:] for a in kept)
     dists = np.append(dists, oracle.distances(x[m:]))  # what oracle.distance gives
     premise_ok = not np.any(inner > CERT_TOL)
     c_const = float(np.max(dot_rows(steps - y, steps - y), initial=0.0))

@@ -203,7 +203,7 @@ def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[boo
         spec = lyapunov.six_direction_spec(c, **_given(cfg, None, {"delta": read_finite}))
         mmap = lyapunov.good_profile_plane_map(params)
     elif map_kind == "two_good":
-        eps = read_finite(cfg.get("eps", harness.DEFAULT_EPS), "eps")
+        eps = _positive(cfg.get("eps", harness.DEFAULT_EPS), "eps")  # before c, derived from it
         eta = read_finite(cfg.get("eta", 0.1), "eta")
         c = (eps + eta) / 2.0**0.5
         delta = read_finite(cfg.get("delta", eta / (2.0 * 2.0**0.5)), "delta")

@@ -15,7 +15,7 @@ seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
 `stages` into one profile's recorded trajectory.  `simulate_batch` steps
 many (profile, start) cells together as a (B, 3) array and keeps only
 what the deviant batteries report; it decides the good seats in one
-`GoodStrategy.invests_columns` call per stage on coordinate columns, a
+`GoodColumns.invests_columns` call per stage on coordinate columns, a
 fused test equal to `invests` exactly since rounding is monotone, and
 every other seat but constants and coin flips by its own `invests` on
 its row's mean as floats, so that cost grows with the number of such
@@ -40,17 +40,23 @@ import numpy as np
 
 from .geometry import good_region, inequality_margins
 from .stage_game import GameParams, payoff_table, require_valid
-from .strategies import ConstantStrategy, GoodStrategy, RandomStrategy, Strategy
+from .strategies import ConstantStrategy, GoodColumns, GoodStrategy, RandomStrategy, Strategy
 
 
 @dataclass
 class Trajectory:
-    """Recorded run: means x̄_1..x̄_N and realized stage payoffs x_2..x_N."""
+    """Recorded run: means x̄_1..x̄_N and realized stage payoffs x_2..x_N.
+
+    A recorded trajectory must not be mutated: it caches its means array
+    and, per proximal oracle, the projections of its means that
+    `approachability.premise_start` made.
+    """
 
     start: tuple[float, ...]
     means: list[tuple[float, ...]]
     steps: list[tuple[float, ...]]
     _means_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _proximal: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -156,8 +162,9 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
       - `ConstantStrategy`: its bit, written once before the loop;
       - `RandomStrategy`: `plan`, drawn before the loop, n - 1 per
         (cell, seat) in cell order;
-      - `GoodStrategy`: one fused `invests_columns` call per stage on the
-        columns of all its slots, equal to `invests` as rounding is monotone;
+      - `GoodStrategy`: one fused `GoodColumns.invests_columns` call per
+        stage on the columns of all its slots, equal to `invests` as
+        rounding is monotone;
       - any other class, `Example2Defector` and subclasses included: its
         own `invests` on its row's mean as a tuple of floats, as `iterate`
         calls it, once per (instance, row) and stage.  This costs a Python
@@ -216,7 +223,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     weights = np.array([1, 2, 4], dtype=np.uint8)
     if goods:
         insts, rows, good_dst = zip(*goods)
-        good = GoodStrategy.stacked(insts).invests_columns
+        good = GoodColumns(insts).invests_columns
         # (3, m) take indices: each slot's own, lower and higher opponent coordinate
         good_idx = 3 * np.array(rows) + np.array([(g._i, g._j, g._k) for g in insts]).T
         good_dst = np.array(good_dst)

@@ -39,6 +39,12 @@ V_DIRS: tuple[tuple[float, float, float], ...] = (
 )
 
 HULL_TOL = 1e-9
+#: Float64 elements that the widest temporary of one array pass may hold.
+#: Every batched pass (the face solve here, `approachability`'s proximal
+#: inner products, `lyapunov`'s grid certificates) takes as many rows as fit
+#: its row width, at least one.  Passes read it when they run, so a test can
+#: shrink it; a row's result never depends on the pass it falls in.
+PASS_ELEMENTS = 1 << 16
 #: A face's projection lies on the face while no weight is below -FACE_WEIGHT_TOL.
 FACE_WEIGHT_TOL = 1e-12
 
@@ -338,15 +344,16 @@ def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
     """Nearest points of a hull to the rows of pts (M, d), given its
     hull_faces, and their distances.
 
-    Every face is solved for a block of rows at once, in elementwise
-    arithmetic (see `dot_rows`), so a row's result does not depend on the
-    other rows.  Faces whose optimal weights leave the simplex are skipped;
-    the closest remaining candidate wins, the first face on an exact tie.
+    Every face is solved for as many rows at once as PASS_ELEMENTS holds at
+    F * s * d elements a row, in elementwise arithmetic (see `dot_rows`), so
+    a row's result does not depend on the other rows.  Faces whose optimal
+    weights leave the simplex are skipped; the closest remaining candidate
+    wins, the first face on an exact tie.
     """
     origin, subs, _ = faces
     x = np.asarray(pts, dtype=float) - origin
     near, dist = np.empty_like(x), np.empty(len(x))
-    step = max(1, 2048 // (subs.shape[0] * subs.shape[1]))  # keeps (rows, F, s) temporaries small
+    step = max(1, PASS_ELEMENTS // subs.size)  # subs is (F, s, d)
     for lo in range(0, len(x), step):
         xb = x[lo:lo + step]
         w, cand = face_projections(faces, xb)  # (rows, F, s), (rows, F, d)

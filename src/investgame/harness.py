@@ -25,10 +25,10 @@ Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The t3 cells run on
 `dynamics.simulate_events`, which jumps over fixed-profile stretches, and
 the t4 and t2 batteries step all their cells together with
-`dynamics.simulate_batch`: one `invests_columns` call per stage on
-columns for the good seats, and one on floats per stage and row for each
-other deviant that is not a constant or a coin flip, so that the cost
-grows with the number of such rows.  Both keep each cell's means
+`dynamics.simulate_batch`: one `GoodColumns.invests_columns` call per
+stage on columns for the good seats, and one on floats per stage and row
+for each other deviant that is not a constant or a coin flip, so that the
+cost grows with the number of such rows.  Both keep each cell's means
 bit-identical to a run of `dynamics.iterate`.
 """
 

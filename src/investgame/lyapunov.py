@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .approachability import BLOCK_ROWS, CERT_TOL, CertReport, first_violation
+from . import geometry
+from .approachability import CERT_TOL, CertReport, first_violation
 from .geometry import V_DIRS, dot3, norm3, plane_grid, project_plane
 from .stage_game import ALL_INVEST, GameParams, payoff_table, require_valid
 
@@ -184,7 +185,9 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
 
 
 def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
-    """A grid certificate over an (M, 3) grid, evaluated a block of rows at a time.
+    """A grid certificate over an (M, 3) grid, evaluated in passes of as many
+    rows as `geometry.PASS_ELEMENTS` holds at max(3, len(mmap.values))
+    elements a row: its coordinates, or the map values it keeps.
 
     `violations(cols, support, alive)` yields, for the rows' coordinate
     columns, their support values and the map values each keeps, one
@@ -198,9 +201,10 @@ def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertRepor
         return violations(rows.T, _support(spec, rows.T), mmap.alive(rows.T))
 
     violated = np.zeros(len(grid), dtype=bool)
-    for lo in range(0, len(grid), BLOCK_ROWS):
-        for hit, _ in failing(grid[lo:lo + BLOCK_ROWS]):
-            violated[lo:lo + BLOCK_ROWS] |= hit
+    step = max(1, geometry.PASS_ELEMENTS // max(3, len(mmap.values)))
+    for lo in range(0, len(grid), step):
+        for hit, _ in failing(grid[lo:lo + step]):
+            violated[lo:lo + step] |= hit
 
     def first(g):
         detail = next(d for hit, d in failing(grid[g:g + 1]) if hit[0])

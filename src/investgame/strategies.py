@@ -4,7 +4,7 @@ A strategy is a total function from the payoff hull S to {I, NI}; the
 only observable it may read is the current mean payoff vector.  Each kind
 declares it once, as the predicate `invests(x)` on a mean, which every
 engine evaluates on a tuple of floats; `dynamics.simulate_batch` decides
-the good strategy's on columns, many means at once, by `invests_columns`.
+the good strategy's on columns, many means at once, by `GoodColumns`.
 A profile of three strategies composed with the stage payoff map yields
 the step map phi driving the mean dynamics.
 
@@ -44,7 +44,8 @@ class Strategy:
     `fresh`.  Engines call it once per seat and stage, except on the array
     routes of `dynamics.simulate_batch`: constants, coin flips (`plan`) and
     exact-type `GoodStrategy`, decided on numpy columns by the fused test
-    `invests_columns`, which equals `invests` exactly as rounding is monotone.
+    `GoodColumns.invests_columns`, which equals `invests` exactly as rounding
+    is monotone.
     """
 
     name = "strategy"
@@ -71,7 +72,7 @@ class GoodStrategy(Strategy):
     every opponent) and not exploited (own mean at least r0, opponents' sum
     at most 2 p3, the strict complement of the W_i trigger).  Boundary
     points follow the letter of these definitions with no tolerance band,
-    also in the fused column test `invests_columns`, exact as rounding is monotone.
+    also in the fused column test of `GoodColumns`, exact as rounding is monotone.
     """
 
     def __init__(self, player: int, eps: float, params: GameParams):
@@ -95,17 +96,24 @@ class GoodStrategy(Strategy):
         eps = self.eps
         return (xi > xj - eps) & (xi > xk - eps) & (xi >= self._r0) & (xj + xk <= self._cap)
 
-    @classmethod
-    def stacked(cls, instances) -> "GoodStrategy":
-        """One instance whose `invests_columns` decides column m as instances[m] does."""
-        stack = object.__new__(cls)
+    def descriptor(self) -> dict:
+        return {"kind": "good", "eps": self.eps}
+
+
+class GoodColumns:
+    """Good strategies of m slots, decided together on columns.
+
+    Not a strategy: it fills no seat, it only decides column r as
+    instances[r] does, in one fused test per call.
+    """
+
+    def __init__(self, instances):
         rows = [(g.eps, math.nextafter(g._r0, -math.inf), g._cap) for g in instances]
-        stack.eps, stack._r0_below, stack._cap = np.array(rows).T
-        return stack
+        self.eps, self._r0_below, self._cap = np.array(rows).T
 
     def invests_columns(self, x):
-        """`invests` of a stack on a (3, m) array x of each slot's own, lower
-        and higher opponent coordinate, as xi > max(max(xj, xk) - eps, r0_below)
+        """`invests` of each slot on a (3, m) array x of its own, lower and
+        higher opponent coordinate, as xi > max(max(xj, xk) - eps, r0_below)
         & (xj + xk <= cap).  This is the scalar test exactly at every non-NaN
         point: rounding is monotone, so fl(max(xj, xk) - eps) equals
         max(fl(xj - eps), fl(xk - eps)), and xi >= r0 holds exactly when
@@ -113,9 +121,6 @@ class GoodStrategy(Strategy):
         xj, xk = x[1], x[2]
         above = np.maximum(np.maximum(xj, xk) - self.eps, self._r0_below)
         return (x[0] > above) & (xj + xk <= self._cap)
-
-    def descriptor(self) -> dict:
-        return {"kind": "good", "eps": self.eps}
 
 
 class ConstantStrategy(Strategy):

@@ -299,6 +299,23 @@ class TestDecayBound:
         # the distance taken from that one projection is oracle.distance's
         assert rep.d_n0 == n0 * n0 * oracle.distance(traj.means[n0 - 1]) ** 2
 
+    def test_premise_and_decay_project_each_mean_once(self):
+        rows = []
+
+        class Counting(SegmentsOracle):
+            def project_many(self, pts):
+                rows.extend(map(tuple, np.asarray(pts).tolist()))
+                return super().project_many(pts)
+
+        traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
+        oracle = Counting([(A1, B1)])
+        rep = decay_bound_check(traj, oracle, premise_start(traj, oracle))
+        # premise_start projects every mean with a next step, decay_bound_check the last
+        assert rows == traj.means
+        # and reads the others from the trajectory, as it would have projected them
+        fresh = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
+        assert rep == decay_bound_check(fresh, SegmentsOracle([(A1, B1)]), rep.n0)
+
     def test_n0_validation(self):
         traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 10)
         with pytest.raises(ValueError):

@@ -9,11 +9,13 @@ with it on `holds`, `checked` and the whole witness, and on the decay
 report's fields to within 1e-12.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from investgame import geometry
 from investgame.approachability import (
     CertReport,
     DecayReport,
@@ -24,6 +26,7 @@ from investgame.approachability import (
     decay_bound_check,
     premise_start,
 )
+from investgame.cli import main
 from investgame.dynamics import iterate
 from investgame.geometry import dot3, hull_mask, plane_grid, project_plane
 from investgame.harness import (
@@ -405,6 +408,44 @@ def test_decay_forced_failure_is_covered():
 def test_premise_on_a_one_stage_trajectory():
     traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 1)
     assert premise_start(traj, SegmentsOracle([((0.0, 0.0), (1.0, 0.0))])) is None
+
+
+# ---------------------------------------------------------------------------
+# Pass size
+# ---------------------------------------------------------------------------
+
+CERTIFY_RUNS = [("blackwell", {"target": t}) for t in (
+    "example1_line", "example1_segment", "example1_singleton", "example2_triangle", "example2_union")] + [
+    ("lyapunov", {"map": "all_good", "c": 0.3}),
+    ("decrease", {"map": "two_good", "eps": 0.4, "eta": 0.1}),
+]
+
+
+def _certify_reports(tmp_path, capsys):
+    """Exit code and report bytes of each certify command at pitch 0.25, then
+    premise_start and the decay report of the example-2 defector's run
+    (5000 stages from A) against the triangle and the segment union."""
+    reports = []
+    cfg = tmp_path / "cfg.json"
+    for kind, body in CERTIFY_RUNS:
+        cfg.write_text(json.dumps(body))
+        reports.append((main(["certify", kind, str(cfg), "--pitch", "0.25"]), capsys.readouterr().out))
+    _, _, phi, triangle, union = _example2_setup(0.4)
+    traj = iterate(phi, VS.A, 5000)  # a new run, so no projection is kept from the other pass size
+    for oracle in (triangle, SegmentsOracle(union)):
+        n0 = premise_start(traj, oracle)
+        reports.append((n0, decay_bound_check(traj, oracle, n0).as_dict()))
+    return reports
+
+
+def test_reports_do_not_depend_on_the_pass_size(tmp_path, capsys, monkeypatch):
+    # the triangle's F * s * d elements: each face pass holds one row, and
+    # every other pass a few rows, so that passes end at many offsets
+    triangle = _example2_setup(0.4)[3]
+    monkeypatch.setattr(geometry, "PASS_ELEMENTS", triangle._faces[1].size)
+    tiny = _certify_reports(tmp_path, capsys)
+    monkeypatch.undo()
+    assert tiny == _certify_reports(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------

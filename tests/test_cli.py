@@ -414,6 +414,8 @@ BAD_INPUTS = {
     "lyapunov-empty-grid": ("certify lyapunov", {"map": "all_good", "pitch": 50}, "pitch"),
     "decrease-empty-grid": ("certify decrease", {"map": "two_good", "pitch": 50}, "pitch"),
     "two-good-nan-eps": ("certify lyapunov", {"map": "two_good", "eps": "nan"}, "eps"),
+    # c is derived from eps, so a bad eps must be named before c is checked
+    "two-good-negative-eps": ("certify lyapunov", {"map": "two_good", "eps": -0.4}, "eps must be positive"),
     "two-good-infinite-eta": ("certify lyapunov", {"map": "two_good", "eta": "inf"}, "eta"),
     "decrease-nan-delta": ("certify decrease", {"map": "two_good", "delta": "nan"}, "delta"),
     "decrease-nan-m-bound": ("certify decrease", {"map": "two_good", "m_bound": "nan"}, "m_bound"),

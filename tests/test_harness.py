@@ -45,6 +45,7 @@ from investgame.stage_game import GameParams, example_game, permute, vertices
 from investgame.strategies import (
     ConstantStrategy,
     Example2Defector,
+    GoodColumns,
     GoodStrategy,
     RandomStrategy,
     Strategy,
@@ -474,8 +475,8 @@ class Hesitant(Strategy):
 
 
 class TestStackedRouting:
-    """simulate_batch decides the seats of `GoodStrategy` in one stacked
-    `invests_columns` call per stage and every other seat but constants and coin flips by its own
+    """simulate_batch decides the seats of `GoodStrategy` in one
+    `GoodColumns.invests_columns` call per stage and every other seat but constants and coin flips by its own
     `invests` on floats, once per (instance, row); every cell still matches
     `iterate`."""
 
@@ -514,7 +515,7 @@ class TestStackedRouting:
             monkeypatch.setattr(kind, name, invests)
 
         spy(GoodStrategy)
-        spy(GoodStrategy, "invests_columns")
+        spy(GoodColumns, "invests_columns")
         spy(Example2Defector)
         n = 300
         d4, d2 = Example2Defector(PARAMS, 0.4), Example2Defector(PARAMS, 0.2)
@@ -526,7 +527,7 @@ class TestStackedRouting:
         starts = [VS.A, VS.B, VS.c1[0], VS.A, VS.c2[2], VS.B, VS.c1[1]]
         run = simulate_batch(profiles, PARAMS, starts, n, 0.5)
         # good slots 6 + 2 + 1 = 9, on columns
-        assert calls.count((GoodStrategy, (9,))) == n - 1
+        assert calls.count((GoodColumns, (9,))) == n - 1
         # defector rows 0, 1, 2 and 5 on floats, once per row with both seats,
         # and the defector's own V_1 test once per such call on the slice x1 == x2
         assert calls.count((Example2Defector, ())) == 4 * (n - 1)

@@ -17,8 +17,10 @@ from investgame.stage_game import (
 from investgame.strategies import (
     ConstantStrategy,
     Example2Defector,
+    GoodColumns,
     GoodStrategy,
     RandomStrategy,
+    Strategy,
     build_profile,
     build_strategy,
     good_profile,
@@ -199,14 +201,14 @@ def _invest_points(eps: float, params: GameParams = PARAMS) -> list[np.ndarray]:
 def _same_on_columns(s, pts: np.ndarray) -> list[bool]:
     """invests at each row as a tuple of floats, checked equal to invests on
     the columns of all rows at once, and to the column form `simulate_batch`
-    calls, `invests_columns` of a stack, on the gathered (own, lower, higher
+    calls, `GoodColumns.invests_columns`, on the gathered (own, lower, higher
     opponent) columns."""
     want = [s.invests(x) for x in map(tuple, pts.tolist())]
     assert all(type(w) is bool for w in want)
     got = s.invests(pts.T)
     assert got.dtype == bool
     assert got.tolist() == want
-    fused = GoodStrategy.stacked([s] * len(pts)).invests_columns(pts.T[[s._i, s._j, s._k]])
+    fused = GoodColumns([s] * len(pts)).invests_columns(pts.T[[s._i, s._j, s._k]])
     assert fused.dtype == bool
     assert fused.tolist() == want
     return want
@@ -248,7 +250,9 @@ class TestBatchForms:
         insts = [GoodStrategy(i, eps, NON_DYADIC) for i in (1, 2, 3) for eps in (1e-9, 0.4, 7.0)]
         rows = np.arange(len(pts)) % len(insts)
         cols = np.array([pts[m, [insts[r]._i, insts[r]._j, insts[r]._k]] for m, r in enumerate(rows)]).T
-        got = GoodStrategy.stacked([insts[r] for r in rows]).invests_columns(cols)
+        stack = GoodColumns([insts[r] for r in rows])
+        assert not isinstance(stack, Strategy)  # it decides columns, it fills no seat
+        got = stack.invests_columns(cols)
         assert got.tolist() == [insts[r].invests(tuple(x)) for r, x in zip(rows, pts.tolist())]
 
     @pytest.mark.parametrize("eps", [0.1, 0.4])
