@@ -77,9 +77,6 @@ class ProximalOracle:
     def distances(self, pts) -> np.ndarray:
         return self.project_many(pts).nearest()[1]
 
-    def distance(self, x) -> float:
-        return float(self.distances([x])[0])
-
 
 class PointOracle(ProximalOracle):
     def __init__(self, p):

@@ -6,8 +6,9 @@ given a step map phi, the mean after stage n+1 is
 decisions, attractor checks, payoff reports) reads only these means.
 
 Limits of the mean sequence are never reported as single numbers: tail
-statistics over a trailing window give [tail_min, tail_max] intervals,
-which is what a finite run can actually certify.
+statistics over a trailing window (`Trajectory.tail`, or the extrema the
+engines below keep) give [tail_min, tail_max] intervals, which is what a
+finite run can actually certify.
 
 Three engines share one arithmetic, the running sum of `stages`, and one
 payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
@@ -66,6 +67,11 @@ class Trajectory:
         if self._means_arr is None:
             self._means_arr = np.asarray(self.means, dtype=float)
         return self._means_arr
+
+    def tail(self, w: float) -> np.ndarray:
+        """The means of the trailing window w as an (m, d) array; its column
+        minima and maxima are the reportable [tail min, tail max] intervals."""
+        return self.means_array()[tail_start(self.horizon, w):]
 
     @property
     def final(self) -> tuple[float, ...]:
@@ -142,7 +148,7 @@ class BatchTails:
     tail_max_23: np.ndarray
 
     def intervals(self, b: int) -> list[list[float]]:
-        """Cell b's [tail min, tail max] per coordinate, as `tail_interval` gives them."""
+        """Cell b's [tail min, tail max] per coordinate."""
         return [list(pair) for pair in zip(self.tail_min[b].tolist(), self.tail_max[b].tolist())]
 
 
@@ -309,11 +315,6 @@ def _exact_horizon(table) -> int:
     return (2**53 - 1) // max(1, max(num * (scale // den) for num, den in ratios))
 
 
-def _sums_exact(table, n: int) -> bool:
-    """Whether every sum of up to n payoffs is exact."""
-    return n <= _exact_horizon(table)
-
-
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
     """Run one profile of seats of type exactly `GoodStrategy` or
     `ConstantStrategy` from x1 for n stages, jumping over stretches of one
@@ -324,7 +325,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     L with the same decisions is found by galloping and bisection over
     candidate ends, each computed in O(1) as (x1 + P + m*s) / L.  A stretch
     is certified when the payoff sums are exact at this horizon (checked
-    once, see `_sums_exact`) and every inequality of the good seats'
+    once, see `_exact_horizon`) and every inequality of the good seats'
     regions keeps its truth value at both ends, either with a margin above
     `_MARGIN_REL * S` or because every coordinate it reads is exactly
     stationary (mean equal to the step).  Along a fixed-profile stretch each
@@ -352,10 +353,11 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
             raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
     first_tail = tail_start(n, window) + 1
     table = payoff_table(params)
-    exact = _sums_exact(table, n)
-    if not exact and _sums_exact(table, 1):
+    horizon = _exact_horizon(table)
+    exact = n <= horizon
+    if not exact and horizon >= 1:
         # every stage would be stepped: hours at 1e12 stages, forever beyond
-        raise ValueError(f"n = {n:.15g} is beyond {_exact_horizon(table)}, the largest horizon "
+        raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
                          "at which this game's payoff sums are exact")
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
@@ -459,31 +461,6 @@ def tail_start(n: int, w: float) -> int:
     if n * w < 1.0:
         raise ValueError("window contains no indices")
     return max(0, math.ceil((1.0 - w) * n) - 1)
-
-
-def tail_limsup(traj: Trajectory, f: Callable[[np.ndarray], np.ndarray], w: float = 0.5) -> float:
-    """Max of f over the means in the trailing window (limsup estimate)."""
-    arr = traj.means_array()
-    return float(np.max(f(arr[tail_start(traj.horizon, w):])))
-
-
-def tail_liminf(traj: Trajectory, f: Callable[[np.ndarray], np.ndarray], w: float = 0.5) -> float:
-    arr = traj.means_array()
-    return float(np.min(f(arr[tail_start(traj.horizon, w):])))
-
-
-def tail_interval(traj: Trajectory, f, w: float = 0.5) -> tuple[float, float]:
-    """[tail min, tail max] of a functional; the reportable repeated-game payoff."""
-    return (tail_liminf(traj, f, w), tail_limsup(traj, f, w))
-
-
-def coordinate(i: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Functional picking the i-th payoff coordinate, 1-based."""
-    return lambda arr: arr[:, i - 1]
-
-
-def coordinate_sum(i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda arr: arr[:, i - 1] + arr[:, j - 1]
 
 
 #: Step texts `write_csv` keeps at once: induced_map's phi has 8 steps, and

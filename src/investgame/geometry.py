@@ -185,25 +185,12 @@ def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: b
     return np.ones(len(pts), dtype=bool) if mask is None else mask
 
 
-def _check_point(x) -> None:
-    if len(x) != 3:
-        raise ValueError("payoff regions take points of R^3")
-
-
-def in_region(params: GameParams, spec: RegionSpec, x) -> bool:
-    """Membership predicate, strict inequalities evaluated strictly.
-
-    Raises ValueError unless x is a 3-vector and the kind is known.
-    """
-    _check_point(x)
-    return bool(region_mask(params, spec, np.asarray([x], dtype=float))[0])
-
-
 def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
     """Membership in the region's closure (strict inequalities relaxed),
     which includes membership in the closed hull S.
     """
-    _check_point(x)
+    if len(x) != 3:
+        raise ValueError("payoff regions take points of R^3")
     held = region_mask(params, spec, np.asarray([x], dtype=float), closed=True)[0]
     return bool(held) and in_hull(vertices(params).all_points(), x)
 

@@ -53,11 +53,9 @@ from .approachability import (
 )
 from .dynamics import (
     BatchTails,
-    coordinate,
     iterate,
     simulate_batch,
     simulate_events,
-    tail_liminf,
     tail_start,
 )
 from .geometry import (
@@ -498,7 +496,7 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
         traj = iterate(phi, x1, n)
         finals.append(traj.final)
         dist = norm3([traj.final[k] - d_point[k] for k in range(3)])
-        overshoot = tail_liminf(traj, coordinate(3))
+        overshoot = float(traj.tail(0.5)[:, 2].min())
         cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
                            dist <= tol and overshoot > params.p3,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))

@@ -53,9 +53,6 @@ class Strategy:
     def invests(self, x):
         raise NotImplementedError
 
-    def decide(self, x) -> str:
-        return INVEST if self.invests(x) else NOT_INVEST
-
     def descriptor(self) -> dict:
         raise NotImplementedError
 

@@ -49,7 +49,7 @@ def box_grid(box=3.0, pitch=0.25):
 class TestOracles:
     def test_point(self):
         o = PointOracle((1.0, 2.0))
-        assert o.distance((4.0, 6.0)) == 5.0
+        assert o.distances([(4.0, 6.0)])[0] == 5.0
 
     def test_line(self):
         o = LineOracle((0.0, 0.0), (1.0, 0.0))
@@ -160,7 +160,7 @@ class TestBatchedOracles:
             assert len(single) == len(got)
             for g, s in zip(got, single):
                 assert np.array_equal(g, s)  # bit for bit
-            assert oracle.distance(x) == proj.nearest()[1][m]
+            assert oracle.distances([x])[0] == proj.nearest()[1][m]
 
     def _samples(self, verts, seed, lo, hi):
         rng = np.random.default_rng(seed)
@@ -296,8 +296,8 @@ class TestDecayBound:
         rep = decay_bound_check(traj, oracle, n0)
         assert len(rows) == traj.horizon - n0 + 1
         assert rows == traj.means[n0 - 1:]
-        # the distance taken from that one projection is oracle.distance's
-        assert rep.d_n0 == n0 * n0 * oracle.distance(traj.means[n0 - 1]) ** 2
+        # the distance taken from that one projection is oracle.distances'
+        assert rep.d_n0 == n0 * n0 * oracle.distances([traj.means[n0 - 1]])[0] ** 2
 
     def test_premise_and_decay_project_each_mean_once(self):
         rows = []
@@ -360,7 +360,7 @@ class TestIntersect:
         seg = SegmentsOracle([(A1, B1)])
         out = intersect_attractors([traj.final], seg, HullOracle([A1, B1]), tol=0.05)
         assert out["passes"]
-        assert abs(out["dist_to_intersection"] - seg.distance(traj.final)) <= 1e-6
+        assert abs(out["dist_to_intersection"] - seg.distances([traj.final])[0]) <= 1e-6
 
     def test_empty_intersection_raises(self):
         far_a = SegmentsOracle([((10.0, 0.0), (11.0, 0.0))])
@@ -388,7 +388,7 @@ class TestClipAndRefine:
         assert np.allclose(clipped[0][1], defc.d_point)
         assert len(clipped) == 2
         far_end = clipped[1][1]
-        assert bd.distance(far_end) <= 0.25 + 1e-6
+        assert bd.distances([far_end])[0] <= 0.25 + 1e-6
 
     def test_vacuous_refinement_to_the_union_hull(self):
         # the hull of the union's ends holds the whole union: no clip cuts it
@@ -429,7 +429,7 @@ class TestClipAndRefine:
             lambda delta: sample_near_segments_z(PARAMS, union, delta),
             finals, tol=0.05,
         )
-        worst = max(bd.distance(x) for x in finals)
+        worst = max(bd.distances([x])[0] for x in finals)
         assert [stage["max_final_dist_to_inner"] for stage in out["stages"]] == [worst, worst]
 
     def test_small_clip_radius_fails_with_witness(self):
@@ -471,7 +471,7 @@ class TestClipExact:
         assert np.all(dist[~inside] > eps)
         for t, end in ((t_lo, lo), (t_hi, hi)):
             if 0.0 < t < 1.0:
-                assert abs(target.distance(end) - eps) <= 1e-9
+                assert abs(target.distances([end])[0] - eps) <= 1e-9
         return True
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -531,7 +531,7 @@ class TestExample2Pipeline:
         assert len(out["intersection"]) == 1
         for end in out["intersection"][0]:
             assert np.allclose(end, defc.d_point, rtol=0.0, atol=CERT_TOL)
-            assert triangle.distance(end) <= CERT_TOL
+            assert triangle.distances([end])[0] <= CERT_TOL
 
     def test_one_final_far_from_d_fails(self):
         # every final mean is checked: one far from D fails the check, and
@@ -545,7 +545,7 @@ class TestExample2Pipeline:
         out = intersect_attractors([near, far], bd, triangle, tol=0.1)
         assert not out["passes"]
         assert out["dist_to_intersection"] > 0.3
-        assert out["dist_to_b"] == max(triangle.distance(near), triangle.distance(far))
+        assert out["dist_to_b"] == max(triangle.distances([near])[0], triangle.distances([far])[0])
 
 
 class TestCrossModuleConsistency:
@@ -557,4 +557,4 @@ class TestCrossModuleConsistency:
         assert rep.ok
         n = traj.horizon
         tol = math.sqrt((rep.d_n0 + (n - 1) * rep.c_const) / n)
-        assert oracle.distance(traj.final) <= tol
+        assert oracle.distances([traj.final])[0] <= tol

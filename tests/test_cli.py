@@ -289,6 +289,13 @@ class TestVerify:
         cfg = write_json(tmp_path, "e1.json", {"n": 20_000, "starts": 4, "tol": 0.05})
         assert main(["verify", "example1", cfg]) == 0
 
+    def test_example1_starts_as_points(self, tmp_path, capsys):
+        starts = [[1.5, -2.0], [-3.25, 0.5]]
+        cfg = write_json(tmp_path, "e1.json", {"n": 20_000, "starts": starts, "tol": 0.05})
+        assert main(["verify", "example1", cfg]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [cell["start"] for cell in cells] == starts
+
     def test_example2_quick(self, tmp_path):
         cfg = write_json(tmp_path, "e2.json", {"n": 5000, "tol": 0.1, "eps": 0.4})
         assert main(["verify", "example2", cfg]) == 0
@@ -300,6 +307,18 @@ class TestVerify:
         path = tmp_path / "broken.json"
         path.write_text("[1, 2]")
         assert main(["verify", "t3", str(path)]) == 2
+
+    def test_config_that_is_not_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{nope")
+        assert main(["verify", "t3", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_game_file_holding_a_list_is_config_error(self, tmp_path, capsys):
+        game = write_json(tmp_path, "game.json", list(CANON.values()))
+        cfg = write_json(tmp_path, "v.json", {"n": 1000})
+        assert main(["verify", "t3", cfg, "--game", game]) == 2
+        assert "flat JSON object" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -412,6 +431,7 @@ BAD_INPUTS = {
     "lyapunov-nan-pitch": ("certify lyapunov", {"map": "all_good", "pitch": "nan"}, "pitch"),
     "lyapunov-zero-pitch": ("certify lyapunov", {"map": "all_good", "pitch": 0}, "pitch"),
     "lyapunov-empty-grid": ("certify lyapunov", {"map": "all_good", "pitch": 50}, "pitch"),
+    "lyapunov-unknown-map": ("certify lyapunov", {"map": "three_good"}, "unknown map kind 'three_good'"),
     "decrease-empty-grid": ("certify decrease", {"map": "two_good", "pitch": 50}, "pitch"),
     "two-good-nan-eps": ("certify lyapunov", {"map": "two_good", "eps": "nan"}, "eps"),
     # c is derived from eps, so a bad eps must be named before c is checked

@@ -12,14 +12,9 @@ import pytest
 
 from investgame import dynamics
 from investgame.dynamics import (
-    coordinate,
-    coordinate_sum,
     iterate,
     simulate_events,
     stages,
-    tail_interval,
-    tail_liminf,
-    tail_limsup,
     tail_start,
     write_csv,
 )
@@ -97,19 +92,14 @@ class TestIterate:
         assert bool(np.all(hull_mask(VS.all_points(), traj.means_array())))
 
     def test_absorption_once_inside_v3(self):
-        from investgame.geometry import good_region, in_region
+        from investgame.geometry import good_region, region_mask
 
         traj = iterate(all_good_phi(), VS.c1[0], 20_000)
-        specs = [good_region(i, 0.4) for i in (1, 2, 3)]
-        entered = None
-        for n, m in enumerate(traj.means, start=1):
-            if all(in_region(PARAMS, s, m) for s in specs):
-                entered = n
-                break
-        assert entered is not None
-        for n in range(entered, traj.horizon):
-            assert traj.steps[n - 1] == VS.B
-            assert all(in_region(PARAMS, s, traj.means[n]) for s in specs)
+        inside = np.all([region_mask(PARAMS, good_region(i, 0.4), traj.means_array()) for i in (1, 2, 3)], axis=0)
+        assert inside.any()
+        entered = int(np.argmax(inside)) + 1
+        assert inside[entered - 1:].all()
+        assert traj.steps[entered - 1:] == [VS.B] * (traj.horizon - entered)
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -212,24 +202,25 @@ class TestStepSizeBound:
 class TestTailStats:
     def test_constant_trajectory(self):
         traj = iterate(lambda x: VS.B, VS.B, 2000)
-        assert tail_limsup(traj, coordinate(3), 0.5) == 26.0
-        assert tail_liminf(traj, coordinate(3), 0.5) == 26.0
+        tail = traj.tail(0.5)
+        assert tail[:, 2].max() == tail[:, 2].min() == 26.0
 
     def test_closed_form_window(self):
         traj = iterate(lambda x: VS.B, VS.A, 1000)
-        val = tail_limsup(traj, coordinate(1), 0.1)
+        val = traj.tail(0.1)[:, 0].max()
         assert 25.94 <= val <= 26.0
         assert abs(val - (26.0 - 6.0 / 1000.0)) <= 1e-12
 
     def test_all_good_pair_sum_cap(self):
         traj = iterate(all_good_phi(), VS.c1[0], 20_000)
-        cap = tail_limsup(traj, coordinate_sum(2, 3), 0.5)
+        tail = traj.tail(0.5)
+        cap = (tail[:, 1] + tail[:, 2]).max()
         assert cap <= 2 * PARAMS.p3 + 0.05
 
     def test_interval_orders_endpoints(self):
         traj = iterate(all_good_phi(), VS.c2[1], 5000)
-        lo, hi = tail_interval(traj, coordinate(1), 0.5)
-        assert lo <= hi
+        tail = traj.tail(0.5)
+        assert tail.min(axis=0)[0] <= tail.max(axis=0)[0]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -264,9 +255,9 @@ class TestLimitLocalization:
         # when dist(mean_n, {B}) -> 0, any linear functional's tail interval
         # collapses into the functional's range over the attractor
         traj = iterate(all_good_phi(), VS.c1[1], 50_000)
-        for i in (1, 2, 3):
-            lo, hi = tail_interval(traj, coordinate(i), 0.2)
-            assert PARAMS.p3 - 0.05 <= lo <= hi <= PARAMS.p3 + 0.05
+        tail = traj.tail(0.2)
+        assert (PARAMS.p3 - 0.05 <= tail.min(axis=0)).all()
+        assert (tail.max(axis=0) <= PARAMS.p3 + 0.05).all()
 
 
 class TestCsv:
@@ -433,7 +424,7 @@ def codes_along(traj, profile):
     """Run-length (first, last, code) of the decisions at every mean of traj."""
     segments = []
     for k, mean in enumerate(traj.means, start=1):
-        code = sum(1 << i for i, s in enumerate(profile) if s.decide(mean) == INVEST)
+        code = sum(1 << i for i, s in enumerate(profile) if s.invests(mean))
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], k, code)
         else:
@@ -447,8 +438,9 @@ class TestEventEngine:
         traj = iterate(induced_map(profile, params), x1, n)
         assert run.segments == codes_along(traj, profile)
         assert run.final == traj.final
-        intervals = [tail_interval(traj, coordinate(i), window) for i in (1, 2, 3)]
-        assert list(zip(run.tail_min, run.tail_max)) == intervals
+        tail = traj.tail(window)
+        assert run.tail_min == tuple(tail.min(axis=0).tolist())
+        assert run.tail_max == tuple(tail.max(axis=0).tolist())
         return run
 
     def test_matches_iterate_on_good_and_constant_profiles(self):
@@ -492,12 +484,10 @@ class TestEventEngine:
 
     def test_exact_sums(self):
         table = [payoff(PARAMS, tuple(INVEST if c >> i & 1 else NOT_INVEST for i in range(3))) for c in range(8)]
-        assert dynamics._sums_exact(table, 10**9)
-        assert not dynamics._sums_exact(table, 2**53 // 36 + 1)
-        assert not dynamics._sums_exact([(0.1, 2.0, 3.0)], 10)
-        assert dynamics._sums_exact([(0.5, 0.25, -0.125)], 2**49)
         assert dynamics._exact_horizon(table) == 2**53 // 36
         assert dynamics._exact_horizon([(0.1, 2.0, 3.0)]) == 0
+        # multiples of 2**-3 of size at most 4 * 2**-3
+        assert dynamics._exact_horizon([(0.5, 0.25, -0.125)]) == (2**53 - 1) // 4
 
     @pytest.mark.parametrize("n", [2**53 // 36 + 1, 10**300])
     def test_horizon_beyond_exact_sums_is_an_error(self, n):

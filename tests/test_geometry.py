@@ -18,7 +18,6 @@ from investgame.geometry import (
     hull_mask,
     hull_point,
     in_closure,
-    in_region,
     omega_eps_region,
     project_plane,
     region_mask,
@@ -26,7 +25,7 @@ from investgame.geometry import (
     w_region,
 )
 from investgame.lyapunov import _support, six_direction_spec
-from investgame.stage_game import INVEST, GameParams, example_game, vertices
+from investgame.stage_game import GameParams, example_game, vertices
 from investgame.strategies import GoodStrategy
 
 PARAMS = example_game()
@@ -109,25 +108,25 @@ def _reference(spec, x, closed: bool) -> bool:
 class TestMembership:
     def test_good_region_contains_a(self):
         # 20 > 19.6 on both comparisons; neither trigger fires at A
-        assert in_region(PARAMS, good_region(1, 0.4), (20.0, 20.0, 20.0))
+        assert region_mask(PARAMS, good_region(1, 0.4), [(20.0, 20.0, 20.0)])[0]
 
     def test_good_region_excludes_low_own_payoff(self):
-        assert not in_region(PARAMS, good_region(1, 0.4), (19.0, 26.0, 26.0))
+        assert not region_mask(PARAMS, good_region(1, 0.4), [(19.0, 26.0, 26.0)])[0]
 
     def test_boundary_own_payoff_still_invests(self):
         # x1 exactly r0: the strict exploitation trigger does not fire
-        assert in_region(PARAMS, good_region(1, 0.4), (20.0, 20.3, 20.1))
+        assert region_mask(PARAMS, good_region(1, 0.4), [(20.0, 20.3, 20.1)])[0]
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(ValueError):
-            in_region(PARAMS, good_region(1, 0.4), (1.0, 2.0))
+            in_closure(PARAMS, good_region(1, 0.4), (1.0, 2.0))
 
     def test_unknown_kind_raises(self):
         pts = sample_points(PARAMS, 4, seed=1)
         with pytest.raises(ValueError, match="unknown region kind"):
             region_mask(PARAMS, RegionSpec("bogus"), pts)
         with pytest.raises(ValueError, match="unknown region kind"):
-            in_region(PARAMS, RegionSpec("bogus"), tuple(pts[0]))
+            in_closure(PARAMS, RegionSpec("bogus"), tuple(pts[0]))
 
     def test_scalar_matches_vectorized(self):
         pts = sample_points(PARAMS, 1500, seed=3)
@@ -137,7 +136,7 @@ class TestMembership:
         ]
         for spec in specs:
             vec = region_mask(PARAMS, spec, pts)
-            scal = np.array([in_region(PARAMS, spec, tuple(x)) for x in pts])
+            scal = np.array([region_mask(PARAMS, spec, [x])[0] for x in pts])
             assert np.array_equal(vec, scal)
 
         # Points placed exactly on each inequality's boundary, where strict
@@ -152,13 +151,13 @@ class TestMembership:
         for spec in specs:
             vec = region_mask(PARAMS, spec, pts)
             vec_closed = region_mask(PARAMS, spec, pts, closed=True)
-            assert np.array_equal(vec, [in_region(PARAMS, spec, tuple(x)) for x in pts])
+            assert np.array_equal(vec, [region_mask(PARAMS, spec, [x])[0] for x in pts])
             assert np.array_equal(vec, [_reference(spec, x, closed=False) for x in pts])
             assert np.array_equal(vec_closed, [_reference(spec, x, closed=True) for x in pts])
             assert np.array_equal(vec_closed & in_s, [in_closure(PARAMS, spec, tuple(x)) for x in pts])
             if spec.kind == "v":
                 good = GoodStrategy(spec.player, spec.eps, PARAMS)
-                assert np.array_equal(vec, [good.decide(tuple(x)) == INVEST for x in pts])
+                assert np.array_equal(vec, [good.invests(tuple(x)) for x in pts])
 
 
 class TestRegionAlgebra:
@@ -249,7 +248,7 @@ class TestProjectToHull:
 
     def test_interior_point_has_zero_distance(self):
         centroid = np.asarray(VS.all_points()).mean(axis=0)
-        assert HullOracle(VS.all_points()).distance(centroid) <= 1e-9
+        assert HullOracle(VS.all_points()).distances([centroid])[0] <= 1e-9
 
 
 class TestDistances:
@@ -273,7 +272,7 @@ class TestDistances:
         a, b = np.asarray(VS.A), np.asarray(VS.B)
         t = np.clip(((x - a) @ (b - a)) / ((b - a) @ (b - a)), 0, 1)
         expected = float(np.linalg.norm(a + t * (b - a) - x))
-        assert abs(HullOracle([VS.A, VS.B]).distance(tuple(x)) - expected) <= 1e-9
+        assert abs(HullOracle([VS.A, VS.B]).distances([x])[0] - expected) <= 1e-9
 
     def test_empty_sampled_region_raises(self):
         with pytest.raises(ValueError, match="empty sampled region"):
@@ -363,6 +362,5 @@ def test_all_vertices_lie_in_s():
 def test_closure_refines_membership():
     pts = sample_points(PARAMS, 5000, seed=31)
     spec = good_region(2, 0.4)
-    for x in pts[:500]:
-        if in_region(PARAMS, spec, tuple(x)):
-            assert in_closure(PARAMS, spec, tuple(x))
+    for x in pts[:500][region_mask(PARAMS, spec, pts[:500])]:
+        assert in_closure(PARAMS, spec, tuple(x))

@@ -8,15 +8,11 @@ from test_strategies import NON_DYADIC
 from investgame import geometry, harness
 from investgame.approachability import HullOracle
 from investgame.dynamics import (
-    coordinate,
-    coordinate_sum,
     iterate,
     simulate_batch,
     simulate_events,
     stages,
-    tail_interval,
-    tail_liminf,
-    tail_limsup,
+    tail_start,
 )
 from investgame.geometry import (
     HULL_TOL,
@@ -129,7 +125,7 @@ class TestT3:
 
 
 def _reference_t3(config):
-    """verify_t3's report built with iterate, tail_interval and a scan of
+    """verify_t3's report built with iterate, Trajectory.tail and a scan of
     every mean for the first one inside V^3."""
     params = config.params
     phi = induced_map(good_profile(params, config.eps), params)
@@ -143,12 +139,13 @@ def _reference_t3(config):
             inside &= region_mask(params, good_region(i, config.eps), arr)
         entry = int(np.argmax(inside)) + 1 if inside.any() else None
         dist = norm3([traj.final[k] - b_point[k] for k in range(3)])
+        tail = traj.tail(config.window)
         cells.append({
             "theorem": "t3", "start": list(x1), "deviants": [], "N": config.n,
             "measured": dist, "bound": config.slack, "margin": config.slack - dist,
             "pass": bool(dist <= config.slack and entry is not None),
             "start_weights": list(w), "entered_v3_at": entry,
-            "tail_intervals": [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)],
+            "tail_intervals": np.stack((tail.min(axis=0), tail.max(axis=0)), axis=1).tolist(),
         })
     return {"name": "t3", "cells": cells, "meta": {"eps": config.eps, "target": list(b_point)},
             "passed": all(c["pass"] for c in cells)}
@@ -277,7 +274,7 @@ class TestT2:
         rep = verify_t2(cfg)
         assert [d for _, d in seen] == [cell["measured"]["dist_to_v1"] for cell in rep.cells]
         for x, reported in seen:
-            d = exact.distance(x)
+            d = exact.distances([x])[0]
             assert d - band <= reported <= d + grid_slack(cfg.dist_pitch)
             assert d <= cfg.dist_slack
 
@@ -346,12 +343,13 @@ def _reference_cells(theorem, config, battery):
         for devs in battery:
             goods = [GoodStrategy(i, config.eps, params) for i in (1, 2)][:3 - len(devs)]
             traj = iterate(induced_map(tuple(goods) + tuple(d.fresh() for d in devs), params), x1, config.n)
+            tail = traj.tail(config.window)
             cell = {
                 "theorem": theorem, "start": list(x1), "deviants": [d.name for d in devs], "N": config.n,
             }
             if theorem == "t4":
                 cap = params.p3 + 2.0 * config.eps / 3.0 + config.slack
-                measured = tail_limsup(traj, coordinate(3), config.window)
+                measured = float(tail[:, 2].max())
                 cell.update(measured=measured, bound=cap, margin=cap - measured)
                 passed = measured <= cap
             else:
@@ -361,15 +359,15 @@ def _reference_cells(theorem, config, battery):
                     "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
                 }
                 measured = {
-                    "own_tail_min": tail_liminf(traj, coordinate(1), config.window),
-                    "deviators_tail_sum_max": tail_limsup(traj, coordinate_sum(2, 3), config.window),
+                    "own_tail_min": float(tail[:, 0].min()),
+                    "deviators_tail_sum_max": float((tail[:, 1] + tail[:, 2]).max()),
                     "dist_to_v1": dist_to_region(params, good_region(1, config.eps), traj.final,
                                                  config.dist_pitch),
                 }
                 margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
                 cell.update(measured=measured, bound=bound, margin=margin)
                 passed = all(m >= 0.0 for m in margin.values())
-            cell["tail_intervals"] = [list(tail_interval(traj, coordinate(i), config.window)) for i in (1, 2, 3)]
+            cell["tail_intervals"] = np.stack((tail.min(axis=0), tail.max(axis=0)), axis=1).tolist()
             cell["pass"] = bool(passed)
             if theorem == "t2":
                 cell["checks"] = {k: bool(m >= 0.0) for k, m in margin.items()}
@@ -559,7 +557,8 @@ class TestStackedRouting:
         for b, (profile, x1) in enumerate(zip(profiles, starts)):
             traj = iterate(induced_map(profile, PARAMS), x1, n)
             assert run.final[b].tolist() == list(traj.final)
-            assert run.intervals(b) == [list(tail_interval(traj, coordinate(i), 0.5)) for i in (1, 2, 3)]
+            tail = traj.tail(0.5)
+            assert run.intervals(b) == np.stack((tail.min(axis=0), tail.max(axis=0)), axis=1).tolist()
         assert both.calls == n - 1 + 2 * (n - 1)  # iterate calls it once per seat
 
     def test_good_subclass_overriding_nothing(self):
@@ -587,9 +586,31 @@ class TestStackedRouting:
         for b, (profile, x1) in enumerate(zip(profiles, starts)):
             traj = iterate(induced_map(profile, PARAMS), x1, n)
             assert run.final[b].tolist() == list(traj.final)
-            assert run.intervals(b) == [list(tail_interval(traj, coordinate(i), 0.5)) for i in (1, 2, 3)]
+            tail = traj.tail(0.5)
+            assert run.intervals(b) == np.stack((tail.min(axis=0), tail.max(axis=0)), axis=1).tolist()
         both = [ConstantStrategy("I"), ConstantStrategy("NI")]
         self.check("t2", [(a, b) for a in both for b in both])
+
+    @pytest.mark.parametrize("n, window", [(10, 0.95), (600, 0.999)])
+    def test_window_holding_every_mean(self, n, window):
+        # the start is the tail's first mean, folded before the stage loop
+        assert tail_start(n, window) == 0
+
+        def profiles():
+            g1, g2 = GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS)
+            return [(g1, g2, RandomStrategy(0.5, 3)), (g1, g2, Example2Defector(PARAMS, 0.4)),
+                    (g1, ConstantStrategy("NI"), GoodStrategy(3, 0.4, PARAMS))]
+
+        starts = [VS.A, VS.c1[0], VS.B]
+        run = simulate_batch(profiles(), PARAMS, starts, n, window)
+        for b, (profile, x1) in enumerate(zip(profiles(), starts)):
+            traj = iterate(induced_map(profile, PARAMS), x1, n)
+            tail = traj.tail(window)
+            assert len(tail) == n
+            assert run.final[b].tolist() == list(traj.final)
+            assert run.tail_min[b].tolist() == tail.min(axis=0).tolist()
+            assert run.tail_max[b].tolist() == tail.max(axis=0).tolist()
+            assert run.tail_max_23[b] == (tail[:, 1] + tail[:, 2]).max()
 
     def test_stateful_instance_in_two_slots_is_rejected(self):
         g1, g2 = GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS)
@@ -606,10 +627,10 @@ class TestStackedRouting:
 
     def test_random_subclass_fresh_keeps_its_type(self):
         s = Inverted(0.3, 3)
-        first = [s.decide((0.0,) * 3) for _ in range(5)]
+        first = [s.invests((0.0,) * 3) for _ in range(5)]
         clean = s.fresh()
         assert type(clean) is Inverted and clean.name == s.name
-        assert [clean.decide((0.0,) * 3) for _ in range(5)] == first
+        assert [clean.invests((0.0,) * 3) for _ in range(5)] == first
         self.check("t4", [(Inverted(0.3, 3),)])
         cfg = HarnessConfig(params=PARAMS, n=2000, starts=((0.125,) * 8,))
         inverted, parent = verify_t4(cfg, [Inverted(0.3, 3), RandomStrategy(0.3, 3)]).cells
@@ -628,8 +649,9 @@ class TestSafetyChain:
                 dev.fresh(),
             )
             traj = iterate(induced_map(profile, PARAMS), (23.0, 23.0, 23.0), n)
-            assert tail_liminf(traj, coordinate(1), w) >= PARAMS.r0 - 0.05
-            assert tail_limsup(traj, coordinate_sum(2, 3), w) <= 2 * PARAMS.p3 + 0.05
+            tail = traj.tail(w)
+            assert tail[:, 0].min() >= PARAMS.r0 - 0.05
+            assert (tail[:, 1] + tail[:, 2]).max() <= 2 * PARAMS.p3 + 0.05
             d = dist_to_region(PARAMS, good_region(1, eps), traj.final, 0.25)
             assert d <= 0.1 + grid_slack(0.25)
 

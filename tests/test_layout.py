@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "investgame"
 
 #: Names no command reaches, kept on purpose: {"module.name": reason}.
 ALLOWED = {
-    "geometry.in_region": "boundary-semantics reference for region_mask and the good strategies",
     "geometry.omega_eps_region": "region factory of test_criterion_region_algebra",
     "geometry.w_region": "region factory of test_criterion_region_algebra",
     "geometry.argmax_region": "region factory of test_criterion_region_algebra",
@@ -23,9 +22,6 @@ ALLOWED = {
     "geometry.sample_points": "sampler of S behind the region and certificate tests",
     "lyapunov.support_value": "scalar reference of lyapunov._support",
     "stage_game.permute": "player permutation of the symmetry tests",
-    "dynamics.tail_limsup": "reference for the engines' tail maxima",
-    "dynamics.tail_interval": "reference for the engines' tail intervals",
-    "dynamics.coordinate_sum": "reference functional for the engines' tail of x_j + x_k",
     "lyapunov.entrapment_check": "acceptance Lyapunov criterion",
     "lyapunov.EntrapmentReport": "report of entrapment_check",
     "approachability.premise_start": "acceptance decay criterion; the benchmark's certify workload",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_geometry import _boundary_points
 
-from investgame.geometry import good_region, in_region, sample_points
+from investgame.geometry import good_region, region_mask, sample_points
 from investgame.stage_game import (
     INVEST,
     NOT_INVEST,
@@ -36,24 +36,22 @@ NON_DYADIC = GameParams(r0=5.1, r1=8.3, r2=12.7, p1=3.3, p2=7.1, p3=11.3)
 class TestGoodStrategy:
     def test_invests_at_a(self):
         s = GoodStrategy(1, 0.4, PARAMS)
-        assert s.decide((20.0, 20.0, 20.0)) == INVEST
+        assert s.invests((20.0, 20.0, 20.0))
 
     def test_stops_when_own_mean_drops(self):
         s = GoodStrategy(1, 0.4, PARAMS)
-        assert s.decide((19.0, 26.0, 26.0)) == NOT_INVEST
+        assert not s.invests((19.0, 26.0, 26.0))
 
     def test_stops_when_too_far_behind(self):
         s = GoodStrategy(3, 0.4, PARAMS)
-        assert s.decide((28.0, 28.0, 10.0)) == NOT_INVEST  # 10 <= 28 - 0.4
+        assert not s.invests((28.0, 28.0, 10.0))  # 10 <= 28 - 0.4
 
     def test_matches_region_predicate_on_samples(self):
         pts = sample_points(PARAMS, 3000, seed=2)
         for i in (1, 2, 3):
             s = GoodStrategy(i, 0.4, PARAMS)
-            spec = good_region(i, 0.4)
-            for x in pts:
-                want = INVEST if in_region(PARAMS, spec, tuple(x)) else NOT_INVEST
-                assert s.decide(tuple(x)) == want
+            want = region_mask(PARAMS, good_region(i, 0.4), pts)
+            assert [s.invests(tuple(x)) for x in pts] == want.tolist()
 
     def test_permutation_equivariance(self):
         pts = sample_points(PARAMS, 300, seed=4)
@@ -62,8 +60,8 @@ class TestGoodStrategy:
             for x in pts:
                 x = tuple(x)
                 for i in (1, 2, 3):
-                    lhs = strategies[sigma[i - 1] + 1].decide(permute(x, sigma))
-                    assert lhs == strategies[i].decide(x)
+                    lhs = strategies[sigma[i - 1] + 1].invests(permute(x, sigma))
+                    assert lhs == strategies[i].invests(x)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -80,28 +78,28 @@ class TestGoodStrategy:
 
 class TestConstantAndRandom:
     def test_constant(self):
-        assert ConstantStrategy(INVEST).decide((0.0, 0.0, 0.0)) == INVEST
+        assert ConstantStrategy(INVEST).invests((0.0, 0.0, 0.0)) is True
         with pytest.raises(ValueError):
             ConstantStrategy("X")
 
     def test_degenerate_probability(self):
         s = RandomStrategy(0.0, seed=1)
-        assert all(s.decide((1.0, 1.0, 1.0)) == NOT_INVEST for _ in range(50))
+        assert not any(s.invests((1.0, 1.0, 1.0)) for _ in range(50))
         t = RandomStrategy(1.0, seed=1)
-        assert all(t.decide((1.0, 1.0, 1.0)) == INVEST for _ in range(50))
+        assert all(t.invests((1.0, 1.0, 1.0)) for _ in range(50))
 
     def test_golden_transcript_seed_42(self):
         # Mersenne Twister via random.Random(42), invest iff draw < 0.5;
         # frozen once from the documented generator.
         s = RandomStrategy(0.5, seed=42)
-        got = [s.decide((0.0, 0.0, 0.0)) for _ in range(5)]
-        assert got == [NOT_INVEST, INVEST, INVEST, INVEST, NOT_INVEST]
+        got = [s.invests((0.0, 0.0, 0.0)) for _ in range(5)]
+        assert got == [False, True, True, True, False]
 
     def test_fresh_restores_the_transcript(self):
         s = RandomStrategy(0.5, seed=42)
-        first = [s.decide((0.0,) * 3) for _ in range(10)]
+        first = [s.invests((0.0,) * 3) for _ in range(10)]
         clone = s.fresh()
-        again = [clone.decide((0.0,) * 3) for _ in range(10)]
+        again = [clone.invests((0.0,) * 3) for _ in range(10)]
         assert first == again
 
     def test_probability_range_enforced(self):
@@ -114,14 +112,14 @@ class TestDefector:
         return Example2Defector(PARAMS, eps)
 
     def test_refuses_at_b(self):
-        assert self.make().decide(VS.B) == NOT_INVEST
+        assert not self.make().invests(VS.B)
 
     def test_invests_at_a(self):
         # A's coordinate mean sits below the triangle's lowest mean
-        assert self.make().decide(VS.A) == INVEST
+        assert self.make().invests(VS.A)
 
     def test_invests_off_the_symmetric_slice(self):
-        assert self.make().decide((25.0, 25.1, 26.0)) == INVEST
+        assert self.make().invests((25.0, 25.1, 26.0))
 
     def test_requires_canonical_game(self):
         other = GameParams(r0=5, r1=8, r2=12, p1=3, p2=7, p3=11)
@@ -221,17 +219,17 @@ class TestBatchForms:
 
     def test_random_plan_equals_successive_decisions(self):
         s = RandomStrategy(0.3, seed=7)
-        s.decide((0.0,) * 3)  # the plan starts from the current state, not the seed
+        s.invests((0.0,) * 3)  # the plan starts from the current state, not the seed
         ref = s.fresh()
-        ref.decide((0.0,) * 3)
-        want = [ref.decide((0.0,) * 3) == INVEST for _ in range(999)]
+        ref.invests((0.0,) * 3)
+        want = [ref.invests((0.0,) * 3) for _ in range(999)]
         cache = {}
         plan = s.plan(999, cache)
         assert plan.tolist() == want
         assert s._rng.getstate() == ref._rng.getstate()
         # a second instance in the same state reuses the draws and the end state
         again = RandomStrategy(0.3, seed=7)
-        again.decide((0.0,) * 3)
+        again.invests((0.0,) * 3)
         assert again.plan(999, cache) is plan
         assert again._rng.getstate() == ref._rng.getstate()
         assert RandomStrategy(0.3, seed=8).plan(999, cache).tolist() != want
@@ -287,9 +285,9 @@ class TestInducedMap:
         phi = induced_map(good_profile(PARAMS, eps), PARAMS)
         specs = [good_region(i, eps) for i in (1, 2, 3)]
         pts = sample_points(PARAMS, 4000, seed=8)
-        for x in pts:
+        masks = np.array([region_mask(PARAMS, spec, pts) for spec in specs]).T
+        for x, inv in zip(pts, masks.tolist()):
             x = tuple(x)
-            inv = [in_region(PARAMS, spec, x) for spec in specs]
             actions = tuple(INVEST if f else NOT_INVEST for f in inv)
             assert phi(x) == payoff(PARAMS, actions)
             if all(inv):
@@ -306,8 +304,7 @@ class TestInducedMap:
         # all-refuse cell is empty under the all-good profile
         specs = [good_region(i, 0.4) for i in (1, 2, 3)]
         pts = sample_points(PARAMS, 4000, seed=12)
-        for x in pts:
-            assert any(in_region(PARAMS, s, tuple(x)) for s in specs)
+        assert np.any([region_mask(PARAMS, s, pts) for s in specs], axis=0).all()
 
     def test_safety_step_from_outside_v1(self):
         # wherever the good player refuses, every opponent reply lands the
@@ -315,10 +312,9 @@ class TestInducedMap:
         eps = 0.4
         spec = good_region(1, eps)
         landing = {VS.A, VS.c1[1], VS.c1[2], VS.c2[0]}
-        for target in landing:
-            assert in_region(PARAMS, spec, target)
+        assert region_mask(PARAMS, spec, list(landing)).all()
         pts = sample_points(PARAMS, 4000, seed=21)
-        outside = [tuple(x) for x in pts if not in_region(PARAMS, spec, tuple(x))]
+        outside = [tuple(x) for x in pts[~region_mask(PARAMS, spec, pts)]]
         assert outside
         for x in outside[:800]:
             for a2, a3 in product((INVEST, NOT_INVEST), repeat=2):
