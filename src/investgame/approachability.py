@@ -220,7 +220,7 @@ def premise_start(traj: Trajectory, oracle: ProximalOracle) -> int | None:
     The projections are kept on the trajectory, keyed by the oracle, for
     `decay_bound_check` to read."""
     x = traj.means_array()[:-1]  # stages with a recorded step
-    steps = np.asarray(traj.steps, dtype=float).reshape(x.shape)
+    steps = traj.steps_array()
     inner, _, _ = traj._proximal[oracle] = _best_inner(oracle, x, steps)
     bad = np.flatnonzero(inner > CERT_TOL)
     last_bad = int(bad[-1]) + 1 if len(bad) else 0
@@ -255,7 +255,7 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
         raise ValueError("n0 out of range")
     x = traj.means_array()[n0 - 1:]
     m = traj.horizon - n0  # all but the last mean have a recorded next step
-    steps = np.asarray(traj.steps[n0 - 1:], dtype=float).reshape(x[:m].shape)
+    steps = traj.steps_array()[n0 - 1:]
     kept = traj._proximal.get(oracle)
     if kept is None:
         inner, y, dists = _best_inner(oracle, x[:m], steps)
@@ -304,10 +304,10 @@ def clip_segments_to_neighborhood(segments, target: HullOracle,
     for a, b in segments:
         a = np.asarray(a, dtype=float)
         u = np.asarray(b, dtype=float) - a
-        ends = np.array([a, a + u]) - target._faces[0]
-        w, p = face_projections(target._faces, ends)
-        r = p - ends[:, None, :]
-        w0, w1, r0, r1 = w[0], w[1] - w[0], r[0], r[1] - r[0]
+        ends = (np.array([a, a + u]) - target._faces[0]).T
+        w, p = face_projections(target._faces, ends)  # (F, s, 2), (F, d, 2)
+        r = p - ends
+        w0, w1, r0, r1 = w[..., 0], w[..., 1] - w[..., 0], r[..., 0], r[..., 1] - r[..., 0]
         rr = dot_rows(r1, r1)
         with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops the zero divisions
             tc = np.where(rr > 0.0, -dot_rows(r0, r1) / rr, 0.0)

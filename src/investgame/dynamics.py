@@ -48,8 +48,8 @@ from .strategies import ConstantStrategy, GoodColumns, GoodStrategy, RandomStrat
 class Trajectory:
     """Recorded run: means x̄_1..x̄_N and realized stage payoffs x_2..x_N.
 
-    A recorded trajectory must not be mutated: it caches its means array
-    and, per proximal oracle, the projections of its means that
+    A recorded trajectory must not be mutated: it caches its means and steps
+    arrays and, per proximal oracle, the projections of its means that
     `approachability.premise_start` made.
     """
 
@@ -57,6 +57,7 @@ class Trajectory:
     means: list[tuple[float, ...]]
     steps: list[tuple[float, ...]]
     _means_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _steps_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
     _proximal: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -67,6 +68,12 @@ class Trajectory:
         if self._means_arr is None:
             self._means_arr = np.asarray(self.means, dtype=float)
         return self._means_arr
+
+    def steps_array(self) -> np.ndarray:
+        """The steps x_2..x_N as an (N - 1, d) array."""
+        if self._steps_arr is None:
+            self._steps_arr = np.asarray(self.steps, dtype=float).reshape(-1, len(self.start))
+        return self._steps_arr
 
     def tail(self, w: float) -> np.ndarray:
         """The means of the trailing window w as an (m, d) array; its column

@@ -65,7 +65,7 @@ def dot_rows(a, b) -> np.ndarray:
     comes out as the scalar sum would, however many rows there are."""
     out = a[..., 0] * b[..., 0]
     for k in range(1, np.shape(a)[-1]):
-        out = out + a[..., k] * b[..., k]
+        out += a[..., k] * b[..., k]
     return out
 
 
@@ -319,37 +319,53 @@ def _affinely_independent(sub: np.ndarray) -> bool:
     return bool(np.all(sq > 0.0) and np.linalg.det(edges @ edges.T) > 1e-12 * np.prod(sq))
 
 
+def _combine(coef, cols) -> np.ndarray:
+    """out[f, k, m] = sum_i coef[f, k, i] * cols[f, i, m] for coef (F, r, n)
+    and cols (F or 1, n, M), summed in index order (see `dot_rows`); each
+    term runs over M contiguous columns."""
+    return dot_rows(coef[:, :, None, :], np.moveaxis(cols, -2, -1)[:, None])
+
+
 def face_projections(faces, x) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (..., F, s) and points (..., F, d) of the projections of x
-    (..., d), relative to the faces' origin, onto each face's affine hull."""
+    """Weights (F, s, M) and points (F, d, M) of the projections of the
+    columns of x (d, M), relative to the faces' origin, onto each face's
+    affine hull; the constant of each weight is added last."""
     _, subs, solve = faces
-    w = dot_rows(solve[..., :-1], dot_rows(subs, x[..., None, None, :])[..., None, :]) + solve[..., -1]
-    return w, dot_rows(w[..., None, :], subs.transpose(0, 2, 1))
+    w = _combine(solve[..., :-1], _combine(subs, x[None])) + solve[..., -1:]
+    return w, _combine(subs.transpose(0, 2, 1), w)
 
 
 def nearest_on_faces(faces, pts) -> tuple[np.ndarray, np.ndarray]:
     """Nearest points of a hull to the rows of pts (M, d), given its
     hull_faces, and their distances.
 
-    Every face is solved for as many rows at once as PASS_ELEMENTS holds at
-    F * s * d elements a row, in elementwise arithmetic (see `dot_rows`), so
-    a row's result does not depend on the other rows.  Faces whose optimal
-    weights leave the simplex are skipped; the closest remaining candidate
-    wins, the first face on an exact tie.
+    The points are solved as contiguous coordinate columns against every
+    face at once, in passes of as many points as PASS_ELEMENTS holds at
+    F * max(s, d) elements a point (the widest temporary), in elementwise
+    arithmetic, so a row's result does not depend on the other rows.  Faces
+    whose optimal weights leave the simplex are skipped; the closest
+    remaining candidate wins, the first face on an exact tie.
     """
     origin, subs, _ = faces
-    x = np.asarray(pts, dtype=float) - origin
-    near, dist = np.empty_like(x), np.empty(len(x))
-    step = max(1, PASS_ELEMENTS // subs.size)  # subs is (F, s, d)
-    for lo in range(0, len(x), step):
-        xb = x[lo:lo + step]
-        w, cand = face_projections(faces, xb)  # (rows, F, s), (rows, F, d)
-        diff = cand - xb[:, None, :]
-        d = np.where(np.all(w >= -FACE_WEIGHT_TOL, axis=-1), np.sqrt(dot_rows(diff, diff)), np.inf)
-        best = np.argmin(d, axis=1)
-        rows = np.arange(len(best))
-        near[lo:lo + step], dist[lo:lo + step] = cand[rows, best], d[rows, best]
+    x = np.ascontiguousarray((np.asarray(pts, dtype=float) - origin).T)
+    near, dist = np.empty(x.shape[::-1]), np.empty(x.shape[1])
+    step = max(1, PASS_ELEMENTS // (len(subs) * max(subs.shape[1:])))
+    for lo in range(0, x.shape[1], step):
+        near[lo:lo + step], dist[lo:lo + step] = _nearest_in_pass(faces, x[:, lo:lo + step])
     return near + origin, dist
+
+
+def _nearest_in_pass(faces, x) -> tuple[np.ndarray, np.ndarray]:
+    """`nearest_on_faces` of one pass's columns x (d, m), relative to the
+    faces' origin; its temporaries are freed when it returns."""
+    w, cand = face_projections(faces, x)  # (F, s, m), (F, d, m)
+    on_face = np.all(w >= -FACE_WEIGHT_TOL, axis=1)
+    del w  # freed before the distances' temporaries
+    diff = np.moveaxis(cand - x, 1, -1)
+    d = np.where(on_face, np.sqrt(dot_rows(diff, diff)), np.inf)
+    best = np.argmin(d, axis=0)
+    cols = np.arange(len(best))
+    return cand[best, :, cols], d[best, cols]
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,8 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
 
     Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0} by default, for
     every map value w at every grid point outside Delta_c, one (w, a) pair
-    at a time over the whole grid.  The witness is the first violating
+    at a time over the grid points where the map keeps w; their failures
+    are scattered back to grid order.  The witness is the first violating
     (w, a) at the first violating sample.
     """
     if alphas is None:
@@ -271,10 +272,14 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
 
     def violations(cols, support, alive):
         for j, w in enumerate(mmap.values):
+            rows = np.flatnonzero(alive[:, j])
+            kept, kept_support = cols[:, rows], support[rows]
             for a in alphas:
-                lhs = _support(spec, [a * w[c] + (1 - a) * cols[c] for c in range(3)])
-                rhs = support - a * consts.gamma
-                yield alive[:, j] & (lhs > rhs + CERT_TOL), (w, a, lhs, rhs)
+                lhs = _support(spec, [a * w[c] + (1 - a) * kept[c] for c in range(3)])
+                rhs = kept_support - a * consts.gamma
+                hit = np.zeros(len(support), dtype=bool)
+                hit[rows] = lhs > rhs + CERT_TOL
+                yield hit, (w, a, lhs, rhs)
 
     def witness(w, a, lhs, rhs):
         return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}

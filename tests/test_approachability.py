@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -315,6 +316,27 @@ class TestDecayBound:
         # and reads the others from the trajectory, as it would have projected them
         fresh = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
         assert rep == decay_bound_check(fresh, SegmentsOracle([(A1, B1)]), rep.n0)
+
+    def test_steps_are_converted_once(self):
+        class Reads(Sequence):
+            """The recorded steps, counting every item read."""
+
+            def __init__(self, items):
+                self.items, self.count = items, 0
+
+            def __len__(self):
+                return len(self.items)
+
+            def __getitem__(self, i):
+                got = self.items[i]
+                self.count += len(got) if isinstance(i, slice) else 1
+                return got
+
+        traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 2000)
+        traj.steps = Reads(traj.steps)
+        for oracle in (LineOracle((0, 0), (1, 0)), SegmentsOracle([(A1, B1)])):
+            decay_bound_check(traj, oracle, premise_start(traj, oracle))
+        assert traj.steps.count == traj.horizon - 1
 
     def test_n0_validation(self):
         traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 10)

@@ -6,11 +6,14 @@ violation, whose details become the witness.  Inner products are summed in
 index order (dot3's operand order), as the array passes sum them, and every
 projection is the oracle's one-point `project`.  The array passes must agree
 with it on `holds`, `checked` and the whole witness, and on the decay
-report's fields to within 1e-12.
+report's fields to within 1e-12; the example-2 defector's decay reports are
+pinned exactly.  The hull face solve is checked bit for bit against a
+per-row reference in its own operand order.
 """
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from investgame.harness import (
     example1_targets,
     example2_targets,
     sample_near_segments_z,
+    z_grid,
     z_polygon_2d,
 )
 from investgame.lyapunov import (
@@ -399,6 +403,28 @@ def test_premise_and_decay_match_reference(case):
             assert _close(getattr(got, field), getattr(want, field)), field
 
 
+# The defector's reports bit for bit, where the test above allows 1e-12.
+DEFECTOR_DECAY = {
+    ("defector-triangle", 1): (272.10265197451054, 26.630136986301387, 1.0),
+    ("defector-triangle", 2500): (272.10265197451054, 0.0, 8.833973437902461e-10),
+    ("defector-triangle", 5000): (0.0, 0.0, 0.0),
+    ("defector-union", 1): (272.1026487156969, 85.09304718506542, 1.0),
+    ("defector-union", 2500): (272.1026487156969, 4.520358665304089, 0.0004),
+    ("defector-union", 5000): (0.0, 14.229016610367541, 0.0002),
+}
+
+
+@pytest.mark.parametrize("case", _decay_cases()[:2], ids=lambda c: c[0])
+def test_defector_decay_reports_are_exact(case):
+    name, traj, oracle = case
+    assert premise_start(traj, oracle) == 1
+    for n0 in (1, 2500, 5000):
+        c_const, d_n0, max_ratio = DEFECTOR_DECAY[name, n0]
+        assert decay_bound_check(traj, oracle, n0).as_dict() == {
+            "ok": True, "premise_ok": True, "n0": n0, "c_const": c_const, "d_n0": d_n0,
+            "max_ratio": max_ratio, "violations": 0}
+
+
 def test_decay_forced_failure_is_covered():
     _, traj, oracle = _decay_cases()[-1]
     rep = decay_bound_check(traj, oracle, 1)
@@ -408,6 +434,62 @@ def test_decay_forced_failure_is_covered():
 def test_premise_on_a_one_stage_trajectory():
     traj = iterate(lambda x: (0.0, 0.0), (1.0, 1.0), 1)
     assert premise_start(traj, SegmentsOracle([((0.0, 0.0), (1.0, 0.0))])) is None
+
+
+# ---------------------------------------------------------------------------
+# Face kernel
+# ---------------------------------------------------------------------------
+
+def ref_nearest_on_faces(faces, pts):
+    """Per row in Python floats: each face's weights w_j = sum_i solve[j][i]
+    g_i + solve[j][s] with g_i = <subs[i], x>, its point sum_j w_j subs[j]
+    and the distance to it, every sum in index order and padded slots
+    included, as the kernel sums them.  Faces with a weight below
+    -FACE_WEIGHT_TOL are skipped; the first face wins a tie."""
+    origin, subs, solve = (a.tolist() for a in faces)
+    s, d = len(subs[0]), len(origin)
+    near, dist = [], []
+    for p in np.asarray(pts, dtype=float).tolist():
+        x = [p[k] - origin[k] for k in range(d)]
+        best, best_cand = math.inf, None
+        for sub, sol in zip(subs, solve):
+            g = [_dot(sub[i], x) for i in range(s)]
+            w = [_dot(sol[j][:s], g) + sol[j][s] for j in range(s)]
+            if min(w) < -geometry.FACE_WEIGHT_TOL:
+                continue
+            cand = [_dot(w, [sub[j][k] for j in range(s)]) for k in range(d)]
+            diff = [cand[k] - x[k] for k in range(d)]
+            gap = math.sqrt(_dot(diff, diff))
+            if gap < best:
+                best, best_cand = gap, cand
+        near.append([best_cand[k] + origin[k] for k in range(d)])
+        dist.append(best)
+    return near, dist
+
+
+def _face_cases():
+    _, _, phi, triangle, _ = _example2_setup(0.4)
+    hull = HullOracle(VS.all_points())  # F = 150 faces of up to s = 4 points: s > d
+    hexagon = HullOracle(geometry.hexagon_2d(PARAMS))
+    rng = np.random.default_rng(7)
+    cases = []
+    for name, oracle in (("triangle", triangle), ("hull", hull), ("hexagon", hexagon)):
+        pts, d = oracle.points, oracle.points.shape[1]
+        mid = [(a + b) / 2 for a, b in combinations(pts, 2)]
+        cases += [(f"{name}-random", oracle, rng.normal(0.0, 30.0, (120, d))),
+                  (f"{name}-corners", oracle, np.vstack([pts, mid]))]
+    cases += [("triangle-z-grid", triangle, z_grid(PARAMS, 0.25)),
+              ("triangle-defector", triangle, iterate(phi, VS.A, 5000).means_array())]
+    return cases
+
+
+@pytest.mark.parametrize("case", _face_cases(), ids=lambda c: c[0])
+def test_nearest_on_faces_matches_the_reference(case):
+    _, oracle, pts = case
+    near, dist = geometry.nearest_on_faces(oracle._faces, pts)
+    want_near, want_dist = ref_nearest_on_faces(oracle._faces, pts)
+    assert near.tolist() == want_near
+    assert dist.tolist() == want_dist
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +521,11 @@ def _certify_reports(tmp_path, capsys):
 
 
 def test_reports_do_not_depend_on_the_pass_size(tmp_path, capsys, monkeypatch):
-    # the triangle's F * s * d elements: each face pass holds one row, and
-    # every other pass a few rows, so that passes end at many offsets
-    triangle = _example2_setup(0.4)[3]
-    monkeypatch.setattr(geometry, "PASS_ELEMENTS", triangle._faces[1].size)
+    # the triangle's F * max(s, d) elements, the widest row of its face
+    # solve: each face pass holds one row, and every other pass a few rows,
+    # so that passes end at many offsets
+    subs = _example2_setup(0.4)[3]._faces[1]
+    monkeypatch.setattr(geometry, "PASS_ELEMENTS", len(subs) * max(subs.shape[1:]))
     tiny = _certify_reports(tmp_path, capsys)
     monkeypatch.undo()
     assert tiny == _certify_reports(tmp_path, capsys)
