@@ -6,9 +6,9 @@ D when every x in D admits a proximal point y of A with
 squared distance n^2 dist(mean_n, A)^2 to grow at most linearly, hence
 dist(mean_n, A) -> 0.  This module certifies the condition on sampled
 domains, checks the induced decay bound on recorded trajectories, and
-implements the attractor intersection/refinement steps used to pin down
-limit points.  Those steps clip segments to the eps-neighbourhood of a
-convex hull in closed form, from the faces its exact projection solves.
+implements the attractor refinement step used to pin down limit points.
+That step clips segments to the eps-neighbourhood of a convex hull in
+closed form, from the faces its exact projection solves.
 
 Certification on samples is evidence, not proof: the step maps here are
 piecewise constant with polyhedral pieces, so genuine violations fill
@@ -27,8 +27,7 @@ from .dynamics import Trajectory
 from .geometry import FACE_WEIGHT_TOL, dot_rows, face_projections, hull_faces, nearest_on_faces
 
 PROXIMAL_TIE_TOL = 1e-9
-#: Slack of every certificate inequality, and the clip radius that finds where
-#: a segment union meets a convex hull in `intersect_attractors`.
+#: Slack of every certificate inequality.
 CERT_TOL = 1e-9
 
 
@@ -242,7 +241,7 @@ class DecayReport:
 
 
 def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> DecayReport:
-    """Check dist(mean_n, A)^2 <= (d_n0 + (n - n0) C) / n for all n >= n0.
+    """Check dist(mean_n, A)^2 <= (d_n0 + (n - n0) C) / n^2 for all n >= n0.
 
     d_n0 = n0^2 dist(mean_n0, A)^2 and C bounds |x_{n+1} - y_n|^2, the
     squared distance from each realized stage payoff to the proximal point
@@ -266,7 +265,7 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
     c_const = float(np.max(dot_rows(steps - y, steps - y), initial=0.0))
     d_n0 = n0 * n0 * dists[0] ** 2
     ns = np.arange(n0, traj.horizon + 1, dtype=float)
-    bounds = (d_n0 + (ns - n0) * c_const) / ns
+    bounds = (d_n0 + (ns - n0) * c_const) / ns**2
     sq = dists**2
     violations = int(np.sum(sq > bounds + CERT_TOL))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,7 +282,7 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
 
 
 # ---------------------------------------------------------------------------
-# Attractor intersection and refinement
+# Attractor refinement
 # ---------------------------------------------------------------------------
 
 def clip_segments_to_neighborhood(segments, target: HullOracle,
@@ -322,36 +321,6 @@ def clip_segments_to_neighborhood(segments, target: HullOracle,
         if hi_t > lo_t:
             out.append((a + lo_t * u, a + hi_t * u))
     return out
-
-
-def intersect_attractors(finals: Sequence, segments: SegmentsOracle, other: HullOracle,
-                         tol: float) -> dict:
-    """Check that every final mean ends near the intersection of a segment
-    union A with a convex hull B.
-
-    Premise: every final mean lies within tol of A and of B separately.  The
-    intersection is A clipped to within CERT_TOL of B, the pieces
-    `clip_segments_to_neighborhood` finds; the check compares the largest
-    distance from a final mean to those pieces against tol.  The distances
-    reported are maxima over all the final means passed in.
-    """
-    pieces = clip_segments_to_neighborhood(segments.segments, other, CERT_TOL)
-    if not pieces:
-        raise ValueError("empty intersection")
-    x = np.asarray(finals, dtype=float)
-    da = float(np.max(segments.distances(x)))
-    db = float(np.max(other.distances(x)))
-    d = float(np.max(SegmentsOracle(pieces).distances(x)))
-    premise_ok = da <= tol and db <= tol
-    return {
-        "passes": bool(premise_ok and d <= tol),
-        "premise_ok": bool(premise_ok),
-        "dist_to_a": da,
-        "dist_to_b": db,
-        "dist_to_intersection": d,
-        "intersection": [[end.tolist() for end in piece] for piece in pieces],
-        "tol": tol,
-    }
 
 
 def refine_attractor(phi: Callable, outer_segments, inner: HullOracle, schedule,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, asdict, dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from .approachability import (
     ProximalOracle,
     SegmentsOracle,
     check_blackwell,
-    intersect_attractors,
     refine_attractor,
 )
 from .dynamics import (
@@ -62,7 +62,6 @@ from .geometry import (
     dist_to_region,
     good_region,
     grid_slack,
-    hull_mask,
     hull_point,
     in_hull,
     norm3,
@@ -99,9 +98,6 @@ CERT_PITCH = 0.25
 EXAMPLE1_A = (0.0, -1.0)
 EXAMPLE1_B = (2.0, 1.0)
 EXAMPLE1_BOX = 3.0
-#: `sample_near_segments_z`'s spacing along, and offsets across, each segment.
-Z_ALONG_PITCH = 0.25
-Z_OFFSETS = 5
 #: (eps, delta) schedule of example 2's attractor refinement.  The theory
 #: promises a workable delta for every eps but gives no formula; below a
 #: clip radius of roughly 0.43 * (defector eps) the certificate fails near
@@ -407,15 +403,11 @@ def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
 # Worked example 2: the crafted defector on the symmetric slice Z
 # ---------------------------------------------------------------------------
 
-def z_polygon_2d(params: GameParams) -> np.ndarray:
-    """Vertices of Z = {x in S : x1 = x2} in (t, z) coordinates, x = (t, t, z)."""
-    vs = vertices(params)
-    return polygon_2d([(p[0], p[2]) for p in (vs.A, vs.B, vs.c1[2], vs.c2[2])])
-
-
 def z_grid(params: GameParams, pitch: float) -> np.ndarray:
-    """Pitch grid of Z as (M, 3) points (t, t, z)."""
-    return polygon_grid(z_polygon_2d(params), pitch)[:, [0, 0, 1]]
+    """Pitch grid of Z = {x in S : x1 = x2} as (M, 3) points (t, t, z)."""
+    vs = vertices(params)
+    z = polygon_2d([(p[0], p[2]) for p in (vs.A, vs.B, vs.c1[2], vs.c2[2])])
+    return polygon_grid(z, pitch)[:, [0, 0, 1]]
 
 
 def z_starts(params: GameParams) -> list[tuple[float, float, float]]:
@@ -426,21 +418,37 @@ def z_starts(params: GameParams) -> list[tuple[float, float, float]]:
     return [vs.A, vs.B, mid_ab, low, high]
 
 
-def sample_near_segments_z(params: GameParams, segments, delta: float) -> np.ndarray:
-    """Points of Z within delta of the given segments (which must lie in Z),
-    as (M, 3) points (t, t, z): per segment, Z_OFFSETS offsets across it at
-    each of its steps along it, in that order."""
-    offsets = np.linspace(-delta, delta, Z_OFFSETS)
-    cands = [np.empty((0, 2))]
-    for a3, b3 in segments:
-        a2 = np.array([a3[0], a3[2]])
-        u = np.array([b3[0], b3[2]]) - a2
-        length = float(np.linalg.norm(u))
-        normal = np.array([-u[1], u[0]]) / (length if length else 1.0)
-        base = a2 + np.linspace(0.0, 1.0, max(2, int(length / Z_ALONG_PITCH) + 1))[:, None] * u
-        cands.append((base[:, None, :] + offsets[:, None] * normal).reshape(-1, 2))
-    q = np.concatenate(cands)
-    return q[hull_mask(z_polygon_2d(params), q)][:, [0, 0, 1]]
+def z_near_segments(params: GameParams, segments, delta: float) -> np.ndarray:
+    """The points of the pitch-delta/2 grid of Z within delta of the segments."""
+    grid = z_grid(params, delta / 2)
+    return grid[SegmentsOracle(segments).distances(grid) <= delta]
+
+
+def intersect_at_d(finals, b, d, c1, c2, tol: float) -> dict:
+    """Check that every final mean ends within tol of D, where the segment BD
+    meets the triangle co{C1, C2, D} and nowhere else.
+
+    That meeting is proved in exact rationals on Z, where the four points
+    must lie (x1 == x2): in (t, z) = (x1, x3), with w = B - D, u = C1 - D,
+    v = C2 - D and s = cross(u, v), w lies outside the cone of u and v, so
+    BD meets the triangle only at D, when cross(u, w) s >= 0 and
+    cross(w, v) s >= 0 do not both hold; a flat triangle (s = 0) fails.
+    Premise: every final mean lies within tol of BD and of the triangle.
+    Distances are maxima over the final means.
+    """
+    tz = [(Fraction(p[0]), Fraction(p[2])) for p in (b, d, c1, c2) if p[0] == p[1]]
+    if len(tz) < 4:
+        raise ValueError("B, D, C1 and C2 must lie on the slice Z (x1 == x2)")
+    w, u, v = ((t - tz[1][0], z - tz[1][1]) for t, z in (tz[0], tz[2], tz[3]))
+    s = u[0] * v[1] - u[1] * v[0]
+    in_cone = (u[0] * w[1] - u[1] * w[0]) * s >= 0 and (w[0] * v[1] - w[1] * v[0]) * s >= 0
+    da = float(np.max(SegmentsOracle([(b, d)]).distances(finals)))
+    db = float(np.max(HullOracle([c1, c2, d]).distances(finals)))
+    dd = max(norm3([f[k] - d[k] for k in range(3)]) for f in finals)
+    premise_ok = da <= tol and db <= tol
+    return {"passes": bool(premise_ok and not in_cone and dd <= tol),
+            "premise_ok": bool(premise_ok), "dist_to_a": da, "dist_to_b": db,
+            "dist_to_intersection": dd, "intersection": [[list(d), list(d)]], "tol": tol}
 
 
 def _example2_setup(eps: float):
@@ -471,23 +479,25 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
     strictly exceeds p3 while still respecting the t4 cap p3 + 2*eps/3.
     The attractor pipeline cross-check adds the certificates of both
     example2_targets (the triangle co{C1_3, C2_3, D} and the segment union
-    BD u DC1_3 on Z), refines the union to the segment BD, and intersects BD
-    with the triangle to isolate {D}; the refinement and the intersection
-    check the final mean of every start.
+    BD u DC1_3 on Z), refines the union to the segment BD on samples of the
+    slice grid near the union, and proves exactly that BD meets the triangle
+    only at D; the refinement and the intersection check the final mean of
+    every start.
     """
     if n < 2:
         raise ValueError("n must be at least 2: the deviator's tail minimum reads the second half of the run")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    params, defector, phi, triangle, union_segments = _example2_setup(eps)
+    params, defector, phi, _, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)
     if not starts:
         raise ValueError("at least one start is required")
+    vs = vertices(params)
     for x1 in starts:
         if x1[0] != x1[1]:
             raise ValueError(f"start {x1} is outside the slice Z (x1 != x2)")
-        if not in_hull(vertices(params).all_points(), x1):
+        if not in_hull(vs.all_points(), x1):
             raise ValueError(f"start {x1} is outside the payoff hull S")
     d_point = defector.d_point
     cells = []
@@ -502,9 +512,9 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
     certs = example2_targets(eps).certify_all()
     refine = refine_attractor(phi, union_segments, HullOracle(union_segments[0]), REFINE_SCHEDULE,
-                              lambda delta: sample_near_segments_z(params, union_segments, delta),
+                              lambda delta: z_near_segments(params, union_segments, delta),
                               finals, tol)
-    intersect = intersect_attractors(finals, SegmentsOracle(union_segments[:1]), triangle, tol)
+    intersect = intersect_at_d(finals, vs.B, d_point, vs.c1[2], vs.c2[2], tol)
     meta = {"eps": eps, "d_point": list(d_point),
             **{key: rep.as_dict() for key, rep in certs.items()},
             "refine_to_bd": refine, "intersect_bd_triangle": intersect}

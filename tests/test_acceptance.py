@@ -179,7 +179,7 @@ def test_criterion_decay_bound():
         "decay-bound",
         total_violations == 0,
         f"{len(checks)} premise-verified trajectories, zero violations of "
-        f"dist^2 <= (d_n0 + (n - n0) C) / n",
+        f"dist^2 <= (d_n0 + (n - n0) C) / n^2",
     )
 
 

@@ -15,7 +15,6 @@ from investgame.approachability import (
     check_blackwell,
     clip_segments_to_neighborhood,
     decay_bound_check,
-    intersect_attractors,
     premise_start,
     refine_attractor,
 )
@@ -23,8 +22,9 @@ from investgame.dynamics import iterate
 from investgame.harness import (
     example1_limit,
     example1_phi,
-    sample_near_segments_z,
+    intersect_at_d,
     z_grid,
+    z_near_segments,
 )
 from investgame.stage_game import example_game, vertices
 from investgame.strategies import (
@@ -367,28 +367,30 @@ class TestWeakAttractor:
 
 
 class TestIntersect:
+    """Where a segment meets a hull: the segment clipped to within CERT_TOL
+    of the hull."""
+
     def test_example1_line_cap_segment(self):
         traj = iterate(example1_phi(A1, B1), (2.5, -1.7), 50_000)
-        out = intersect_attractors(
-            [traj.final], SegmentsOracle([(A1, B1)]), HullOracle([(-3, 0), (3, 0)]), tol=0.05
-        )
-        assert out["passes"]
-        assert len(out["intersection"]) == 1
-        for end in out["intersection"][0]:
+        pieces = clip_segments_to_neighborhood([(A1, B1)], HullOracle([(-3, 0), (3, 0)]), CERT_TOL)
+        assert len(pieces) == 1
+        for end in pieces[0]:
             assert np.allclose(end, D1, atol=1e-6)
+        assert SegmentsOracle(pieces).distances([traj.final])[0] <= 0.05
 
     def test_equal_regions_reduce_to_single_check(self):
         traj = iterate(example1_phi(A1, B1), (0.5, 0.5), 20_000)
         seg = SegmentsOracle([(A1, B1)])
-        out = intersect_attractors([traj.final], seg, HullOracle([A1, B1]), tol=0.05)
-        assert out["passes"]
-        assert abs(out["dist_to_intersection"] - seg.distances([traj.final])[0]) <= 1e-6
+        pieces = clip_segments_to_neighborhood(seg.segments, HullOracle([A1, B1]), CERT_TOL)
+        assert abs(SegmentsOracle(pieces).distances([traj.final])[0] - seg.distances([traj.final])[0]) <= 1e-6
 
     def test_empty_intersection_raises(self):
-        far_a = SegmentsOracle([((10.0, 0.0), (11.0, 0.0))])
+        far_a = [((10.0, 0.0), (11.0, 0.0))]
         far_b = HullOracle([(-10.0, 0.0)])
-        with pytest.raises(ValueError, match="empty intersection"):
-            intersect_attractors([(0.0, 0.0)], far_a, far_b, tol=100.0)
+        assert clip_segments_to_neighborhood(far_a, far_b, CERT_TOL) == []
+        with pytest.raises(ValueError, match="clipped region empty"):
+            refine_attractor(example1_phi(A1, B1), far_a, far_b, [(CERT_TOL, 0.1)],
+                             lambda delta: [(0.0, 0.0)], [(0.0, 0.0)], tol=100.0)
 
 
 def defector_setup(eps=0.4):
@@ -418,7 +420,7 @@ class TestClipAndRefine:
         inner = HullOracle([end for seg in union for end in seg])
         out = refine_attractor(
             phi, union, inner, [(0.5, 0.3)],
-            lambda delta: sample_near_segments_z(PARAMS, union, delta),
+            lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
         assert out["passes"]
@@ -428,10 +430,22 @@ class TestClipAndRefine:
         bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
-            lambda delta: sample_near_segments_z(PARAMS, union, delta),
+            lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
         assert out["passes"], out
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.25, 0.4, 0.49])
+    def test_refinement_on_the_slice_grid(self, eps):
+        # both scheduled stages certify on the pitch-delta/2 slice grid
+        # within delta of the union, for defectors across (0, 1/2)
+        defc, phi, union = defector_setup(eps)
+        out = refine_attractor(
+            phi, union, HullOracle(union[0]), [(0.5, 0.3), (0.25, 0.15)],
+            lambda delta: z_near_segments(PARAMS, union, delta), [defc.d_point], tol=0.05,
+        )
+        assert out["passes"], out
+        assert [stage["blackwell_holds"] for stage in out["stages"]] == [True, True]
 
     def test_takes_final_points(self, monkeypatch):
         # the trajectories do not depend on the schedule: the caller runs
@@ -448,7 +462,7 @@ class TestClipAndRefine:
         bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
-            lambda delta: sample_near_segments_z(PARAMS, union, delta),
+            lambda delta: z_near_segments(PARAMS, union, delta),
             finals, tol=0.05,
         )
         worst = max(bd.distances([x])[0] for x in finals)
@@ -461,7 +475,7 @@ class TestClipAndRefine:
         bd = HullOracle(union[0])
         out = refine_attractor(
             phi, union, bd, [(0.1, 0.3)],
-            lambda delta: sample_near_segments_z(PARAMS, union, delta),
+            lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 5000).final], tol=0.05,
         )
         assert not out["passes"]
@@ -544,27 +558,59 @@ class TestExample2Pipeline:
         assert check_blackwell(phi, triangle, domain).holds
         assert check_blackwell(phi, SegmentsOracle(union), domain).holds
 
+    @staticmethod
+    def intersect(defc, finals, b=VS.B, tol=0.1):
+        return intersect_at_d(finals, b, defc.d_point, VS.c1[2], VS.c2[2], tol)
+
     def test_bd_and_triangle_intersect_at_d(self):
-        defc, phi, union = defector_setup()
-        bd = SegmentsOracle([union[0]])
+        for eps in (0.02, 0.1, 0.25, 0.4, 0.49):
+            defc = Example2Defector(PARAMS, eps)
+            out = self.intersect(defc, [defc.d_point], tol=0.05)
+            assert out["passes"], eps
+            assert out["intersection"] == [[list(defc.d_point)] * 2]
+            assert out["dist_to_intersection"] == 0.0
+
+    def test_clip_at_cert_tol_ends_at_d(self):
+        # the float clip's small-radius path agrees with the exact point
+        defc, _, union = defector_setup()
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
-        out = intersect_attractors([defc.d_point], bd, triangle, tol=0.05)
-        assert out["passes"]
-        assert len(out["intersection"]) == 1
-        for end in out["intersection"][0]:
-            assert np.allclose(end, defc.d_point, rtol=0.0, atol=CERT_TOL)
-            assert triangle.distances([end])[0] <= CERT_TOL
+        (lo, hi), = clip_segments_to_neighborhood(union[:1], triangle, CERT_TOL)
+        assert np.allclose([lo, hi], [defc.d_point] * 2, rtol=0.0, atol=1e-8)
+
+    def test_chain_into_the_triangle_fails(self):
+        # a first segment from D towards the triangle's centroid runs inside
+        # it, and one towards another corner runs along its edge
+        defc = Example2Defector(PARAMS, 0.4)
+        centroid = tuple(np.mean([VS.c1[2], VS.c2[2], defc.d_point], axis=0).tolist())
+        for inward in (centroid, VS.c1[2], VS.c2[2]):
+            assert inward[0] == inward[1]
+            out = self.intersect(defc, [defc.d_point], b=inward)
+            assert out["premise_ok"] and out["dist_to_intersection"] == 0.0
+            assert not out["passes"], inward
+
+    def test_chains_along_an_edge_away_from_the_triangle_hold(self):
+        # B - D = -(C - D) for either other corner C: on the boundary of one
+        # half-plane of the cone and strictly outside the other
+        defc = Example2Defector(PARAMS, 0.4)
+        d = np.asarray(defc.d_point)
+        for corner in (VS.c1[2], VS.c2[2]):
+            away = tuple((2.0 * d - np.asarray(corner)).tolist())
+            assert self.intersect(defc, [defc.d_point], b=away)["passes"]
+
+    def test_point_off_the_slice_raises(self):
+        defc = Example2Defector(PARAMS, 0.4)
+        with pytest.raises(ValueError, match="slice Z"):
+            self.intersect(defc, [defc.d_point], b=(36.0, 28.0, 28.0))
 
     def test_one_final_far_from_d_fails(self):
         # every final mean is checked: one far from D fails the check, and
         # the distances reported are the worst over all of them
         defc, phi, union = defector_setup()
-        bd = SegmentsOracle([union[0]])
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
         near = iterate(phi, VS.A, 20_000).final
         far = VS.B  # the far end of BD, 0.35 from D
-        assert intersect_attractors([near], bd, triangle, tol=0.1)["passes"]
-        out = intersect_attractors([near, far], bd, triangle, tol=0.1)
+        assert self.intersect(defc, [near])["passes"]
+        out = self.intersect(defc, [near, far])
         assert not out["passes"]
         assert out["dist_to_intersection"] > 0.3
         assert out["dist_to_b"] == max(triangle.distances([near])[0], triangle.distances([far])[0])
@@ -578,5 +624,5 @@ class TestCrossModuleConsistency:
         rep = decay_bound_check(traj, oracle, 1)
         assert rep.ok
         n = traj.horizon
-        tol = math.sqrt((rep.d_n0 + (n - 1) * rep.c_const) / n)
+        tol = math.sqrt(rep.d_n0 + (n - 1) * rep.c_const) / n
         assert oracle.distances([traj.final])[0] <= tol
