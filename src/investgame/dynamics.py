@@ -21,8 +21,9 @@ fused test equal to `invests` exactly since rounding is monotone, and
 every other seat but constants and coin flips by its own `invests` on
 its row's mean as floats, so that cost grows with the number of such
 rows.  `simulate_events` runs one profile of good and constant seats and
-jumps over the stretches where the action profile provably stays fixed.
-The means of the last two are bit-identical to `iterate` on the same cell.
+jumps over the stretches where the action profile provably stays fixed,
+solving each stretch's end in closed form.  The means of the last two
+are bit-identical to `iterate` on the same cell.
 """
 
 from __future__ import annotations
@@ -283,15 +284,19 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     return BatchTails(final=means.copy(), tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
 
 
-#: Certification margin of `simulate_events`, relative to a bound S on every
+#: Stretch margin of `simulate_events`, relative to a bound S on every
 #: |mean coordinate| and |constant|.  With u = 2**-53, a computed mean
-#: coordinate (x1 + P) / n is within 3u*S of its exact value (one rounding
-#: of x1 + P, one of the division), an inequality side (at most two
-#: coordinates and a constant, one more rounding) within 11u*S, and a
-#: computed margin lhs - rhs within 14u*S.  Margins above 25u*S at both
-#: ends of a stretch thus keep the exact margin, monotone along the
-#: stretch, above 11u*S at every stage in between, where the computed
-#: sides then compare as the exact ones do.
+#: coordinate is within 3u*S of its exact value, an inequality side within
+#: 11u*S (so where the exact margin is above 11u*S the computed sides
+#: compare as the exact ones do) and a computed margin, at most 3S, within
+#: 14u*S.  From mean k with step v, mean L is v + (mean_k - v) k / L, so
+#: g(L) = g_inf + (g_k - g_inf) k / L, a convex combination of the computed
+#: margins at mean k and at v, is within 14u*S of the exact margin at L.
+#: With s the sign of g_k, T = _MARGIN_REL * S, a = s g_k - T > 0 and
+#: b = T - s g_inf, s g(L) > T for every L if b <= 0, else while L - k <
+#: k a / b.  Four roundings make that quotient at most 1 + 4u + 8u**2 times
+#: the exact one, which costs s g(L) under 1.01u (a + b) <= 6.06u*S (as
+#: a b / (a + b) <= (a + b) / 4): the exact margin stays above 11.9u*S.
 _MARGIN_REL = 32 * 2.0 ** -53
 
 
@@ -303,7 +308,7 @@ class SegmentRun:
     1..n: the profile decided at means first..last has the code `code` (bit
     i set when seat i invests).  `final` is mean n; `tail_min`/`tail_max`
     are per-coordinate extrema of the means from `tail_start(n, window)` on;
-    `evaluations` counts the decisions and certificate probes evaluated.
+    `evaluations` counts the decisions and the stretch solves.
     """
 
     segments: list[tuple[int, int, int]]
@@ -328,17 +333,13 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     fixed profile.
 
     The means are those of `iterate` on `induced_map(profile, params)`, bit
-    for bit.  At each stage the profile is decided, then the farthest stage
-    L with the same decisions is found by galloping and bisection over
-    candidate ends, each computed in O(1) as (x1 + P + m*s) / L.  A stretch
-    is certified when the payoff sums are exact at this horizon (checked
-    once, see `_exact_horizon`) and every inequality of the good seats'
-    regions keeps its truth value at both ends, either with a margin above
-    `_MARGIN_REL * S` or because every coordinate it reads is exactly
-    stationary (mean equal to the step).  Along a fixed-profile stretch each
-    exact margin is monotone in n (alpha + beta/n), so no decision in
-    between can differ.  Otherwise, and throughout when the sums are not
-    exact, the engine steps one stage.
+    for bit.  At each stage the profile is decided.  When the payoff sums
+    are exact at this horizon (checked once, see `_exact_horizon`), each
+    inequality of the good seats' regions keeps its truth value up to an
+    end solved in closed form from its margins at the stretch's first mean
+    and at the step (see `_MARGIN_REL`), or for good if every coordinate it
+    reads is exactly stationary (mean equal to the step), and the engine
+    jumps to the earliest end; otherwise it steps one stage.
 
     Tail extrema are taken at segment endpoints and at the tail's first
     stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
@@ -373,7 +374,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     evaluations = 0
 
     def margins(x):
-        return [m for spec in specs for m in inequality_margins(params, spec, x)]
+        return [m for spec in specs for _, m in inequality_margins(params, spec, x)]
 
     def mean_at(stage, k, total, step):
         """Mean `stage` of the stretch from mean k, whose running sum is
@@ -382,46 +383,24 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         return tuple((a + (p + m * v)) / stage for a, p, v in zip(start, total, step))
 
     def farthest(k, total, mean, step) -> int:
-        """The last stage of a certified stretch from k with step `step`."""
-        nonlocal evaluations
-        at_k = margins(mean)
-        reads_fixed = None
-
-        def certified(end: int) -> bool:
-            nonlocal evaluations, reads_fixed
-            evaluations += 1
-            at_end = margins(mean_at(end, k, total, step))
-            for idx, ((held, margin), (held_end, margin_end)) in enumerate(zip(at_k, at_end)):
-                if held_end != held:
-                    return False
-                if abs(margin) > threshold and abs(margin_end) > threshold:
-                    continue
+        """The earliest end, solved per form (`_MARGIN_REL`), of the stretch from k."""
+        last, reads_fixed = n, None
+        for idx, (g_k, g_inf) in enumerate(zip(margins(mean), margins(step))):
+            s = 1.0 if g_k > 0.0 else -1.0
+            excess = s * g_k - threshold
+            if excess <= 0.0:
                 if reads_fixed is None:
                     # exactly x1 + P == k * step: fsum rounds the exact sum
-                    fixed = [c == v and math.fsum((a, p, -k * v)) == 0.0
-                             for a, p, v, c in zip(start, total, step, mean)]
-                    probe = tuple(c if f else math.nan for c, f in zip(mean, fixed))
-                    reads_fixed = [not math.isnan(mg) for _, mg in margins(probe)]
+                    probe = tuple(c if c == v and math.fsum((a, p, -k * v)) == 0.0 else math.nan
+                                  for a, p, v, c in zip(start, total, step, mean))
+                    reads_fixed = [not math.isnan(g) for g in margins(probe)]
                 if not reads_fixed[idx]:
-                    return False
-            return True
-
-        lo, stride = k, 1
-        while True:
-            hi = min(k + stride, n)
-            if not certified(hi):
-                break
-            lo = hi
-            if hi == n:
-                return n
-            stride *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if certified(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+                    return k
+            elif s * g_inf < threshold:
+                stretch = k * excess / (threshold - s * g_inf)
+                if stretch <= last - k:
+                    last = k + math.ceil(stretch) - 1
+        return last
 
     tail_min = [math.inf] * 3
     tail_max = [-math.inf] * 3
@@ -436,10 +415,11 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     segments: list[tuple[int, int, int]] = []
     k, total, mean = 1, [0.0, 0.0, 0.0], start
     while True:
-        evaluations += 1
+        solve = exact and k < n
+        evaluations += 1 + solve  # a decision, and a stretch solve
         code = i1(mean) | i2(mean) << 1 | i3(mean) << 2
         step = table[code]
-        last = farthest(k, total, mean, step) if exact and k < n else k
+        last = farthest(k, total, mean, step) if solve else k
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], last, code)
         else:
