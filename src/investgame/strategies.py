@@ -188,9 +188,12 @@ class Example2Defector(Strategy):
     Built for the canonical example game and a threshold eps in (0, 1/2)
     shared with the two good players.  It refuses to invest exactly on
     V_1 intersected with the symmetric slice Z = {x1 = x2} and with the
-    triangle spanned by B, D and the lone-investor vertex of player 3,
+    triangle spanned by B, D and player 3's lone-investor vertex C1_3,
     where D = (p3 - eps/2, p3 - eps/2, p3 + eps/2).  Against two good
-    players this drags the play toward D, overshooting p3 by eps/2.
+    players this drags the play toward D, overshooting p3 by eps/2, and
+    slides along the edge D-C1_3, the one edge tested (B's barycentric
+    coordinate, -1e-10 band): on Z in V_1 and S, BD lies on V_1's cap
+    t + z = 2 p3 and B-C1_3 on an edge of S cut with Z, so neither decides.
     """
 
     def __init__(self, params: GameParams, eps: float):
@@ -201,33 +204,21 @@ class Example2Defector(Strategy):
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = float(eps)
         self._good1 = GoodStrategy(1, eps, params)
-        # Triangle vertices in the (t, z) coordinates of Z, x = (t, t, z).
+        # Triangle vertices in the (t, z) coordinates of Z, x = (t, t, z), and B's barycentric row.
         p3, r1, p1 = params.p3, params.r1, params.p1
         tb, zb = p3, p3
         td, zd = p3 - eps / 2.0, p3 + eps / 2.0
         tc, zc = r1, p1
         det = (tb - tc) * (zd - zc) - (td - tc) * (zb - zc)
         self._tc, self._zc = tc, zc
-        self._inv = (
-            (zd - zc) / det, -(td - tc) / det,
-            -(zb - zc) / det, (tb - tc) / det,
-        )
+        self._a11, self._a12 = (zd - zc) / det, -(td - tc) / det
         self.d_point = (td, td, zd)
         self.name = f"example2_defector(eps={eps:g})"
 
-    def _in_triangle(self, t, z) -> bool:
-        """Barycentric test of the float pair (t, z)."""
-        a11, a12, a21, a22 = self._inv
-        dt = t - self._tc
-        dz = z - self._zc
-        l1 = a11 * dt + a12 * dz
-        l2 = a21 * dt + a22 * dz
-        l3 = 1.0 - l1 - l2
-        return l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10
-
     def invests(self, x) -> bool:
-        # invest off the slice Z, else unless in V_1 (= V_2 on Z) and the triangle
-        return x[0] != x[1] or not (self._good1.invests(x) and self._in_triangle(x[0], x[2]))
+        # invest off the slice Z, else unless in V_1 (= V_2 on Z) and on B's side of D-C1_3
+        return x[0] != x[1] or not (self._good1.invests(x) and
+                                    self._a11 * (x[0] - self._tc) + self._a12 * (x[2] - self._zc) >= -1e-10)
 
     def descriptor(self) -> dict:
         return {"kind": "example2_defector", "eps": self.eps}

@@ -35,6 +35,7 @@ from investgame.harness import (
     verify_t2,
     verify_t3,
     verify_t4,
+    z_grid,
     z_starts,
 )
 from investgame.stage_game import GameParams, example_game, permute, vertices
@@ -434,10 +435,10 @@ class TestBatchedEngine:
 
 
 class WideDefector(Example2Defector):
-    """Overrides _in_triangle: refuses anywhere on Z inside V_1."""
+    """Overrides invests: refuses anywhere on Z inside V_1."""
 
-    def _in_triangle(self, t, z):
-        return super()._in_triangle(t, z) | (z >= 0.0)
+    def invests(self, x):
+        return x[0] != x[1] or not self._good1.invests(x)
 
 
 class Inverted(RandomStrategy):
@@ -637,6 +638,72 @@ class TestStackedRouting:
         cfg = HarnessConfig(params=PARAMS, n=2000, starts=((0.125,) * 8,))
         inverted, parent = verify_t4(cfg, [Inverted(0.3, 3), RandomStrategy(0.3, 3)]).cells
         assert inverted["measured"] != parent["measured"]
+
+
+def _three_edge_defector(eps):
+    """Three-edge reference of `Example2Defector.invests`: it refuses on Z
+    inside V_1 where all three barycentric coordinates of (t, z) = (x1, x3)
+    in the triangle B, D, C1_3 are at least -1e-10."""
+    p3, r1, p1 = PARAMS.p3, PARAMS.r1, PARAMS.p1
+    tb, zb = p3, p3
+    td, zd = p3 - eps / 2.0, p3 + eps / 2.0
+    tc, zc = r1, p1
+    det = (tb - tc) * (zd - zc) - (td - tc) * (zb - zc)
+    a11, a12, a21, a22 = (zd - zc) / det, -(td - tc) / det, -(zb - zc) / det, (tb - tc) / det
+    good1 = GoodStrategy(1, eps, PARAMS)
+
+    def invests(x):
+        dt, dz = x[0] - tc, x[2] - zc
+        l1 = a11 * dt + a12 * dz
+        l2 = a21 * dt + a22 * dz
+        l3 = 1.0 - l1 - l2
+        in_triangle = l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10
+        return x[0] != x[1] or not (good1.invests(x) and in_triangle)
+
+    return invests
+
+
+class TestDefectorEdge:
+    """The defector tests only the triangle edge D-C1_3, and decides as the
+    three-edge reference on every mean the engines and slice grids give it."""
+
+    EPS = (0.02, 0.1, 0.25, 0.4, 0.49)
+
+    @staticmethod
+    def check(points):
+        """points: (eps, mean) pairs, some on the slice and refused there."""
+        mine = {eps: Example2Defector(PARAMS, eps) for eps in {eps for eps, _ in points}}
+        ref = {eps: _three_edge_defector(eps) for eps in mine}
+        got = [mine[eps].invests(x) for eps, x in points]
+        assert got == [ref[eps](x) for eps, x in points]
+        assert 0 < got.count(False) < len(got)
+
+    def test_battery_calls(self, monkeypatch):
+        seen, inner = [], Example2Defector.invests
+
+        def invests(self, x):
+            seen.append((self.eps, x))
+            return inner(self, x)
+
+        monkeypatch.setattr(Example2Defector, "invests", invests)
+        cfg = HarnessConfig(params=PARAMS, n=2000)
+        verify_t4(cfg)
+        verify_t2(cfg)
+        monkeypatch.undo()
+        self.check(seen)
+
+    def test_example2_runs(self):
+        points = []
+        for eps in self.EPS:
+            phi = induced_map((GoodStrategy(1, eps, PARAMS), GoodStrategy(2, eps, PARAMS),
+                               Example2Defector(PARAMS, eps)), PARAMS)
+            for start in z_starts(PARAMS):
+                points += [(eps, x) for x in iterate(phi, start, 5000).means]
+        self.check(points)
+
+    def test_slice_grids(self):
+        grids = [tuple(map(tuple, z_grid(PARAMS, pitch).tolist())) for pitch in (0.5, 0.3, 0.25, 0.2, 0.13, 0.1)]
+        self.check([(eps, x) for eps in self.EPS for grid in grids for x in grid])
 
 
 class TestSafetyChain:

@@ -1,11 +1,14 @@
-"""Every top-level function and class in `src/investgame` is run by a command,
-or is a named reference that tests or the benchmark call.
+"""Every top-level function and class in `src/investgame`, and every method of
+those, is run by a command, or is a named reference that tests or the
+benchmark call.
 
 The reachability is by name over the source's syntax trees: starting from
 `cli.main`, a reached definition reaches every top-level name its body
 reads, through the module's own definitions, its `from .x import y`
 imports and attributes of its `from . import x` modules.  A reached class
-reaches its whole body.  Annotations are skipped, since they run nothing.
+reaches its whole body.  A method of a reached or allowed class is reached
+when reached or allowed code reads an attribute of its name; dunder
+methods are exempt.  Annotations are skipped, since they run nothing.
 """
 
 import ast
@@ -27,6 +30,8 @@ ALLOWED = {
     "approachability.premise_start": "acceptance decay criterion; the benchmark's certify workload",
     "approachability.decay_bound_check": "acceptance decay criterion; the benchmark's certify workload",
     "approachability.DecayReport": "report of decay_bound_check",
+    "approachability.ProximalOracle.project": "one-row case the oracle and certificate-reference tests read",
+    "stage_game.VertexSet.labeled": "vertices by label; the benchmark's certify workload reads its start",
 }
 
 
@@ -66,14 +71,15 @@ def _imports(tree: ast.Module) -> tuple[dict[str, tuple[str, str]], dict[str, st
 
 
 def _read_names(node: ast.AST):
-    """(Name ids, (base, attr) pairs) that node's code reads, annotations skipped."""
+    """(Name id, None) and (base, attr) pairs that node's code reads, base None
+    when the attribute's value is not a name; annotations skipped."""
     stack = [node]
     while stack:
         cur = stack.pop()
         if isinstance(cur, ast.Name):
             yield cur.id, None
-        elif isinstance(cur, ast.Attribute) and isinstance(cur.value, ast.Name):
-            yield cur.value.id, cur.attr
+        elif isinstance(cur, ast.Attribute):
+            yield (cur.value.id if isinstance(cur.value, ast.Name) else None), cur.attr
         for field, value in ast.iter_fields(cur):
             if field in ("annotation", "returns"):
                 continue
@@ -117,4 +123,22 @@ def test_every_function_and_class_is_run_or_allowed():
     )
     assert [name for name in orphans if name not in ALLOWED] == []
     # an entry that a command now reaches, or that no longer exists, goes
-    assert sorted(ALLOWED) == orphans
+    assert sorted(k for k in ALLOWED if k.count(".") == 1) == orphans
+
+
+def test_every_method_is_read_or_allowed():
+    defs = {m: _top_level(t) for m, t in _modules().items()}
+    code = {key: defs[key.split(".")[0]][key.split(".")[1]]
+            for key in reachable() | {k for k in ALLOWED if k.count(".") == 1}}
+    read = {attr for node in code.values() for _, attr in _read_names(node) if attr}
+    orphans = sorted(
+        f"{key}.{node.name}"
+        for key, cls in code.items()
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    )
+    assert [name for name in orphans if name not in ALLOWED] == []
+    assert sorted(k for k in ALLOWED if k.count(".") == 2) == orphans
