@@ -156,19 +156,30 @@ class CertReport:
         return asdict(self)
 
 
-def first_violation(violated: np.ndarray, witness: Callable[[int], dict],
-                    pitch: float | None = None) -> CertReport:
-    """The report of a certificate evaluated on all samples at once.
+def grid_certificate(grid: np.ndarray, width: int, failing: Callable, witness: Callable[..., dict],
+                     pitch: float | None = None) -> CertReport:
+    """A certificate over the rows of an (M, d) grid, in passes of as many rows
+    as `geometry.PASS_ELEMENTS` holds at `width` elements a row.
 
-    `violated` marks the failing samples in sample order; the first of them
-    becomes the witness (built by `witness(index)`), and `checked` counts
-    the samples up to it, as a loop stopping there would.
+    `failing(rows)` yields, for a pass's rows, one (mask, detail) pair per way
+    a row can fail, in a per-sample loop's order.  The first pass with a
+    failing row ends the check: that row is evaluated again alone, the
+    witness is its point and `witness(*detail)` of its first failing
+    detail, and `checked` counts the rows up to it, as a loop stopping
+    there would.
     """
-    hits = np.flatnonzero(violated)
-    if len(hits) == 0:
-        return CertReport(holds=True, witness=None, checked=len(violated), grid_pitch=pitch)
-    first = int(hits[0])
-    return CertReport(holds=False, witness=witness(first), checked=first + 1, grid_pitch=pitch)
+    step = max(1, geometry.PASS_ELEMENTS // width)
+    for lo in range(0, len(grid), step):
+        rows = grid[lo:lo + step]
+        hit = np.zeros(len(rows), dtype=bool)
+        for mask, _ in failing(rows):
+            hit |= mask
+        if hit.any():
+            g = lo + int(np.argmax(hit))
+            detail = next(d for mask, d in failing(grid[g:g + 1]) if mask[0])
+            return CertReport(holds=False, witness={"x": grid[g].tolist(), **witness(*detail)},
+                              checked=g + 1, grid_pitch=pitch)
+    return CertReport(holds=True, witness=None, checked=len(grid), grid_pitch=pitch)
 
 
 def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
@@ -196,20 +207,22 @@ def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence,
     """Certify <x - y, phi(x) - y> <= CERT_TOL for some proximal y, on every sample.
 
     phi runs once per sample, a row of the (M, d) domain as floats; the
-    projections and inner products run over the whole domain at once.  The
+    projections and inner products run over a pass of rows at once.  The
     first failing sample becomes the witness: its point, step value, best
     proximal candidate and the (positive) inner product, all of which
     reproduce the violation bit-exactly on re-evaluation in dot3's order.
     """
     x = np.asarray(domain, dtype=float)
-    steps = np.asarray([phi(tuple(p)) for p in x.tolist()], dtype=float).reshape(x.shape)
-    inner, proximal, _ = _best_inner(oracle, x, steps)
-    return first_violation(inner > CERT_TOL, lambda i: {
-        "x": x[i].tolist(),
-        "phi_x": steps[i].tolist(),
-        "proximal": proximal[i].tolist(),
-        "inner": float(inner[i]),
-    }, pitch)
+
+    def failing(rows):
+        steps = np.asarray([phi(tuple(p)) for p in rows.tolist()], dtype=float).reshape(rows.shape)
+        inner, proximal, _ = _best_inner(oracle, rows, steps)
+        yield inner > CERT_TOL, (steps, proximal, inner)
+
+    def witness(steps, proximal, inner):
+        return {"phi_x": steps[0].tolist(), "proximal": proximal[0].tolist(), "inner": float(inner[0])}
+
+    return grid_certificate(x, oracle.pieces * x.shape[1], failing, witness, pitch)
 
 
 def premise_start(traj: Trajectory, oracle: ProximalOracle) -> int | None:

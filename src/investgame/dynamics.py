@@ -96,8 +96,7 @@ def stages(phi: Callable, x1: Sequence[float], n: int) -> Iterator[tuple[tuple[f
     With steps that are integer multiples of 2**-e and max|v| * n * 2**e <
     2**53 every P is exact, so P + m*s equals m sequential additions of s.
     """
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
+    _check_horizon(n)
     start = tuple(float(c) for c in x1)
     body = {2: _stages_2d, 3: _stages_3d}.get(len(start))
     if body is None:
@@ -132,6 +131,14 @@ def _stages_2d(phi: Callable, start: tuple[float, ...], n: int):
         p1 += s1
         mean = ((a0 + p0) / k, (a1 + p1) / k)
         yield mean, step
+
+
+def _check_horizon(n: int) -> None:
+    """Refuse a horizon below 1, or one that no array index holds: no run of it would end."""
+    if n < 1:
+        raise ValueError("horizon must be at least 1")
+    if n > sys.maxsize:
+        raise ValueError(f"n = {n:.15g} is beyond {sys.maxsize}, the largest horizon an array index holds")
 
 
 def iterate(phi: Callable, x1: Sequence[float], n: int) -> Trajectory:
@@ -189,10 +196,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     Tail statistics cover the means from `tail_start(n, window)` on.
     """
     require_valid(params)
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
-    if n > sys.maxsize:
-        raise ValueError(f"n = {n:.15g} is beyond {sys.maxsize}, the largest horizon an array index holds")
+    _check_horizon(n)
     first = tail_start(n, window)
     cells = len(profiles)
     if len(starts) != cells or any(len(p) != 3 for p in profiles) or any(len(x) != 3 for x in starts):
@@ -348,8 +352,14 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     differ in the last bit, and only past ~1e7 stages.
     """
     require_valid(params)
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
+    table = payoff_table(params)
+    horizon = _exact_horizon(table)
+    exact = n <= horizon
+    if not exact and horizon >= 1:
+        # every stage would be stepped: hours at 1e12 stages, forever beyond
+        raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
+                         "at which this game's payoff sums are exact")
+    _check_horizon(n)  # after the exact-sum bound, the tighter one where there is one
     start = tuple(float(c) for c in x1)
     if len(profile) != 3 or len(start) != 3:
         raise ValueError("need a 3-vector start and a profile of three strategies")
@@ -360,13 +370,6 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         elif type(s) is not ConstantStrategy:
             raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
     first_tail = tail_start(n, window) + 1
-    table = payoff_table(params)
-    horizon = _exact_horizon(table)
-    exact = n <= horizon
-    if not exact and horizon >= 1:
-        # every stage would be stepped: hours at 1e12 stages, forever beyond
-        raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
-                         "at which this game's payoff sums are exact")
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
     threshold = _MARGIN_REL * scale

@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry
-from .approachability import CERT_TOL, CertReport, first_violation
+from .approachability import CERT_TOL, CertReport, grid_certificate
 from .geometry import V_DIRS, dot3, norm3, plane_grid, project_plane
 from .stage_game import ALL_INVEST, GameParams, payoff_table, require_valid
 
@@ -181,36 +180,15 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
         return {"direction_index": i + 1, "value": list(mmap.values[j]), "inner": inner[i][j],
                 "support": float(support[0])}
 
-    return _grid_certificate(spec, mmap, grid, violations, witness, pitch)
+    return _plane_certificate(spec, mmap, grid, violations, witness, pitch)
 
 
-def _grid_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
-    """A grid certificate over an (M, 3) grid, evaluated in passes of as many
-    rows as `geometry.PASS_ELEMENTS` holds at max(3, len(mmap.values))
-    elements a row: its coordinates, or the map values it keeps.
-
-    `violations(cols, support, alive)` yields, for the rows' coordinate
-    columns, their support values and the map values each keeps, one
-    (mask, detail) pair per way a row can fail, in a per-sample loop's
-    order.  The first failing sample is evaluated again alone, and its
-    first failing detail goes to `witness(*detail)`.
-    """
-    grid = np.asarray(grid, dtype=float).reshape(-1, 3)
-
-    def failing(rows):
-        return violations(rows.T, _support(spec, rows.T), mmap.alive(rows.T))
-
-    violated = np.zeros(len(grid), dtype=bool)
-    step = max(1, geometry.PASS_ELEMENTS // max(3, len(mmap.values)))
-    for lo in range(0, len(grid), step):
-        for hit, _ in failing(grid[lo:lo + step]):
-            violated[lo:lo + step] |= hit
-
-    def first(g):
-        detail = next(d for hit, d in failing(grid[g:g + 1]) if hit[0])
-        return {"x": grid[g].tolist(), **witness(*detail)}
-
-    return first_violation(violated, first, pitch)
+def _plane_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
+    """`grid_certificate` over an (M, 3) grid, a row's elements its coordinates or the map values
+    it keeps; `violations(cols, support, alive)` reads the rows' columns, V and kept values."""
+    return grid_certificate(np.asarray(grid, dtype=float).reshape(-1, 3), max(3, len(mmap.values)),
+                            lambda rows: violations(rows.T, _support(spec, rows.T), mmap.alive(rows.T)),
+                            witness, pitch)
 
 
 @dataclass(frozen=True)
@@ -284,7 +262,7 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
     def witness(w, a, lhs, rhs):
         return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}
 
-    return _grid_certificate(spec, mmap, grid, violations, witness, pitch)
+    return _plane_certificate(spec, mmap, grid, violations, witness, pitch)
 
 
 @dataclass

@@ -63,12 +63,6 @@ class GameParams:
     p2: float
     p3: float
 
-    def as_dict(self) -> dict:
-        return {
-            "r0": self.r0, "r1": self.r1, "r2": self.r2,
-            "p1": self.p1, "p2": self.p2, "p3": self.p3,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "GameParams":
         try:

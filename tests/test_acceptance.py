@@ -8,6 +8,7 @@ and batteries are pinned here, not configurable.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ def test_criterion_scalar_mean_cap():
 
 def test_criterion_determinism(tmp_path):
     game = tmp_path / "game.json"
-    game.write_text(json.dumps(PARAMS.as_dict()))
+    game.write_text(json.dumps(asdict(PARAMS)))
     run = tmp_path / "run.json"
     run.write_text(json.dumps({
         "strategies": [

@@ -146,6 +146,12 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_horizon_beyond_an_index_writes_no_file(self, tmp_path):
+        cfg = write_json(tmp_path, "run.json", dict(GOOD_RUN, n=1e300))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_rows_stream_in_constant_memory(self, tmp_path):
         # 50 000 rows of means and steps held at once take several MB
         run = dict(GOOD_RUN, n=50_000, strategies=[
@@ -492,6 +498,11 @@ BAD_INPUTS = {
     # the batteries index their stages: a horizon past sys.maxsize is refused before any draw
     "t4-horizon-beyond-index": ("verify t4", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     "t2-horizon-beyond-index": ("verify t2", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
+    # so does every stage loop: no run of such a horizon would end
+    "simulate-horizon-beyond-index": ("simulate", {"strategies": GOOD3, "n": 1e300},
+                                      f"n = 1e+300 is beyond {sys.maxsize}"),
+    "example1-horizon-beyond-index": ("verify example1", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
+    "example2-horizon-beyond-index": ("verify example2", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     # the horizon is checked before the tail window is placed in it
     "t4-negative-horizon": ("verify t4", {"n": -5}, "horizon must be at least 1000"),
     "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
@@ -510,6 +521,16 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     assert err.startswith("error: ")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_t3_horizon_beyond_an_index_on_a_rounding_game(tmp_path, capsys):
+    # no payoff sum of this game is certified exact, so t3 has no exact
+    # horizon to refuse 1e300 by, and the stage loop's own check must
+    game = write_json(tmp_path, "game.json", {"r0": 5.1, "r1": 8.3, "r2": 12.7, "p1": 3.3, "p2": 7.1, "p3": 11.3})
+    cfg = write_json(tmp_path, "cfg.json", {"n": 1e300, "game": game})
+    assert main(["verify", "t3", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n = 1e+300 is beyond {sys.maxsize}, the largest horizon an array index holds\n"
 
 
 @pytest.mark.parametrize("command", ["verify t3", "verify t4", "verify t2", "verify example1",

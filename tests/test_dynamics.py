@@ -13,6 +13,7 @@ import pytest
 from investgame import dynamics
 from investgame.dynamics import (
     iterate,
+    simulate_batch,
     simulate_events,
     stages,
     tail_start,
@@ -518,6 +519,17 @@ class TestEventEngine:
         # stepping every stage of such a horizon would not end
         with pytest.raises(ValueError, match=f"is beyond {2**53 // 36}, the largest horizon"):
             simulate_events(good_profile(PARAMS, 0.4), PARAMS, VS.A, n, 0.5)
+
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**300])
+    def test_every_engine_refuses_a_horizon_beyond_an_index(self, n):
+        # no run of such a horizon would end; no payoff sum of TENTHS is
+        # exact, so simulate_events has no exact horizon to refuse it by
+        profile, start = good_profile(TENTHS, 0.04), vertices(TENTHS).c1[0]
+        for run in (lambda: stages(induced_map(profile, TENTHS), start, n),
+                    lambda: simulate_batch([profile], TENTHS, [start], n, 0.5),
+                    lambda: simulate_events(profile, TENTHS, start, n, 0.5)):
+            with pytest.raises(ValueError, match=f"is beyond {sys.maxsize}, the largest horizon an array"):
+                run()
 
     def test_rejects_other_seats(self):
         class Shy(GoodStrategy):

@@ -8,7 +8,8 @@ reads, through the module's own definitions, its `from .x import y`
 imports and attributes of its `from . import x` modules.  A reached class
 reaches its whole body.  A method of a reached or allowed class is reached
 when reached or allowed code reads an attribute of its name; dunder
-methods are exempt.  Annotations are skipped, since they run nothing.
+methods are exempt.  A method name that several classes share counts as
+read for all of them.  Annotations are skipped, since they run nothing.
 """
 
 import ast

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from itertools import permutations
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestVertices:
 
 def test_round_trip_through_dict():
     params = example_game()
-    assert GameParams.from_dict(params.as_dict()) == params
+    assert GameParams.from_dict(asdict(params)) == params
 
 
 def test_from_dict_missing_key():
