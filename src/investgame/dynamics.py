@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import good_region, inequality_margins
+from .geometry import RegionSpec, inequality_margins
 from .stage_game import GameParams, payoff_table, require_valid
 from .strategies import ConstantStrategy, GoodColumns, GoodStrategy, RandomStrategy, Strategy
 
@@ -302,6 +302,9 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
 #: the exact one, which costs s g(L) under 1.01u (a + b) <= 6.06u*S (as
 #: a b / (a + b) <= (a + b) / 4): the exact margin stays above 11.9u*S.
 _MARGIN_REL = 32 * 2.0 ** -53
+#: The shortest run `harness.HarnessConfig` takes: on a game whose exact-sum
+#: bound is below it, `simulate_events` steps every stage rather than refuse.
+MIN_RUN = 1000
 
 
 @dataclass(frozen=True)
@@ -338,12 +341,13 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
 
     The means are those of `iterate` on `induced_map(profile, params)`, bit
     for bit.  At each stage the profile is decided.  When the payoff sums
-    are exact at this horizon (checked once, see `_exact_horizon`), each
-    inequality of the good seats' regions keeps its truth value up to an
-    end solved in closed form from its margins at the stretch's first mean
-    and at the step (see `_MARGIN_REL`), or for good if every coordinate it
-    reads is exactly stationary (mean equal to the step), and the engine
-    jumps to the earliest end; otherwise it steps one stage.
+    are exact at this horizon (checked once, see `_exact_horizon`; past a
+    bound of at least `MIN_RUN` the horizon is refused), each inequality
+    of the good seats' regions keeps its truth value up to an end solved
+    in closed form from its margins at the stretch's first mean and at the
+    step (see `_MARGIN_REL`), or for good if every coordinate it reads is
+    exactly stationary (mean equal to the step), and the engine jumps to
+    the earliest end; otherwise it steps one stage.
 
     Tail extrema are taken at segment endpoints and at the tail's first
     stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
@@ -355,7 +359,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     table = payoff_table(params)
     horizon = _exact_horizon(table)
     exact = n <= horizon
-    if not exact and horizon >= 1:
+    if not exact and horizon >= MIN_RUN:
         # every stage would be stepped: hours at 1e12 stages, forever beyond
         raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
                          "at which this game's payoff sums are exact")
@@ -366,7 +370,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     specs = []
     for s in profile:
         if type(s) is GoodStrategy:
-            specs.append(good_region(s.player, s.eps))
+            specs.append(RegionSpec("v", s.player, s.eps))
         elif type(s) is not ConstantStrategy:
             raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
     first_tail = tail_start(n, window) + 1

@@ -88,36 +88,18 @@ def to_plane_coords(y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A labeled region with the parameters its membership predicate needs."""
+    """A labeled payoff region, for `player` i with opponents j and k:
+
+    - "omega_eps": {x in S : x_i > x_j - eps and x_i > x_k - eps} (strict);
+    - "w": the stop-investing trigger {x_i < r0 or x_j + x_k > 2 p3} (strict);
+    - "v": V_i = "omega_eps" minus "w", where player i's threshold strategy invests;
+    - "omega_max": {x : x_i is a maximal coordinate};
+    - "phi_min": {x : x_i is a minimal coordinate}.
+    """
 
     kind: str
     player: int = 0
     eps: float = 0.0
-
-
-def omega_eps_region(i: int, eps: float) -> RegionSpec:
-    """{x in S : x_i > x_j - eps for both opponents j} (strict)."""
-    return RegionSpec(kind="omega_eps", player=i, eps=eps)
-
-
-def w_region(i: int) -> RegionSpec:
-    """Stop-investing trigger: {x_i < r0 or x_j + x_k > 2 p3} (strict)."""
-    return RegionSpec(kind="w", player=i)
-
-
-def good_region(i: int, eps: float) -> RegionSpec:
-    """V_i: where player i's threshold strategy invests."""
-    return RegionSpec(kind="v", player=i, eps=eps)
-
-
-def argmax_region(i: int) -> RegionSpec:
-    """{x : x_i is a maximal coordinate}."""
-    return RegionSpec(kind="omega_max", player=i)
-
-
-def argmin_region(i: int) -> RegionSpec:
-    """{x : x_i is a minimal coordinate}."""
-    return RegionSpec(kind="phi_min", player=i)
 
 
 def _others(i: int) -> tuple[int, int]:

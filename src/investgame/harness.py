@@ -52,6 +52,7 @@ from .approachability import (
     refine_attractor,
 )
 from .dynamics import (
+    MIN_RUN,
     BatchTails,
     iterate,
     simulate_batch,
@@ -59,8 +60,8 @@ from .dynamics import (
     tail_start,
 )
 from .geometry import (
+    RegionSpec,
     dist_to_region,
-    good_region,
     grid_slack,
     hull_point,
     in_hull,
@@ -130,8 +131,8 @@ class HarnessConfig:
 
     def __post_init__(self):
         require_valid(self.params)
-        if self.n < 1000:
-            raise ValueError("horizon must be at least 1000")
+        if self.n < MIN_RUN:
+            raise ValueError(f"horizon must be at least {MIN_RUN}")
         tail_start(self.n, self.window)
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
@@ -275,7 +276,7 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
     params = config.params
     if pairs is None:
         pairs = deviant_pairs(params, config.eps)
-    v1 = good_region(1, config.eps)
+    v1 = RegionSpec("v", 1, config.eps)
     # own_tail_min is a floor, the other two are caps.
     bound = {
         "own_tail_min": params.r0 - config.slack,

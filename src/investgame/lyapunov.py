@@ -235,18 +235,16 @@ def t1_constants(spec: SupportSpec, m_bound: float) -> LyapunovConstants:
 
 
 def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConstants, grid: Sequence,
-                   alphas: Sequence[float] | None = None, pitch: float | None = None) -> CertReport:
+                   pitch: float | None = None) -> CertReport:
     """Certify V(a w + (1-a) x) <= V(x) - a gamma (+ CERT_TOL) on the sampled domain.
 
-    Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0} by default, for
-    every map value w at every grid point outside Delta_c, one (w, a) pair
-    at a time over the grid points where the map keeps w; their failures
-    are scattered back to grid order.  The witness is the first violating
+    Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0}, for every map
+    value w at every grid point outside Delta_c, one (w, a) pair at a time
+    over the grid points where the map keeps w; their failures are
+    scattered back to grid order.  The witness is the first violating
     (w, a) at the first violating sample.
     """
-    if alphas is None:
-        a0 = consts.alpha0
-        alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
+    alphas = [consts.alpha0 / d for d in (8, 4, 2, 1)]
 
     def violations(cols, support, alive):
         for j, w in enumerate(mmap.values):

@@ -18,15 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 INVEST = "I"
 NOT_INVEST = "NI"
-ACTIONS = (INVEST, NOT_INVEST)
-
-#: All 8 action profiles (a1, a2, a3).
-ALL_PROFILES = tuple(product(ACTIONS, repeat=3))
 
 PayoffVector = tuple[float, float, float]
 ActionProfile = tuple[str, str, str]

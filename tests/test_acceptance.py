@@ -23,15 +23,7 @@ from investgame.approachability import (
 )
 from investgame.cli import main
 from investgame.dynamics import iterate, tail_start
-from investgame.geometry import (
-    good_region,
-    argmax_region,
-    argmin_region,
-    omega_eps_region,
-    region_mask,
-    sample_points,
-    w_region,
-)
+from investgame.geometry import RegionSpec, region_mask, sample_points
 from investgame.harness import (
     HarnessConfig,
     example1_starts,
@@ -233,10 +225,10 @@ def test_criterion_region_algebra():
     n = 100_000
     pts = sample_points(PARAMS, n, seed=123)
     eps = 0.4
-    v = [region_mask(PARAMS, good_region(i, eps), pts) for i in (1, 2, 3)]
-    om = [region_mask(PARAMS, argmax_region(i), pts) for i in (1, 2, 3)]
-    ph = [region_mask(PARAMS, argmin_region(i), pts) for i in (1, 2, 3)]
-    w = [region_mask(PARAMS, w_region(i), pts) for i in (1, 2, 3)]
+    v = [region_mask(PARAMS, RegionSpec("v", i, eps), pts) for i in (1, 2, 3)]
+    om = [region_mask(PARAMS, RegionSpec("omega_max", i), pts) for i in (1, 2, 3)]
+    ph = [region_mask(PARAMS, RegionSpec("phi_min", i), pts) for i in (1, 2, 3)]
+    w = [region_mask(PARAMS, RegionSpec("w", i), pts) for i in (1, 2, 3)]
     fails = 0
     for i in range(3):
         j, k = [m for m in range(3) if m != i]
@@ -250,7 +242,7 @@ def test_criterion_region_algebra():
     for e in (0.1, 0.4):
         omega = np.ones(n, dtype=bool)
         for i in (1, 2, 3):
-            omega &= region_mask(PARAMS, omega_eps_region(i, e), pts)
+            omega &= region_mask(PARAMS, RegionSpec("omega_eps", i, e), pts)
         c = e / S2
         dl = _support(six_direction_spec(c), proj.T) < c
         eq20_fails += int(np.sum(omega != dl))

@@ -13,6 +13,7 @@ per-row reference in its own operand order.
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -159,10 +160,9 @@ def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, pitch=None):
     return ref_first_violation(grid, violation, pitch)
 
 
-def ref_decrease_check(spec, mmap, consts, grid, alphas=None, tol=1e-9, pitch=None):
-    if alphas is None:
-        a0 = consts.alpha0
-        alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
+def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None):
+    a0 = consts.alpha0
+    alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
 
     def violation(x):
         v, _ = support_value(spec, x)
@@ -302,21 +302,23 @@ def test_lyapunov_matches_reference(name):
 def _decrease_cases():
     out = []
     for name, (spec, mmap) in _plane_cases().items():
-        out.append((name, spec, mmap, t1_constants(spec, 60.0), None))
+        out.append((name, spec, mmap, t1_constants(spec, 60.0)))
     spec, mmap = _plane_cases()["all_good"]
-    out.append(("alpha_override", spec, mmap, t1_constants(spec, 60.0), (0.5, 1.0)))
-    out.append(("mid_grid_alpha", spec, mmap, t1_constants(spec, 60.0), (0.01, 0.05)))
+    # alpha0 past its cap: the ladder up to 1 fails at the first sample,
+    # the ladder up to 0.05 midway through the grid
+    out.append(("alpha_override", spec, mmap, replace(t1_constants(spec, 60.0), alpha0=1.0)))
+    out.append(("mid_grid_alpha", spec, mmap, replace(t1_constants(spec, 60.0), alpha0=0.05)))
     inflated = LyapunovConstants(m_bound=60.0, delta=spec.delta, r=spec.delta / 4, gamma=10.0, alpha0=3e-4)
-    out.append(("inflated_gamma", spec, mmap, inflated, None))
+    out.append(("inflated_gamma", spec, mmap, inflated))
     return out
 
 
 @pytest.mark.parametrize("case", _decrease_cases(), ids=lambda c: c[0])
 def test_decrease_matches_reference(case):
-    name, spec, mmap, consts, alphas = case
+    name, spec, mmap, consts = case
     grid = certification_grid(spec, PARAMS, 0.25)
-    got = decrease_check(spec, mmap, consts, grid, alphas=alphas, pitch=0.25)
-    assert_same_report(got, ref_decrease_check(spec, mmap, consts, grid, alphas=alphas, pitch=0.25))
+    got = decrease_check(spec, mmap, consts, grid, pitch=0.25)
+    assert_same_report(got, ref_decrease_check(spec, mmap, consts, grid, pitch=0.25))
     assert got.holds == (name in ("all_good", "two_good"))
 
 
@@ -330,10 +332,12 @@ def test_witness_is_the_first_failing_pair_of_the_sample():
     assert_same_report(rep, ref_check_lyapunov(spec, mmap, grid))
     assert (rep.witness["direction_index"], rep.witness["value"]) == (5, [1.0, 0.0, -1.0])
     mmap = PlaneMultiMap([(-2.0, 4.0, -2.0), (2.0, -1.0, -1.0)], (), label="probe")
-    consts = t1_constants(spec, 60.0)
-    rep = decrease_check(spec, mmap, consts, grid, alphas=(0.1, 0.9))
-    assert_same_report(rep, ref_decrease_check(spec, mmap, consts, grid, alphas=(0.1, 0.9)))
-    assert (rep.witness["value"], rep.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.9)
+    # on the ladder (0.1125, 0.225, 0.45, 0.9) the second value fails from the
+    # first alpha, the first value only from the third
+    consts = replace(t1_constants(spec, 60.0), alpha0=0.9)
+    rep = decrease_check(spec, mmap, consts, grid)
+    assert_same_report(rep, ref_decrease_check(spec, mmap, consts, grid))
+    assert (rep.witness["value"], rep.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.45)
 
 
 def test_delta_active_set_includes_its_boundary():

@@ -2,22 +2,22 @@
 the canonical example payoffs."""
 
 import math
+import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from investgame.geometry import (
-    argmax_region,
-    argmin_region,
-    dist_to_region,
-    good_region,
-    grid_slack,
-    omega_eps_region,
-    region_mask,
-    sample_points,
-    w_region,
+from investgame import harness
+from investgame.geometry import RegionSpec, dist_to_region, grid_slack, region_mask, sample_points
+from investgame.harness import (
+    HarnessConfig,
+    default_starts,
+    standard_deviants,
+    verify_t2,
+    verify_t3,
+    verify_t4,
 )
-from investgame.harness import HarnessConfig, standard_deviants, verify_t2, verify_t3, verify_t4
 from investgame.lyapunov import (
     _support,
     certification_grid,
@@ -44,10 +44,10 @@ def test_other_game_is_admissible():
 
 def test_region_algebra_transfers():
     pts = sample_points(OTHER, 20_000, seed=42)
-    v = [region_mask(OTHER, good_region(i, EPS), pts) for i in (1, 2, 3)]
-    om = [region_mask(OTHER, argmax_region(i), pts) for i in (1, 2, 3)]
-    ph = [region_mask(OTHER, argmin_region(i), pts) for i in (1, 2, 3)]
-    w = [region_mask(OTHER, w_region(i), pts) for i in (1, 2, 3)]
+    v = [region_mask(OTHER, RegionSpec("v", i, EPS), pts) for i in (1, 2, 3)]
+    om = [region_mask(OTHER, RegionSpec("omega_max", i), pts) for i in (1, 2, 3)]
+    ph = [region_mask(OTHER, RegionSpec("phi_min", i), pts) for i in (1, 2, 3)]
+    w = [region_mask(OTHER, RegionSpec("w", i), pts) for i in (1, 2, 3)]
     for i in range(3):
         j, k = [m for m in range(3) if m != i]
         assert not np.any(om[i] & w[i])
@@ -61,7 +61,7 @@ def test_plane_equivalence_transfers():
     c = EPS / math.sqrt(2.0)
     omega = np.ones(len(pts), dtype=bool)
     for i in (1, 2, 3):
-        omega &= region_mask(OTHER, omega_eps_region(i, EPS), pts)
+        omega &= region_mask(OTHER, RegionSpec("omega_eps", i, EPS), pts)
     proj = pts - pts.mean(axis=1, keepdims=True)
     assert np.array_equal(omega, _support(six_direction_spec(c), proj.T) < c)
 
@@ -114,10 +114,60 @@ def test_all_good_converges_to_b():
 
 @pytest.mark.parametrize("query", [(2.0, 10.0, 3.0), (12.0, 3.0, 9.0), (6.0, 6.0, 11.0)])
 def test_dist_to_region_against_sampling_oracle(query):
-    spec = good_region(1, EPS)
+    spec = RegionSpec("v", 1, EPS)
     d = dist_to_region(OTHER, spec, query, 0.25)
     cand = sample_points(OTHER, 300_000, seed=45)
     keep = cand[region_mask(OTHER, spec, cand, closed=True)]
     oracle = float(np.linalg.norm(keep - np.asarray(query), axis=1).min())
     # both overestimate the true distance; they must agree up to their slacks
     assert abs(d - oracle) <= grid_slack(0.25) + 0.1
+
+
+#: Admissible games whose payoff sums are exact for 3 and for 1 stage, too
+#: few for a harness run to jump, so `verify t3` steps every stage.
+SHORT_EXACT_HORIZON = (
+    GameParams(r0=6.5, r1=20.0, r2=20.1, p1=3.5, p2=16.0, p3=21.1),
+    GameParams(r0=5.1, r1=6.3, r2=7.7, p1=4.3, p2=5.3, p3=6.9),
+)
+
+
+def sampled_games(seed: int, per_grid: int) -> list[GameParams]:
+    """`per_grid` admissible games with payoffs in (0, 30] on each of the
+    grids 0.1, 0.25 and 1, drawn by rejection."""
+    rng = random.Random(seed)
+    games = []
+    for steps in (10, 4, 1):
+        found = 0
+        while found < per_grid:
+            game = GameParams(*(rng.randint(1, 30 * steps) / steps for _ in range(6)))
+            if validate_params(game).ok:
+                games.append(game)
+                found += 1
+    return games
+
+
+@pytest.mark.parametrize("game", SHORT_EXACT_HORIZON + tuple(sampled_games(seed=5, per_grid=4)),
+                         ids=lambda g: ",".join(f"{v:g}" for v in astuple(g)))
+def test_t3_cells_match_iterate_on_admissible_games(game, monkeypatch):
+    # verify_t3 runs every admissible game, and each cell's final mean, tail
+    # intervals and entry into V^3 are those of the recorded trajectory
+    runs, simulate_events = [], harness.simulate_events
+
+    def recorded(*args):
+        runs.append(simulate_events(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "simulate_events", recorded)
+    config = HarnessConfig(game, starts=tuple(random.Random(repr(game)).sample(default_starts(), 3)), n=2000)
+    report = verify_t3(config)
+    profile = good_profile(game, config.eps)
+    phi = induced_map(profile, game)
+    for cell, run, x1 in zip(report.cells, runs, config.start_points(), strict=True):
+        traj = iterate(phi, x1, config.n)
+        tail = traj.tail(config.window)
+        entry = next((k for k, mean in enumerate(traj.means, 1)
+                      if all(s.invests(mean) for s in profile)), None)
+        assert run.final == traj.final
+        assert cell["tail_intervals"] == [list(pair) for pair in zip(tail.min(axis=0).tolist(),
+                                                                     tail.max(axis=0).tolist())]
+        assert cell["entered_v3_at"] == entry

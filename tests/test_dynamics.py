@@ -93,10 +93,11 @@ class TestIterate:
         assert bool(np.all(hull_mask(VS.all_points(), traj.means_array())))
 
     def test_absorption_once_inside_v3(self):
-        from investgame.geometry import good_region, region_mask
+        from investgame.geometry import RegionSpec, region_mask
 
         traj = iterate(all_good_phi(), VS.c1[0], 20_000)
-        inside = np.all([region_mask(PARAMS, good_region(i, 0.4), traj.means_array()) for i in (1, 2, 3)], axis=0)
+        inside = np.all([region_mask(PARAMS, RegionSpec("v", i, 0.4), traj.means_array())
+                         for i in (1, 2, 3)], axis=0)
         assert inside.any()
         entered = int(np.argmax(inside)) + 1
         assert inside[entered - 1:].all()

@@ -9,20 +9,15 @@ from investgame.approachability import HullOracle
 from investgame.geometry import (
     V_DIRS,
     RegionSpec,
-    argmax_region,
-    argmin_region,
     dist_to_region,
     dot3,
-    good_region,
     grid_slack,
     hull_mask,
     hull_point,
     in_closure,
-    omega_eps_region,
     project_plane,
     region_mask,
     sample_points,
-    w_region,
 )
 from investgame.lyapunov import _support, six_direction_spec
 from investgame.stage_game import GameParams, example_game, vertices
@@ -108,18 +103,18 @@ def _reference(spec, x, closed: bool) -> bool:
 class TestMembership:
     def test_good_region_contains_a(self):
         # 20 > 19.6 on both comparisons; neither trigger fires at A
-        assert region_mask(PARAMS, good_region(1, 0.4), [(20.0, 20.0, 20.0)])[0]
+        assert region_mask(PARAMS, RegionSpec("v", 1, 0.4), [(20.0, 20.0, 20.0)])[0]
 
     def test_good_region_excludes_low_own_payoff(self):
-        assert not region_mask(PARAMS, good_region(1, 0.4), [(19.0, 26.0, 26.0)])[0]
+        assert not region_mask(PARAMS, RegionSpec("v", 1, 0.4), [(19.0, 26.0, 26.0)])[0]
 
     def test_boundary_own_payoff_still_invests(self):
         # x1 exactly r0: the strict exploitation trigger does not fire
-        assert region_mask(PARAMS, good_region(1, 0.4), [(20.0, 20.3, 20.1)])[0]
+        assert region_mask(PARAMS, RegionSpec("v", 1, 0.4), [(20.0, 20.3, 20.1)])[0]
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(ValueError):
-            in_closure(PARAMS, good_region(1, 0.4), (1.0, 2.0))
+            in_closure(PARAMS, RegionSpec("v", 1, 0.4), (1.0, 2.0))
 
     def test_unknown_kind_raises(self):
         pts = sample_points(PARAMS, 4, seed=1)
@@ -131,8 +126,8 @@ class TestMembership:
     def test_scalar_matches_vectorized(self):
         pts = sample_points(PARAMS, 1500, seed=3)
         specs = [
-            good_region(2, 0.4), w_region(3), argmax_region(1),
-            argmin_region(2), omega_eps_region(3, 0.1),
+            RegionSpec("v", 2, 0.4), RegionSpec("w", 3), RegionSpec("omega_max", 1),
+            RegionSpec("phi_min", 2), RegionSpec("omega_eps", 3, 0.1),
         ]
         for spec in specs:
             vec = region_mask(PARAMS, spec, pts)
@@ -146,8 +141,8 @@ class TestMembership:
         in_s = hull_mask(VS.all_points(), pts)
         specs = []
         for i in (1, 2, 3):
-            specs += [good_region(i, 0.4), omega_eps_region(i, 0.1), w_region(i),
-                      argmax_region(i), argmin_region(i)]
+            specs += [RegionSpec("v", i, 0.4), RegionSpec("omega_eps", i, 0.1), RegionSpec("w", i),
+                      RegionSpec("omega_max", i), RegionSpec("phi_min", i)]
         for spec in specs:
             vec = region_mask(PARAMS, spec, pts)
             vec_closed = region_mask(PARAMS, spec, pts, closed=True)
@@ -168,10 +163,10 @@ class TestRegionAlgebra:
     def setup_method(self):
         self.pts = sample_points(PARAMS, self.N, seed=123)
         eps = 0.4
-        self.v = [region_mask(PARAMS, good_region(i, eps), self.pts) for i in (1, 2, 3)]
-        self.om = [region_mask(PARAMS, argmax_region(i), self.pts) for i in (1, 2, 3)]
-        self.ph = [region_mask(PARAMS, argmin_region(i), self.pts) for i in (1, 2, 3)]
-        self.w = [region_mask(PARAMS, w_region(i), self.pts) for i in (1, 2, 3)]
+        self.v = [region_mask(PARAMS, RegionSpec("v", i, eps), self.pts) for i in (1, 2, 3)]
+        self.om = [region_mask(PARAMS, RegionSpec("omega_max", i), self.pts) for i in (1, 2, 3)]
+        self.ph = [region_mask(PARAMS, RegionSpec("phi_min", i), self.pts) for i in (1, 2, 3)]
+        self.w = [region_mask(PARAMS, RegionSpec("w", i), self.pts) for i in (1, 2, 3)]
 
     def test_argmax_and_trigger_are_disjoint(self):
         for i in range(3):
@@ -205,7 +200,7 @@ class TestRegionAlgebra:
             c = eps / math.sqrt(2.0)
             om = np.ones(self.N, dtype=bool)
             for i in (1, 2, 3):
-                om &= region_mask(PARAMS, omega_eps_region(i, eps), self.pts)
+                om &= region_mask(PARAMS, RegionSpec("omega_eps", i, eps), self.pts)
             proj = self.pts - self.pts.mean(axis=1, keepdims=True)
             dl = _support(six_direction_spec(c), proj.T) < c
             assert np.array_equal(om, dl)
@@ -254,14 +249,14 @@ class TestProjectToHull:
 class TestDistances:
     def test_member_reports_zero(self):
         # B satisfies the closed V1 predicate: 26 > 25.6, 26 >= 20, 52 <= 52
-        assert dist_to_region(PARAMS, good_region(1, 0.4), VS.B, 0.25) == 0.0
+        assert dist_to_region(PARAMS, RegionSpec("v", 1, 0.4), VS.B, 0.25) == 0.0
 
     def test_argmax_distance_cross_check(self):
         x = (18.0, 36.0, 18.0)
-        d = dist_to_region(PARAMS, argmax_region(1), x, 0.25)
+        d = dist_to_region(PARAMS, RegionSpec("omega_max", 1), x, 0.25)
         # oracle: dense barycentric sampling of the closed region
         cand = sample_points(PARAMS, 400_000, seed=9)
-        keep = cand[region_mask(PARAMS, argmax_region(1), cand)]
+        keep = cand[region_mask(PARAMS, RegionSpec("omega_max", 1), cand)]
         oracle = float(np.linalg.norm(keep - np.asarray(x), axis=1).min())
         assert d <= oracle + 1e-9  # grid found a closer admissible point
         assert abs(d - oracle) <= grid_slack(0.25) + 0.05
@@ -276,13 +271,14 @@ class TestDistances:
 
     def test_empty_sampled_region_raises(self):
         with pytest.raises(ValueError, match="empty sampled region"):
-            dist_to_region(PARAMS, argmax_region(1), (0.0, 0.0, 0.0), 50.0)
+            dist_to_region(PARAMS, RegionSpec("omega_max", 1), (0.0, 0.0, 0.0), 50.0)
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
-            dist_to_region(PARAMS, argmax_region(1), VS.A, 0.0)
+            dist_to_region(PARAMS, RegionSpec("omega_max", 1), VS.A, 0.0)
 
-    @pytest.mark.parametrize("spec", [good_region(1, 0.4), argmax_region(2), w_region(3)],
+    @pytest.mark.parametrize("spec", [RegionSpec("v", 1, 0.4), RegionSpec("omega_max", 2),
+                                      RegionSpec("w", 3)],
                              ids=["v1", "argmax2", "w3"])
     def test_slab_grid_equals_bounding_box_grid(self, spec):
         # the whole bounding-box meshgrid, masked by S and then the region
@@ -294,7 +290,7 @@ class TestDistances:
 
     def test_non_finite_point_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            dist_to_region(PARAMS, good_region(1, 0.4), (math.nan, 20.0, 20.0), 0.25)
+            dist_to_region(PARAMS, RegionSpec("v", 1, 0.4), (math.nan, 20.0, 20.0), 0.25)
 
 
 #: test_cross_game's admissible game, with payoffs unlike the canonical ones.
@@ -336,7 +332,7 @@ class TestGridDistanceIsTheWholeGridMinimum:
                              ids=["eps0.4", "eps0.1", "other-game"])
     @pytest.mark.parametrize("h", [0.25, 0.5])
     def test_equals_brute_force(self, params, eps, h, t2_finals):
-        spec = good_region(1, eps)
+        spec = RegionSpec("v", 1, eps)
         grid = _closure_grid(params, spec, h)
         queries = [tuple(x) for x in sample_points(params, 300, seed=41)] + list(vertices(params).all_points())
         if params == PARAMS:
@@ -361,6 +357,6 @@ def test_all_vertices_lie_in_s():
 
 def test_closure_refines_membership():
     pts = sample_points(PARAMS, 5000, seed=31)
-    spec = good_region(2, 0.4)
+    spec = RegionSpec("v", 2, 0.4)
     for x in pts[:500][region_mask(PARAMS, spec, pts[:500])]:
         assert in_closure(PARAMS, spec, tuple(x))

@@ -16,8 +16,8 @@ from investgame.dynamics import (
 )
 from investgame.geometry import (
     HULL_TOL,
+    RegionSpec,
     dist_to_region,
-    good_region,
     grid_slack,
     hull_halfspaces,
     norm3,
@@ -137,7 +137,7 @@ def _reference_t3(config):
         arr = traj.means_array()
         inside = np.ones(len(arr), dtype=bool)
         for i in (1, 2, 3):
-            inside &= region_mask(params, good_region(i, config.eps), arr)
+            inside &= region_mask(params, RegionSpec("v", i, config.eps), arr)
         entry = int(np.argmax(inside)) + 1 if inside.any() else None
         dist = norm3([traj.final[k] - b_point[k] for k in range(3)])
         tail = traj.tail(config.window)
@@ -296,7 +296,7 @@ class TestT2:
         geometry._region_slabs.cache_clear()
         try:
             verify_t2(HarnessConfig(params=PARAMS, n=2000))
-            slabs = len(geometry._region_slabs(PARAMS, good_region(1, harness.DEFAULT_EPS), 0.25).x1s)
+            slabs = len(geometry._region_slabs(PARAMS, RegionSpec("v", 1, harness.DEFAULT_EPS), 0.25).x1s)
         finally:
             geometry._region_slabs.cache_clear()
         assert slabs == 105
@@ -364,7 +364,7 @@ def _reference_cells(theorem, config, battery):
                 measured = {
                     "own_tail_min": float(tail[:, 0].min()),
                     "deviators_tail_sum_max": float((tail[:, 1] + tail[:, 2]).max()),
-                    "dist_to_v1": dist_to_region(params, good_region(1, config.eps), traj.final,
+                    "dist_to_v1": dist_to_region(params, RegionSpec("v", 1, config.eps), traj.final,
                                                  config.dist_pitch),
                 }
                 margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
@@ -721,7 +721,7 @@ class TestSafetyChain:
             tail = traj.tail(w)
             assert tail[:, 0].min() >= PARAMS.r0 - 0.05
             assert (tail[:, 1] + tail[:, 2]).max() <= 2 * PARAMS.p3 + 0.05
-            d = dist_to_region(PARAMS, good_region(1, eps), traj.final, 0.25)
+            d = dist_to_region(PARAMS, RegionSpec("v", 1, eps), traj.final, 0.25)
             assert d <= 0.1 + grid_slack(0.25)
 
 

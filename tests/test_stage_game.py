@@ -1,12 +1,11 @@
 import math
 from dataclasses import asdict
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from investgame.stage_game import (
-    ALL_PROFILES,
     INVEST,
     NOT_INVEST,
     GameParams,
@@ -16,6 +15,9 @@ from investgame.stage_game import (
     validate_params,
     vertices,
 )
+
+#: All 8 action profiles (a1, a2, a3).
+PROFILES = tuple(product((INVEST, NOT_INVEST), repeat=3))
 
 
 def params_tuple(r0, r1, r2, p1, p2, p3):
@@ -79,7 +81,7 @@ class TestPayoff:
 
     def test_permutation_equivariance(self):
         params = example_game()
-        for profile in ALL_PROFILES:
+        for profile in PROFILES:
             base = payoff(params, profile)
             for sigma in permutations(range(3)):
                 assert payoff(params, permute(profile, sigma)) == permute(base, sigma)
@@ -87,7 +89,7 @@ class TestPayoff:
     def test_total_welfare_increases_with_investors(self):
         params = example_game()
         totals = {}
-        for profile in ALL_PROFILES:
+        for profile in PROFILES:
             n = sum(a == INVEST for a in profile)
             totals.setdefault(n, sum(payoff(params, profile)))
         assert totals[0] < totals[1] < totals[2] < totals[3]
@@ -108,7 +110,7 @@ class TestVertices:
 
     def test_vertices_are_the_payoff_image(self):
         params = example_game()
-        image = {payoff(params, profile) for profile in ALL_PROFILES}
+        image = {payoff(params, profile) for profile in PROFILES}
         assert image == set(vertices(params).all_points())
 
     def test_convex_combinations_respect_sum_bounds(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_geometry import _boundary_points
 
-from investgame.geometry import good_region, region_mask, sample_points
+from investgame.geometry import RegionSpec, region_mask, sample_points
 from investgame.stage_game import (
     INVEST,
     NOT_INVEST,
@@ -50,7 +50,7 @@ class TestGoodStrategy:
         pts = sample_points(PARAMS, 3000, seed=2)
         for i in (1, 2, 3):
             s = GoodStrategy(i, 0.4, PARAMS)
-            want = region_mask(PARAMS, good_region(i, 0.4), pts)
+            want = region_mask(PARAMS, RegionSpec("v", i, 0.4), pts)
             assert [s.invests(tuple(x)) for x in pts] == want.tolist()
 
     def test_permutation_equivariance(self):
@@ -283,7 +283,7 @@ class TestInducedMap:
         # the piecewise description over the V-cells reproduces phi exactly
         eps = 0.4
         phi = induced_map(good_profile(PARAMS, eps), PARAMS)
-        specs = [good_region(i, eps) for i in (1, 2, 3)]
+        specs = [RegionSpec("v", i, eps) for i in (1, 2, 3)]
         pts = sample_points(PARAMS, 4000, seed=8)
         masks = np.array([region_mask(PARAMS, spec, pts) for spec in specs]).T
         for x, inv in zip(pts, masks.tolist()):
@@ -302,7 +302,7 @@ class TestInducedMap:
     def test_some_player_always_invests_under_all_good(self):
         # the argmax coordinate always lands in its V-region, so the
         # all-refuse cell is empty under the all-good profile
-        specs = [good_region(i, 0.4) for i in (1, 2, 3)]
+        specs = [RegionSpec("v", i, 0.4) for i in (1, 2, 3)]
         pts = sample_points(PARAMS, 4000, seed=12)
         assert np.any([region_mask(PARAMS, s, pts) for s in specs], axis=0).all()
 
@@ -310,7 +310,7 @@ class TestInducedMap:
         # wherever the good player refuses, every opponent reply lands the
         # next payoff inside V1
         eps = 0.4
-        spec = good_region(1, eps)
+        spec = RegionSpec("v", 1, eps)
         landing = {VS.A, VS.c1[1], VS.c1[2], VS.c2[0]}
         assert region_mask(PARAMS, spec, list(landing)).all()
         pts = sample_points(PARAMS, 4000, seed=21)
