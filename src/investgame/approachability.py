@@ -202,25 +202,25 @@ def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
     return inner, best, dist
 
 
-def check_blackwell(phi: Callable, oracle: ProximalOracle, domain: Sequence,
+def check_blackwell(steps: Callable, oracle: ProximalOracle, domain: Sequence,
                     pitch: float | None = None) -> CertReport:
     """Certify <x - y, phi(x) - y> <= CERT_TOL for some proximal y, on every sample.
 
-    phi runs once per sample, a row of the (M, d) domain as floats; the
-    projections and inner products run over a pass of rows at once.  The
-    first failing sample becomes the witness: its point, step value, best
-    proximal candidate and the (positive) inner product, all of which
-    reproduce the violation bit-exactly on re-evaluation in dot3's order.
+    `steps(rows)`, phi in column form (`strategies.induced_columns`), runs
+    once per pass of the (M, d) domain, as do the projections and inner
+    products.  The first failing sample becomes the witness: its point,
+    step value, best proximal candidate and the (positive) inner product,
+    all of which reproduce the violation bit-exactly in dot3's order.
     """
     x = np.asarray(domain, dtype=float)
 
     def failing(rows):
-        steps = np.asarray([phi(tuple(p)) for p in rows.tolist()], dtype=float).reshape(rows.shape)
-        inner, proximal, _ = _best_inner(oracle, rows, steps)
-        yield inner > CERT_TOL, (steps, proximal, inner)
+        phi_x = steps(rows)
+        inner, proximal, _ = _best_inner(oracle, rows, phi_x)
+        yield inner > CERT_TOL, (phi_x, proximal, inner)
 
-    def witness(steps, proximal, inner):
-        return {"phi_x": steps[0].tolist(), "proximal": proximal[0].tolist(), "inner": float(inner[0])}
+    def witness(phi_x, proximal, inner):
+        return {"phi_x": phi_x[0].tolist(), "proximal": proximal[0].tolist(), "inner": float(inner[0])}
 
     return grid_certificate(x, oracle.pieces * x.shape[1], failing, witness, pitch)
 
@@ -336,19 +336,20 @@ def clip_segments_to_neighborhood(segments, target: HullOracle,
     return out
 
 
-def refine_attractor(phi: Callable, outer_segments, inner: HullOracle, schedule,
+def refine_attractor(steps: Callable, outer_segments, inner: HullOracle, schedule,
                      domain_for_delta: Callable[[float], Sequence], finals: Sequence,
                      tol: float) -> dict:
     """Shrink a known segment-union attractor A to a subset B, a convex hull.
 
-    For each scheduled (eps, delta): certify the Blackwell condition for
-    cl(N_eps(B)) ∩ A on a sampled delta-neighborhood of A, then check that
-    every final mean in `finals` lies within eps + tol of B; the stage
-    reports the largest of their distances to B.  The trajectories do not
-    depend on (eps, delta), so the caller runs them once and passes every
-    final mean.  The (eps, delta) schedule is caller-supplied
-    configuration; the theory guarantees existence of a workable delta per
-    eps but not a formula for it.
+    For each scheduled (eps, delta): certify the Blackwell condition of
+    `steps` (as `check_blackwell` takes it) for cl(N_eps(B)) ∩ A on a
+    sampled delta-neighborhood of A, then check that every final mean in
+    `finals` lies within eps + tol of B; the stage reports the largest of
+    their distances to B.  The trajectories do not depend on (eps, delta),
+    so the caller runs them once and passes every final mean.  The (eps,
+    delta) schedule is caller-supplied configuration; the theory
+    guarantees existence of a workable delta per eps but not a formula
+    for it.
     """
     worst = float(np.max(inner.distances(np.reshape(finals, (-1, inner.points.shape[1]))), initial=0.0))
     stages = []
@@ -358,7 +359,7 @@ def refine_attractor(phi: Callable, outer_segments, inner: HullOracle, schedule,
         if not clipped:
             raise ValueError(f"clipped region empty at eps={eps}")
         region = SegmentsOracle(clipped)
-        bw = check_blackwell(phi, region, domain_for_delta(delta))
+        bw = check_blackwell(steps, region, domain_for_delta(delta))
         stage_ok = bw.holds and worst <= eps + tol
         ok = ok and stage_ok
         stages.append({

@@ -67,14 +67,18 @@ class Trajectory:
 
     def means_array(self) -> np.ndarray:
         if self._means_arr is None:
-            self._means_arr = np.asarray(self.means, dtype=float)
+            self._means_arr = self._array(self.means)
         return self._means_arr
 
     def steps_array(self) -> np.ndarray:
         """The steps x_2..x_N as an (N - 1, d) array."""
         if self._steps_arr is None:
-            self._steps_arr = np.asarray(self.steps, dtype=float).reshape(-1, len(self.start))
+            self._steps_arr = self._array(self.steps)
         return self._steps_arr
+
+    def _array(self, points) -> np.ndarray:
+        d = len(self.start)
+        return np.fromiter(chain.from_iterable(points), float, d * len(points)).reshape(-1, d)
 
     def tail(self, w: float) -> np.ndarray:
         """The means of the trailing window w as an (m, d) array; its column

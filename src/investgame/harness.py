@@ -85,6 +85,7 @@ from .strategies import (
     RandomStrategy,
     Strategy,
     good_profile,
+    induced_columns,
     induced_map,
 )
 
@@ -317,6 +318,12 @@ def example1_phi(a, b):
     return phi
 
 
+def example1_steps(a, b):
+    """`example1_phi` on the rows of an (M, 2) array, as an (M, 2) array."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return lambda rows: np.where(rows[:, 1:] > 0, a, b)
+
+
 def example1_limit(a, b) -> tuple[float, float]:
     """Intersection of the segment ab with the horizontal axis."""
     t = a[1] / (a[1] - b[1])
@@ -330,17 +337,17 @@ def example1_starts(count: int = 20, seed: int = 7) -> list[tuple[float, float]]
 
 
 class BlackwellTargets(NamedTuple):
-    """A worked example's Blackwell targets: the step map, its sampled domain
-    and the oracle of each named target set.  Building them is cheap; each
-    `certify` call runs one certificate."""
+    """A worked example's Blackwell targets: the step map in column form, its
+    sampled domain and the oracle of each named target set.  Building them
+    is cheap; each `certify` call runs one certificate."""
 
-    phi: Callable
+    steps: Callable
     domain: np.ndarray
     pitch: float
     oracles: dict[str, ProximalOracle]
 
     def certify(self, name: str) -> CertReport:
-        return check_blackwell(self.phi, self.oracles[name], self.domain, self.pitch)
+        return check_blackwell(self.steps, self.oracles[name], self.domain, self.pitch)
 
     def certify_all(self) -> dict[str, CertReport]:
         return {f"blackwell_{name}": self.certify(name) for name in self.oracles}
@@ -358,7 +365,7 @@ def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> B
     if a[0] == b[0]:
         raise ValueError("need a1 != b1")
     box = polygon_2d([(sx * EXAMPLE1_BOX, sy * EXAMPLE1_BOX) for sx in (-1, 1) for sy in (-1, 1)])
-    return BlackwellTargets(example1_phi(a, b), polygon_grid(box, pitch), pitch, {
+    return BlackwellTargets(example1_steps(a, b), polygon_grid(box, pitch), pitch, {
         "line": LineOracle((0.0, 0.0), (1.0, 0.0)),
         "segment": SegmentsOracle([(a, b)]),
         "singleton": PointOracle(example1_limit(a, b)),
@@ -453,22 +460,22 @@ def intersect_at_d(finals, b, d, c1, c2, tol: float) -> dict:
 
 
 def _example2_setup(eps: float):
-    """The canonical game, the defector, the step map of (good, good,
-    defector), the triangle co{C1_3, C2_3, D} and the segment chain BD u DC1_3."""
+    """The canonical game, the defector, the profile (good, good, defector),
+    the triangle co{C1_3, C2_3, D} and the segment chain BD u DC1_3."""
     params = example_game()
     defector = Example2Defector(params, eps)
-    phi = induced_map((GoodStrategy(1, eps, params), GoodStrategy(2, eps, params), defector), params)
+    profile = (GoodStrategy(1, eps, params), GoodStrategy(2, eps, params), defector)
     vs = vertices(params)
     d_point = defector.d_point
     triangle = HullOracle([vs.c1[2], vs.c2[2], d_point])
-    return params, defector, phi, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
+    return params, defector, profile, triangle, [(vs.B, d_point), (d_point, vs.c1[2])]
 
 
 def example2_targets(eps: float = DEFAULT_EPS, pitch: float = CERT_PITCH) -> BlackwellTargets:
     """The (good, good, defector) map on a pitch grid of the slice Z,
     against the triangle and the segment union."""
-    params, _, phi, triangle, union_segments = _example2_setup(eps)
-    return BlackwellTargets(phi, z_grid(params, pitch), pitch,
+    params, _, profile, triangle, union_segments = _example2_setup(eps)
+    return BlackwellTargets(induced_columns(profile, params), z_grid(params, pitch), pitch,
                             {"triangle": triangle, "union": SegmentsOracle(union_segments)})
 
 
@@ -489,7 +496,7 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
         raise ValueError("n must be at least 2: the deviator's tail minimum reads the second half of the run")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    params, defector, phi, _, union_segments = _example2_setup(eps)
+    params, defector, profile, _, union_segments = _example2_setup(eps)
     if starts is None:
         starts = z_starts(params)
     if not starts:
@@ -501,6 +508,7 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
         if not in_hull(vs.all_points(), x1):
             raise ValueError(f"start {x1} is outside the payoff hull S")
     d_point = defector.d_point
+    phi = induced_map(profile, params)
     cells = []
     finals = []
     for x1 in starts:
@@ -511,8 +519,9 @@ def run_example2(eps: float = DEFAULT_EPS, starts=None, n: int = DEFAULT_N,
         cells.append(_cell("example2", x1, (defector,), n, dist, tol, tol - dist,
                            dist <= tol and overshoot > params.p3,
                            deviator_tail_min=overshoot, exceeds_p3=bool(overshoot > params.p3)))
-    certs = example2_targets(eps).certify_all()
-    refine = refine_attractor(phi, union_segments, HullOracle(union_segments[0]), REFINE_SCHEDULE,
+    targets = example2_targets(eps)
+    certs = targets.certify_all()
+    refine = refine_attractor(targets.steps, union_segments, HullOracle(union_segments[0]), REFINE_SCHEDULE,
                               lambda delta: z_near_segments(params, union_segments, delta),
                               finals, tol)
     intersect = intersect_at_d(finals, vs.B, d_point, vs.c1[2], vs.c2[2], tol)

@@ -238,26 +238,25 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
                    pitch: float | None = None) -> CertReport:
     """Certify V(a w + (1-a) x) <= V(x) - a gamma (+ CERT_TOL) on the sampled domain.
 
-    Sampled at a in {alpha0/8, alpha0/4, alpha0/2, alpha0}, for every map
-    value w at every grid point outside Delta_c, one (w, a) pair at a time
-    over the grid points where the map keeps w; their failures are
-    scattered back to grid order.  The witness is the first violating
-    (w, a) at the first violating sample.
+    Sampled at a = alpha0 alone, which decides every a in (0, alpha0], as
+    f(a) = V(a w + (1-a) x) - V(x) + a gamma is convex with f(0) = 0; for
+    every map value w at every grid point outside Delta_c, one w at a time
+    over the grid points where the map keeps w, failures scattered back to
+    grid order.  The witness is the first violating w at the first violating sample.
     """
-    alphas = [consts.alpha0 / d for d in (8, 4, 2, 1)]
+    a = consts.alpha0
 
     def violations(cols, support, alive):
         for j, w in enumerate(mmap.values):
             rows = np.flatnonzero(alive[:, j])
             kept, kept_support = cols[:, rows], support[rows]
-            for a in alphas:
-                lhs = _support(spec, [a * w[c] + (1 - a) * kept[c] for c in range(3)])
-                rhs = kept_support - a * consts.gamma
-                hit = np.zeros(len(support), dtype=bool)
-                hit[rows] = lhs > rhs + CERT_TOL
-                yield hit, (w, a, lhs, rhs)
+            lhs = _support(spec, [a * w[c] + (1 - a) * kept[c] for c in range(3)])
+            rhs = kept_support - a * consts.gamma
+            hit = np.zeros(len(support), dtype=bool)
+            hit[rows] = lhs > rhs + CERT_TOL
+            yield hit, (w, lhs, rhs)
 
-    def witness(w, a, lhs, rhs):
+    def witness(w, lhs, rhs):
         return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}
 
     return _plane_certificate(spec, mmap, grid, violations, witness, pitch)

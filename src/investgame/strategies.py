@@ -6,7 +6,8 @@ declares it once, as the predicate `invests(x)` on a mean, which every
 engine evaluates on a tuple of floats; `dynamics.simulate_batch` decides
 the good strategy's on columns, many means at once, by `GoodColumns`.
 A profile of three strategies composed with the stage payoff map yields
-the step map phi driving the mean dynamics.
+the step map phi driving the mean dynamics; `induced_columns` evaluates
+it on many means at once, for the certificates.
 
 Strategy kinds double as JSON descriptors for run configuration files:
   {"kind": "good", "eps": 0.4}
@@ -260,3 +261,26 @@ def induced_map(profile, params: GameParams):
         return table[i1(x) | i2(x) << 1 | i3(x) << 2]
 
     return phi
+
+
+def induced_columns(profile, params: GameParams):
+    """`induced_map` in column form: steps(rows) is phi of each row of an
+    (M, 3) float array, bit for bit.  Seats are routed by exact type, as in
+    `dynamics.simulate_batch`: good and constant seats run `invests` once on
+    the columns (the good test's `&` form is elementwise), any other kind
+    once per row; a random seat, whose draws would follow row order, is refused."""
+    require_valid(params)
+    if any(isinstance(s, RandomStrategy) for s in profile):
+        raise ValueError("a random seat has no column step map")
+    table = np.array(payoff_table(params), dtype=float)
+
+    def steps(rows):
+        code = np.zeros(len(rows), dtype=np.intp)
+        for bit, s in enumerate(profile):
+            if type(s) in (GoodStrategy, ConstantStrategy):
+                code |= np.asarray(s.invests(rows.T)) << bit
+            else:
+                code |= np.array([s.invests(x) for x in map(tuple, rows.tolist())], dtype=np.intp) << bit
+        return table[code]
+
+    return steps

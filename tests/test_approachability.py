@@ -22,6 +22,7 @@ from investgame.dynamics import iterate
 from investgame.harness import (
     example1_limit,
     example1_phi,
+    example1_steps,
     intersect_at_d,
     z_grid,
     z_near_segments,
@@ -31,6 +32,7 @@ from investgame.strategies import (
     Example2Defector,
     GoodStrategy,
     good_profile,
+    induced_columns,
     induced_map,
 )
 
@@ -183,7 +185,7 @@ class TestBatchedOracles:
             oracle, pts, lambda x: [point + _ref_dot(np.subtract(x, point), direction) * direction])
 
     def test_segments(self):
-        _, _, union = defector_setup()
+        _, _, _, union = defector_setup()
         oracle = SegmentsOracle(union)
         pts = self._samples([VS.B, union[0][1], VS.c1[2]], 3, 0.0, 40.0)
         self._assert_rows_match(oracle, pts, lambda x: ref_segments(union, x))
@@ -230,16 +232,16 @@ class TestBatchedOracles:
 
 class TestBlackwell:
     def test_line_holds(self):
-        rep = check_blackwell(example1_phi(A1, B1), LineOracle((0, 0), (1, 0)), box_grid())
+        rep = check_blackwell(example1_steps(A1, B1), LineOracle((0, 0), (1, 0)), box_grid())
         assert rep.holds
         assert rep.witness is None
 
     def test_segment_holds(self):
-        rep = check_blackwell(example1_phi(A1, B1), SegmentsOracle([(A1, B1)]), box_grid())
+        rep = check_blackwell(example1_steps(A1, B1), SegmentsOracle([(A1, B1)]), box_grid())
         assert rep.holds
 
     def test_singleton_violated_with_reproducible_witness(self):
-        rep = check_blackwell(example1_phi(A1, B1), PointOracle(D1), box_grid())
+        rep = check_blackwell(example1_steps(A1, B1), PointOracle(D1), box_grid())
         assert not rep.holds
         w = rep.witness
         assert w is not None and w["inner"] > 0
@@ -253,7 +255,7 @@ class TestBlackwell:
         assert phi(x) == B1
         inner = float(np.dot(np.subtract(x, D1), np.subtract(phi(x), D1)))
         assert inner == 1.0
-        rep = check_blackwell(phi, PointOracle(D1), [x])
+        rep = check_blackwell(example1_steps(A1, B1), PointOracle(D1), [x])
         assert not rep.holds
 
 
@@ -389,22 +391,20 @@ class TestIntersect:
         far_b = HullOracle([(-10.0, 0.0)])
         assert clip_segments_to_neighborhood(far_a, far_b, CERT_TOL) == []
         with pytest.raises(ValueError, match="clipped region empty"):
-            refine_attractor(example1_phi(A1, B1), far_a, far_b, [(CERT_TOL, 0.1)],
+            refine_attractor(example1_steps(A1, B1), far_a, far_b, [(CERT_TOL, 0.1)],
                              lambda delta: [(0.0, 0.0)], [(0.0, 0.0)], tol=100.0)
 
 
 def defector_setup(eps=0.4):
     defc = Example2Defector(PARAMS, eps)
-    phi = induced_map(
-        (GoodStrategy(1, eps, PARAMS), GoodStrategy(2, eps, PARAMS), defc), PARAMS
-    )
+    profile = (GoodStrategy(1, eps, PARAMS), GoodStrategy(2, eps, PARAMS), defc)
     union = [(VS.B, defc.d_point), (defc.d_point, VS.c1[2])]
-    return defc, phi, union
+    return defc, induced_map(profile, PARAMS), induced_columns(profile, PARAMS), union
 
 
 class TestClipAndRefine:
     def test_clip_keeps_inner_segment_whole(self):
-        defc, _, union = defector_setup()
+        defc, _, _, union = defector_setup()
         bd = HullOracle(union[0])
         clipped = clip_segments_to_neighborhood(union, bd, eps=0.25)
         # BD survives unchanged; the tail segment is shortened
@@ -416,20 +416,20 @@ class TestClipAndRefine:
 
     def test_vacuous_refinement_to_the_union_hull(self):
         # the hull of the union's ends holds the whole union: no clip cuts it
-        _, phi, union = defector_setup()
+        _, phi, steps, union = defector_setup()
         inner = HullOracle([end for seg in union for end in seg])
         out = refine_attractor(
-            phi, union, inner, [(0.5, 0.3)],
+            steps, union, inner, [(0.5, 0.3)],
             lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
         assert out["passes"]
 
     def test_example2_refinement_to_bd(self):
-        defc, phi, union = defector_setup()
+        defc, phi, steps, union = defector_setup()
         bd = HullOracle(union[0])
         out = refine_attractor(
-            phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
+            steps, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 20_000).final], tol=0.05,
         )
@@ -439,9 +439,9 @@ class TestClipAndRefine:
     def test_refinement_on_the_slice_grid(self, eps):
         # both scheduled stages certify on the pitch-delta/2 slice grid
         # within delta of the union, for defectors across (0, 1/2)
-        defc, phi, union = defector_setup(eps)
+        defc, _, steps, union = defector_setup(eps)
         out = refine_attractor(
-            phi, union, HullOracle(union[0]), [(0.5, 0.3), (0.25, 0.15)],
+            steps, union, HullOracle(union[0]), [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: z_near_segments(PARAMS, union, delta), [defc.d_point], tol=0.05,
         )
         assert out["passes"], out
@@ -452,7 +452,7 @@ class TestClipAndRefine:
         # them once and passes their final means; refinement runs none
         from investgame import dynamics
 
-        _, phi, union = defector_setup()
+        _, phi, steps, union = defector_setup()
         finals = [iterate(phi, x1, 2000).final for x1 in (VS.A, VS.B)]
 
         def refuse(*args):
@@ -461,7 +461,7 @@ class TestClipAndRefine:
         monkeypatch.setattr(dynamics, "stages", refuse)  # every `iterate` runs `stages`
         bd = HullOracle(union[0])
         out = refine_attractor(
-            phi, union, bd, [(0.5, 0.3), (0.25, 0.15)],
+            steps, union, bd, [(0.5, 0.3), (0.25, 0.15)],
             lambda delta: z_near_segments(PARAMS, union, delta),
             finals, tol=0.05,
         )
@@ -471,10 +471,10 @@ class TestClipAndRefine:
     def test_small_clip_radius_fails_with_witness(self):
         # below ~0.43*eps the clipped set's free end violates the condition
         # for every delta; the checker must report it rather than pass
-        defc, phi, union = defector_setup(eps=0.4)
+        defc, phi, steps, union = defector_setup(eps=0.4)
         bd = HullOracle(union[0])
         out = refine_attractor(
-            phi, union, bd, [(0.1, 0.3)],
+            steps, union, bd, [(0.1, 0.3)],
             lambda delta: z_near_segments(PARAMS, union, delta),
             [iterate(phi, VS.A, 5000).final], tol=0.05,
         )
@@ -525,7 +525,7 @@ class TestClipExact:
     def test_segment_across_a_triangle_in_its_plane(self, eps):
         # BD lies in the triangle's plane, the slice Z; a segment from B
         # through the triangle's centroid crosses it
-        defc, _, _ = defector_setup()
+        defc, _, _, _ = defector_setup()
         corners = np.array([VS.c1[2], VS.c2[2], defc.d_point])
         b = np.asarray(VS.B)
         assert self.check(HullOracle(corners), b, 2.0 * corners.mean(axis=0) - b, eps)
@@ -552,11 +552,11 @@ class TestClipExact:
 
 class TestExample2Pipeline:
     def test_blackwell_on_z_for_triangle_and_union(self):
-        defc, phi, union = defector_setup()
+        defc, _, steps, union = defector_setup()
         domain = z_grid(PARAMS, 0.25)
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
-        assert check_blackwell(phi, triangle, domain).holds
-        assert check_blackwell(phi, SegmentsOracle(union), domain).holds
+        assert check_blackwell(steps, triangle, domain).holds
+        assert check_blackwell(steps, SegmentsOracle(union), domain).holds
 
     @staticmethod
     def intersect(defc, finals, b=VS.B, tol=0.1):
@@ -572,7 +572,7 @@ class TestExample2Pipeline:
 
     def test_clip_at_cert_tol_ends_at_d(self):
         # the float clip's small-radius path agrees with the exact point
-        defc, _, union = defector_setup()
+        defc, _, _, union = defector_setup()
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
         (lo, hi), = clip_segments_to_neighborhood(union[:1], triangle, CERT_TOL)
         assert np.allclose([lo, hi], [defc.d_point] * 2, rtol=0.0, atol=1e-8)
@@ -605,7 +605,7 @@ class TestExample2Pipeline:
     def test_one_final_far_from_d_fails(self):
         # every final mean is checked: one far from D fails the check, and
         # the distances reported are the worst over all of them
-        defc, phi, union = defector_setup()
+        defc, phi, _, union = defector_setup()
         triangle = HullOracle([VS.c1[2], VS.c2[2], defc.d_point])
         near = iterate(phi, VS.A, 20_000).final
         far = VS.B  # the far end of BD, 0.35 from D

@@ -35,6 +35,7 @@ from investgame.dynamics import iterate
 from investgame.geometry import dot3, plane_grid, project_plane
 from investgame.harness import (
     _example2_setup,
+    example1_phi,
     example1_targets,
     example2_targets,
     z_grid,
@@ -58,7 +59,7 @@ from investgame.lyapunov import (
     two_good_plane_map,
 )
 from investgame.stage_game import example_game, vertices
-from investgame.strategies import ConstantStrategy, GoodStrategy, good_profile, induced_map
+from investgame.strategies import ConstantStrategy, GoodStrategy, good_profile, induced_columns, induced_map
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -160,9 +161,10 @@ def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, pitch=None):
     return ref_first_violation(grid, violation, pitch)
 
 
-def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None):
-    a0 = consts.alpha0
-    alphas = (a0 / 8, a0 / 4, a0 / 2, a0)
+def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None, alphas=None):
+    """The decrease test at each sample, map value and alpha in `alphas`
+    (alpha0 alone by default), in that order."""
+    alphas = (consts.alpha0,) if alphas is None else alphas
 
     def violation(x):
         v, _ = support_value(spec, x)
@@ -178,6 +180,13 @@ def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None):
     return ref_first_violation(grid, violation, pitch)
 
 
+def ladder(consts):
+    """The alphas alpha0/8, alpha0/4, alpha0/2 and alpha0: by convexity they
+    fail where alpha0 fails, which the tests check against alpha0 alone."""
+    a0 = consts.alpha0
+    return (a0 / 8, a0 / 4, a0 / 2, a0)
+
+
 def assert_same_report(got: CertReport, want: CertReport):
     assert got.holds == want.holds
     assert got.checked == want.checked
@@ -189,32 +198,53 @@ def assert_same_report(got: CertReport, want: CertReport):
 # Blackwell certificates
 # ---------------------------------------------------------------------------
 
+def _example2_phi(eps):
+    """The scalar step map of example 2's profile (good, good, defector)."""
+    return induced_map(_example2_setup(eps)[2], PARAMS)
+
+
 def _blackwell_cases():
+    """(name, scalar phi, column steps, oracle, domain, pitch) of every
+    certificate target and of a failing refinement stage."""
     cases = []
-    for label, targets in (("example1", example1_targets((0.0, -1.0), (2.0, 1.0))),
-                           ("example2", example2_targets(0.4)),
-                           ("example1-other-ab", example1_targets((0.3, -1.7), (2.1, 0.9), pitch=0.13)),
-                           ("example2-eps0.1", example2_targets(0.1, 0.2))):
-        cases += [(f"{label}-{name}", targets.phi, oracle, targets.domain, targets.pitch)
+    for label, phi, targets in (
+            ("example1", example1_phi((0.0, -1.0), (2.0, 1.0)), example1_targets((0.0, -1.0), (2.0, 1.0))),
+            ("example2", _example2_phi(0.4), example2_targets(0.4)),
+            ("example1-other-ab", example1_phi((0.3, -1.7), (2.1, 0.9)),
+             example1_targets((0.3, -1.7), (2.1, 0.9), pitch=0.13)),
+            ("example2-eps0.1", _example2_phi(0.1), example2_targets(0.1, 0.2))):
+        cases += [(f"{label}-{name}", phi, targets.steps, oracle, targets.domain, targets.pitch)
                   for name, oracle in targets.oracles.items()]
     # a refinement stage whose clip radius is too small: a failing witness
     # on a clipped segment, where nothing is exactly representable
-    _, _, phi, _, union = _example2_setup(0.4)
+    _, _, profile, _, union = _example2_setup(0.4)
     clipped = SegmentsOracle(clip_segments_to_neighborhood(union, HullOracle(union[0]), 0.1))
-    cases.append(("clipped", phi, clipped, z_near_segments(PARAMS, union, 0.3), None))
+    cases.append(("clipped", induced_map(profile, PARAMS), induced_columns(profile, PARAMS), clipped,
+                  z_near_segments(PARAMS, union, 0.3), None))
     return cases
 
 
 @pytest.mark.parametrize("case", _blackwell_cases(), ids=lambda c: c[0])
 def test_blackwell_matches_reference(case):
-    _, phi, oracle, domain, pitch = case
-    got = check_blackwell(phi, oracle, domain, pitch)
+    # the array pass runs the column map; the reference, phi on one sample at a time
+    _, phi, steps, oracle, domain, pitch = case
+    got = check_blackwell(steps, oracle, domain, pitch)
     assert_same_report(got, ref_check_blackwell(phi, oracle, domain, pitch))
 
 
+@pytest.mark.parametrize("case", [c for c in _blackwell_cases() if c[0].endswith(("line", "triangle", "clipped"))],
+                         ids=lambda c: c[0])
+def test_column_steps_match_phi_on_the_certificate_grid(case):
+    # example 1's box at both pitches, example 2's slice grid at eps 0.4 and
+    # 0.1, and the clipped refinement stage's domain near the union
+    _, phi, steps, _, domain, _ = case
+    want = np.array([phi(x) for x in map(tuple, domain.tolist())])
+    assert steps(domain).tobytes() == want.tobytes()
+
+
 def test_blackwell_forced_failures_are_covered():
-    verdicts = {name: check_blackwell(phi, oracle, domain, pitch).holds
-                for name, phi, oracle, domain, pitch in _blackwell_cases()}
+    verdicts = {name: check_blackwell(steps, oracle, domain, pitch).holds
+                for name, _, steps, oracle, domain, pitch in _blackwell_cases()}
     assert [name for name, holds in verdicts.items() if not holds] == \
         ["example1-singleton", "example1-other-ab-singleton", "clipped"]
 
@@ -224,7 +254,7 @@ def test_blackwell_on_an_empty_domain_holds_vacuously():
     targets = example2_targets(0.4, pitch=1000.0)
     assert targets.domain.shape == (0, 3)
     rep = targets.certify("triangle")
-    assert_same_report(rep, ref_check_blackwell(targets.phi, targets.oracles["triangle"], [], 1000.0))
+    assert_same_report(rep, ref_check_blackwell(_example2_phi(0.4), targets.oracles["triangle"], [], 1000.0))
     assert rep.holds and rep.checked == 0
 
 
@@ -304,8 +334,8 @@ def _decrease_cases():
     for name, (spec, mmap) in _plane_cases().items():
         out.append((name, spec, mmap, t1_constants(spec, 60.0)))
     spec, mmap = _plane_cases()["all_good"]
-    # alpha0 past its cap: the ladder up to 1 fails at the first sample,
-    # the ladder up to 0.05 midway through the grid
+    # alpha0 past its cap: alpha0 = 1 fails at the first sample, 0.05
+    # midway through the grid
     out.append(("alpha_override", spec, mmap, replace(t1_constants(spec, 60.0), alpha0=1.0)))
     out.append(("mid_grid_alpha", spec, mmap, replace(t1_constants(spec, 60.0), alpha0=0.05)))
     inflated = LyapunovConstants(m_bound=60.0, delta=spec.delta, r=spec.delta / 4, gamma=10.0, alpha0=3e-4)
@@ -320,11 +350,50 @@ def test_decrease_matches_reference(case):
     got = decrease_check(spec, mmap, consts, grid, pitch=0.25)
     assert_same_report(got, ref_decrease_check(spec, mmap, consts, grid, pitch=0.25))
     assert got.holds == (name in ("all_good", "two_good"))
+    # the four-alpha ladder fails at the same sample and map value; the witness alpha is alpha0
+    old = ref_decrease_check(spec, mmap, consts, grid, pitch=0.25, alphas=ladder(consts))
+    assert (old.holds, old.checked) == (got.holds, got.checked)
+    if not got.holds:
+        assert (old.witness["x"], old.witness["value"]) == (got.witness["x"], got.witness["value"])
+        assert got.witness["alpha"] == consts.alpha0
+
+
+def _failing_rows(spec, mmap, consts, grid, alphas) -> np.ndarray:
+    """Which grid rows fail the decrease test at some kept map value and alpha."""
+    cols = grid.T
+    support, alive = _support(spec, cols), mmap.alive(cols)
+    fail = np.zeros(len(grid), dtype=bool)
+    for j, w in enumerate(mmap.values):
+        for a in alphas:
+            lhs = _support(spec, [a * w[c] + (1 - a) * cols[c] for c in range(3)])
+            fail |= alive[:, j] & (lhs > support - a * consts.gamma + 1e-9)
+    return fail
+
+
+def test_alpha0_fails_exactly_where_the_ladder_fails():
+    # f(a) = V(a w + (1-a) x) - V(x) + a gamma is convex with f(0) = 0, so a
+    # smaller alpha fails only where alpha0 fails; swept over both maps, c
+    # from 0.05 to 3, two pitches, a feasible alpha0 and two inflated ones
+    mixed = 0
+    for c in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0):
+        for spec, mmap in ((six_direction_spec(c), good_profile_plane_map(PARAMS)),
+                           (four_direction_spec(c, c / 4), two_good_plane_map(PARAMS, 0.4))):
+            feasible = t1_constants(spec, 60.0)
+            for consts in (feasible, t1_constants(spec, 0.01), replace(feasible, alpha0=1.0)):
+                for pitch in (0.25, 0.13):
+                    grid = certification_grid(spec, PARAMS, pitch)
+                    fail = _failing_rows(spec, mmap, consts, grid, (consts.alpha0,))
+                    assert fail.tolist() == _failing_rows(spec, mmap, consts, grid, ladder(consts)).tolist()
+                    rep = decrease_check(spec, mmap, consts, grid)
+                    assert (rep.holds, rep.checked) == ((True, len(grid)) if not fail.any()
+                                                        else (False, int(np.argmax(fail)) + 1))
+                    mixed += 0 < fail.sum() < len(grid)
+    assert mixed >= 10  # the sweep separates failing rows from holding ones
 
 
 def test_witness_is_the_first_failing_pair_of_the_sample():
     # at this one sample several pairs fail: the witness is the first in the
-    # per-sample order, directions before values and values before alphas
+    # per-sample order, directions before values
     spec = six_direction_spec(0.3)
     grid = [(1.0, -0.5, -0.5)]
     mmap = PlaneMultiMap([(-1.0, -2.0, 3.0), (1.0, 0.0, -1.0)], (), label="probe")
@@ -332,12 +401,16 @@ def test_witness_is_the_first_failing_pair_of_the_sample():
     assert_same_report(rep, ref_check_lyapunov(spec, mmap, grid))
     assert (rep.witness["direction_index"], rep.witness["value"]) == (5, [1.0, 0.0, -1.0])
     mmap = PlaneMultiMap([(-2.0, 4.0, -2.0), (2.0, -1.0, -1.0)], (), label="probe")
-    # on the ladder (0.1125, 0.225, 0.45, 0.9) the second value fails from the
-    # first alpha, the first value only from the third
+    # at alpha0 = 0.9 both values fail: the witness is the first value.  On
+    # the ladder (0.1125, 0.225, 0.45, 0.9) the second fails from the first
+    # alpha, the first only from the third, and its witness is the first
+    # value too, at 0.45
     consts = replace(t1_constants(spec, 60.0), alpha0=0.9)
     rep = decrease_check(spec, mmap, consts, grid)
     assert_same_report(rep, ref_decrease_check(spec, mmap, consts, grid))
-    assert (rep.witness["value"], rep.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.45)
+    assert (rep.witness["value"], rep.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.9)
+    old = ref_decrease_check(spec, mmap, consts, grid, alphas=ladder(consts))
+    assert (old.witness["value"], old.witness["alpha"]) == ([-2.0, 4.0, -2.0], 0.45)
 
 
 def test_delta_active_set_includes_its_boundary():
@@ -361,10 +434,10 @@ def test_empty_decrease_grid_holds_vacuously():
 # ---------------------------------------------------------------------------
 
 def _decay_cases():
-    _, _, phi, triangle, union = _example2_setup(0.4)
-    defector = iterate(phi, VS.A, 5000)
+    _, _, profile, triangle, union = _example2_setup(0.4)
+    defector = iterate(induced_map(profile, PARAMS), VS.A, 5000)
     targets = example1_targets((0.0, -1.0), (2.0, 1.0))
-    planar = iterate(targets.phi, (2.5, -1.7), 3000)
+    planar = iterate(example1_phi((0.0, -1.0), (2.0, 1.0)), (2.5, -1.7), 3000)
     return [
         ("defector-triangle", defector, triangle),
         ("defector-union", defector, SegmentsOracle(union)),
@@ -458,7 +531,7 @@ def ref_nearest_on_faces(faces, pts):
 
 
 def _face_cases():
-    _, _, phi, triangle, _ = _example2_setup(0.4)
+    _, _, profile, triangle, _ = _example2_setup(0.4)
     hull = HullOracle(VS.all_points())  # F = 150 faces of up to s = 4 points: s > d
     hexagon = HullOracle(geometry.hexagon_2d(PARAMS))
     rng = np.random.default_rng(7)
@@ -469,7 +542,7 @@ def _face_cases():
         cases += [(f"{name}-random", oracle, rng.normal(0.0, 30.0, (120, d))),
                   (f"{name}-corners", oracle, np.vstack([pts, mid]))]
     cases += [("triangle-z-grid", triangle, z_grid(PARAMS, 0.25)),
-              ("triangle-defector", triangle, iterate(phi, VS.A, 5000).means_array())]
+              ("triangle-defector", triangle, iterate(induced_map(profile, PARAMS), VS.A, 5000).means_array())]
     return cases
 
 
@@ -502,8 +575,9 @@ def _certify_reports(tmp_path, capsys):
     for kind, body in CERTIFY_RUNS:
         cfg.write_text(json.dumps(body))
         reports.append((main(["certify", kind, str(cfg), "--pitch", "0.25"]), capsys.readouterr().out))
-    _, _, phi, triangle, union = _example2_setup(0.4)
-    traj = iterate(phi, VS.A, 5000)  # a new run, so no projection is kept from the other pass size
+    # a new run, so no projection is kept from the other pass size
+    traj = iterate(_example2_phi(0.4), VS.A, 5000)
+    _, _, _, triangle, union = _example2_setup(0.4)
     for oracle in (triangle, SegmentsOracle(union)):
         n0 = premise_start(traj, oracle)
         reports.append((n0, decay_bound_check(traj, oracle, n0).as_dict()))

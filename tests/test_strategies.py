@@ -24,6 +24,7 @@ from investgame.strategies import (
     build_profile,
     build_strategy,
     good_profile,
+    induced_columns,
     induced_map,
 )
 
@@ -319,6 +320,33 @@ class TestInducedMap:
         for x in outside[:800]:
             for a2, a3 in product((INVEST, NOT_INVEST), repeat=2):
                 assert payoff(PARAMS, (NOT_INVEST, a2, a3)) in landing
+
+
+    @pytest.mark.parametrize("eps", [0.1, 0.4])
+    def test_column_twin_matches_phi_on_every_switching_surface(self, eps):
+        # the points on and next to x_i = x_j - eps, x_i = r0, x_j + x_k = 2 p3,
+        # x_j = x_k, the slice x1 = x2 and the defector triangle's edges (D-C1_3
+        # among them), under every route: columns, per-row calls, constants
+        good1, good2, good3 = good_profile(PARAMS, eps)
+        invest, refuse = ConstantStrategy(INVEST), ConstantStrategy(NOT_INVEST)
+        profiles = [(good1, good2, good3), (good1, good2, Example2Defector(PARAMS, eps)),
+                    (good1, invest, refuse), (Example2Defector(PARAMS, eps), refuse, good3),
+                    (invest, refuse, invest)]
+        pts = np.vstack(_invest_points(eps))
+        for profile in profiles:
+            phi, steps = induced_map(profile, PARAMS), induced_columns(profile, PARAMS)
+            got = steps(pts)
+            assert got.shape == pts.shape and got.dtype == float
+            assert got.tobytes() == np.array([phi(x) for x in map(tuple, pts.tolist())]).tobytes()
+        good = good_profile(NON_DYADIC, eps)
+        pts = _surface_points(NON_DYADIC, eps)
+        want = [induced_map(good, NON_DYADIC)(x) for x in map(tuple, pts.tolist())]
+        assert induced_columns(good, NON_DYADIC)(pts).tobytes() == np.array(want).tobytes()
+
+    def test_column_twin_refuses_a_random_seat(self):
+        profile = (GoodStrategy(1, 0.4, PARAMS), RandomStrategy(0.5, seed=3), ConstantStrategy(INVEST))
+        with pytest.raises(ValueError, match="random seat"):
+            induced_columns(profile, PARAMS)
 
 
 class TestDescriptors:
