@@ -273,7 +273,7 @@ def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> Deca
         inner, y, dists = _best_inner(oracle, x[:m], steps)
     else:
         inner, y, dists = (a[n0 - 1:] for a in kept)
-    dists = np.append(dists, oracle.distances(x[m:]))  # what oracle.distance gives
+    dists = np.append(dists, oracle.distances(x[m:]))  # the last mean, which has no next step
     premise_ok = not np.any(inner > CERT_TOL)
     c_const = float(np.max(dot_rows(steps - y, steps - y), initial=0.0))
     d_n0 = n0 * n0 * dists[0] ** 2

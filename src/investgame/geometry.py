@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -181,64 +182,69 @@ def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
 # Convex hull helpers (tiny fixed point sets; brute-force facet enumeration)
 # ---------------------------------------------------------------------------
 
-def hull_halfspaces(points) -> list[tuple[np.ndarray, float]]:
-    """Facet inequalities <n, x> <= b of conv(points), d in {2, 3}.
-
-    Brute force over d-subsets; adequate for the at-most-8-point hulls
-    used here.  The hull must be full-dimensional in its ambient space.
-    """
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    if d not in (2, 3):
-        raise ValueError("hull_halfspaces supports dimension 2 or 3")
-    scale = max(1.0, float(np.abs(pts).max()))
-    out: list[tuple[np.ndarray, float]] = []
-    seen: set[tuple] = set()
-    for idx in combinations(range(len(pts)), d):
-        sub = pts[list(idx)]
-        if d == 3:
-            n = np.cross(sub[1] - sub[0], sub[2] - sub[0])
-        else:
-            e = sub[1] - sub[0]
-            n = np.array([-e[1], e[0]])
-        nn = np.linalg.norm(n)
-        if nn < 1e-12 * scale:
-            continue
-        n = n / nn
-        b = float(n @ sub[0])
-        vals = pts @ n - b
-        tol = HULL_TOL * scale
-        if np.all(vals <= tol):
-            pass
-        elif np.all(vals >= -tol):
-            n, b = -n, -b
-        else:
-            continue
-        key = tuple(np.round(np.append(n, b), 9))
-        if key not in seen:
-            seen.add(key)
-            out.append((n, b))
-    if not out:
-        raise ValueError("degenerate point set: no facets found")
+@lru_cache(maxsize=64)
+def _hull_built(build, points: tuple) -> tuple:
+    """build's arrays for one point set (a tuple of float tuples), built once
+    and shared read-only."""
+    out = build(np.array(points, dtype=float))
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=64)
-def _halfspaces_cached(points_key: tuple) -> tuple:
-    hs = hull_halfspaces(np.array(points_key))
-    return tuple((tuple(n), b) for n, b in hs)
-
-
-def _hs_key(points) -> tuple:
+def _points_key(points) -> tuple:
     return tuple(tuple(float(c) for c in p) for p in points)
 
 
+def hull_halfspaces(points) -> list[tuple[np.ndarray, float]]:
+    """Facet inequalities <n, x> <= b of conv(points), d in {2, 3}.
+
+    Brute force over d-subsets in integers: every float is k / 2**e, so the
+    points times their common power-of-two denominator are Python ints, and
+    each candidate's normal and side test are exact.  A facet is kept once,
+    keyed by the points on it, and its unit normal and offset are rounded
+    from the exact ones.  The hull must be full-dimensional.
+    """
+    return list(zip(*_hull_built(_facets, _points_key(points))))
+
+
+def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = pts.shape[1]
+    if d not in (2, 3):
+        raise ValueError("hull_halfspaces supports dimension 2 or 3")
+    ratios = [[c.as_integer_ratio() for c in p] for p in pts.tolist()]
+    den = max(q for p in ratios for _, q in p)
+    ints = [[k * (den // q) for k, q in p] for p in ratios]
+    normals, offsets, seen = [], [], set()
+    for sub in combinations(ints, d):
+        e = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        if d == 3:
+            (a1, a2, a3), (b1, b2, b3) = e
+            n = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+        else:
+            n = [-e[0][1], e[0][0]]
+        side = [sum(a * (c - c0) for a, c, c0 in zip(n, p, sub[0])) for p in ints]
+        if max(side) > 0 == min(side):
+            n = [-c for c in n]
+        elif not min(side) < 0 == max(side):
+            continue  # points on both sides, or a flat set with every point on it
+        on = frozenset(i for i, v in enumerate(side) if v == 0)
+        if on not in seen:
+            seen.add(on)
+            norm = math.hypot(*n)
+            normals.append([c / norm for c in n])
+            offsets.append(sum(a * c for a, c in zip(n, sub[0])) / den / norm)
+    if not normals:
+        raise ValueError("degenerate point set: no facets found")
+    return np.array(normals), np.array(offsets)
+
+
 def hull_mask(points, pts: np.ndarray) -> np.ndarray:
-    hs = _halfspaces_cached(_hs_key(points))
+    hs = hull_halfspaces(points)
     scale = max(1.0, max(abs(c) for p in points for c in p))
     mask = np.ones(len(pts), dtype=bool)
     for n, b in hs:
-        mask &= pts @ np.asarray(n) <= b + HULL_TOL * scale
+        mask &= pts @ n <= b + HULL_TOL * scale
     return mask
 
 
@@ -273,32 +279,49 @@ def hull_faces(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     origin, the faces' points `subs` (F, s, d) zero-padded to the largest
     size s, and `solve` (F, s, s + 1), the weight rows of each face's inverse
     KKT matrix: the weights are solve applied to (<p_j, x>..., 1), 0 in
-    padded slots.  Exhaustive, for small point sets.
+    padded slots.  The KKT matrices are inverted in exact rationals, so a
+    subset is a face exactly when its matrix is invertible, and every solve
+    entry is its exact value correctly rounded.  Exhaustive, for small point
+    sets; built once per point set, shared read-only.
     """
-    pts = np.asarray(points, dtype=float)
+    return _hull_built(_faces, _points_key(points))
+
+
+def _faces(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     origin = pts.mean(axis=0)
     rel = pts - origin
-    faces = [rel[list(idx)] for k in range(1, min(len(pts), pts.shape[1] + 1) + 1)
-             for idx in combinations(range(len(pts)), k) if _affinely_independent(rel[list(idx)])]
-    s = max(map(len, faces))
+    exact = [[Fraction(c) for c in p] for p in rel.tolist()]
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in exact] for p in exact]
+    faces = []
+    for k in range(1, min(len(pts), pts.shape[1] + 1) + 1):
+        for idx in combinations(range(len(pts)), k):
+            inv = _inverse([[gram[i][j] for j in idx] + [1] for i in idx] + [[1] * k + [0]])
+            if inv is not None:
+                faces.append((rel[list(idx)], np.array(inv, dtype=float)))
+    s = max(len(sub) for sub, _ in faces)
     subs = np.zeros((len(faces), s, pts.shape[1]))
     solve = np.zeros((len(faces), s, s + 1))
-    for f, sub in enumerate(faces):
+    for f, (sub, inv) in enumerate(faces):
         k = len(sub)
-        kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = sub @ sub.T
-        kkt[k, k] = 0.0
-        inv = np.linalg.inv(kkt)
         subs[f, :k], solve[f, :k, :k], solve[f, :k, s] = sub, inv[:k, :k], inv[:k, k]
     return origin, subs, solve
 
 
-def _affinely_independent(sub: np.ndarray) -> bool:
-    """The Gram determinant of the edges from sub[0] against its Hadamard
-    bound (the product of their squared lengths): 0 for a flat set."""
-    edges = sub[1:] - sub[0]
-    sq = (edges * edges).sum(axis=1)
-    return bool(np.all(sq > 0.0) and np.linalg.det(edges @ edges.T) > 1e-12 * np.prod(sq))
+def _inverse(m: list[list]) -> list[list[Fraction]] | None:
+    """The inverse of a square matrix in exact rationals by Gauss-Jordan
+    elimination, or None when it is singular."""
+    n = len(m)
+    rows = [[Fraction(v) for v in r] + [Fraction(i == j) for j in range(n)] for i, r in enumerate(m)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        head, rows[p] = rows[p], rows[c]
+        rows[c] = pivot = [v / head[c] for v in head]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                rows[r] = [a - row[c] * b for a, b in zip(row, pivot)]
+    return [r[n:] for r in rows]
 
 
 def _combine(coef, cols) -> np.ndarray:

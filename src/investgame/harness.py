@@ -110,13 +110,7 @@ REFINE_SCHEDULE = ((0.5, 0.3), (0.25, 0.15))
 
 def default_starts() -> tuple[tuple[float, ...], ...]:
     """Barycentric weights of the 8 vertices plus the centroid."""
-    eye = []
-    for i in range(8):
-        w = [0.0] * 8
-        w[i] = 1.0
-        eye.append(tuple(w))
-    eye.append((0.125,) * 8)
-    return tuple(eye)
+    return tuple(tuple(float(i == j) for j in range(8)) for i in range(8)) + ((0.125,) * 8,)
 
 
 @dataclass(frozen=True)
@@ -182,14 +176,8 @@ def standard_deviants(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> li
 
 
 def deviant_pairs(params: GameParams, eps: float, seeds=DEFAULT_SEEDS) -> list[tuple[Strategy, Strategy]]:
-    const_i = ConstantStrategy(INVEST)
-    const_ni = ConstantStrategy(NOT_INVEST)
-    pairs = [
-        (const_i, const_i),
-        (const_i, const_ni),
-        (const_ni, const_i),
-        (const_ni, const_ni),
-    ]
+    constants = (ConstantStrategy(INVEST), ConstantStrategy(NOT_INVEST))
+    pairs = [(x, y) for x in constants for y in constants]
     pairs += [(RandomStrategy(0.5, s), RandomStrategy(0.5, s + 1000)) for s in seeds]
     return pairs + [(defector, defector) for defector in _defectors(params, eps)]
 
@@ -236,11 +224,7 @@ def verify_t3(config: HarnessConfig) -> VerifyReport:
         cells.append(_cell("t3", x1, (), config.n, dist, config.slack, config.slack - dist,
                            dist <= config.slack and entry is not None,
                            start_weights=list(w), entered_v3_at=entry, tail_intervals=intervals))
-    return VerifyReport(
-        name="t3",
-        cells=cells,
-        meta={"eps": config.eps, "target": list(b_point)},
-    )
+    return VerifyReport(name="t3", cells=cells, meta={"eps": config.eps, "target": list(b_point)})
 
 
 def verify_t4(config: HarnessConfig, deviants: list[Strategy] | None = None) -> VerifyReport:
@@ -297,11 +281,7 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
         checks = {k: bool(m >= 0.0) for k, m in margin.items()}
         cells.append(_cell("t2", x1, devs, config.n, measured, dict(bound), margin, all(checks.values()),
                            tail_intervals=run.intervals(b), checks=checks))
-    return VerifyReport(
-        name="t2",
-        cells=cells,
-        meta={"eps": config.eps},
-    )
+    return VerifyReport(name="t2", cells=cells, meta={"eps": config.eps})
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +289,7 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
 # ---------------------------------------------------------------------------
 
 def example1_phi(a, b):
-    a = tuple(map(float, a))
-    b = tuple(map(float, b))
+    a, b = tuple(map(float, a)), tuple(map(float, b))
 
     def phi(x):
         return a if x[1] > 0 else b
@@ -358,8 +337,7 @@ def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> B
     the segment ab (both hold) and the singleton {d} (a violation witness
     is expected: the singleton is a weak attractor that fails the
     condition)."""
-    a = tuple(map(float, a))
-    b = tuple(map(float, b))
+    a, b = tuple(map(float, a)), tuple(map(float, b))
     if not (a[1] < 0.0 < b[1]):
         raise ValueError("need a below and b above the horizontal axis")
     if a[0] == b[0]:
@@ -387,8 +365,7 @@ def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
     if not starts:
         raise ValueError("at least one start is required")
     certs = example1_targets(a, b).certify_all()
-    a = tuple(map(float, a))
-    b = tuple(map(float, b))
+    a, b = tuple(map(float, a)), tuple(map(float, b))
     d = example1_limit(a, b)
     phi = example1_phi(a, b)
     cells = []

@@ -1,9 +1,11 @@
 """The machinery is parametric in the game: nothing below is specific to
 the canonical example payoffs."""
 
+import json
 import math
 import random
-from dataclasses import astuple
+from dataclasses import asdict, astuple
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,10 +31,11 @@ from investgame.lyapunov import (
     t1_constants,
     two_good_plane_map,
 )
-from investgame.stage_game import GameParams, validate_params, vertices
-from investgame.strategies import good_profile, induced_map
-from investgame.geometry import project_plane
-from investgame.dynamics import iterate
+from investgame.stage_game import INVEST, NOT_INVEST, GameParams, validate_params, vertices
+from investgame.strategies import ConstantStrategy, GoodStrategy, RandomStrategy, good_profile, induced_map
+from investgame.geometry import hull_point, project_plane
+from investgame.dynamics import iterate, simulate_batch
+from investgame.cli import main
 
 OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
 EPS = 0.3
@@ -171,3 +174,53 @@ def test_t3_cells_match_iterate_on_admissible_games(game, monkeypatch):
         assert cell["tail_intervals"] == [list(pair) for pair in zip(tail.min(axis=0).tolist(),
                                                                      tail.max(axis=0).tolist())]
         assert cell["entered_v3_at"] == entry
+
+
+def _random_cell(game: GameParams, rng: random.Random):
+    """A random start of S and a profile with at least one good seat, each
+    good seat with its own eps, the others constant or coin-flip deviants."""
+    weights = [rng.random() for _ in range(8)]
+    start = hull_point(vertices(game), [w / sum(weights) for w in weights])
+    good = rng.choice([seats for seats in product((True, False), repeat=3) if any(seats)])
+    profile = tuple(GoodStrategy(i + 1, rng.uniform(0.01, 1.0), game) if good[i] else
+                    rng.choice([ConstantStrategy(INVEST), ConstantStrategy(NOT_INVEST),
+                                RandomStrategy(rng.random(), rng.randrange(1000))])
+                    for i in range(3))
+    return start, profile
+
+
+@pytest.mark.parametrize("game", sampled_games(seed=9, per_grid=2),
+                         ids=lambda g: ",".join(f"{v:g}" for v in astuple(g)))
+def test_batch_cells_equal_iterate_on_sampled_games(game):
+    # every simulate_batch cell is `iterate` on its own, bit for bit: the
+    # final mean and the tail extrema, with unequal eps and random starts
+    rng = random.Random(repr(game))
+    n, window = 500, 0.5
+    cells = [_random_cell(game, rng) for _ in range(16)]
+    run = simulate_batch([tuple(s.fresh() for s in p) for _, p in cells], game,
+                         [x1 for x1, _ in cells], n, window)
+    for b, (x1, profile) in enumerate(cells):
+        traj = iterate(induced_map(tuple(s.fresh() for s in profile), game), x1, n)
+        tail = traj.tail(window)
+        assert run.final[b].tolist() == list(traj.final)
+        assert run.tail_min[b].tolist() == tail.min(axis=0).tolist()
+        assert run.tail_max[b].tolist() == tail.max(axis=0).tolist()
+        assert run.tail_max_23[b] == (tail[:, 1] + tail[:, 2]).max()
+
+
+MALFORMED = [("eps", -0.3), ("eps", "abc"), ("eps", True), ("n", 10), ("n", 2.5), ("n", 1e300),
+             ("window", 1.5), ("window", 0), ("slack", -1), ("dist_pitch", 0), ("starts", []),
+             ("starts", [[1, 2]]), ("starts", [[2.0, -1.0] + [0.0] * 6]), ("game", 5)]
+
+
+def test_malformed_battery_configs_exit_2(tmp_path, capsys):
+    rng = random.Random(17)
+    for (key, value), game in zip(MALFORMED, rng.choices(sampled_games(seed=17, per_grid=2), k=len(MALFORMED))):
+        game_file = tmp_path / "game.json"
+        game_file.write_text(json.dumps(asdict(game)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": str(game_file), key: value}))
+        claim = rng.choice(("t4", "t2"))
+        assert main(["verify", claim, str(cfg)]) == 2, (claim, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

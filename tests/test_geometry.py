@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from investgame.geometry import (
     dist_to_region,
     dot3,
     grid_slack,
+    hull_faces,
+    hull_halfspaces,
     hull_mask,
     hull_point,
     in_closure,
@@ -21,7 +25,7 @@ from investgame.geometry import (
 )
 from investgame.lyapunov import _support, six_direction_spec
 from investgame.stage_game import GameParams, example_game, vertices
-from investgame.strategies import GoodStrategy
+from investgame.strategies import Example2Defector, GoodStrategy
 
 PARAMS = example_game()
 VS = vertices(PARAMS)
@@ -244,6 +248,121 @@ class TestProjectToHull:
     def test_interior_point_has_zero_distance(self):
         centroid = np.asarray(VS.all_points()).mean(axis=0)
         assert HullOracle(VS.all_points()).distances([centroid])[0] <= 1e-9
+
+
+def _det(m) -> Fraction:
+    """Laplace expansion along the first row, in exact rationals."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _exact_kkt(rel, idx) -> list[list[Fraction]]:
+    """A subset's KKT matrix [[G, 1], [1, 0]] from the exact mean-relative
+    coordinates: G is the subset's Gram matrix."""
+    pts = [[Fraction(c) for c in rel[i]] for i in idx]
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in pts] + [Fraction(1)] for p in pts]
+    return gram + [[Fraction(1)] * len(idx) + [Fraction(0)]]
+
+
+def _hull_sets():
+    sets = {"S": VS.all_points(), "hexagon": [tuple(p) for p in geometry.hexagon_2d(PARAMS)]}
+    for eps in (0.4, 0.1):
+        d = Example2Defector(PARAMS, eps).d_point
+        sets[f"triangle-eps{eps}"] = [VS.c1[2], VS.c2[2], d]
+        sets[f"BD-eps{eps}"] = [VS.B, d]
+    return sets
+
+
+class TestExactHull:
+    """`hull_faces` and `hull_halfspaces` against exact rational references
+    built here by other means (cofactors, not Gauss-Jordan)."""
+
+    @pytest.mark.parametrize("name", list(_hull_sets()))
+    def test_faces_are_the_invertible_subsets_and_solve_is_rounded_exact(self, name):
+        pts = np.asarray(_hull_sets()[name], dtype=float)
+        origin, subs, solve = hull_faces(pts)
+        rel = (pts - pts.mean(axis=0)).tolist()
+        assert np.array_equal(origin, pts.mean(axis=0))
+        faces = [(idx, kkt) for k in range(1, min(len(pts), pts.shape[1] + 1) + 1)
+                 for idx in combinations(range(len(pts)), k)
+                 if _det(kkt := _exact_kkt(rel, idx)) != 0]
+        assert len(faces) == len(subs) == len(solve)
+        s = subs.shape[1]
+        for f, (idx, kkt) in enumerate(faces):
+            k, det = len(idx), _det(kkt)
+            assert np.array_equal(subs[f, :k], np.asarray(rel)[list(idx)])
+            assert not subs[f, k:].any() and not solve[f, k:].any() and not solve[f, :, k:s].any()
+            for r in range(k):
+                # inverse entry (r, c) is the (c, r) cofactor over the determinant
+                for c, col in [(c, c) for c in range(k)] + [(k, s)]:
+                    minor = [row[:r] + row[r + 1:] for i, row in enumerate(kkt) if i != c]
+                    assert solve[f, r, col] == float((-1) ** (r + c) * _det(minor) / det)
+
+    def test_face_counts(self):
+        counts = {name: len(hull_faces(pts)[1]) for name, pts in _hull_sets().items()}
+        assert counts == {"S": 150, "hexagon": 41, "triangle-eps0.4": 7, "BD-eps0.4": 3,
+                          "triangle-eps0.1": 7, "BD-eps0.1": 3}
+
+    @staticmethod
+    def _groups(pts) -> set[frozenset]:
+        """The point sets of conv(pts)'s facets, from exact planes through
+        every d points with all points on one side and some off it."""
+        exact = [[Fraction(c) for c in p] for p in pts]
+        d, groups = len(exact[0]), set()
+        for sub in combinations(exact, d):
+            e = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+            n = ([e[0][1] * e[1][2] - e[0][2] * e[1][1], e[0][2] * e[1][0] - e[0][0] * e[1][2],
+                  e[0][0] * e[1][1] - e[0][1] * e[1][0]] if d == 3 else [-e[0][1], e[0][0]])
+            side = [sum(a * (c - c0) for a, c, c0 in zip(n, p, sub[0])) for p in exact]
+            if (max(side) <= 0 or min(side) >= 0) and any(side):
+                groups.add(frozenset(i for i, v in enumerate(side) if v == 0))
+        return groups
+
+    @pytest.mark.parametrize("pts,count", [
+        (VS.all_points(), 6),
+        ([tuple(p) for p in geometry.hexagon_2d(PARAMS)], 6),
+        ([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (1.0, 0.0)], 4),  # a midpoint on one edge
+        ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+          (0.5, 0.5, 0.0)], 5),  # a square pyramid, with the base's centre as a sixth point
+    ], ids=["S", "hexagon", "square-with-midpoint", "pyramid"])
+    def test_one_facet_per_coplanar_group(self, pts, count):
+        facets = hull_halfspaces(pts)
+        groups = self._groups(pts)
+        assert len(facets) == len(groups) == count
+        arr = np.asarray(pts, dtype=float)
+        scale = max(1.0, float(np.abs(arr).max()))
+        on = set()
+        for n, b in facets:
+            assert abs(math.hypot(*n) - 1.0) <= 1e-15
+            vals = arr @ n - b
+            assert np.all(vals <= 1e-12 * scale)
+            on.add(frozenset(np.flatnonzero(np.abs(vals) <= 1e-12 * scale).tolist()))
+        assert on == groups
+
+    @pytest.mark.parametrize("pts", [
+        [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)],
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+        [(1.0, 2.0, 3.0)] * 4,
+    ], ids=["collinear-2d", "coplanar-3d", "one-point"])
+    def test_flat_set_raises(self, pts):
+        with pytest.raises(ValueError, match="degenerate point set"):
+            hull_halfspaces(pts)
+
+    def test_equal_points_reuse_the_build(self):
+        pts = [VS.c1[2], VS.c2[2], Example2Defector(PARAMS, 0.25).d_point]
+        first = HullOracle(pts)
+        hull_mask(VS.all_points(), np.zeros((1, 3)))
+        built = geometry._hull_built.cache_info().misses
+        second = HullOracle(np.array(pts))
+        assert all(a is b for a, b in zip(first._faces, second._faces))
+        hull_mask([list(p) for p in VS.all_points()], np.zeros((1, 3)))
+        assert in_closure(PARAMS, RegionSpec("omega_max", 1), VS.B)
+        assert geometry._hull_built.cache_info().misses == built
+        for arr in (*first._faces, hull_halfspaces(VS.all_points())[0][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestDistances:
