@@ -9,6 +9,7 @@ configuration (seeds included) produces byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,7 +239,10 @@ def cmd_certify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    `main` call in the process (each parse returns a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="investgame",
         description="Simulate and verify threshold strategies in the repeated 3-player invest dilemma.",

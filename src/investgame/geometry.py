@@ -183,10 +183,10 @@ def in_closure(params: GameParams, spec: RegionSpec, x) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _hull_built(build, points: tuple) -> tuple:
-    """build's arrays for one point set (a tuple of float tuples), built once
-    and shared read-only."""
-    out = build(np.array(points, dtype=float))
+def _built(build, points: tuple, *args) -> tuple:
+    """build's arrays for one point set (a tuple of float tuples) and its
+    further arguments, built once and shared read-only."""
+    out = build(np.array(points, dtype=float), *args)
     for a in out:
         a.flags.writeable = False
     return out
@@ -205,7 +205,7 @@ def hull_halfspaces(points) -> list[tuple[np.ndarray, float]]:
     keyed by the points on it, and its unit normal and offset are rounded
     from the exact ones.  The hull must be full-dimensional.
     """
-    return list(zip(*_hull_built(_facets, _points_key(points))))
+    return list(zip(*_built(_facets, _points_key(points))))
 
 
 def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +284,7 @@ def hull_faces(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entry is its exact value correctly rounded.  Exhaustive, for small point
     sets; built once per point set, shared read-only.
     """
-    return _hull_built(_faces, _points_key(points))
+    return _built(_faces, _points_key(points))
 
 
 def _faces(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,15 +399,20 @@ def hexagon_2d(params: GameParams) -> np.ndarray:
 
 
 def polygon_grid(poly_2d: np.ndarray, pitch: float) -> np.ndarray:
-    """2-d grid of the given convex polygon at the given pitch."""
+    """2-d grid of the given convex polygon at the given pitch, built once
+    per (polygon, pitch) and shared read-only."""
     if pitch <= 0:
         raise ValueError("pitch must be positive")
+    return _built(_grid, _points_key(poly_2d), float(pitch))[0]
+
+
+def _grid(poly_2d: np.ndarray, pitch: float) -> tuple[np.ndarray]:
     lo = poly_2d.min(axis=0)
     hi = poly_2d.max(axis=0)
     xs = np.arange(lo[0], hi[0] + pitch / 2, pitch)
     ys = np.arange(lo[1], hi[1] + pitch / 2, pitch)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    return grid[hull_mask([tuple(p) for p in poly_2d], grid)]
+    return (grid[hull_mask([tuple(p) for p in poly_2d], grid)],)
 
 
 def plane_grid(params: GameParams, pitch: float) -> np.ndarray:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from investgame.cli import main
-from investgame.harness import run_example2
+from investgame.cli import build_parser, main
+from investgame.harness import CERT_PITCH, run_example2
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
 
@@ -408,6 +408,44 @@ class TestCertify:
                                               "game": game})
         assert main(["certify", kind, cfg]) == 2
         assert "r0 < r1" in capsys.readouterr().err
+
+
+#: The README certify commands: (kind, config, exit code).
+README_CERTIFY = [
+    ("lyapunov", {"map": "all_good", "c": 0.3}, 0),
+    ("decrease", {"map": "two_good", "eps": 0.4, "eta": 0.1}, 0),
+    ("decrease", {"map": "all_good", "m_bound": 0.01}, 1),
+    ("blackwell", {"target": "example1_line"}, 0),
+    ("blackwell", {"target": "example1_segment"}, 0),
+    ("blackwell", {"target": "example1_singleton"}, 1),
+    ("blackwell", {"target": "example2_triangle"}, 0),
+    ("blackwell", {"target": "example2_union"}, 0),
+]
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_certify_commands_in_one_process(tmp_path):
+    """The README certify commands, run in one process forward and then in
+    reverse around a refused pitch and an unknown kind, write the same bytes
+    and exit codes: the shared parser and grids carry nothing from one
+    command to the next."""
+    cfgs = [write_json(tmp_path, f"cfg{i}.json", cfg) for i, (_, cfg, _) in enumerate(README_CERTIFY)]
+
+    def run(i, tag):
+        out = tmp_path / f"{tag}{i}.json"
+        code = main(["certify", README_CERTIFY[i][0], cfgs[i], "--out", str(out)])
+        return code, out.read_bytes()
+
+    first = {i: run(i, "first") for i in range(len(README_CERTIFY))}
+    assert main(["certify", "blackwell", cfgs[5], "--pitch", "1e-6"]) == 2  # example1_singleton
+    assert main(["certify", "nope"]) == 2
+    again = {i: run(i, "again") for i in reversed(range(len(README_CERTIFY)))}
+    assert again == first
+    assert [first[i][0] for i in range(len(README_CERTIFY))] == [code for *_, code in README_CERTIFY]
+    assert all(json.loads(text)["grid_pitch"] == CERT_PITCH for _, text in again.values())
 
 
 GOOD3 = [{"kind": "good", "eps": 0.4}] * 3

@@ -354,15 +354,74 @@ class TestExactHull:
         pts = [VS.c1[2], VS.c2[2], Example2Defector(PARAMS, 0.25).d_point]
         first = HullOracle(pts)
         hull_mask(VS.all_points(), np.zeros((1, 3)))
-        built = geometry._hull_built.cache_info().misses
+        built = geometry._built.cache_info().misses
         second = HullOracle(np.array(pts))
         assert all(a is b for a, b in zip(first._faces, second._faces))
         hull_mask([list(p) for p in VS.all_points()], np.zeros((1, 3)))
         assert in_closure(PARAMS, RegionSpec("omega_max", 1), VS.B)
-        assert geometry._hull_built.cache_info().misses == built
+        assert geometry._built.cache_info().misses == built
         for arr in (*first._faces, hull_halfspaces(VS.all_points())[0][0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+def _uncached_grid(poly_2d, pitch) -> np.ndarray:
+    """`polygon_grid` built afresh, without the shared cache."""
+    lo, hi = poly_2d.min(axis=0), poly_2d.max(axis=0)
+    xs = np.arange(lo[0], hi[0] + pitch / 2, pitch)
+    ys = np.arange(lo[1], hi[1] + pitch / 2, pitch)
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    return grid[hull_mask([tuple(p) for p in poly_2d], grid)]
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype, a.tobytes()
+
+
+#: The certificates' polygons: the hexagon, example 1's box and the slice Z in (x1, x3).
+GRID_POLYGONS = {
+    "hexagon": geometry.hexagon_2d(PARAMS),
+    "box": geometry.polygon_2d([(sx * harness.EXAMPLE1_BOX, sy * harness.EXAMPLE1_BOX)
+                                for sx in (-1, 1) for sy in (-1, 1)]),
+    "z": geometry.polygon_2d([(p[0], p[2]) for p in (VS.A, VS.B, VS.c1[2], VS.c2[2])]),
+}
+GRID_PITCHES = (0.5, 0.25, 0.13, 0.1)
+
+
+class TestPolygonGridCache:
+    def test_equal_polygon_and_pitch_share_one_read_only_grid(self):
+        box = GRID_POLYGONS["box"]
+        grid = geometry.polygon_grid(box, 0.25)
+        assert geometry.polygon_grid(np.array(box.tolist()), np.float64(0.25)) is grid
+        assert geometry.polygon_grid(box, 1) is geometry.polygon_grid(box, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.0
+
+    def test_other_pitch_or_polygon_builds_another_grid(self):
+        grid = geometry.polygon_grid(GRID_POLYGONS["hexagon"], 0.25)
+        assert geometry.polygon_grid(GRID_POLYGONS["hexagon"], 0.5) is not grid
+        assert geometry.polygon_grid(GRID_POLYGONS["hexagon"] * 2.0, 0.25) is not grid
+
+    @pytest.mark.parametrize("pitch", GRID_PITCHES)
+    @pytest.mark.parametrize("name", sorted(GRID_POLYGONS))
+    def test_grid_is_the_uncached_build(self, name, pitch):
+        poly = GRID_POLYGONS[name]
+        assert _bits(geometry.polygon_grid(poly, pitch)) == _bits(_uncached_grid(poly, pitch))
+
+    @pytest.mark.parametrize("pitch", GRID_PITCHES)
+    def test_plane_and_slice_grids_are_unchanged(self, pitch):
+        hexagon = _uncached_grid(GRID_POLYGONS["hexagon"], pitch)
+        plane = hexagon[:, :1] * np.asarray(geometry._E1) + hexagon[:, 1:2] * np.asarray(geometry._E2)
+        assert _bits(geometry.plane_grid(PARAMS, pitch)) == _bits(plane)
+        assert _bits(harness.z_grid(PARAMS, pitch)) == _bits(_uncached_grid(GRID_POLYGONS["z"], pitch)[:, [0, 0, 1]])
+
+    def test_grid_too_fine_to_allocate_is_not_kept(self):
+        misses = geometry._built.cache_info().misses
+        with pytest.raises(MemoryError):
+            geometry.polygon_grid(GRID_POLYGONS["box"], 1e-6)
+        with pytest.raises(MemoryError):
+            geometry.polygon_grid(GRID_POLYGONS["box"], 1e-6)
+        assert geometry._built.cache_info().misses == misses + 2
 
 
 class TestDistances:

@@ -6,14 +6,19 @@ nonnegative combination of the admissibility constraints, each label of
 identities are checked in exact rationals, so they hold for every game, not
 a sample.  A strict lemma needs a positive multiplier on some constraint or
 on eps.  In the multipliers, key i is the i-th label (1-based), "eps" eps.
+The all-good lemma is over the points x = (x1, x2, x3) of S, so its forms
+also read x1, x2 and x3.
 """
 
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from investgame.stage_game import CONSTRAINT_LABELS
+from investgame.geometry import sample_points
+from investgame.stage_game import CONSTRAINT_LABELS, GameParams, example_game, vertices
+from investgame.strategies import good_profile, induced_columns
 
 VARS = ("r0", "r1", "r2", "p1", "p2", "p3", "eps")
 _TERM = re.compile(r"([+-]?)\s*(?:(\d+(?:/\d+)?)\*)?(\w+)")
@@ -94,3 +99,35 @@ def test_every_refusing_step_is_checked():
     # player 1 plays NI: 0, 1 or 2 of the others invest (r0, r1, r2), and an
     # investor among them earns p1 or p2 by the total count
     assert set(REFUSING_STEPS) == {"r0,r0,r0", "r1,p1,r1", "r1,r1,p1", "r2,p2,p2"}
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_all_good_map_never_reaches_a(i):
+    """At every x of S the argmax seat i of x invests under the all-good
+    profile, so the map never steps to A (code 0).  With s = x1 + x2 + x3,
+    s - 3 r0 >= 0 and 3 p3 - s >= 0 on S, since S is the hull of vertices
+    whose sums are ordered from 3 r0 to 3 p3 (the chain lemmas above), and
+    x_i - x_j, x_i - x_k >= 0 at the argmax: so x_i > x_j - eps since
+    eps > 0, and x_i - r0 and 2 p3 - x_j - x_k are nonnegative
+    combinations of these."""
+    xi = f"x{i}"
+    xj, xk = (f"x{m}" for m in (1, 2, 3) if m != i)
+    gap_j, gap_k = form(f"{xi} - {xj}"), form(f"{xi} - {xk}")
+    low, high = form("x1 + x2 + x3 - 3*r0"), form("3*p3 - x1 - x2 - x3")
+    assert combine((THIRD, gap_j), (THIRD, gap_k), (THIRD, low)) == form(f"{xi} - r0")
+    assert combine((TWO_THIRDS, high), (THIRD, gap_j), (THIRD, gap_k)) == form(f"2*p3 - {xj} - {xk}")
+    for gap, other in ((gap_j, xj), (gap_k, xk)):
+        assert combine((Fraction(1), gap), (Fraction(1), {"eps": Fraction(1)})) == form(f"{xi} - {other} + eps")
+
+
+@pytest.mark.parametrize("game", [
+    example_game(),
+    GameParams(r0=5.1, r1=8.3, r2=12.7, p1=3.3, p2=7.1, p3=11.3),
+    GameParams(r0=6.5, r1=20, r2=20.1, p1=3.5, p2=16, p3=21.1),
+], ids=["example", "rounding", "short-exact"])
+@pytest.mark.parametrize("eps", [0.4, 1e-9])
+def test_all_good_steps_never_reach_a(game, eps):
+    vs = vertices(game)
+    rows = np.vstack([sample_points(game, 20_000, seed=3), vs.all_points()])
+    steps = induced_columns(good_profile(game, eps), game)(rows)
+    assert not np.any(np.all(steps == vs.A, axis=1))
