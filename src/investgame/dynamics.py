@@ -20,10 +20,10 @@ what the deviant batteries report; it decides the good seats in one
 fused test equal to `invests` exactly since rounding is monotone, and
 every other seat but constants and coin flips by its own `invests` on
 its row's mean as floats, so that cost grows with the number of such
-rows.  `simulate_events` runs one profile of good and constant seats and
-jumps over the stretches where the action profile provably stays fixed,
-solving each stretch's end in closed form.  The means of the last two
-are bit-identical to `iterate` on the same cell.
+rows.  `simulate_events` runs one profile of good seats while the payoff
+sums are exact (`exact_horizon`), jumping over the stretches where the
+action profile provably stays fixed, each end solved in closed form.  The
+means of the last two are bit-identical to `iterate` on the same cell.
 """
 
 from __future__ import annotations
@@ -158,13 +158,14 @@ def iterate(phi: Callable, x1: Sequence[float], n: int) -> Trajectory:
 class BatchTails:
     """What `simulate_batch` keeps of each cell b: the final mean `final[b]`,
     the tail minimum and maximum of every coordinate `tail_min[b]`,
-    `tail_max[b]` (all (B, 3)), and the tail maximum of x2 + x3,
-    `tail_max_23[b]`."""
+    `tail_max[b]` (all (B, 3)), the tail maximum of x2 + x3 `tail_max_23[b]`,
+    and the first stage of 1..n-1 decided all-invest `entered[b]` (or 0)."""
 
     final: np.ndarray
     tail_min: np.ndarray
     tail_max: np.ndarray
     tail_max_23: np.ndarray
+    entered: np.ndarray
 
     def intervals(self, b: int) -> list[list[float]]:
         """Cell b's [tail min, tail max] per coordinate."""
@@ -259,6 +260,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     tail_min = np.full_like(start, np.inf)
     tail_max = np.full_like(start, -np.inf)
     tail_max_23 = np.full(cells, -np.inf)
+    entered = np.zeros(cells, dtype=np.int64)
     # Stage k's means go to tail row k - lo, or to the spare last row before the window.
     tail = np.empty((_BLOCK + 1, cells, 3))
     tail_rows = list(tail)
@@ -289,7 +291,9 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
             means /= float(k + 1)
         if hi > first:
             fold(tail[max(first, lo) - lo:hi - lo])
-    return BatchTails(final=means.copy(), tail_min=tail_min, tail_max=tail_max, tail_max_23=tail_max_23)
+        hits = decisions[:hi - lo, 0::3] & decisions[:hi - lo, 1::3] & decisions[:hi - lo, 2::3]
+        entered = np.where((entered == 0) & hits.any(axis=0), lo + hits.argmax(axis=0), entered)
+    return BatchTails(means.copy(), tail_min, tail_max, tail_max_23, entered)
 
 
 #: Stretch margin of `simulate_events`, relative to a bound S on every
@@ -306,9 +310,6 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
 #: the exact one, which costs s g(L) under 1.01u (a + b) <= 6.06u*S (as
 #: a b / (a + b) <= (a + b) / 4): the exact margin stays above 11.9u*S.
 _MARGIN_REL = 32 * 2.0 ** -53
-#: The shortest run `harness.HarnessConfig` takes: on a game whose exact-sum
-#: bound is below it, `simulate_events` steps every stage rather than refuse.
-MIN_RUN = 1000
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,7 @@ class SegmentRun:
     evaluations: int
 
 
-def _exact_horizon(table) -> int:
+def exact_horizon(table) -> int:
     """The largest n at which every sum of up to n payoffs is exact: all
     entries are integer multiples of 2**-e with max|v| * n * 2**e < 2**53
     (0 when no n is)."""
@@ -339,19 +340,18 @@ def _exact_horizon(table) -> int:
 
 
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
-    """Run one profile of seats of type exactly `GoodStrategy` or
-    `ConstantStrategy` from x1 for n stages, jumping over stretches of one
-    fixed profile.
+    """Run one profile of seats of type exactly `GoodStrategy` from x1 for
+    n stages, jumping over stretches of one fixed profile.
 
     The means are those of `iterate` on `induced_map(profile, params)`, bit
-    for bit.  At each stage the profile is decided.  When the payoff sums
-    are exact at this horizon (checked once, see `_exact_horizon`; past a
-    bound of at least `MIN_RUN` the horizon is refused), each inequality
-    of the good seats' regions keeps its truth value up to an end solved
-    in closed form from its margins at the stretch's first mean and at the
-    step (see `_MARGIN_REL`), or for good if every coordinate it reads is
-    exactly stationary (mean equal to the step), and the engine jumps to
-    the earliest end; otherwise it steps one stage.
+    for bit.  The payoff sums must be exact at this horizon: an n past
+    `exact_horizon` is refused, so a game whose sums round is stepped by
+    another engine (`simulate_batch`).  At a stretch's first mean the
+    profile is decided; each inequality of the seats' regions keeps its
+    truth value up to an end solved in closed form from its margins at
+    that mean and at the step (see `_MARGIN_REL`), or for good if every
+    coordinate it reads is exactly stationary (mean equal to the step),
+    and the engine jumps to the earliest end.
 
     Tail extrema are taken at segment endpoints and at the tail's first
     stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
@@ -361,22 +361,17 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     """
     require_valid(params)
     table = payoff_table(params)
-    horizon = _exact_horizon(table)
-    exact = n <= horizon
-    if not exact and horizon >= MIN_RUN:
-        # every stage would be stepped: hours at 1e12 stages, forever beyond
+    horizon = exact_horizon(table)
+    if n > horizon:
         raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
                          "at which this game's payoff sums are exact")
-    _check_horizon(n)  # after the exact-sum bound, the tighter one where there is one
+    _check_horizon(n)  # n < 1: the exact-sum bound is below every index's
     start = tuple(float(c) for c in x1)
     if len(profile) != 3 or len(start) != 3:
         raise ValueError("need a 3-vector start and a profile of three strategies")
-    specs = []
-    for s in profile:
-        if type(s) is GoodStrategy:
-            specs.append(RegionSpec("v", s.player, s.eps))
-        elif type(s) is not ConstantStrategy:
-            raise ValueError(f"simulate_events runs good and constant seats only, not {s.name}")
+    if any(type(s) is not GoodStrategy for s in profile):
+        raise ValueError("simulate_events runs good seats only")
+    specs = [RegionSpec("v", s.player, s.eps) for s in profile]
     first_tail = tail_start(n, window) + 1
     scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
                 + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
@@ -426,11 +421,10 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     segments: list[tuple[int, int, int]] = []
     k, total, mean = 1, [0.0, 0.0, 0.0], start
     while True:
-        solve = exact and k < n
-        evaluations += 1 + solve  # a decision, and a stretch solve
+        evaluations += 1 + (k < n)  # a decision, and a stretch solve
         code = i1(mean) | i2(mean) << 1 | i3(mean) << 2
         step = table[code]
-        last = farthest(k, total, mean, step) if solve else k
+        last = farthest(k, total, mean, step) if k < n else k
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], last, code)
         else:

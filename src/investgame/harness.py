@@ -22,14 +22,14 @@ defector) is the documented adversarial stand-in, extendable by callers:
 `invests` on a mean, a tuple of floats, plus `fresh()` when it keeps state.
 
 Repeated-game payoffs are reported as [tail min, tail max] intervals over
-the trailing window, never as single numbers.  The t3 cells run on
-`dynamics.simulate_events`, which jumps over fixed-profile stretches, and
-the t4 and t2 batteries step all their cells together with
-`dynamics.simulate_batch`: one `GoodColumns.invests_columns` call per
+the trailing window, never as single numbers.  The batteries step all
+their cells together with `dynamics.simulate_batch`: one fused call per
 stage on columns for the good seats, and one on floats per stage and row
-for each other deviant that is not a constant or a coin flip, so that the
-cost grows with the number of such rows.  Both keep each cell's means
-bit-identical to a run of `dynamics.iterate`.
+for each deviant that is not a constant or a coin flip.  So do the t3
+starts, unless the game's payoff sums are exact for `MIN_RUN` stages:
+then each runs on `dynamics.simulate_events`, which jumps over
+fixed-profile stretches.  Both keep each cell's means bit-identical to a
+run of `dynamics.iterate`.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .approachability import (
     refine_attractor,
 )
 from .dynamics import (
-    MIN_RUN,
     BatchTails,
+    exact_horizon,
     iterate,
     simulate_batch,
     simulate_events,
@@ -75,6 +75,7 @@ from .stage_game import (
     NOT_INVEST,
     GameParams,
     example_game,
+    payoff_table,
     require_valid,
     vertices,
 )
@@ -95,6 +96,8 @@ DEFAULT_SEEDS = (11, 23, 37, 41, 53, 67, 79, 83, 97, 101)
 DEFAULT_N = 100_000
 DEFAULT_EPS = 0.4
 CERT_PITCH = 0.25
+#: The shortest horizon a harness run takes, and the exact-sum bound below which t3 steps every stage.
+MIN_RUN = 1000
 #: Example 1's segment ends (a below the horizontal axis, b above it), and
 #: the half-width of the square around the origin holding its starts and grid.
 EXAMPLE1_A = (0.0, -1.0)
@@ -215,12 +218,19 @@ def verify_t3(config: HarnessConfig) -> VerifyReport:
     params = config.params
     profile = good_profile(params, config.eps)
     b_point = vertices(params).B
+    starts = config.start_points()
+    if exact_horizon(payoff_table(params)) < MIN_RUN:
+        run = _run_battery(config, [(x1, ()) for x1 in starts], profile)
+        runs = [(run.final[b].tolist(), run.intervals(b), int(run.entered[b])) for b in range(len(starts))]
+    else:
+        events = [simulate_events(profile, params, x1, config.n, config.window) for x1 in starts]
+        runs = [(ev.final, [list(pair) for pair in zip(ev.tail_min, ev.tail_max)],
+                 next((first for first, _, code in ev.segments if code == ALL_INVEST), 0)) for ev in events]
     cells = []
-    for w, x1 in zip(config.starts, config.start_points()):
-        run = simulate_events(profile, params, x1, config.n, config.window)
-        dist = norm3([run.final[k] - b_point[k] for k in range(3)])
-        entry = next((first for first, _, code in run.segments if code == ALL_INVEST), None)
-        intervals = [[lo, hi] for lo, hi in zip(run.tail_min, run.tail_max)]
+    for w, x1, (final, intervals, entry) in zip(config.starts, starts, runs):
+        # simulate_batch decides means 1..n-1 only
+        entry = entry or (config.n if all(s.invests(final) for s in profile) else None)
+        dist = norm3([final[k] - b_point[k] for k in range(3)])
         cells.append(_cell("t3", x1, (), config.n, dist, config.slack, config.slack - dist,
                            dist <= config.slack and entry is not None,
                            start_weights=list(w), entered_v3_at=entry, tail_intervals=intervals))

@@ -445,17 +445,12 @@ class TestEventEngine:
         assert run.tail_max == tuple(tail.max(axis=0).tolist())
         return run
 
-    def test_matches_iterate_on_good_and_constant_profiles(self):
+    def test_matches_iterate_on_good_profiles(self):
         rng = np.random.default_rng(5)
-        for params in (PARAMS, OTHER, TENTHS):
+        for params in (PARAMS, OTHER):
             vs = vertices(params)
             for _ in range(12):
-                profile = []
-                for seat in (1, 2, 3):
-                    if rng.random() < 0.7:
-                        profile.append(GoodStrategy(seat, float(rng.choice([0.1, 0.4, 1.5])), params))
-                    else:
-                        profile.append(ConstantStrategy(str(rng.choice([INVEST, NOT_INVEST]))))
+                profile = [GoodStrategy(seat, float(rng.choice([0.1, 0.4, 1.5])), params) for seat in (1, 2, 3)]
                 weights = rng.integers(0, 4, size=8).astype(float)
                 weights[0] += 1.0
                 x1 = hull_point(vs, weights / weights.sum())
@@ -469,8 +464,7 @@ class TestEventEngine:
         for _ in range(150):
             params = (PARAMS, OTHER)[rng.integers(2)]
             eps = [float(e) for e in rng.choice([0.1, 0.25, 0.4, 0.5, 1.0, 1.5, 2.0], size=3)]
-            profile = tuple(GoodStrategy(seat, eps[seat - 1], params) if rng.random() < 0.7
-                            else ConstantStrategy(str(rng.choice([INVEST, NOT_INVEST]))) for seat in (1, 2, 3))
+            profile = tuple(GoodStrategy(seat, eps[seat - 1], params) for seat in (1, 2, 3))
             weights = rng.integers(0, 4, size=8).astype(float)
             weights[0] += 1.0
             x1 = list(hull_point(vertices(params), weights / weights.sum()))
@@ -504,16 +498,18 @@ class TestEventEngine:
         run = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
         assert run.evaluations == 2
 
-    def test_steps_every_stage_when_sums_round(self):
-        run = self.check(good_profile(TENTHS, 0.04), TENTHS, vertices(TENTHS).c1[0], 2000)
-        assert run.evaluations == 2000
+    def test_refuses_a_game_whose_sums_round(self):
+        # no payoff sum of TENTHS is exact, so no horizon is: simulate_batch steps such a game
+        for n in (1, 2000):
+            with pytest.raises(ValueError, match="is beyond 0, the largest horizon at which this game's payoff"):
+                simulate_events(good_profile(TENTHS, 0.04), TENTHS, vertices(TENTHS).c1[0], n, 0.5)
 
     def test_exact_sums(self):
         table = [payoff(PARAMS, tuple(INVEST if c >> i & 1 else NOT_INVEST for i in range(3))) for c in range(8)]
-        assert dynamics._exact_horizon(table) == 2**53 // 36
-        assert dynamics._exact_horizon([(0.1, 2.0, 3.0)]) == 0
+        assert dynamics.exact_horizon(table) == 2**53 // 36
+        assert dynamics.exact_horizon([(0.1, 2.0, 3.0)]) == 0
         # multiples of 2**-3 of size at most 4 * 2**-3
-        assert dynamics._exact_horizon([(0.5, 0.25, -0.125)]) == (2**53 - 1) // 4
+        assert dynamics.exact_horizon([(0.5, 0.25, -0.125)]) == (2**53 - 1) // 4
 
     @pytest.mark.parametrize("n", [2**53 // 36 + 1, 10**300])
     def test_horizon_beyond_exact_sums_is_an_error(self, n):
@@ -523,12 +519,11 @@ class TestEventEngine:
 
     @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**300])
     def test_every_engine_refuses_a_horizon_beyond_an_index(self, n):
-        # no run of such a horizon would end; no payoff sum of TENTHS is
-        # exact, so simulate_events has no exact horizon to refuse it by
+        # no run of such a horizon would end (simulate_events refuses it
+        # earlier, by the exact-sum bound)
         profile, start = good_profile(TENTHS, 0.04), vertices(TENTHS).c1[0]
         for run in (lambda: stages(induced_map(profile, TENTHS), start, n),
-                    lambda: simulate_batch([profile], TENTHS, [start], n, 0.5),
-                    lambda: simulate_events(profile, TENTHS, start, n, 0.5)):
+                    lambda: simulate_batch([profile], TENTHS, [start], n, 0.5)):
             with pytest.raises(ValueError, match=f"is beyond {sys.maxsize}, the largest horizon an array"):
                 run()
 
@@ -537,7 +532,7 @@ class TestEventEngine:
             def invests(self, x):
                 return False
 
-        for third in (RandomStrategy(0.5, 1), Shy(3, 0.4, PARAMS)):
+        for third in (RandomStrategy(0.5, 1), Shy(3, 0.4, PARAMS), ConstantStrategy(INVEST)):
             with pytest.raises(ValueError):
                 simulate_events((GoodStrategy(1, 0.4, PARAMS), GoodStrategy(2, 0.4, PARAMS), third),
                                 PARAMS, VS.A, 100, 0.5)

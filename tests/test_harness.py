@@ -8,6 +8,7 @@ from test_strategies import NON_DYADIC
 from investgame import geometry, harness
 from investgame.approachability import HullOracle
 from investgame.dynamics import (
+    BatchTails,
     iterate,
     simulate_batch,
     simulate_events,
@@ -153,7 +154,7 @@ def _reference_t3(config):
 
 
 # The canonical game scaled by 1/10: its payoffs are not dyadic, so payoff
-# sums round and the event engine steps every stage.
+# sums round and verify_t3 steps it in simulate_batch.
 TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
 OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
 # A, C1_1 and the centroid, the starts of the long-horizon benchmark.
@@ -161,8 +162,9 @@ LONG_STARTS = tuple(default_starts()[i] for i in (0, 2, 8))
 
 
 class TestT3Engine:
-    """verify_t3 runs on the event engine; its report must match the one
-    built from whole trajectories, byte for byte."""
+    """verify_t3 runs on the event engine, or on the batch engine when the
+    game's payoff sums round; its report must match the one built from
+    whole trajectories, byte for byte."""
 
     @pytest.mark.parametrize("config", [
         HarnessConfig(params=PARAMS, n=100_000),
@@ -188,6 +190,21 @@ class TestT3Engine:
         rep = verify_t3(config)
         assert rep.passed
         assert [c["entered_v3_at"] for c in rep.cells] == [1, 1, 2, 2, 2, 2, 2, 2, 1]
+
+    def test_entry_at_mean_n_from_the_batch(self, monkeypatch):
+        # simulate_batch decides means 1..n-1 only; a final mean inside V^3
+        # with no earlier all-invest decision is entered at n
+        config = HarnessConfig(params=TENTHS, eps=0.04, n=1000, starts=((0.125,) * 8,) * 2)
+        b_point = np.array([vertices(TENTHS).B] * 2)
+
+        def stub(profiles, params, starts, n, window):
+            assert len(profiles) == 2 and n == config.n
+            return BatchTails(b_point, b_point, b_point, b_point[:, 1:].sum(axis=1), np.zeros(2, dtype=np.int64))
+
+        monkeypatch.setattr(harness, "simulate_batch", stub)
+        report = verify_t3(config)
+        assert [cell["entered_v3_at"] for cell in report.cells] == [config.n] * 2
+        assert report.passed
 
     def test_runs_no_trajectory(self, monkeypatch):
         from investgame import dynamics
