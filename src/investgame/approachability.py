@@ -156,8 +156,7 @@ class CertReport:
         return asdict(self)
 
 
-def grid_certificate(grid: np.ndarray, width: int, failing: Callable, witness: Callable[..., dict],
-                     pitch: float | None = None) -> CertReport:
+def grid_certificate(grid: np.ndarray, width: int, failing: Callable, witness: Callable[..., dict]) -> CertReport:
     """A certificate over the rows of an (M, d) grid, in passes of as many rows
     as `geometry.PASS_ELEMENTS` holds at `width` elements a row.
 
@@ -177,9 +176,8 @@ def grid_certificate(grid: np.ndarray, width: int, failing: Callable, witness: C
         if hit.any():
             g = lo + int(np.argmax(hit))
             detail = next(d for mask, d in failing(grid[g:g + 1]) if mask[0])
-            return CertReport(holds=False, witness={"x": grid[g].tolist(), **witness(*detail)},
-                              checked=g + 1, grid_pitch=pitch)
-    return CertReport(holds=True, witness=None, checked=len(grid), grid_pitch=pitch)
+            return CertReport(holds=False, witness={"x": grid[g].tolist(), **witness(*detail)}, checked=g + 1)
+    return CertReport(holds=True, witness=None, checked=len(grid))
 
 
 def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
@@ -202,8 +200,7 @@ def _best_inner(oracle: ProximalOracle, x: np.ndarray, steps: np.ndarray):
     return inner, best, dist
 
 
-def check_blackwell(steps: Callable, oracle: ProximalOracle, domain: Sequence,
-                    pitch: float | None = None) -> CertReport:
+def check_blackwell(steps: Callable, oracle: ProximalOracle, domain: Sequence) -> CertReport:
     """Certify <x - y, phi(x) - y> <= CERT_TOL for some proximal y, on every sample.
 
     `steps(rows)`, phi in column form (`strategies.induced_columns`), runs
@@ -222,7 +219,7 @@ def check_blackwell(steps: Callable, oracle: ProximalOracle, domain: Sequence,
     def witness(phi_x, proximal, inner):
         return {"phi_x": phi_x[0].tolist(), "proximal": proximal[0].tolist(), "inner": float(inner[0])}
 
-    return grid_certificate(x, oracle.pieces * x.shape[1], failing, witness, pitch)
+    return grid_certificate(x, oracle.pieces * x.shape[1], failing, witness)
 
 
 def premise_start(traj: Trajectory, oracle: ProximalOracle) -> int | None:

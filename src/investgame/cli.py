@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import harness
 from .dynamics import stages, write_csv
@@ -24,8 +24,8 @@ from .stage_game import (
     read_finite,
     read_integer,
     read_path,
+    read_payoffs,
     read_vector,
-    require_valid,
     validate_params,
     vertices,
 )
@@ -105,7 +105,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    report = validate_params(GameParams.from_file(args.game))
+    with open(args.game) as fh:
+        report = validate_params(read_payoffs(json.load(fh)))
     if report.ok:
         print("ok")
         return 0
@@ -117,7 +118,6 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     params = _load_game(_given(cfg, args, {"game": read_path}).get("game"))
-    require_valid(params)
     descs = cfg.get("strategies")
     if descs is None:
         raise ValueError("run config needs a 'strategies' list of three descriptors")
@@ -215,21 +215,19 @@ def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[boo
     grid = lyapunov.certification_grid(spec, params, pitch)
     if len(grid) == 0:
         raise ValueError(f"pitch {pitch} leaves no grid point outside Delta_c")
-    base = lyapunov.check_lyapunov(spec, mmap, grid, pitch=pitch)
+    base = replace(lyapunov.check_lyapunov(spec, mmap, grid), grid_pitch=pitch)
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
     if not want_decrease:
         return base.holds, {**payload, **base.as_dict()}
     consts = lyapunov.t1_constants(spec, _positive(cfg.get("m_bound", 60.0), "m_bound"))
-    dec = lyapunov.decrease_check(spec, mmap, consts, grid, pitch=pitch)
+    dec = replace(lyapunov.decrease_check(spec, mmap, consts, grid), grid_pitch=pitch)
     payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
     return base.holds and dec.holds, {**payload, **dec.as_dict()}
 
 
 def cmd_certify(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    if args.pitch is not None:
-        cfg["pitch"] = args.pitch
-    pitch = _positive(cfg.get("pitch", harness.CERT_PITCH), "pitch")
+    pitch = _given(cfg, args, {"pitch": _positive}).get("pitch", harness.CERT_PITCH)
     out = _given(cfg, args, {"out": read_path}).get("out")
     if args.kind == "blackwell":
         ok, payload = _certify_blackwell(cfg, pitch)

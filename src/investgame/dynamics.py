@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .geometry import RegionSpec, inequality_margins
-from .stage_game import GameParams, payoff_table, require_valid
+from .stage_game import GameParams, payoff_table
 from .strategies import ConstantStrategy, GoodColumns, GoodStrategy, RandomStrategy, Strategy
 
 
@@ -200,7 +200,6 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     leave it in; give each seat its own `fresh()` copy.
     Tail statistics cover the means from `tail_start(n, window)` on.
     """
-    require_valid(params)
     _check_horizon(n)
     first = tail_start(n, window)
     cells = len(profiles)
@@ -359,7 +358,6 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     points of the default starts are).  Otherwise a per-stage scan can
     differ in the last bit, and only past ~1e7 stages.
     """
-    require_valid(params)
     table = payoff_table(params)
     horizon = exact_horizon(table)
     if n > horizon:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .stage_game import GameParams, PayoffVector, require_valid, vertices
+from .stage_game import GameParams, PayoffVector, vertices
 
 _S2 = math.sqrt(2.0)
 
@@ -380,7 +380,6 @@ def _nearest_in_pass(faces, x) -> tuple[np.ndarray, np.ndarray]:
 def sample_points(params: GameParams, n: int, seed: int = 0) -> np.ndarray:
     """n points of S, barycentric weights over the 8 vertices drawn uniformly
     from the simplex."""
-    require_valid(params)
     verts = np.asarray(vertices(params).all_points())
     return np.random.default_rng(seed).dirichlet(np.ones(len(verts)), size=n) @ verts
 

@@ -35,7 +35,7 @@ run of `dynamics.iterate`.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -76,7 +76,6 @@ from .stage_game import (
     GameParams,
     example_game,
     payoff_table,
-    require_valid,
     vertices,
 )
 from .strategies import (
@@ -128,7 +127,6 @@ class HarnessConfig:
     dist_pitch: float = 0.25
 
     def __post_init__(self):
-        require_valid(self.params)
         if self.n < MIN_RUN:
             raise ValueError(f"horizon must be at least {MIN_RUN}")
         tail_start(self.n, self.window)
@@ -336,7 +334,7 @@ class BlackwellTargets(NamedTuple):
     oracles: dict[str, ProximalOracle]
 
     def certify(self, name: str) -> CertReport:
-        return check_blackwell(self.steps, self.oracles[name], self.domain, self.pitch)
+        return replace(check_blackwell(self.steps, self.oracles[name], self.domain), grid_pitch=self.pitch)
 
     def certify_all(self) -> dict[str, CertReport]:
         return {f"blackwell_{name}": self.certify(name) for name in self.oracles}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .approachability import CERT_TOL, CertReport, grid_certificate
 from .geometry import V_DIRS, dot3, norm3, plane_grid, project_plane
-from .stage_game import ALL_INVEST, GameParams, payoff_table, require_valid
+from .stage_game import ALL_INVEST, GameParams, payoff_table
 
 _S2 = math.sqrt(2.0)
 
@@ -122,7 +122,6 @@ def good_profile_plane_map(params: GameParams) -> PlaneMultiMap:
     lone investor is an argmax, so seat lo does not invest alone, and a
     lone refuser is an argmin, so seat hi does not refuse alone.
     """
-    require_valid(params)
     return _coded_map(params, (ALL_INVEST, 1, 2, 4, 6, 5, 3), [
         (v, 0.0, {1 << v.index(min(v)), ALL_INVEST ^ 1 << v.index(max(v))}) for v in V_DIRS
     ], label="all_good")
@@ -138,7 +137,6 @@ def two_good_plane_map(params: GameParams, eps: float) -> PlaneMultiMap:
     argmax/argmin algebra; the v1 (v2) rule fires only above eps/sqrt(2),
     where every lift leaves Omega_2^eps (Omega_1^eps) and with it V2 (V1),
     and drops every code where that seat invests."""
-    require_valid(params)
     if eps <= 0:
         raise ValueError("eps must be positive")
     thr = eps / _S2
@@ -156,8 +154,7 @@ def certification_grid(spec: SupportSpec, params: GameParams, pitch: float) -> n
     return grid[_support(spec, grid.T) >= spec.c]
 
 
-def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
-                   pitch: float | None = None) -> CertReport:
+def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence) -> CertReport:
     """Certify the support function against the multimap outside Delta_c.
 
     For every sample x (which must satisfy V(x) >= c), every delta-active
@@ -180,15 +177,15 @@ def check_lyapunov(spec: SupportSpec, mmap: PlaneMultiMap, grid: Sequence,
         return {"direction_index": i + 1, "value": list(mmap.values[j]), "inner": inner[i][j],
                 "support": float(support[0])}
 
-    return _plane_certificate(spec, mmap, grid, violations, witness, pitch)
+    return _plane_certificate(spec, mmap, grid, violations, witness)
 
 
-def _plane_certificate(spec, mmap, grid, violations, witness, pitch) -> CertReport:
+def _plane_certificate(spec, mmap, grid, violations, witness) -> CertReport:
     """`grid_certificate` over an (M, 3) grid, a row's elements its coordinates or the map values
     it keeps; `violations(cols, support, alive)` reads the rows' columns, V and kept values."""
     return grid_certificate(np.asarray(grid, dtype=float).reshape(-1, 3), max(3, len(mmap.values)),
                             lambda rows: violations(rows.T, _support(spec, rows.T), mmap.alive(rows.T)),
-                            witness, pitch)
+                            witness)
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,7 @@ def t1_constants(spec: SupportSpec, m_bound: float) -> LyapunovConstants:
     return consts
 
 
-def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConstants, grid: Sequence,
-                   pitch: float | None = None) -> CertReport:
+def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConstants, grid: Sequence) -> CertReport:
     """Certify V(a w + (1-a) x) <= V(x) - a gamma (+ CERT_TOL) on the sampled domain.
 
     Sampled at a = alpha0 alone, which decides every a in (0, alpha0], as
@@ -259,7 +255,7 @@ def decrease_check(spec: SupportSpec, mmap: PlaneMultiMap, consts: LyapunovConst
     def witness(w, lhs, rhs):
         return {"value": list(w), "alpha": a, "lhs": float(lhs[0]), "rhs": float(rhs[0])}
 
-    return _plane_certificate(spec, mmap, grid, violations, witness, pitch)
+    return _plane_certificate(spec, mmap, grid, violations, witness)
 
 
 @dataclass

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import astuple, dataclass
+from typing import Iterable, Sequence
 
 INVEST = "I"
 NOT_INVEST = "NI"
@@ -45,7 +45,9 @@ CONSTRAINT_LABELS = (
 
 @dataclass(frozen=True)
 class GameParams:
-    """The six stage-game payoff levels.
+    """The six stage-game payoff levels of an admissible game: building one
+    from payoffs that are not finite or that break an inequality of
+    CONSTRAINT_LABELS raises ValueError, so every GameParams is admissible.
 
     r0, r1, r2: non-investor payoff with 0/1/2 total investors.
     p1, p2, p3: investor payoff with 1/2/3 total investors.
@@ -58,20 +60,29 @@ class GameParams:
     p2: float
     p3: float
 
+    def __post_init__(self):
+        report = validate_params(astuple(self))
+        if not report.ok:
+            raise ValueError("inadmissible game parameters: " + "; ".join(report.violations))
+
     @classmethod
     def from_dict(cls, d: dict) -> "GameParams":
-        try:
-            return cls(*(read_finite(d[k], k) for k in ("r0", "r1", "r2", "p1", "p2", "p3")))
-        except KeyError as exc:
-            raise ValueError(f"game file missing key {exc}") from exc
+        return cls(*read_payoffs(d))
 
     @classmethod
     def from_file(cls, path: str) -> "GameParams":
         with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("game file must be a flat JSON object")
-        return cls.from_dict(data)
+            return cls.from_dict(json.load(fh))
+
+
+def read_payoffs(d) -> tuple[float, ...]:
+    """The six payoffs of a game object, in field order, each a finite number."""
+    if not isinstance(d, dict):
+        raise ValueError("game file must be a flat JSON object")
+    try:
+        return tuple(read_finite(d[k], k) for k in ("r0", "r1", "r2", "p1", "p2", "p3"))
+    except KeyError as exc:
+        raise ValueError(f"game file missing key {exc}") from exc
 
 
 def read_finite(value, what: str) -> float:
@@ -128,14 +139,14 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def validate_params(params: GameParams) -> ValidationReport:
-    """Check the admissibility inequalities, strictly and with no tolerance.
+def validate_params(values: Sequence[float]) -> ValidationReport:
+    """Check the admissibility inequalities on the six payoffs (r0, r1, r2,
+    p1, p2, p3), strictly and with no tolerance.
 
     Returns the list of violated constraint labels.  Non-finite inputs are
     rejected with a ValueError before any inequality is evaluated, so a NaN
     cannot silently "pass" a strict comparison.
     """
-    values = (params.r0, params.r1, params.r2, params.p1, params.p2, params.p3)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("game parameters must be finite reals")
     r0, r1, r2, p1, p2, p3 = values
@@ -155,12 +166,6 @@ def validate_params(params: GameParams) -> ValidationReport:
     )
     violations = tuple(label for label, ok in zip(CONSTRAINT_LABELS, checks) if not ok)
     return ValidationReport(ok=not violations, violations=violations)
-
-
-def require_valid(params: GameParams) -> None:
-    report = validate_params(params)
-    if not report.ok:
-        raise ValueError("inadmissible game parameters: " + "; ".join(report.violations))
 
 
 def payoff(params: GameParams, profile: ActionProfile) -> PayoffVector:

@@ -33,7 +33,6 @@ from .stage_game import (
     payoff_table,
     read_finite,
     read_integer,
-    require_valid,
 )
 
 
@@ -76,7 +75,6 @@ class GoodStrategy(Strategy):
     def __init__(self, player: int, eps: float, params: GameParams):
         if not (math.isfinite(eps) and eps > 0):
             raise ValueError("eps must be positive and finite")
-        require_valid(params)
         if player not in (1, 2, 3):
             raise ValueError("player must be 1, 2 or 3")
         self.player = player
@@ -253,7 +251,6 @@ def good_profile(params: GameParams, eps: float) -> tuple[Strategy, Strategy, St
 
 def induced_map(profile, params: GameParams):
     """phi = payoff o profile: the step map of the mean dynamics."""
-    require_valid(params)
     table = payoff_table(params)
     i1, i2, i3 = (s.invests for s in profile)
 
@@ -269,7 +266,6 @@ def induced_columns(profile, params: GameParams):
     `dynamics.simulate_batch`: good and constant seats run `invests` once on
     the columns (the good test's `&` form is elementwise), any other kind
     once per row; a random seat, whose draws would follow row order, is refused."""
-    require_valid(params)
     if any(isinstance(s, RandomStrategy) for s in profile):
         raise ValueError("a random seat has no column step map")
     table = np.array(payoff_table(params), dtype=float)

@@ -183,7 +183,7 @@ def test_criterion_lyapunov_certification():
     for c in (0.1, 0.3):
         spec = six_direction_spec(c)
         grid = certification_grid(spec, PARAMS, pitch)
-        rep = check_lyapunov(spec, mmap6, grid, pitch=pitch)
+        rep = check_lyapunov(spec, mmap6, grid)
         dec = decrease_check(spec, mmap6, t1_constants(spec, 60.0), grid)
         all_good_ok = all_good_ok and rep.holds and dec.holds
 
@@ -191,7 +191,7 @@ def test_criterion_lyapunov_certification():
     spec4 = four_direction_spec((eps + eta) / S2, delta=eta / (2 * S2))
     mmap4 = two_good_plane_map(PARAMS, eps)
     grid4 = certification_grid(spec4, PARAMS, pitch)
-    rep4 = check_lyapunov(spec4, mmap4, grid4, pitch=pitch)
+    rep4 = check_lyapunov(spec4, mmap4, grid4)
     dec4 = decrease_check(spec4, mmap4, t1_constants(spec4, 60.0), grid4)
 
     start = tuple(0.7 * a + 0.3 * b for a, b in zip(VS.c1[0], VS.B))

@@ -70,14 +70,14 @@ S2 = math.sqrt(2.0)
 # The per-sample reference loop
 # ---------------------------------------------------------------------------
 
-def ref_first_violation(samples, violation, pitch=None) -> CertReport:
+def ref_first_violation(samples, violation) -> CertReport:
     checked = 0
     for x in samples:
         checked += 1
         witness = violation(x)
         if witness is not None:
-            return CertReport(holds=False, witness=witness, checked=checked, grid_pitch=pitch)
-    return CertReport(holds=True, witness=None, checked=checked, grid_pitch=pitch)
+            return CertReport(holds=False, witness=witness, checked=checked)
+    return CertReport(holds=True, witness=None, checked=checked)
 
 
 def _dot(a, b) -> float:
@@ -97,7 +97,7 @@ def ref_best_inner(x, step, proximal):
     return best, best_y
 
 
-def ref_check_blackwell(phi, oracle, domain, pitch=None, tol=1e-9):
+def ref_check_blackwell(phi, oracle, domain, tol=1e-9):
     def violation(x):
         step = phi(tuple(x))
         point = np.asarray(x, dtype=float)
@@ -107,7 +107,7 @@ def ref_check_blackwell(phi, oracle, domain, pitch=None, tol=1e-9):
                     "proximal": [float(c) for c in y], "inner": inner}
         return None
 
-    return ref_first_violation(domain, violation, pitch)
+    return ref_first_violation(domain, violation)
 
 
 def ref_premise_start(traj, oracle, tol=1e-9):
@@ -146,7 +146,7 @@ def ref_decay_bound_check(traj, oracle, n0, tol=1e-9) -> DecayReport:
                        violations=violations)
 
 
-def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, pitch=None):
+def ref_check_lyapunov(spec, mmap, grid, tol=1e-9):
     def violation(x):
         v, active = support_value(spec, x)
         values = mmap(x)
@@ -158,10 +158,10 @@ def ref_check_lyapunov(spec, mmap, grid, tol=1e-9, pitch=None):
                             "inner": inner, "support": v}
         return None
 
-    return ref_first_violation(grid, violation, pitch)
+    return ref_first_violation(grid, violation)
 
 
-def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None, alphas=None):
+def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, alphas=None):
     """The decrease test at each sample, map value and alpha in `alphas`
     (alpha0 alone by default), in that order."""
     alphas = (consts.alpha0,) if alphas is None else alphas
@@ -177,7 +177,7 @@ def ref_decrease_check(spec, mmap, consts, grid, tol=1e-9, pitch=None, alphas=No
                             "lhs": val, "rhs": v - a * consts.gamma}
         return None
 
-    return ref_first_violation(grid, violation, pitch)
+    return ref_first_violation(grid, violation)
 
 
 def ladder(consts):
@@ -204,7 +204,7 @@ def _example2_phi(eps):
 
 
 def _blackwell_cases():
-    """(name, scalar phi, column steps, oracle, domain, pitch) of every
+    """(name, scalar phi, column steps, oracle, domain) of every
     certificate target and of a failing refinement stage."""
     cases = []
     for label, phi, targets in (
@@ -213,23 +213,23 @@ def _blackwell_cases():
             ("example1-other-ab", example1_phi((0.3, -1.7), (2.1, 0.9)),
              example1_targets((0.3, -1.7), (2.1, 0.9), pitch=0.13)),
             ("example2-eps0.1", _example2_phi(0.1), example2_targets(0.1, 0.2))):
-        cases += [(f"{label}-{name}", phi, targets.steps, oracle, targets.domain, targets.pitch)
+        cases += [(f"{label}-{name}", phi, targets.steps, oracle, targets.domain)
                   for name, oracle in targets.oracles.items()]
     # a refinement stage whose clip radius is too small: a failing witness
     # on a clipped segment, where nothing is exactly representable
     _, _, profile, _, union = _example2_setup(0.4)
     clipped = SegmentsOracle(clip_segments_to_neighborhood(union, HullOracle(union[0]), 0.1))
     cases.append(("clipped", induced_map(profile, PARAMS), induced_columns(profile, PARAMS), clipped,
-                  z_near_segments(PARAMS, union, 0.3), None))
+                  z_near_segments(PARAMS, union, 0.3)))
     return cases
 
 
 @pytest.mark.parametrize("case", _blackwell_cases(), ids=lambda c: c[0])
 def test_blackwell_matches_reference(case):
     # the array pass runs the column map; the reference, phi on one sample at a time
-    _, phi, steps, oracle, domain, pitch = case
-    got = check_blackwell(steps, oracle, domain, pitch)
-    assert_same_report(got, ref_check_blackwell(phi, oracle, domain, pitch))
+    _, phi, steps, oracle, domain = case
+    got = check_blackwell(steps, oracle, domain)
+    assert_same_report(got, ref_check_blackwell(phi, oracle, domain))
 
 
 @pytest.mark.parametrize("case", [c for c in _blackwell_cases() if c[0].endswith(("line", "triangle", "clipped"))],
@@ -237,14 +237,14 @@ def test_blackwell_matches_reference(case):
 def test_column_steps_match_phi_on_the_certificate_grid(case):
     # example 1's box at both pitches, example 2's slice grid at eps 0.4 and
     # 0.1, and the clipped refinement stage's domain near the union
-    _, phi, steps, _, domain, _ = case
+    _, phi, steps, _, domain = case
     want = np.array([phi(x) for x in map(tuple, domain.tolist())])
     assert steps(domain).tobytes() == want.tobytes()
 
 
 def test_blackwell_forced_failures_are_covered():
-    verdicts = {name: check_blackwell(steps, oracle, domain, pitch).holds
-                for name, _, steps, oracle, domain, pitch in _blackwell_cases()}
+    verdicts = {name: check_blackwell(steps, oracle, domain).holds
+                for name, _, steps, oracle, domain in _blackwell_cases()}
     assert [name for name, holds in verdicts.items() if not holds] == \
         ["example1-singleton", "example1-other-ab-singleton", "clipped"]
 
@@ -254,7 +254,8 @@ def test_blackwell_on_an_empty_domain_holds_vacuously():
     targets = example2_targets(0.4, pitch=1000.0)
     assert targets.domain.shape == (0, 3)
     rep = targets.certify("triangle")
-    assert_same_report(rep, ref_check_blackwell(_example2_phi(0.4), targets.oracles["triangle"], [], 1000.0))
+    assert_same_report(rep, replace(ref_check_blackwell(_example2_phi(0.4), targets.oracles["triangle"], []),
+                                    grid_pitch=1000.0))
     assert rep.holds and rep.checked == 0
 
 
@@ -323,8 +324,8 @@ def _plane_cases():
 def test_lyapunov_matches_reference(name):
     spec, mmap = _plane_cases()[name]
     grid = certification_grid(spec, PARAMS, 0.25)
-    got = check_lyapunov(spec, mmap, grid, pitch=0.25)
-    assert_same_report(got, ref_check_lyapunov(spec, mmap, grid, pitch=0.25))
+    got = check_lyapunov(spec, mmap, grid)
+    assert_same_report(got, ref_check_lyapunov(spec, mmap, grid))
     if name == "two_good_small_c":
         assert not got.holds
 
@@ -347,11 +348,11 @@ def _decrease_cases():
 def test_decrease_matches_reference(case):
     name, spec, mmap, consts = case
     grid = certification_grid(spec, PARAMS, 0.25)
-    got = decrease_check(spec, mmap, consts, grid, pitch=0.25)
-    assert_same_report(got, ref_decrease_check(spec, mmap, consts, grid, pitch=0.25))
+    got = decrease_check(spec, mmap, consts, grid)
+    assert_same_report(got, ref_decrease_check(spec, mmap, consts, grid))
     assert got.holds == (name in ("all_good", "two_good"))
     # the four-alpha ladder fails at the same sample and map value; the witness alpha is alpha0
-    old = ref_decrease_check(spec, mmap, consts, grid, pitch=0.25, alphas=ladder(consts))
+    old = ref_decrease_check(spec, mmap, consts, grid, alphas=ladder(consts))
     assert (old.holds, old.checked) == (got.holds, got.checked)
     if not got.holds:
         assert (old.witness["x"], old.witness["value"]) == (got.witness["x"], got.witness["value"])

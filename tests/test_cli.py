@@ -135,10 +135,11 @@ class TestSimulate:
         cfg = write_json(tmp_path, "run.json", run)
         assert main(["simulate", cfg, "--game", game_file]) == 2
 
-    def test_inadmissible_game_rejected(self, tmp_path):
+    def test_inadmissible_game_rejected(self, tmp_path, capsys):
         bad_game = write_json(tmp_path, "bad.json", dict(CANON, p1=20))
         cfg = write_json(tmp_path, "run.json", GOOD_RUN)
         assert main(["simulate", cfg, "--game", bad_game]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad game file {bad_game}: inadmissible game parameters: ")
 
     def test_zero_horizon_writes_no_file(self, tmp_path):
         cfg = write_json(tmp_path, "run.json", dict(GOOD_RUN, n=0))

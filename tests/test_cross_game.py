@@ -41,7 +41,7 @@ EPS = 0.3
 
 
 def test_other_game_is_admissible():
-    assert validate_params(OTHER).ok
+    assert validate_params(astuple(OTHER)).ok
 
 
 def test_region_algebra_transfers():
@@ -141,9 +141,9 @@ def sampled_games(seed: int, per_grid: int) -> list[GameParams]:
     for steps in (10, 4, 1):
         found = 0
         while found < per_grid:
-            game = GameParams(*(rng.randint(1, 30 * steps) / steps for _ in range(6)))
-            if validate_params(game).ok:
-                games.append(game)
+            values = tuple(rng.randint(1, 30 * steps) / steps for _ in range(6))
+            if validate_params(values).ok:
+                games.append(GameParams(*values))
                 found += 1
     return games
 

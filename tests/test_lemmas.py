@@ -11,13 +11,14 @@ also read x1, x2 and x3.
 """
 
 import re
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from investgame.geometry import sample_points
-from investgame.stage_game import CONSTRAINT_LABELS, GameParams, example_game, vertices
+from investgame.stage_game import CONSTRAINT_LABELS, GameParams, example_game, validate_params, vertices
 from investgame.strategies import good_profile, induced_columns
 
 VARS = ("r0", "r1", "r2", "p1", "p2", "p3", "eps")
@@ -55,6 +56,40 @@ def test_constraints_parse_over_the_game_variables():
     assert CONSTRAINTS[8] == {"p1": 1, "r1": 2, "r0": -3}
     assert CONSTRAINTS[1] == {"r0": 1}
     assert all(set(c) <= set(VARS) for c in CONSTRAINTS.values())
+
+
+def margin(c: dict[str, Fraction], values) -> Fraction:
+    """The exact value of a form at the six payoffs `values`, in field order."""
+    point = dict(zip(VARS, map(Fraction, values)))
+    return sum((v * (1 if k == "1" else point[k]) for k, v in c.items()), Fraction(0))
+
+
+def _tie(values: tuple, i: int) -> tuple:
+    """`values` with the i-th constraint made an equality, solved for its
+    first variable of coefficient +-1 (every label has one), so a quarter
+    grid point stays on the quarter grid."""
+    c = CONSTRAINTS[i]
+    var = next(k for k, v in c.items() if abs(v) == 1)
+    j = VARS.index(var)
+    out = list(values)
+    out[j] = float(Fraction(values[j]) - margin(c, values) / c[var])
+    return tuple(out)
+
+
+def test_validate_params_enforces_the_proved_constraints():
+    # quarter-grid payoffs in [-5, 40] keep every float sum and product of
+    # the checks exact, so validate_params must reject exactly the labels
+    # whose rhs - lhs is not positive in exact rationals, ties included
+    draws = [tuple(row) for row in (np.random.default_rng(35).integers(-20, 161, size=(2000, 6)) / 4).tolist()]
+    games = draws + [_tie(g, i) for g in draws[:50] + [astuple(example_game())] for i in CONSTRAINTS]
+    ties = 0
+    for values in games:
+        margins = [margin(CONSTRAINTS[i], values) for i in CONSTRAINTS]
+        want = tuple(label for label, m in zip(CONSTRAINT_LABELS, margins) if m <= 0)
+        assert validate_params(values).violations == want, values
+        ties += 0 in margins
+    assert ties >= 51 * 12
+    assert validate_params(astuple(example_game())).ok
 
 
 def _forms_at(step: str) -> list[str]:

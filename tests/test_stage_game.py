@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields, replace
 from itertools import permutations, product
 
 import numpy as np
@@ -18,31 +19,31 @@ from investgame.stage_game import (
 
 #: All 8 action profiles (a1, a2, a3).
 PROFILES = tuple(product((INVEST, NOT_INVEST), repeat=3))
+FIELDS = tuple(f.name for f in fields(GameParams))
 
-
-def params_tuple(r0, r1, r2, p1, p2, p3):
-    return GameParams(r0=r0, r1=r1, r2=r2, p1=p1, p2=p2, p3=p3)
+#: The canonical game with p1 = r0 = 20: it breaks p1 < r0, p1 < p2 and the first welfare link.
+P1_AT_R0 = (20, 28, 36, 20, 18, 26)
 
 
 class TestValidate:
     def test_canonical_game_is_admissible(self):
-        report = validate_params(example_game())
+        report = validate_params(astuple(example_game()))
         assert report.ok
         assert report.violations == ()
 
     def test_boundary_p1_equals_r0_is_rejected(self):
-        report = validate_params(params_tuple(20, 28, 36, 20, 18, 26))
+        report = validate_params(P1_AT_R0)
         assert not report.ok
         assert "p1 < r0" in report.violations
 
     def test_welfare_chain_boundary_is_rejected(self):
         # 2*18 + 36 = 72 and 3*24 = 72: the strict chain fails at its last link
-        report = validate_params(params_tuple(20, 28, 36, 10, 18, 24))
+        report = validate_params((20, 28, 36, 10, 18, 24))
         assert not report.ok
         assert "2*p2 + r2 < 3*p3" in report.violations
 
     def test_each_violation_is_reported_individually(self):
-        report = validate_params(params_tuple(20, 28, 36, 20, 18, 26))
+        report = validate_params(P1_AT_R0)
         # p1=20 also breaks p1 < p2 and the first welfare link (76 < 72)
         assert "p1 < p2" in report.violations
         assert "p1 + 2*r1 < 2*p2 + r2" in report.violations
@@ -50,7 +51,38 @@ class TestValidate:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_input_raises_distinct_error(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            validate_params(params_tuple(20, 28, 36, bad, 18, 26))
+            validate_params((20, 28, 36, bad, 18, 26))
+
+
+class TestAdmissibleByConstruction:
+    """Every GameParams is admissible: each way of building one refuses the
+    payoffs `validate_params` rejects, with the labels it lists."""
+
+    MESSAGE = "inadmissible game parameters: " + "; ".join(validate_params(P1_AT_R0).violations)
+
+    @pytest.mark.parametrize("build", [
+        lambda: GameParams(*P1_AT_R0),
+        lambda: GameParams.from_dict(dict(zip(FIELDS, P1_AT_R0))),
+        lambda: replace(example_game(), p1=20.0),
+    ], ids=["direct", "from_dict", "replace"])
+    def test_every_constructor_refuses_an_inadmissible_game(self, build):
+        with pytest.raises(ValueError, match="p1 < r0") as info:
+            build()
+        assert str(info.value) == self.MESSAGE
+
+    def test_from_file_refuses_an_inadmissible_game(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(zip(FIELDS, P1_AT_R0))))
+        with pytest.raises(ValueError, match="p1 < r0") as info:
+            GameParams.from_file(str(path))
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_payoffs_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GameParams(20, 28, 36, bad, 18, 26)
+        with pytest.raises(ValueError, match="finite"):
+            replace(example_game(), p3=bad)
 
 
 class TestPayoff:
@@ -135,7 +167,7 @@ def test_from_dict_missing_key():
 
 def test_second_admissible_game():
     # a different admissible parameter set keeps the machinery honest
-    other = params_tuple(5.0, 8.0, 12.0, 3.0, 7.0, 11.0)
-    report = validate_params(other)
+    other = GameParams(5.0, 8.0, 12.0, 3.0, 7.0, 11.0)
+    report = validate_params(astuple(other))
     assert report.ok, report.violations
     assert math.isclose(sum(payoff(other, (INVEST, INVEST, INVEST))), 33.0)
