@@ -12,7 +12,7 @@ finite run can actually certify.
 
 Three engines share one arithmetic, the running sum of `stages`, and one
 payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
-seats' `invests` predicates.  `iterate` collects the (mean, step) pairs of
+seats' decisions.  `iterate` collects the (mean, step) pairs of
 `stages` into one profile's recorded trajectory.  `simulate_batch` steps
 many (profile, start) cells together as a (B, 3) array and keeps only
 what the deviant batteries report; it decides the good seats in one
@@ -20,10 +20,12 @@ what the deviant batteries report; it decides the good seats in one
 fused test equal to `invests` exactly since rounding is monotone, and
 every other seat but constants and coin flips by its own `invests` on
 its row's mean as floats, so that cost grows with the number of such
-rows.  `simulate_events` runs one profile of good seats while the payoff
-sums are exact (`exact_horizon`), jumping over the stretches where the
-action profile provably stays fixed, each end solved in closed form.  The
-means of the last two are bit-identical to `iterate` on the same cell.
+rows; its means are bit-identical to `iterate` on the same cell.
+`simulate_events` runs one profile of good seats while the payoff sums are
+exact (`exact_horizon`), jumping over the stretches where the action
+profile stays fixed: it decides each stretch and solves its end exactly,
+in integers, on the exact mean.  Its means are `iterate`'s wherever
+`iterate`'s decisions on the rounded means agree with these.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import RegionSpec, inequality_margins
+from .geometry import RegionSpec, _inequalities, scaled_ints
 from .stage_game import GameParams, payoff_table
 from .strategies import ConstantStrategy, GoodColumns, GoodStrategy, RandomStrategy, Strategy
 
@@ -295,22 +298,6 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     return BatchTails(means.copy(), tail_min, tail_max, tail_max_23, entered)
 
 
-#: Stretch margin of `simulate_events`, relative to a bound S on every
-#: |mean coordinate| and |constant|.  With u = 2**-53, a computed mean
-#: coordinate is within 3u*S of its exact value, an inequality side within
-#: 11u*S (so where the exact margin is above 11u*S the computed sides
-#: compare as the exact ones do) and a computed margin, at most 3S, within
-#: 14u*S.  From mean k with step v, mean L is v + (mean_k - v) k / L, so
-#: g(L) = g_inf + (g_k - g_inf) k / L, a convex combination of the computed
-#: margins at mean k and at v, is within 14u*S of the exact margin at L.
-#: With s the sign of g_k, T = _MARGIN_REL * S, a = s g_k - T > 0 and
-#: b = T - s g_inf, s g(L) > T for every L if b <= 0, else while L - k <
-#: k a / b.  Four roundings make that quotient at most 1 + 4u + 8u**2 times
-#: the exact one, which costs s g(L) under 1.01u (a + b) <= 6.06u*S (as
-#: a b / (a + b) <= (a + b) / 4): the exact margin stays above 11.9u*S.
-_MARGIN_REL = 32 * 2.0 ** -53
-
-
 @dataclass(frozen=True)
 class SegmentRun:
     """What `simulate_events` keeps of one run.
@@ -333,24 +320,31 @@ def exact_horizon(table) -> int:
     """The largest n at which every sum of up to n payoffs is exact: all
     entries are integer multiples of 2**-e with max|v| * n * 2**e < 2**53
     (0 when no n is)."""
-    ratios = [abs(v).as_integer_ratio() for row in table for v in row]
-    scale = max(den for _, den in ratios)  # 2**e
-    return (2**53 - 1) // max(1, max(num * (scale // den) for num, den in ratios))
+    ints, _ = scaled_ints(v for row in table for v in row)
+    return (2**53 - 1) // max(1, max(abs(v) for v in ints))
 
 
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
     """Run one profile of seats of type exactly `GoodStrategy` from x1 for
     n stages, jumping over stretches of one fixed profile.
 
-    The means are those of `iterate` on `induced_map(profile, params)`, bit
-    for bit.  The payoff sums must be exact at this horizon: an n past
-    `exact_horizon` is refused, so a game whose sums round is stepped by
-    another engine (`simulate_batch`).  At a stretch's first mean the
-    profile is decided; each inequality of the seats' regions keeps its
-    truth value up to an end solved in closed form from its margins at
-    that mean and at the step (see `_MARGIN_REL`), or for good if every
-    coordinate it reads is exactly stationary (mean equal to the step),
-    and the engine jumps to the earliest end.
+    Decisions and stretch ends are exact.  The start, the payoffs, r0, p3
+    and each seat's eps (its float's exact value) times their common
+    power-of-two denominator D are ints, so the running sum X_k = D (x1 +
+    P_k) is an int, and `_inequalities` on X_k with the constants times k
+    gives k D times each form's margin at the exact mean X_k / (k D).  At a
+    stretch's first mean k the profile is decided from these forms' truth
+    values.  With h_v the form on the step, L D times its margin is h_k +
+    (L - k) h_v along the stretch, so a form whose truth value changes does
+    so at one rational root, and the engine jumps to the earliest such end.
+
+    The means reported are the float ones of `iterate` on `induced_map(
+    profile, params)`, so they equal its means bit for bit wherever the
+    exact decisions equal its float ones; they can differ where a float
+    mean rounds across a boundary that the exact mean does not reach.  The
+    payoff sums must be exact at this horizon: an n past `exact_horizon` is
+    refused, so a game whose sums round is stepped by another engine
+    (`simulate_batch`).
 
     Tail extrema are taken at segment endpoints and at the tail's first
     stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
@@ -369,42 +363,44 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         raise ValueError("need a 3-vector start and a profile of three strategies")
     if any(type(s) is not GoodStrategy for s in profile):
         raise ValueError("simulate_events runs good seats only")
-    specs = [RegionSpec("v", s.player, s.eps) for s in profile]
     first_tail = tail_start(n, window) + 1
-    scale = max([abs(c) for c in start] + [abs(v) for row in table for v in row]
-                + [params.r0, 2.0 * params.p3] + [spec.eps for spec in specs])
-    threshold = _MARGIN_REL * scale
-    i1, i2, i3 = (s.invests for s in profile)
+    # 3 start coordinates, 8 payoff rows of 3, r0, p3 and one eps per seat
+    ints, _ = scaled_ints(chain(start, *table, (params.r0, params.p3), (s.eps for s in profile)))
+    x_int, table_int = ints[:3], [ints[c:c + 3] for c in range(3, 27, 3)]
+    r0, p3, *eps = ints[27:]
     evaluations = 0
 
-    def margins(x):
-        return [m for spec in specs for _, m in inequality_margins(params, spec, x)]
+    def forms(c, cols):
+        """Per seat, (held, strict, margin) of each inequality of V_i on int
+        columns with the constants times c; a margin is signed to be positive
+        where its inequality holds, as lhs - rhs is for ">" and ">="."""
+        consts = SimpleNamespace(r0=c * r0, p3=c * p3)
+        out = []
+        for s, e in zip(profile, eps):
+            seat = []
+            for lhs, op, rhs in _inequalities(consts, RegionSpec("v", s.player, c * e), cols):
+                m = lhs - rhs if op[0] == ">" else rhs - lhs
+                strict = op in ("<", ">")
+                seat.append((m > 0 or (m == 0 and not strict), strict, m))
+            out.append(seat)
+        return out
+
+    def farthest(k, at_k, step) -> int:
+        """The stretch's last stage from k.  A form whose truth value changes
+        does so at r = k - h_k / h_v: its last stage before the change is
+        ceil(r) - 1 when (strict == held), floor(r) otherwise."""
+        last = n
+        for (held, strict, h_k), (_, _, h_v) in zip(chain(*at_k), chain(*forms(1, step))):
+            if h_v != 0 and held == (h_v < 0):
+                num = k * h_v - h_k  # r = num / h_v
+                last = min(last, -(-num // h_v) - 1 if strict == held else num // h_v)
+        return last
 
     def mean_at(stage, k, total, step):
         """Mean `stage` of the stretch from mean k, whose running sum is
         `total`, with every later payoff equal to `step`."""
         m = stage - k
         return tuple((a + (p + m * v)) / stage for a, p, v in zip(start, total, step))
-
-    def farthest(k, total, mean, step) -> int:
-        """The earliest end, solved per form (`_MARGIN_REL`), of the stretch from k."""
-        last, reads_fixed = n, None
-        for idx, (g_k, g_inf) in enumerate(zip(margins(mean), margins(step))):
-            s = 1.0 if g_k > 0.0 else -1.0
-            excess = s * g_k - threshold
-            if excess <= 0.0:
-                if reads_fixed is None:
-                    # exactly x1 + P == k * step: fsum rounds the exact sum
-                    probe = tuple(c if c == v and math.fsum((a, p, -k * v)) == 0.0 else math.nan
-                                  for a, p, v, c in zip(start, total, step, mean))
-                    reads_fixed = [not math.isnan(g) for g in margins(probe)]
-                if not reads_fixed[idx]:
-                    return k
-            elif s * g_inf < threshold:
-                stretch = k * excess / (threshold - s * g_inf)
-                if stretch <= last - k:
-                    last = k + math.ceil(stretch) - 1
-        return last
 
     tail_min = [math.inf] * 3
     tail_max = [-math.inf] * 3
@@ -420,9 +416,10 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     k, total, mean = 1, [0.0, 0.0, 0.0], start
     while True:
         evaluations += 1 + (k < n)  # a decision, and a stretch solve
-        code = i1(mean) | i2(mean) << 1 | i3(mean) << 2
+        at_k = forms(k, x_int)
+        code = sum(1 << seat for seat, fs in enumerate(at_k) if all(held for held, _, _ in fs))
         step = table[code]
-        last = farthest(k, total, mean, step) if k < n else k
+        last = farthest(k, at_k, table_int[code]) if k < n else k
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], last, code)
         else:
@@ -436,6 +433,7 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
             break
         mean = mean_at(last + 1, k, total, step)
         total = [p + (last + 1 - k) * v for p, v in zip(total, step)]
+        x_int = [x + (last + 1 - k) * v for x, v in zip(x_int, table_int[code])]
         k = last + 1
     if k < n:
         mean = mean_at(n, k, total, step)

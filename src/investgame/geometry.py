@@ -114,6 +114,8 @@ def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
 
     Strict ops ("<", ">") relax to non-strict ones in the closure.  "w" is
     the union of its inequalities, every other kind their intersection.
+    Only params.r0, params.p3 and spec.eps are read: on int columns with
+    int constants (or Fractions) every side is exact.
     """
     if spec.kind not in ("omega_eps", "w", "v", "omega_max", "phi_min"):
         raise ValueError(f"unknown region kind {spec.kind!r}")
@@ -121,7 +123,7 @@ def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
     j, k = _others(i)
     xi, xj, xk = cols[i - 1], cols[j - 1], cols[k - 1]
     if spec.kind == "w":
-        return [(xi, "<", params.r0), (xj + xk, ">", 2.0 * params.p3)]
+        return [(xi, "<", params.r0), (xj + xk, ">", 2 * params.p3)]
     if spec.kind == "omega_max":
         return [(xi, ">=", xj), (xi, ">=", xk)]
     if spec.kind == "phi_min":
@@ -130,21 +132,11 @@ def _inequalities(params: GameParams, spec: RegionSpec, cols) -> list[tuple]:
     if spec.kind == "omega_eps":
         return omega
     # "v": Omega_i^eps minus W_i, both W_i inequalities negated
-    return omega + [(xi, ">=", params.r0), (xj + xk, "<=", 2.0 * params.p3)]
+    return omega + [(xi, ">=", params.r0), (xj + xk, "<=", 2 * params.p3)]
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _RELAXED = {"<": "<=", ">": ">="}
-
-
-def inequality_margins(params: GameParams, spec: RegionSpec, x) -> list[tuple[bool, float]]:
-    """Each of the region's inequalities at the point x as (holds, lhs - rhs).
-
-    Evaluated in the scalar operand order, as `region_mask` and the good
-    strategies' `invests` evaluate them; a NaN coordinate makes the margin
-    of every inequality that reads it NaN.
-    """
-    return [(_OPS[op](lhs, rhs), lhs - rhs) for lhs, op, rhs in _inequalities(params, spec, x)]
 
 
 def region_mask(params: GameParams, spec: RegionSpec, pts: np.ndarray, closed: bool = False) -> np.ndarray:
@@ -208,13 +200,20 @@ def hull_halfspaces(points) -> list[tuple[np.ndarray, float]]:
     return list(zip(*_built(_facets, _points_key(points))))
 
 
+def scaled_ints(values) -> tuple[list[int], int]:
+    """The floats `values` times their common power-of-two denominator den,
+    as ints, and den: every float is k / 2**e, so each product is exact."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max([q for _, q in ratios], default=1)
+    return [k * (den // q) for k, q in ratios], den
+
+
 def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = pts.shape[1]
     if d not in (2, 3):
         raise ValueError("hull_halfspaces supports dimension 2 or 3")
-    ratios = [[c.as_integer_ratio() for c in p] for p in pts.tolist()]
-    den = max(q for p in ratios for _, q in p)
-    ints = [[k * (den // q) for k, q in p] for p in ratios]
+    flat, den = scaled_ints(pts.ravel().tolist())
+    ints = [flat[r:r + d] for r in range(0, len(flat), d)]
     normals, offsets, seen = [], [], set()
     for sub in combinations(ints, d):
         e = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]

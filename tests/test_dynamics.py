@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 import threading
-from itertools import cycle
+from fractions import Fraction
+from itertools import chain, cycle
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from investgame.dynamics import (
 )
 from investgame.geometry import hull_mask, hull_point, norm3
 from investgame.harness import EXAMPLE1_A, EXAMPLE1_B, example1_phi
-from investgame.stage_game import ALL_INVEST, INVEST, NOT_INVEST, GameParams, example_game, payoff, vertices
+from investgame.stage_game import (
+    ALL_INVEST,
+    INVEST,
+    NOT_INVEST,
+    GameParams,
+    example_game,
+    payoff,
+    payoff_table,
+    vertices,
+)
 from investgame.strategies import (
     ConstantStrategy,
     GoodStrategy,
@@ -434,16 +444,56 @@ def codes_along(traj, profile):
     return segments
 
 
+def exact_reference(profile, params, x1, n, window):
+    """One stage at a time, in exact rationals: the running sum x1 + P_k is
+    kept over the common denominator D of the inputs' `Fraction`s, as the
+    ints X = D (x1 + P_k), and each good seat is decided by its inequalities
+    at the exact mean X / (k D), each side times k D (eps read as its
+    float's exact value).  The float means come from the running sum of
+    `stages`.  Returns (segments, final, tail_min, tail_max) as
+    `simulate_events` reports them."""
+    table = payoff_table(params)
+    inputs = [Fraction(v) for v in (*x1, *chain.from_iterable(table), params.r0, params.p3,
+                                    *(s.eps for s in profile))]
+    den = math.lcm(*(q.denominator for q in inputs))
+    x, exact_table, (r0, p3, *eps) = (
+        [int(q * den) for q in part] for part in (inputs[:3], inputs[3:27], inputs[27:]))
+    seats = [(s.player - 1, *(m for m in range(3) if m != s.player - 1), e) for s, e in zip(profile, eps)]
+    start = tuple(float(c) for c in x1)
+    total = [0.0, 0.0, 0.0]
+    means, segments = [start], []
+    for k in range(1, n + 1):
+        code = sum(1 << bit for bit, (i, j, m, e) in enumerate(seats)
+                   if x[i] > x[j] - k * e and x[i] > x[m] - k * e and x[i] >= k * r0 and x[j] + x[m] <= 2 * k * p3)
+        if segments and segments[-1][2] == code:
+            segments[-1] = (segments[-1][0], k, code)
+        else:
+            segments.append((k, k, code))
+        if k < n:
+            step = table[code]
+            x = [c + v for c, v in zip(x, exact_table[3 * code:3 * code + 3])]
+            total = [p + v for p, v in zip(total, step)]
+            means.append(tuple((a + p) / (k + 1) for a, p in zip(start, total)))
+    tail = np.array(means[tail_start(n, window):])
+    return segments, means[-1], tuple(tail.min(axis=0).tolist()), tuple(tail.max(axis=0).tolist())
+
+
 class TestEventEngine:
     def check(self, profile, params, x1, n, window=0.5):
+        """simulate_events against the exact reference, and against iterate
+        where the float means decide as the exact ones do; returns the run
+        and whether iterate decided alike."""
         run = simulate_events(profile, params, x1, n, window)
+        assert (run.segments, run.final, run.tail_min, run.tail_max) == exact_reference(
+            profile, params, x1, n, window)
         traj = iterate(induced_map(profile, params), x1, n)
-        assert run.segments == codes_along(traj, profile)
-        assert run.final == traj.final
-        tail = traj.tail(window)
-        assert run.tail_min == tuple(tail.min(axis=0).tolist())
-        assert run.tail_max == tuple(tail.max(axis=0).tolist())
-        return run
+        alike = run.segments == codes_along(traj, profile)
+        if alike:
+            assert run.final == traj.final
+            tail = traj.tail(window)
+            assert run.tail_min == tuple(tail.min(axis=0).tolist())
+            assert run.tail_max == tuple(tail.max(axis=0).tolist())
+        return run, alike
 
     def test_matches_iterate_on_good_profiles(self):
         rng = np.random.default_rng(5)
@@ -454,14 +504,16 @@ class TestEventEngine:
                 weights = rng.integers(0, 4, size=8).astype(float)
                 weights[0] += 1.0
                 x1 = hull_point(vs, weights / weights.sum())
-                self.check(tuple(profile), params, x1, int(rng.choice([1000, 3000])),
-                           float(rng.choice([0.2, 0.5, 0.9])))
+                _, alike = self.check(tuple(profile), params, x1, int(rng.choice([1000, 3000])),
+                                      float(rng.choice([0.2, 0.5, 0.9])))
+                assert alike
 
     def test_matches_iterate_from_switching_surfaces(self):
         # a start on x_i = x_j - eps, x_i = r0 or x_j + x_k = 2 p3 has a
         # zero margin there, which a stretch solve must not jump over
         rng = np.random.default_rng(27)
-        for _ in range(150):
+        diverged = []
+        for case in range(150):
             params = (PARAMS, OTHER)[rng.integers(2)]
             eps = [float(e) for e in rng.choice([0.1, 0.25, 0.4, 0.5, 1.0, 1.5, 2.0], size=3)]
             profile = tuple(GoodStrategy(seat, eps[seat - 1], params) for seat in (1, 2, 3))
@@ -476,26 +528,41 @@ class TestEventEngine:
                 x1[i] = params.r0
             elif surface == 3:
                 x1[k] = 2.0 * params.p3 - x1[j]
-            self.check(profile, params, tuple(x1), int(rng.choice([200, 1000, 3000])),
-                       float(rng.choice([0.2, 0.5, 0.9])))
+            _, alike = self.check(profile, params, tuple(x1), int(rng.choice([200, 1000, 3000])),
+                                  float(rng.choice([0.2, 0.5, 0.9])))
+            if not alike:
+                diverged.append(case)
+        # iterate decides otherwise where fl(x_j - eps) or a rounded mean
+        # lands on a boundary that the exact one misses: cases 28, 41 and
+        # 110 start on x_i = fl(x_j - eps), cases 75 and 99 reach one later
+        assert diverged == [28, 41, 75, 99, 110]
 
     def test_non_dyadic_start(self):
-        # x1 + P rounds; the means still follow iterate bit for bit
-        self.check(good_profile(PARAMS, 0.4), PARAMS, hull_point(VS, [0.1, 0.3, 0.6] + [0.0] * 5), 5000)
+        # x1 + P rounds.  At mean 18 the exact x1 - x2 is a hair below 0.4,
+        # so below eps's exact value Fraction(0.4) > 0.4: seat 2 invests
+        # (code 7).  On the rounded mean fl(x1 - 0.4) == x2, and iterate
+        # reads code 1 there.
+        profile, x1 = good_profile(PARAMS, 0.4), hull_point(VS, [0.1, 0.3, 0.6] + [0.0] * 5)
+        run, alike = self.check(profile, PARAMS, x1, 5000)
+        assert not alike
+        assert run.segments[17:] == [(18, 5000, ALL_INVEST)]
+        floats = codes_along(iterate(induced_map(profile, PARAMS), x1, 5000), profile)
+        assert floats[:17] == run.segments[:17] and floats[17] == (18, 18, 1)
 
     def test_jumps_fixed_profile_stretches(self):
-        run = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
+        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
         assert run.segments == [(1, 20_000, ALL_INVEST)]
-        # x_i = r0 holds with zero margin at A only: one stage, then one stretch
-        assert run.evaluations == 4
+        # x_i = r0 holds with zero margin at A, and the step B only moves
+        # away from it: one decision and one stretch solve
+        assert run.evaluations == 2
 
     def test_start_on_a_boundary_jumps(self):
         # B sits on every cap x_j + x_k = 2 p3 with zero margin, forever
-        run = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.B, 20_000)
+        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.B, 20_000)
         assert run.final == VS.B
         assert run.evaluations == 2
         # only x2 and x3 stay put: player 1's cap reads nothing else
-        run = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
+        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
         assert run.evaluations == 2
 
     def test_refuses_a_game_whose_sums_round(self):

@@ -22,6 +22,7 @@ from investgame.geometry import (
     project_plane,
     region_mask,
     sample_points,
+    scaled_ints,
 )
 from investgame.lyapunov import _support, six_direction_spec
 from investgame.stage_game import GameParams, example_game, vertices
@@ -278,6 +279,12 @@ def _hull_sets():
 class TestExactHull:
     """`hull_faces` and `hull_halfspaces` against exact rational references
     built here by other means (cofactors, not Gauss-Jordan)."""
+
+    def test_scaled_ints(self):
+        assert scaled_ints([0.5, 3.0, -0.125, 0.0]) == ([4, 24, -1, 0], 8)
+        assert scaled_ints([]) == ([], 1)
+        ints, den = scaled_ints([0.1, 26.0])
+        assert [Fraction(v, den) for v in ints] == [Fraction(0.1), Fraction(26)]
 
     @pytest.mark.parametrize("name", list(_hull_sets()))
     def test_faces_are_the_invertible_subsets_and_solve_is_rounded_exact(self, name):

@@ -180,16 +180,18 @@ class TestT3Engine:
 
     def test_work_count_at_a_billion_stages(self):
         # one decision and one stretch solve per stretch, at any horizon;
-        # B (zero cap margin) included
-        config = HarnessConfig(params=PARAMS, n=10**9)
-        profile = good_profile(PARAMS, config.eps)
-        for n in (10**5, 10**9, 10**12):
+        # B (zero cap margin) included.  From about 3.25e13 stages on, the
+        # cap margins near B are within roundoff of 0, and the exact
+        # stretch ends still take no extra step there.
+        for n in (10**5, 10**9, 10**12, 32_477_881_928_154, 10**14, 2 * 10**14):
+            config = HarnessConfig(params=PARAMS, n=n)
+            profile = good_profile(PARAMS, config.eps)
             counts = [simulate_events(profile, PARAMS, x1, n, config.window).evaluations
                       for x1 in config.start_points()]
-            assert counts == [4, 2, 4, 4, 4, 4, 4, 4, 2], (n, counts)
-        rep = verify_t3(config)
-        assert rep.passed
-        assert [c["entered_v3_at"] for c in rep.cells] == [1, 1, 2, 2, 2, 2, 2, 2, 1]
+            assert counts == [2, 2, 4, 4, 4, 4, 4, 4, 2], (n, counts)
+            rep = verify_t3(config)
+            assert rep.passed
+            assert [c["entered_v3_at"] for c in rep.cells] == [1, 1, 2, 2, 2, 2, 2, 2, 1]
 
     def test_entry_at_mean_n_from_the_batch(self, monkeypatch):
         # simulate_batch decides means 1..n-1 only; a final mean inside V^3
