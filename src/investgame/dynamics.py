@@ -10,22 +10,22 @@ statistics over a trailing window (`Trajectory.tail`, or the extrema the
 engines below keep) give [tail_min, tail_max] intervals, which is what a
 finite run can actually certify.
 
-Three engines share one arithmetic, the running sum of `stages`, and one
-payoff lookup, `stage_game.payoff_table` indexed by the 3-bit code of the
-seats' decisions.  `iterate` collects the (mean, step) pairs of
-`stages` into one profile's recorded trajectory.  `simulate_batch` steps
-many (profile, start) cells together as a (B, 3) array and keeps only
-what the deviant batteries report; it decides the good seats in one
+Three engines share one payoff lookup, `stage_game.payoff_table` indexed
+by the 3-bit code of the seats' decisions.  `iterate` collects the (mean,
+step) pairs of `stages`, the running sum of the payoffs in floats, into one
+profile's recorded trajectory.  `simulate_batch` applies the same running
+sum to many (profile, start) cells together as a (B, 3) array and keeps
+only what the deviant batteries report; it decides the good seats in one
 `GoodColumns.invests_columns` call per stage on coordinate columns, a
 fused test equal to `invests` exactly since rounding is monotone, and
 every other seat but constants and coin flips by its own `invests` on
 its row's mean as floats, so that cost grows with the number of such
 rows; its means are bit-identical to `iterate` on the same cell.
-`simulate_events` runs one profile of good seats while the payoff sums are
-exact (`exact_horizon`), jumping over the stretches where the action
-profile stays fixed: it decides each stretch and solves its end exactly,
-in integers, on the exact mean.  Its means are `iterate`'s wherever
-`iterate`'s decisions on the rounded means agree with these.
+`simulate_events` runs one profile of good seats in exact integers,
+jumping over the stretches where the action profile stays fixed: it
+decides each stretch and solves its end on the exact mean, and reports
+each mean as the exact one correctly rounded, on any admissible game and
+at any horizon an index holds.
 """
 
 from __future__ import annotations
@@ -161,14 +161,13 @@ def iterate(phi: Callable, x1: Sequence[float], n: int) -> Trajectory:
 class BatchTails:
     """What `simulate_batch` keeps of each cell b: the final mean `final[b]`,
     the tail minimum and maximum of every coordinate `tail_min[b]`,
-    `tail_max[b]` (all (B, 3)), the tail maximum of x2 + x3 `tail_max_23[b]`,
-    and the first stage of 1..n-1 decided all-invest `entered[b]` (or 0)."""
+    `tail_max[b]` (all (B, 3)) and the tail maximum of x2 + x3
+    `tail_max_23[b]`."""
 
     final: np.ndarray
     tail_min: np.ndarray
     tail_max: np.ndarray
     tail_max_23: np.ndarray
-    entered: np.ndarray
 
     def intervals(self, b: int) -> list[list[float]]:
         """Cell b's [tail min, tail max] per coordinate."""
@@ -262,7 +261,6 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
     tail_min = np.full_like(start, np.inf)
     tail_max = np.full_like(start, -np.inf)
     tail_max_23 = np.full(cells, -np.inf)
-    entered = np.zeros(cells, dtype=np.int64)
     # Stage k's means go to tail row k - lo, or to the spare last row before the window.
     tail = np.empty((_BLOCK + 1, cells, 3))
     tail_rows = list(tail)
@@ -293,9 +291,7 @@ def simulate_batch(profiles, params: GameParams, starts, n: int, window: float) 
             means /= float(k + 1)
         if hi > first:
             fold(tail[max(first, lo) - lo:hi - lo])
-        hits = decisions[:hi - lo, 0::3] & decisions[:hi - lo, 1::3] & decisions[:hi - lo, 2::3]
-        entered = np.where((entered == 0) & hits.any(axis=0), lo + hits.argmax(axis=0), entered)
-    return BatchTails(means.copy(), tail_min, tail_max, tail_max_23, entered)
+    return BatchTails(means.copy(), tail_min, tail_max, tail_max_23)
 
 
 @dataclass(frozen=True)
@@ -316,14 +312,6 @@ class SegmentRun:
     evaluations: int
 
 
-def exact_horizon(table) -> int:
-    """The largest n at which every sum of up to n payoffs is exact: all
-    entries are integer multiples of 2**-e with max|v| * n * 2**e < 2**53
-    (0 when no n is)."""
-    ints, _ = scaled_ints(v for row in table for v in row)
-    return (2**53 - 1) // max(1, max(abs(v) for v in ints))
-
-
 def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> SegmentRun:
     """Run one profile of seats of type exactly `GoodStrategy` from x1 for
     n stages, jumping over stretches of one fixed profile.
@@ -338,26 +326,18 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
     (L - k) h_v along the stretch, so a form whose truth value changes does
     so at one rational root, and the engine jumps to the earliest such end.
 
-    The means reported are the float ones of `iterate` on `induced_map(
-    profile, params)`, so they equal its means bit for bit wherever the
-    exact decisions equal its float ones; they can differ where a float
-    mean rounds across a boundary that the exact mean does not reach.  The
-    payoff sums must be exact at this horizon: an n past `exact_horizon` is
-    refused, so a game whose sums round is stepped by another engine
-    (`simulate_batch`).
+    Each mean reported is the exact mean correctly rounded: X_L / (L D),
+    an int over an int.  So every admissible game runs to any horizon an
+    index holds.  Where x1 + P_k is exact in floats (a dyadic start and
+    game, with sums short of 2**53) `iterate` rounds the same exact mean
+    once, so the two agree bit for bit wherever `iterate`'s decisions on
+    its rounded means agree with the exact ones.
 
-    Tail extrema are taken at segment endpoints and at the tail's first
-    stage: along a stretch every coordinate of (x1 + P)/n is monotone, and
-    so are its computed values when x1 + P is exact (x1 dyadic, as the hull
-    points of the default starts are).  Otherwise a per-stage scan can
-    differ in the last bit, and only past ~1e7 stages.
+    Along a stretch every exact coordinate is monotone, and so is its
+    correct rounding, so the tail extrema are taken at segment endpoints
+    and at the tail's first stage.
     """
-    table = payoff_table(params)
-    horizon = exact_horizon(table)
-    if n > horizon:
-        raise ValueError(f"n = {n:.15g} is beyond {horizon}, the largest horizon "
-                         "at which this game's payoff sums are exact")
-    _check_horizon(n)  # n < 1: the exact-sum bound is below every index's
+    _check_horizon(n)
     start = tuple(float(c) for c in x1)
     if len(profile) != 3 or len(start) != 3:
         raise ValueError("need a 3-vector start and a profile of three strategies")
@@ -365,8 +345,9 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
         raise ValueError("simulate_events runs good seats only")
     first_tail = tail_start(n, window) + 1
     # 3 start coordinates, 8 payoff rows of 3, r0, p3 and one eps per seat
-    ints, _ = scaled_ints(chain(start, *table, (params.r0, params.p3), (s.eps for s in profile)))
-    x_int, table_int = ints[:3], [ints[c:c + 3] for c in range(3, 27, 3)]
+    table = payoff_table(params)
+    ints, den = scaled_ints(chain(start, *table, (params.r0, params.p3), (s.eps for s in profile)))
+    x, table_int = ints[:3], [ints[c:c + 3] for c in range(3, 27, 3)]
     r0, p3, *eps = ints[27:]
     evaluations = 0
 
@@ -396,49 +377,44 @@ def simulate_events(profile, params: GameParams, x1, n: int, window: float) -> S
                 last = min(last, -(-num // h_v) - 1 if strict == held else num // h_v)
         return last
 
-    def mean_at(stage, k, total, step):
-        """Mean `stage` of the stretch from mean k, whose running sum is
-        `total`, with every later payoff equal to `step`."""
-        m = stage - k
-        return tuple((a + (p + m * v)) / stage for a, p, v in zip(start, total, step))
+    def mean_at(stage, k, x, step):
+        """Mean `stage`, correctly rounded, of the stretch from mean k, whose
+        scaled sum is x, with every later scaled payoff equal to `step`."""
+        m, d = stage - k, stage * den
+        return tuple((c + m * v) / d for c, v in zip(x, step))
 
     tail_min = [math.inf] * 3
     tail_max = [-math.inf] * 3
 
-    def fold(x):
-        for c, v in enumerate(x):
+    def fold(mean):
+        for c, v in enumerate(mean):
             if v < tail_min[c]:
                 tail_min[c] = v
             if v > tail_max[c]:
                 tail_max[c] = v
 
     segments: list[tuple[int, int, int]] = []
-    k, total, mean = 1, [0.0, 0.0, 0.0], start
+    k = 1
     while True:
         evaluations += 1 + (k < n)  # a decision, and a stretch solve
-        at_k = forms(k, x_int)
+        at_k = forms(k, x)
         code = sum(1 << seat for seat, fs in enumerate(at_k) if all(held for held, _, _ in fs))
-        step = table[code]
-        last = farthest(k, at_k, table_int[code]) if k < n else k
+        step = table_int[code]
+        last = farthest(k, at_k, step) if k < n else k
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], last, code)
         else:
             segments.append((k, last, code))
         # The means k..last+1 follow one step, so their extrema sit at the ends.
-        if k >= first_tail:
-            fold(mean)
-        elif first_tail <= last + 1:
-            fold(mean_at(first_tail, k, total, step))
+        if first_tail <= last + 1:
+            fold(mean_at(max(k, first_tail), k, x, step))
         if last == n:
             break
-        mean = mean_at(last + 1, k, total, step)
-        total = [p + (last + 1 - k) * v for p, v in zip(total, step)]
-        x_int = [x + (last + 1 - k) * v for x, v in zip(x_int, table_int[code])]
+        x = [c + (last + 1 - k) * v for c, v in zip(x, step)]
         k = last + 1
-    if k < n:
-        mean = mean_at(n, k, total, step)
-        fold(mean)
-    return SegmentRun(segments=segments, final=mean, tail_min=tuple(tail_min),
+    final = mean_at(n, k, x, step)
+    fold(final)
+    return SegmentRun(segments=segments, final=final, tail_min=tuple(tail_min),
                       tail_max=tuple(tail_max), evaluations=evaluations)
 
 

@@ -25,11 +25,11 @@ Repeated-game payoffs are reported as [tail min, tail max] intervals over
 the trailing window, never as single numbers.  The batteries step all
 their cells together with `dynamics.simulate_batch`: one fused call per
 stage on columns for the good seats, and one on floats per stage and row
-for each deviant that is not a constant or a coin flip.  So do the t3
-starts, unless the game's payoff sums are exact for `MIN_RUN` stages:
-then each runs on `dynamics.simulate_events`, which jumps over
-fixed-profile stretches.  Both keep each cell's means bit-identical to a
-run of `dynamics.iterate`.
+for each deviant that is not a constant or a coin flip, with each cell's
+means bit-identical to a run of `dynamics.iterate`.  Each t3 start runs
+on `dynamics.simulate_events`, which decides and jumps fixed-profile
+stretches in exact integers and reports correctly rounded exact means,
+on every admissible game.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ from .approachability import (
     check_blackwell,
     refine_attractor,
 )
-from .dynamics import (
-    BatchTails,
-    exact_horizon,
-    iterate,
-    simulate_batch,
-    simulate_events,
-    tail_start,
-)
+from .dynamics import BatchTails, iterate, simulate_batch, simulate_events, tail_start
 from .geometry import (
     RegionSpec,
     dist_to_region,
@@ -75,7 +68,6 @@ from .stage_game import (
     NOT_INVEST,
     GameParams,
     example_game,
-    payoff_table,
     vertices,
 )
 from .strategies import (
@@ -95,7 +87,7 @@ DEFAULT_SEEDS = (11, 23, 37, 41, 53, 67, 79, 83, 97, 101)
 DEFAULT_N = 100_000
 DEFAULT_EPS = 0.4
 CERT_PITCH = 0.25
-#: The shortest horizon a harness run takes, and the exact-sum bound below which t3 steps every stage.
+#: The shortest horizon a harness run takes.
 MIN_RUN = 1000
 #: Example 1's segment ends (a below the horizontal axis, b above it), and
 #: the half-width of the square around the origin holding its starts and grid.
@@ -216,22 +208,15 @@ def verify_t3(config: HarnessConfig) -> VerifyReport:
     params = config.params
     profile = good_profile(params, config.eps)
     b_point = vertices(params).B
-    starts = config.start_points()
-    if exact_horizon(payoff_table(params)) < MIN_RUN:
-        run = _run_battery(config, [(x1, ()) for x1 in starts], profile)
-        runs = [(run.final[b].tolist(), run.intervals(b), int(run.entered[b])) for b in range(len(starts))]
-    else:
-        events = [simulate_events(profile, params, x1, config.n, config.window) for x1 in starts]
-        runs = [(ev.final, [list(pair) for pair in zip(ev.tail_min, ev.tail_max)],
-                 next((first for first, _, code in ev.segments if code == ALL_INVEST), 0)) for ev in events]
     cells = []
-    for w, x1, (final, intervals, entry) in zip(config.starts, starts, runs):
-        # simulate_batch decides means 1..n-1 only
-        entry = entry or (config.n if all(s.invests(final) for s in profile) else None)
-        dist = norm3([final[k] - b_point[k] for k in range(3)])
+    for w, x1 in zip(config.starts, config.start_points()):
+        run = simulate_events(profile, params, x1, config.n, config.window)
+        entry = next((first for first, _, code in run.segments if code == ALL_INVEST), None)
+        dist = norm3([run.final[k] - b_point[k] for k in range(3)])
         cells.append(_cell("t3", x1, (), config.n, dist, config.slack, config.slack - dist,
-                           dist <= config.slack and entry is not None,
-                           start_weights=list(w), entered_v3_at=entry, tail_intervals=intervals))
+                           dist <= config.slack and entry is not None, start_weights=list(w),
+                           entered_v3_at=entry,
+                           tail_intervals=[list(pair) for pair in zip(run.tail_min, run.tail_max)]))
     return VerifyReport(name="t3", cells=cells, meta={"eps": config.eps, "target": list(b_point)})
 
 

@@ -532,8 +532,8 @@ BAD_INPUTS = {
     # JSON integers too large for a float
     "t3-overflowing-eps": ("verify t3", {"eps": 10**400, "n": 1000}, "eps must"),
     "t3-overflowing-n": ("verify t3", {"n": 10**400}, "n must"),
-    # payoff sums are exact up to 2**53 // 36 stages; beyond, every stage would be stepped
-    "t3-horizon-beyond-exact-sums": ("verify t3", {"n": 1e300}, "n = 1e+300 is beyond 250199979298360"),
+    # t3 jumps fixed-profile stretches in exact integers, up to the largest index
+    "t3-horizon-beyond-exact-sums": ("verify t3", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     # the batteries index their stages: a horizon past sys.maxsize is refused before any draw
     "t4-horizon-beyond-index": ("verify t4", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
     "t2-horizon-beyond-index": ("verify t2", {"n": 1e300}, f"n = 1e+300 is beyond {sys.maxsize}"),
@@ -563,8 +563,8 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
 
 
 def test_t3_horizon_beyond_an_index_on_a_rounding_game(tmp_path, capsys):
-    # no payoff sum of this game is certified exact, so t3 has no exact
-    # horizon to refuse 1e300 by, and the stage loop's own check must
+    # no payoff sum of this game is exact in floats, and t3 refuses 1e300
+    # as on any other game, with one error line
     game = write_json(tmp_path, "game.json", {"r0": 5.1, "r1": 8.3, "r2": 12.7, "p1": 3.3, "p2": 7.1, "p3": 11.3})
     cfg = write_json(tmp_path, "cfg.json", {"n": 1e300, "game": game})
     assert main(["verify", "t3", cfg]) == 2

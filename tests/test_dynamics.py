@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import chain, cycle
 
 import numpy as np
 import pytest
+from test_cross_game import SHORT_EXACT_HORIZON, sampled_games
+from test_strategies import NON_DYADIC
 
 from investgame import dynamics
 from investgame.dynamics import (
@@ -20,15 +23,13 @@ from investgame.dynamics import (
     tail_start,
     write_csv,
 )
-from investgame.geometry import hull_mask, hull_point, norm3
+from investgame.geometry import hull_mask, hull_point, norm3, scaled_ints
 from investgame.harness import EXAMPLE1_A, EXAMPLE1_B, example1_phi
 from investgame.stage_game import (
     ALL_INVEST,
     INVEST,
-    NOT_INVEST,
     GameParams,
     example_game,
-    payoff,
     payoff_table,
     vertices,
 )
@@ -449,9 +450,9 @@ def exact_reference(profile, params, x1, n, window):
     kept over the common denominator D of the inputs' `Fraction`s, as the
     ints X = D (x1 + P_k), and each good seat is decided by its inequalities
     at the exact mean X / (k D), each side times k D (eps read as its
-    float's exact value).  The float means come from the running sum of
-    `stages`.  Returns (segments, final, tail_min, tail_max) as
-    `simulate_events` reports them."""
+    float's exact value).  Each mean is X / (k D), correctly rounded.
+    Returns (segments, final, tail_min, tail_max) as `simulate_events`
+    reports them."""
     table = payoff_table(params)
     inputs = [Fraction(v) for v in (*x1, *chain.from_iterable(table), params.r0, params.p3,
                                     *(s.eps for s in profile))]
@@ -459,44 +460,50 @@ def exact_reference(profile, params, x1, n, window):
     x, exact_table, (r0, p3, *eps) = (
         [int(q * den) for q in part] for part in (inputs[:3], inputs[3:27], inputs[27:]))
     seats = [(s.player - 1, *(m for m in range(3) if m != s.player - 1), e) for s, e in zip(profile, eps)]
-    start = tuple(float(c) for c in x1)
-    total = [0.0, 0.0, 0.0]
-    means, segments = [start], []
+    means, segments = [], []
     for k in range(1, n + 1):
+        means.append(tuple(c / (k * den) for c in x))
         code = sum(1 << bit for bit, (i, j, m, e) in enumerate(seats)
                    if x[i] > x[j] - k * e and x[i] > x[m] - k * e and x[i] >= k * r0 and x[j] + x[m] <= 2 * k * p3)
         if segments and segments[-1][2] == code:
             segments[-1] = (segments[-1][0], k, code)
         else:
             segments.append((k, k, code))
-        if k < n:
-            step = table[code]
-            x = [c + v for c, v in zip(x, exact_table[3 * code:3 * code + 3])]
-            total = [p + v for p, v in zip(total, step)]
-            means.append(tuple((a + p) / (k + 1) for a, p in zip(start, total)))
+        x = [c + v for c, v in zip(x, exact_table[3 * code:3 * code + 3])]
     tail = np.array(means[tail_start(n, window):])
     return segments, means[-1], tuple(tail.min(axis=0).tolist()), tuple(tail.max(axis=0).tolist())
 
 
+def float_sums_exact(params, x1, n) -> bool:
+    """Whether every running sum x1 + P_k of `stages` up to mean n is exact
+    in floats: the start and the payoffs are ints over a common power of two
+    D, and every D |x1 + P_k| stays below 2**53."""
+    ints, _ = scaled_ints(chain(x1, *payoff_table(params)))
+    return max(map(abs, ints[:3])) + (n - 1) * max(map(abs, ints[3:])) < 2**53
+
+
 class TestEventEngine:
     def check(self, profile, params, x1, n, window=0.5):
-        """simulate_events against the exact reference, and against iterate
-        where the float means decide as the exact ones do; returns the run
-        and whether iterate decided alike."""
+        """simulate_events against the exact reference on every case, and
+        against iterate, bit for bit, where iterate's running sums are exact
+        and its float means decide as the exact ones do; returns the run,
+        whether iterate decided alike and whether its means were compared."""
         run = simulate_events(profile, params, x1, n, window)
         assert (run.segments, run.final, run.tail_min, run.tail_max) == exact_reference(
             profile, params, x1, n, window)
         traj = iterate(induced_map(profile, params), x1, n)
         alike = run.segments == codes_along(traj, profile)
-        if alike:
+        compared = alike and float_sums_exact(params, x1, n)
+        if compared:
             assert run.final == traj.final
             tail = traj.tail(window)
             assert run.tail_min == tuple(tail.min(axis=0).tolist())
             assert run.tail_max == tuple(tail.max(axis=0).tolist())
-        return run, alike
+        return run, alike, compared
 
     def test_matches_iterate_on_good_profiles(self):
         rng = np.random.default_rng(5)
+        compared = []
         for params in (PARAMS, OTHER):
             vs = vertices(params)
             for _ in range(12):
@@ -504,9 +511,48 @@ class TestEventEngine:
                 weights = rng.integers(0, 4, size=8).astype(float)
                 weights[0] += 1.0
                 x1 = hull_point(vs, weights / weights.sum())
-                _, alike = self.check(tuple(profile), params, x1, int(rng.choice([1000, 3000])),
-                                      float(rng.choice([0.2, 0.5, 0.9])))
+                _, alike, same_means = self.check(tuple(profile), params, x1, int(rng.choice([1000, 3000])),
+                                                  float(rng.choice([0.2, 0.5, 0.9])))
                 assert alike
+                compared.append(same_means)
+        # a start with weights off every dyadic grid makes x1 + P_k round
+        assert compared.count(True) == 4
+
+    def test_matches_iterate_bit_for_bit_from_dyadic_starts(self):
+        # weights in eighths on integer payoffs: every x1 + P_k is exact, so
+        # iterate rounds the same exact mean once
+        rng = np.random.default_rng(8)
+        diverged = []
+        for case in range(16):
+            params = (PARAMS, OTHER)[case // 8]
+            profile = tuple(GoodStrategy(seat, float(rng.choice([0.1, 0.4, 1.5])), params) for seat in (1, 2, 3))
+            x1 = hull_point(vertices(params), rng.multinomial(8, [1 / 8] * 8) / 8)
+            n = int(rng.choice([1000, 3000]))
+            assert float_sums_exact(params, x1, n)
+            _, alike, compared = self.check(profile, params, x1, n, float(rng.choice([0.2, 0.5, 0.9])))
+            assert alike == compared
+            if not alike:
+                diverged.append(case)
+        # a rounded mean lands on x_i = fl(x_j - 0.1) where the exact one
+        # does not: cases 5 and 13, at means 45 and 25
+        assert diverged == [5, 13]
+
+    @pytest.mark.parametrize("params", (TENTHS, NON_DYADIC, *SHORT_EXACT_HORIZON,
+                                        *sampled_games(seed=3, per_grid=3)[:3]),  # the 0.1-grid ones
+                             ids=lambda g: ",".join(f"{v:g}" for v in astuple(g)))
+    def test_matches_the_exact_reference_where_sums_round(self, params):
+        # payoffs on a 0.1 grid and starts off every dyadic grid: x1 + P_k
+        # rounds in floats, and every reported mean is still the exact one
+        # correctly rounded
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            profile = tuple(GoodStrategy(seat, float(rng.choice([0.1, 0.4, 1.5])), params) for seat in (1, 2, 3))
+            weights = rng.integers(0, 4, size=8).astype(float)
+            weights[rng.integers(8)] += 1.0
+            x1 = hull_point(vertices(params), weights / weights.sum())
+            n = int(rng.choice([200, 2000]))
+            assert not float_sums_exact(params, x1, n)
+            self.check(profile, params, x1, n, float(rng.choice([0.2, 0.5, 0.9])))
 
     def test_matches_iterate_from_switching_surfaces(self):
         # a start on x_i = x_j - eps, x_i = r0 or x_j + x_k = 2 p3 has a
@@ -528,8 +574,8 @@ class TestEventEngine:
                 x1[i] = params.r0
             elif surface == 3:
                 x1[k] = 2.0 * params.p3 - x1[j]
-            _, alike = self.check(profile, params, tuple(x1), int(rng.choice([200, 1000, 3000])),
-                                  float(rng.choice([0.2, 0.5, 0.9])))
+            _, alike, _ = self.check(profile, params, tuple(x1), int(rng.choice([200, 1000, 3000])),
+                                     float(rng.choice([0.2, 0.5, 0.9])))
             if not alike:
                 diverged.append(case)
         # iterate decides otherwise where fl(x_j - eps) or a rounded mean
@@ -543,14 +589,14 @@ class TestEventEngine:
         # (code 7).  On the rounded mean fl(x1 - 0.4) == x2, and iterate
         # reads code 1 there.
         profile, x1 = good_profile(PARAMS, 0.4), hull_point(VS, [0.1, 0.3, 0.6] + [0.0] * 5)
-        run, alike = self.check(profile, PARAMS, x1, 5000)
+        run, alike, _ = self.check(profile, PARAMS, x1, 5000)
         assert not alike
         assert run.segments[17:] == [(18, 5000, ALL_INVEST)]
         floats = codes_along(iterate(induced_map(profile, PARAMS), x1, 5000), profile)
         assert floats[:17] == run.segments[:17] and floats[17] == (18, 18, 1)
 
     def test_jumps_fixed_profile_stretches(self):
-        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
+        run, *_ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.A, 20_000)
         assert run.segments == [(1, 20_000, ALL_INVEST)]
         # x_i = r0 holds with zero margin at A, and the step B only moves
         # away from it: one decision and one stretch solve
@@ -558,39 +604,20 @@ class TestEventEngine:
 
     def test_start_on_a_boundary_jumps(self):
         # B sits on every cap x_j + x_k = 2 p3 with zero margin, forever
-        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.B, 20_000)
+        run, *_ = self.check(good_profile(PARAMS, 0.4), PARAMS, VS.B, 20_000)
         assert run.final == VS.B
         assert run.evaluations == 2
         # only x2 and x3 stay put: player 1's cap reads nothing else
-        run, _ = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
+        run, *_ = self.check(good_profile(PARAMS, 0.4), PARAMS, (25.75, 26.0, 26.0), 20_000)
         assert run.evaluations == 2
-
-    def test_refuses_a_game_whose_sums_round(self):
-        # no payoff sum of TENTHS is exact, so no horizon is: simulate_batch steps such a game
-        for n in (1, 2000):
-            with pytest.raises(ValueError, match="is beyond 0, the largest horizon at which this game's payoff"):
-                simulate_events(good_profile(TENTHS, 0.04), TENTHS, vertices(TENTHS).c1[0], n, 0.5)
-
-    def test_exact_sums(self):
-        table = [payoff(PARAMS, tuple(INVEST if c >> i & 1 else NOT_INVEST for i in range(3))) for c in range(8)]
-        assert dynamics.exact_horizon(table) == 2**53 // 36
-        assert dynamics.exact_horizon([(0.1, 2.0, 3.0)]) == 0
-        # multiples of 2**-3 of size at most 4 * 2**-3
-        assert dynamics.exact_horizon([(0.5, 0.25, -0.125)]) == (2**53 - 1) // 4
-
-    @pytest.mark.parametrize("n", [2**53 // 36 + 1, 10**300])
-    def test_horizon_beyond_exact_sums_is_an_error(self, n):
-        # stepping every stage of such a horizon would not end
-        with pytest.raises(ValueError, match=f"is beyond {2**53 // 36}, the largest horizon"):
-            simulate_events(good_profile(PARAMS, 0.4), PARAMS, VS.A, n, 0.5)
 
     @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**300])
     def test_every_engine_refuses_a_horizon_beyond_an_index(self, n):
-        # no run of such a horizon would end (simulate_events refuses it
-        # earlier, by the exact-sum bound)
+        # no run of such a horizon would end
         profile, start = good_profile(TENTHS, 0.04), vertices(TENTHS).c1[0]
         for run in (lambda: stages(induced_map(profile, TENTHS), start, n),
-                    lambda: simulate_batch([profile], TENTHS, [start], n, 0.5)):
+                    lambda: simulate_batch([profile], TENTHS, [start], n, 0.5),
+                    lambda: simulate_events(profile, TENTHS, start, n, 0.5)):
             with pytest.raises(ValueError, match=f"is beyond {sys.maxsize}, the largest horizon an array"):
                 run()
 

@@ -1,14 +1,15 @@
 import json
-from itertools import combinations
+import sys
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from test_dynamics import exact_reference
 from test_strategies import NON_DYADIC
 
 from investgame import geometry, harness
 from investgame.approachability import HullOracle
 from investgame.dynamics import (
-    BatchTails,
     iterate,
     simulate_batch,
     simulate_events,
@@ -39,7 +40,7 @@ from investgame.harness import (
     z_grid,
     z_starts,
 )
-from investgame.stage_game import GameParams, example_game, permute, vertices
+from investgame.stage_game import ALL_INVEST, GameParams, example_game, permute, vertices
 from investgame.strategies import (
     ConstantStrategy,
     Example2Defector,
@@ -154,59 +155,71 @@ def _reference_t3(config):
 
 
 # The canonical game scaled by 1/10: its payoffs are not dyadic, so payoff
-# sums round and verify_t3 steps it in simulate_batch.
+# sums round in floats.
 TENTHS = GameParams(r0=2.0, r1=2.8, r2=3.6, p1=1.0, p2=1.8, p3=2.6)
 OTHER = GameParams(r0=5.0, r1=8.0, r2=12.0, p1=3.0, p2=7.0, p3=11.0)
 # A, C1_1 and the centroid, the starts of the long-horizon benchmark.
 LONG_STARTS = tuple(default_starts()[i] for i in (0, 2, 8))
 
 
-class TestT3Engine:
-    """verify_t3 runs on the event engine, or on the batch engine when the
-    game's payoff sums round; its report must match the one built from
-    whole trajectories, byte for byte."""
+def _exact_reference_t3(config):
+    """verify_t3's report built from `exact_reference`, one stage at a time
+    in exact rationals, with the first all-invest decision as the entry."""
+    params = config.params
+    profile = good_profile(params, config.eps)
+    b_point = vertices(params).B
+    cells = []
+    for w, x1 in zip(config.starts, config.start_points()):
+        segments, final, tail_min, tail_max = exact_reference(profile, params, x1, config.n, config.window)
+        entry = next((first for first, _, code in segments if code == ALL_INVEST), None)
+        dist = norm3([final[k] - b_point[k] for k in range(3)])
+        cells.append({
+            "theorem": "t3", "start": list(x1), "deviants": [], "N": config.n,
+            "measured": dist, "bound": config.slack, "margin": config.slack - dist,
+            "pass": bool(dist <= config.slack and entry is not None),
+            "start_weights": list(w), "entered_v3_at": entry,
+            "tail_intervals": [list(pair) for pair in zip(tail_min, tail_max)],
+        })
+    return {"name": "t3", "cells": cells, "meta": {"eps": config.eps, "target": list(b_point)},
+            "passed": all(c["pass"] for c in cells)}
 
-    @pytest.mark.parametrize("config", [
-        HarnessConfig(params=PARAMS, n=100_000),
-        HarnessConfig(params=PARAMS, eps=0.1, n=100_000),
-        HarnessConfig(params=PARAMS, n=300_000, starts=LONG_STARTS),
-        HarnessConfig(params=OTHER, eps=0.1, n=20_000),
-        HarnessConfig(params=OTHER, n=20_000, window=0.2),
-        HarnessConfig(params=TENTHS, eps=0.04, n=5000, slack=0.005),
+
+class TestT3Engine:
+    """verify_t3 runs on the event engine; its report must match, byte for
+    byte, the one built from whole trajectories where every x1 + P_k is
+    exact in floats (dyadic starts on dyadic games), and the one built
+    stage by stage in exact rationals on a game whose sums round."""
+
+    @pytest.mark.parametrize("config, reference", [
+        (HarnessConfig(params=PARAMS, n=100_000), _reference_t3),
+        (HarnessConfig(params=PARAMS, eps=0.1, n=100_000), _reference_t3),
+        (HarnessConfig(params=PARAMS, n=300_000, starts=LONG_STARTS), _reference_t3),
+        (HarnessConfig(params=OTHER, eps=0.1, n=20_000), _reference_t3),
+        (HarnessConfig(params=OTHER, n=20_000, window=0.2), _reference_t3),
+        (HarnessConfig(params=TENTHS, eps=0.04, n=5000, slack=0.005), _exact_reference_t3),
     ], ids=["default", "eps-0.1", "long-horizon", "other-game", "other-game-window", "non-dyadic"])
-    def test_matches_whole_trajectories(self, config):
+    def test_matches_whole_trajectories(self, config, reference):
         got = json.dumps(verify_t3(config).as_dict(), sort_keys=True)
-        assert got == json.dumps(_reference_t3(config), sort_keys=True)
+        assert got == json.dumps(reference(config), sort_keys=True)
 
     def test_work_count_at_a_billion_stages(self):
         # one decision and one stretch solve per stretch, at any horizon;
         # B (zero cap margin) included.  From about 3.25e13 stages on, the
-        # cap margins near B are within roundoff of 0, and the exact
-        # stretch ends still take no extra step there.
-        for n in (10**5, 10**9, 10**12, 32_477_881_928_154, 10**14, 2 * 10**14):
-            config = HarnessConfig(params=PARAMS, n=n)
-            profile = good_profile(PARAMS, config.eps)
-            counts = [simulate_events(profile, PARAMS, x1, n, config.window).evaluations
+        # example game's cap margins near B are within roundoff of 0, and
+        # the exact stretch ends still take no extra step there.  The means
+        # are exact too, so neither the example game nor one whose payoff
+        # sums round in floats stops short of the largest index.
+        horizons = (10**5, 10**9, 10**12, 32_477_881_928_154, 10**14, 2 * 10**14,
+                    250_199_979_298_361, 10**18, sys.maxsize)
+        for params, n in product((PARAMS, NON_DYADIC), horizons):
+            config = HarnessConfig(params=params, n=n)
+            profile = good_profile(params, config.eps)
+            counts = [simulate_events(profile, params, x1, n, config.window).evaluations
                       for x1 in config.start_points()]
-            assert counts == [2, 2, 4, 4, 4, 4, 4, 4, 2], (n, counts)
+            assert counts == [2, 2, 4, 4, 4, 4, 4, 4, 2], (params, n, counts)
             rep = verify_t3(config)
             assert rep.passed
             assert [c["entered_v3_at"] for c in rep.cells] == [1, 1, 2, 2, 2, 2, 2, 2, 1]
-
-    def test_entry_at_mean_n_from_the_batch(self, monkeypatch):
-        # simulate_batch decides means 1..n-1 only; a final mean inside V^3
-        # with no earlier all-invest decision is entered at n
-        config = HarnessConfig(params=TENTHS, eps=0.04, n=1000, starts=((0.125,) * 8,) * 2)
-        b_point = np.array([vertices(TENTHS).B] * 2)
-
-        def stub(profiles, params, starts, n, window):
-            assert len(profiles) == 2 and n == config.n
-            return BatchTails(b_point, b_point, b_point, b_point[:, 1:].sum(axis=1), np.zeros(2, dtype=np.int64))
-
-        monkeypatch.setattr(harness, "simulate_batch", stub)
-        report = verify_t3(config)
-        assert [cell["entered_v3_at"] for cell in report.cells] == [config.n] * 2
-        assert report.passed
 
     def test_runs_no_trajectory(self, monkeypatch):
         from investgame import dynamics
