@@ -8,12 +8,13 @@ configuration (seeds included) produces byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from dataclasses import asdict, replace
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import harness
 from .dynamics import stages, write_csv
@@ -95,7 +96,10 @@ def _given(cfg: dict, args, readers: dict) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # JSON has no Infinity or NaN
+        raise ValueError("the report holds a number that is not finite, which JSON cannot write") from exc
     out = _resolve_out(out)
     if out:
         with open(out, "w") as fh:
@@ -156,6 +160,14 @@ def _example1_starts(cfg: dict):
     return harness.example1_starts(**opts)
 
 
+def _refuse_unread_flags(args, reads: tuple[str, ...]) -> None:
+    """Refuse the verify flags that args' claim does not read, rather than ignore them."""
+    unread = [f"--{flag}" for flag in _GRAMMAR["verify"].flags
+              if flag not in reads and getattr(args, flag) is not None]
+    if unread:
+        raise ValueError(f"verify {args.claim} does not read {', '.join(unread)}")
+
+
 def cmd_verify(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     out = _given(cfg, args, {"out": read_path}).get("out")
@@ -168,10 +180,12 @@ def cmd_verify(args) -> int:
         }))
         report = {"t3": harness.verify_t3, "t4": harness.verify_t4, "t2": harness.verify_t2}[args.claim](config)
     elif args.claim == "example1":
+        _refuse_unread_flags(args, ("n", "out"))
         report = harness.run_example1(starts=_example1_starts(cfg), **_given(cfg, args, {
             **_EXAMPLE1_ENDS, "n": read_integer, "tol": read_finite,
         }))
-    else:  # example2; argparse restricts the choices
+    else:  # example2; the grammar restricts the choices
+        _refuse_unread_flags(args, ("n", "eps", "out"))
         report = harness.run_example2(**_given(cfg, args, {
             "eps": read_finite, "n": read_integer, "tol": read_finite,
             "starts": lambda v, key: _vectors(v, 3, key),
@@ -231,59 +245,110 @@ def cmd_certify(args) -> int:
     out = _given(cfg, args, {"out": read_path}).get("out")
     if args.kind == "blackwell":
         ok, payload = _certify_blackwell(cfg, pitch)
-    else:  # lyapunov or decrease; argparse restricts the choices
+    else:  # lyapunov or decrease; the grammar restricts the choices
         ok, payload = _certify_lyapunov(cfg, pitch, want_decrease=args.kind == "decrease")
     _emit(payload, out)
     return 0 if ok else 1
 
 
+class _Command(NamedTuple):
+    """One subcommand of the grammar: its handler and help, its positionals in
+    order as (name, choices or None, help or None), the last of them optional
+    when `last_optional` is set, and its flags as {name: help or None}."""
+
+    func: Callable[..., int]
+    help: str
+    positionals: tuple[tuple[str, tuple[str, ...] | None, str | None], ...]
+    last_optional: bool
+    flags: dict[str, str | None]
+
+
+#: The command-line grammar, declared once: `build_parser` builds argparse's
+#: parser from it, and `_parse_plain` reads the plain command lines with it.
+_GRAMMAR = {
+    "validate": _Command(cmd_validate, "check a game file's admissibility inequalities",
+                         (("game", None, None),), False, {}),
+    "simulate": _Command(cmd_simulate, "run the mean dynamics and emit a trajectory CSV",
+                         (("config", None, "run configuration JSON"),), True,
+                         dict.fromkeys(("game", "n", "out"))),
+    "verify": _Command(cmd_verify, "run a claim's verification battery",
+                       (("claim", ("t3", "t4", "t2", "example1", "example2"), None), ("config", None, None)),
+                       True, dict.fromkeys(("game", "n", "eps", "slack", "out"))),
+    "certify": _Command(cmd_certify, "grid-certify a Blackwell or Lyapunov property",
+                        (("kind", ("blackwell", "lyapunov", "decrease"), None), ("config", None, None)),
+                        True, {"pitch": "certification grid pitch (payoff units)", "out": None}),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    `main` call in the process (each parse returns a fresh namespace)."""
+def build_parser():
+    """The argparse parser of `_GRAMMAR`, built on first use and shared by
+    every later `main` call in the process (each parse returns a fresh
+    namespace).  Only help and the command lines `_parse_plain` leaves to it
+    need it, so argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="investgame",
         description="Simulate and verify threshold strategies in the repeated 3-player invest dilemma.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_val = sub.add_parser("validate", help="check a game file's admissibility inequalities")
-    p_val.add_argument("game")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_sim = sub.add_parser("simulate", help="run the mean dynamics and emit a trajectory CSV")
-    p_sim.add_argument("config", nargs="?", help="run configuration JSON")
-    p_sim.add_argument("--game")
-    p_sim.add_argument("--n")
-    p_sim.add_argument("--out")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="run a claim's verification battery")
-    p_ver.add_argument("claim", choices=("t3", "t4", "t2", "example1", "example2"))
-    p_ver.add_argument("config", nargs="?")
-    p_ver.add_argument("--game")
-    p_ver.add_argument("--n")
-    p_ver.add_argument("--eps")
-    p_ver.add_argument("--slack")
-    p_ver.add_argument("--out")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_cert = sub.add_parser("certify", help="grid-certify a Blackwell or Lyapunov property")
-    p_cert.add_argument("kind", choices=("blackwell", "lyapunov", "decrease"))
-    p_cert.add_argument("config", nargs="?")
-    p_cert.add_argument("--pitch", help="certification grid pitch (payoff units)")
-    p_cert.add_argument("--out")
-    p_cert.set_defaults(func=cmd_certify)
+    for name, command in _GRAMMAR.items():
+        p = sub.add_parser(name, help=command.help)
+        last = len(command.positionals) - 1
+        for k, (pos, choices, text) in enumerate(command.positionals):
+            p.add_argument(pos, nargs="?" if command.last_optional and k == last else None,
+                           choices=choices, help=text)
+        for flag, text in command.flags.items():
+            p.add_argument("--" + flag, help=text)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for a plain
+    command line: `COMMAND POSITIONAL... [--flag value]...`, with exact flag
+    names, each flag at most once and no value that starts with "-".  None
+    for any other line (help, `--flag=value`, a prefix, a flag before a
+    positional, a usage error), which argparse parses or refuses instead."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    command = _GRAMMAR[argv[0]]
+    values = {"command": argv[0], "func": command.func}
+    rest = argv[1:]
+    k = 0
+    for i, (name, choices, _) in enumerate(command.positionals):
+        if k < len(rest) and not rest[k].startswith("-"):
+            if choices is not None and rest[k] not in choices:
+                return None
+            values[name] = rest[k]
+            k += 1
+        elif command.last_optional and i == len(command.positionals) - 1:
+            values[name] = None
+        else:
+            return None
+    values.update(dict.fromkeys(command.flags))
+    flags = rest[k:]
+    if len(flags) % 2:
+        return None
+    for flag, value in zip(flags[::2], flags[1::2]):
+        name = flag[2:]
+        if (not flag.startswith("--") or name not in command.flags or values[name] is not None
+                or value.startswith("-")):
+            return None
+        values[name] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already; normalize others
-        return 2 if exc.code not in (0,) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors already; normalize others
+            return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:

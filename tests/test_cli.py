@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from investgame.cli import build_parser, main
+from investgame.cli import _parse_plain, build_parser, main
 from investgame.harness import CERT_PITCH, run_example2
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
@@ -321,6 +323,19 @@ class TestVerify:
         assert main(["verify", "t3", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("claim, flags, unread", [
+        ("example1", ["--game", "bad.json", "--eps", "7", "--slack", "9"], "--game, --eps, --slack"),
+        ("example2", ["--game", "bad.json", "--slack", "9"], "--game, --slack"),
+        ("example2", ["--n", "1000", "--out", "report.json", "--game", "bad.json"], "--game"),
+    ])
+    def test_example_refuses_flags_it_does_not_read(self, claim, flags, unread, tmp_path, capsys, monkeypatch):
+        # a flag the claim reads nothing from is refused, not silently ignored
+        monkeypatch.setenv("INVESTGAME_OUTDIR", str(tmp_path))
+        cfg = write_json(tmp_path, "e.json", {"n": 1000, "starts": 2} if claim == "example1" else {"n": 1000})
+        assert main(["verify", claim, cfg, *flags]) == 2
+        assert capsys.readouterr().err == f"error: verify {claim} does not read {unread}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_game_file_holding_a_list_is_config_error(self, tmp_path, capsys):
         game = write_json(tmp_path, "game.json", list(CANON.values()))
         cfg = write_json(tmp_path, "v.json", {"n": 1000})
@@ -426,6 +441,100 @@ README_CERTIFY = [
 
 def test_one_parser_per_process():
     assert build_parser() is build_parser()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("validate", "simulate", "verify", "certify")
+
+
+def _shell_command_lines(path: Path, prefix: str) -> list[list[str]]:
+    """The CLI's arguments on each line of a shell text: the words after
+    prefix (heredoc lines that start with a command), up to a redirection;
+    a shell variable stays a word of its own."""
+    out = []
+    for line in path.read_text().splitlines():
+        text = line.strip()
+        if text.startswith(prefix) or " " + prefix in text:
+            text = text.split(prefix, 1)[1]
+        elif not text.startswith(tuple(c + " " for c in COMMANDS)):
+            continue
+        words = shlex.split(text, comments=True)
+        stop = [k for k, w in enumerate(words) if w[:1] in "<>|" or w.startswith(("2>", "&"))]
+        out.append(words[:stop[0]] if stop else words)
+    return out
+
+
+def _main_calls(path: Path) -> list[list[str]]:
+    """The argument list of each `main([...])` call in a Python file, with an
+    expression that is not a string constant read as the path "ARG"."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.List)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "main"):
+            out.append([e.value if isinstance(e, ast.Constant) else "ARG"
+                        for e in node.args[0].elts if not isinstance(e, ast.Starred)])
+    return out
+
+
+#: Lines the plain parser leaves to argparse: help, `--flag=value`, prefixes,
+#: a flag before a positional, a repeated flag, a value that starts with "-",
+#: usage errors.
+ARGPARSE_ONLY = [
+    ["verify", "t3", "cfg.json", "--out=report.json"],
+    ["verify", "t3", "cfg.json", "--ou", "report.json"],
+    ["verify", "t3", "--out", "report.json", "cfg.json"],
+    ["simulate", "--game", "game.json", "run.json"],
+    ["verify", "t3", "cfg.json", "--out", "a.json", "--out", "b.json"],
+    ["verify", "t4", "cfg.json", "--eps", "-1"],
+    ["simulate", "run.json", "--n", "-5"],
+    ["-h"], ["--help"], ["verify", "-h"], ["certify", "blackwell", "--help"],
+    ["verify", "t3", "--", "cfg.json"],
+    [], ["t3"], ["verify"], ["validate"], ["verify", "t9"], ["certify", "nonsense", "c.json"],
+    ["verify", "t3", "cfg.json", "--bogus", "x"], ["simulate", "--bogus", "x"],
+    ["certify", "blackwell", "--pitch"], ["verify", "t3", "cfg.json", "--n"],
+    ["validate", "game.json", "extra.json"], ["verify", "t3", "cfg.json", "extra.json"],
+    ["validate", "-"],
+]
+
+
+def _corpus() -> list[list[str]]:
+    lines = _shell_command_lines(ROOT / "README.md", "investgame ")
+    lines += _shell_command_lines(ROOT / ".github" / "workflows" / "tests.yml", "investgame.cli ")
+    lines += _main_calls(Path(__file__)) + _main_calls(ROOT / "perfbench" / "child.py")
+    lines += [command.split() + ["ARG"] for command, _, _ in BAD_INPUTS.values()]
+    return lines + ARGPARSE_ONLY + [["simulate", "--game", ""]]  # an empty value is a value
+
+
+def test_plain_parser_agrees_with_argparse():
+    # every line the plain parser takes, it reads as argparse does
+    corpus = _corpus()
+    plain = 0
+    for argv in corpus:
+        args = _parse_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+            plain += 1
+    assert plain > len(corpus) // 2
+
+
+def test_documented_lines_take_the_plain_route():
+    # the benchmark's certify call names its kind by a variable
+    lines = _shell_command_lines(ROOT / "README.md", "investgame ")
+    lines += [argv for argv in _main_calls(ROOT / "perfbench" / "child.py") if argv[0] != "certify"]
+    assert len(lines) >= 12
+    assert all(_parse_plain(argv) is not None for argv in lines)
+    assert [argv for argv in ARGPARSE_ONLY if _parse_plain(argv) is not None] == []
+
+
+def test_plain_command_line_leaves_argparse_unimported(tmp_path):
+    cfg = write_json(tmp_path, "t3.json", {"n": 2000})
+    code = ("import sys\nfrom investgame.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, "verify", "t3", cfg, "--out", str(tmp_path / "t3.out")],
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+    assert (proc.stdout, proc.stderr) == ("0 []\n", "")
 
 
 def test_certify_commands_in_one_process(tmp_path):
@@ -547,6 +656,8 @@ BAD_INPUTS = {
     "simulate-overflowing-seed": ("simulate", {"strategies": [{"kind": "random", "p": 0.5, "seed": 10**400}] * 3,
                                                "n": 5}, "seed must"),
     "validate-overflowing-r0": ("validate", dict(CANON, r0=10**400), "r0 must"),
+    # p3 + 2 eps/3 overflows to inf in every cell, which JSON cannot hold
+    "t4-report-holds-infinity": ("verify t4", {"n": 1000, "eps": 1e308}, "not finite"),
 }
 
 
@@ -560,6 +671,15 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     assert err.startswith("error: ")
     assert key in err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_report_holding_infinity_writes_no_file(tmp_path, capsys):
+    cfg = write_json(tmp_path, "cfg.json", BAD_INPUTS["t4-report-holds-infinity"][1])
+    out = tmp_path / "t4.json"
+    assert main(["verify", "t4", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the report holds a number that is not finite, which JSON cannot write\n"
+    assert not out.exists()
 
 
 def test_t3_horizon_beyond_an_index_on_a_rounding_game(tmp_path, capsys):
