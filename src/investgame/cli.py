@@ -24,6 +24,7 @@ from .stage_game import (
     example_game,
     read_finite,
     read_integer,
+    read_object,
     read_path,
     read_payoffs,
     read_vector,
@@ -35,29 +36,21 @@ from .strategies import build_profile, induced_map
 OUTDIR_ENV = "INVESTGAME_OUTDIR"
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUTDIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _out_path(value, key: str) -> str:
+    """An output file path, resolved against $INVESTGAME_OUTDIR (if set) when relative."""
+    return os.path.join(os.environ.get(OUTDIR_ENV, ""), read_path(value, key))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return data
 
 
-def _load_game(path: str | None) -> GameParams:
-    if path is None:
-        return example_game()
+def _game(value, key: str) -> GameParams:
+    path = read_path(value, key)
     try:
         return GameParams.from_file(path)
     except (OSError, ValueError) as exc:
@@ -78,21 +71,67 @@ def _positive(value, what: str) -> float:
     return x
 
 
-#: Readers of example 1's segment ends, each a point of the plane.
+def _as_is(value, key: str):
+    """A value its command reads itself (descriptors need the game loaded)."""
+    return value
+
+
+def _start(value, key: str) -> dict:
+    """simulate's start: exactly one of a `point` of S or barycentric `weights`."""
+    start = read_object(value, {"point": lambda v, _: read_vector(v, 3, "start point"),
+                                "weights": lambda v, _: read_vector(v, 8, "start weights")}, key)
+    if len(start) != 1:
+        raise ValueError(f"start must give exactly one of point or weights, not {value!r}")
+    return start
+
+
+def _example1_starts(value, key: str):
+    """Example 1's starts: a list of points, or a positive count of random ones."""
+    if isinstance(value, (list, tuple)):
+        return _vectors(value, 2, key)
+    count = read_integer(value, key)
+    if count < 1:
+        raise ValueError("starts must be a positive count or a list of points")
+    return count
+
+
+_FILES = {"game": _game, "out": _out_path}
 _EXAMPLE1_ENDS = dict.fromkeys("ab", lambda value, key: read_vector(value, 2, key))
+_BATTERY = {"eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
+            "dist_slack": read_finite, "starts": lambda v, key: tuple(_vectors(v, 8, key)), **_FILES}
+_LYAPUNOV = {"map": _as_is, "c": read_finite, "eps": _positive, "eta": read_finite, "delta": read_finite,
+             "pitch": _positive, **_FILES}
+
+#: The keys each command variant reads, flags included, with their readers,
+#: declared once: `_options` refuses a flag or a config key its map lacks.
+_OPTIONS = {
+    "simulate": {"strategies": _as_is, "start": _start, "n": read_integer, **_FILES},
+    **dict.fromkeys(("verify t3", "verify t4", "verify t2"), _BATTERY),
+    "verify example1": {**_EXAMPLE1_ENDS, "n": read_integer, "tol": read_finite, "starts": _example1_starts,
+                        "seed": read_integer, "out": _out_path},
+    "verify example2": {"eps": read_finite, "n": read_integer, "tol": read_finite,
+                        "starts": lambda v, key: _vectors(v, 3, key), "out": _out_path},
+    "certify blackwell": {"target": _as_is, **_EXAMPLE1_ENDS, "eps": read_finite, "pitch": _positive,
+                          "out": _out_path},
+    "certify lyapunov": _LYAPUNOV,
+    "certify decrease": {**_LYAPUNOV, "m_bound": _positive},
+}
 
 
-def _given(cfg: dict, args, readers: dict) -> dict:
-    """The options a flag or the config file gives, each parsed by its reader
-    (a flag wins); options given by neither are left out for the library's defaults."""
-    out = {}
-    for key, read in readers.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = read(flag, key)
-        elif key in cfg:
-            out[key] = read(cfg[key], key)
-    return out
+def _options(args) -> dict:
+    """The options of args' command variant, its config file's keys with the given
+    flags laid over them (a flag wins), each parsed by its `_OPTIONS` reader; a flag
+    or key it lacks is an error, and one given by neither takes the library's default."""
+    command = _GRAMMAR[args.command]
+    given = vars(args)
+    variant = " ".join([args.command] + [given[name] for name, choices, _ in command.positionals if choices])
+    readers = _OPTIONS[variant]
+    flags = {flag: given[flag] for flag in command.flags if given[flag] is not None}
+    unread = [f"--{flag}" for flag in flags if flag not in readers]
+    if unread:
+        raise ValueError(f"{variant} does not read {', '.join(unread)}")
+    cfg = _load_json(args.config) if args.config else {}
+    return read_object({**cfg, **flags} if isinstance(cfg, dict) else cfg, readers, f"{variant} config")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -100,7 +139,6 @@ def _emit(payload: dict, out: str | None) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # JSON has no Infinity or NaN
         raise ValueError("the report holds a number that is not finite, which JSON cannot write") from exc
-    out = _resolve_out(out)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -109,8 +147,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    with open(args.game) as fh:
-        report = validate_params(read_payoffs(json.load(fh)))
+    report = validate_params(read_payoffs(_load_json(args.game)))
     if report.ok:
         print("ok")
         return 0
@@ -120,86 +157,42 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    params = _load_game(_given(cfg, args, {"game": read_path}).get("game"))
-    descs = cfg.get("strategies")
-    if descs is None:
-        raise ValueError("run config needs a 'strategies' list of three descriptors")
-    profile = build_profile(descs, params)
-    n = _given(cfg, args, {"n": read_integer}).get("n", harness.DEFAULT_N)
-    start_cfg = cfg.get("start", {"weights": [0.125] * 8})
-    if not (isinstance(start_cfg, dict) and ("point" in start_cfg or "weights" in start_cfg)):
-        raise ValueError(f"start must be an object giving 'point' or 'weights', not {start_cfg!r}")
-    if "point" in start_cfg:
-        x1 = read_vector(start_cfg["point"], 3, "start point")
-    else:
-        x1 = hull_point(vertices(params), read_vector(start_cfg["weights"], 8, "start weights"))
+    opts = _options(args)
+    params = opts.get("game") or example_game()
+    profile = build_profile(opts.get("strategies"), params)
+    [(key, x1)] = opts.get("start", {"weights": (0.125,) * 8}).items()
+    if key == "weights":
+        x1 = hull_point(vertices(params), x1)
     if not in_hull(vertices(params).all_points(), x1):
         raise ValueError(f"start point {list(x1)} is outside the payoff hull S")
-    rows = stages(induced_map(profile, params), x1, n)
+    rows = stages(induced_map(profile, params), x1, opts.get("n", harness.DEFAULT_N))
     comment = "strategies: " + json.dumps([s.descriptor() for s in profile], sort_keys=True)
-    out = _resolve_out(_given(cfg, args, {"out": read_path}).get("out"))
-    if out:
-        with open(out, "w", newline="") as fh:
+    if opts.get("out"):
+        with open(opts["out"], "w", newline="") as fh:
             write_csv(rows, fh, comment=comment)
     else:
         write_csv(rows, sys.stdout, comment=comment)
     return 0
 
 
-def _example1_starts(cfg: dict):
-    """Example 1's starts: a list of points, or a count (and seed) of random ones."""
-    starts = cfg.get("starts")
-    if isinstance(starts, (list, tuple)):
-        return _vectors(starts, 2, "starts")
-    opts = _given(cfg, None, {"seed": read_integer})
-    if starts is not None:
-        opts["count"] = read_integer(starts, "starts")
-        if opts["count"] < 1:
-            raise ValueError("starts must be a positive count or a list of points")
-    return harness.example1_starts(**opts)
-
-
-def _refuse_unread_flags(args, reads: tuple[str, ...]) -> None:
-    """Refuse the verify flags that args' claim does not read, rather than ignore them."""
-    unread = [f"--{flag}" for flag in _GRAMMAR["verify"].flags
-              if flag not in reads and getattr(args, flag) is not None]
-    if unread:
-        raise ValueError(f"verify {args.claim} does not read {', '.join(unread)}")
-
-
 def cmd_verify(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    out = _given(cfg, args, {"out": read_path}).get("out")
+    opts = _options(args)
+    out = opts.pop("out", None)
     if args.claim in ("t3", "t4", "t2"):
-        params = _load_game(_given(cfg, args, {"game": read_path}).get("game"))
-        config = harness.HarnessConfig(params=params, **_given(cfg, args, {
-            "eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
-            "dist_slack": read_finite, "dist_pitch": read_finite,
-            "starts": lambda v, key: tuple(_vectors(v, 8, key)),
-        }))
+        config = harness.HarnessConfig(params=opts.pop("game", None) or example_game(), **opts)
         report = {"t3": harness.verify_t3, "t4": harness.verify_t4, "t2": harness.verify_t2}[args.claim](config)
-    elif args.claim == "example1":
-        _refuse_unread_flags(args, ("n", "out"))
-        report = harness.run_example1(starts=_example1_starts(cfg), **_given(cfg, args, {
-            **_EXAMPLE1_ENDS, "n": read_integer, "tol": read_finite,
-        }))
-    else:  # example2; the grammar restricts the choices
-        _refuse_unread_flags(args, ("n", "eps", "out"))
-        report = harness.run_example2(**_given(cfg, args, {
-            "eps": read_finite, "n": read_integer, "tol": read_finite,
-            "starts": lambda v, key: _vectors(v, 3, key),
-        }))
+    else:  # example1 or example2; the grammar restricts the choices
+        report = {"example1": harness.run_example1, "example2": harness.run_example2}[args.claim](**opts)
     _emit(report.as_dict(), out)
     return 0 if report.passed else 1
 
 
-def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
-    target = cfg.get("target")
+def _certify_blackwell(opts: dict, pitch: float) -> tuple[bool, dict]:
+    target = opts.get("target")
     if target in ("example1_line", "example1_segment", "example1_singleton"):
-        targets = harness.example1_targets(**_given(cfg, None, _EXAMPLE1_ENDS), pitch=pitch)
+        targets = harness.example1_targets(opts.get("a", harness.EXAMPLE1_A), opts.get("b", harness.EXAMPLE1_B), pitch)
     elif target in ("example2_triangle", "example2_union"):
-        targets = harness.example2_targets(**_given(cfg, None, {"eps": read_finite}), pitch=pitch)
+        targets = harness.example2_targets(opts.get("eps", harness.DEFAULT_EPS), pitch)
     else:
         raise ValueError(f"unknown blackwell target {target!r}")
     if len(targets.domain) == 0:
@@ -208,21 +201,18 @@ def _certify_blackwell(cfg: dict, pitch: float) -> tuple[bool, dict]:
     return bool(sub["holds"]), {"kind": "blackwell", "target": target, **sub}
 
 
-def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
+def _certify_lyapunov(opts: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
     from . import lyapunov  # imported on use: verify and simulate never need it
 
-    params = _load_game(_given(cfg, None, {"game": read_path}).get("game"))
-    map_kind = cfg.get("map", "all_good")
+    params = opts.get("game") or example_game()
+    map_kind = opts.get("map", "all_good")
     if map_kind == "all_good":
-        c = read_finite(cfg.get("c", 0.3), "c")
-        spec = lyapunov.six_direction_spec(c, **_given(cfg, None, {"delta": read_finite}))
+        spec = lyapunov.six_direction_spec(opts.get("c", 0.3), opts.get("delta"))
         mmap = lyapunov.good_profile_plane_map(params)
     elif map_kind == "two_good":
-        eps = _positive(cfg.get("eps", harness.DEFAULT_EPS), "eps")  # before c, derived from it
-        eta = read_finite(cfg.get("eta", 0.1), "eta")
+        eps, eta = opts.get("eps", harness.DEFAULT_EPS), opts.get("eta", 0.1)
         c = (eps + eta) / 2.0**0.5
-        delta = read_finite(cfg.get("delta", eta / (2.0 * 2.0**0.5)), "delta")
-        spec = lyapunov.four_direction_spec(c, delta)
+        spec = lyapunov.four_direction_spec(c, opts.get("delta", eta / (2.0 * 2.0**0.5)))
         mmap = lyapunov.two_good_plane_map(params, eps)
     else:
         raise ValueError(f"unknown map kind {map_kind!r}")
@@ -233,21 +223,20 @@ def _certify_lyapunov(cfg: dict, pitch: float, want_decrease: bool) -> tuple[boo
     payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
     if not want_decrease:
         return base.holds, {**payload, **base.as_dict()}
-    consts = lyapunov.t1_constants(spec, _positive(cfg.get("m_bound", 60.0), "m_bound"))
+    consts = lyapunov.t1_constants(spec, opts.get("m_bound", 60.0))
     dec = replace(lyapunov.decrease_check(spec, mmap, consts, grid), grid_pitch=pitch)
     payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
     return base.holds and dec.holds, {**payload, **dec.as_dict()}
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    pitch = _given(cfg, args, {"pitch": _positive}).get("pitch", harness.CERT_PITCH)
-    out = _given(cfg, args, {"out": read_path}).get("out")
+    opts = _options(args)
+    pitch = opts.get("pitch", harness.CERT_PITCH)
     if args.kind == "blackwell":
-        ok, payload = _certify_blackwell(cfg, pitch)
+        ok, payload = _certify_blackwell(opts, pitch)
     else:  # lyapunov or decrease; the grammar restricts the choices
-        ok, payload = _certify_lyapunov(cfg, pitch, want_decrease=args.kind == "decrease")
-    _emit(payload, out)
+        ok, payload = _certify_lyapunov(opts, pitch, want_decrease=args.kind == "decrease")
+    _emit(payload, opts.get("out"))
     return 0 if ok else 1
 
 

@@ -87,6 +87,8 @@ DEFAULT_SEEDS = (11, 23, 37, 41, 53, 67, 79, 83, 97, 101)
 DEFAULT_N = 100_000
 DEFAULT_EPS = 0.4
 CERT_PITCH = 0.25
+#: Pitch of the grid on which t2 measures the distance to cl(V_1).
+DIST_PITCH = 0.25
 #: The shortest horizon a harness run takes.
 MIN_RUN = 1000
 #: Example 1's segment ends (a below the horizontal axis, b above it), and
@@ -116,7 +118,6 @@ class HarnessConfig:
     window: float = 0.5
     slack: float = 0.05
     dist_slack: float = 0.1
-    dist_pitch: float = 0.25
 
     def __post_init__(self):
         if self.n < MIN_RUN:
@@ -124,8 +125,6 @@ class HarnessConfig:
         tail_start(self.n, self.window)
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
-        if not (math.isfinite(self.dist_pitch) and self.dist_pitch > 0):
-            raise ValueError("dist_pitch must be positive and finite")
         for key in ("slack", "dist_slack"):
             if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
                 raise ValueError(f"{key} must be nonnegative and finite")
@@ -259,7 +258,7 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
     bound = {
         "own_tail_min": params.r0 - config.slack,
         "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
-        "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
+        "dist_to_v1": config.dist_slack + grid_slack(DIST_PITCH),
     }
     battery = [(x1, pair) for x1 in config.start_points() for pair in pairs]
     run = _run_battery(config, battery, (GoodStrategy(1, config.eps, params),))
@@ -268,7 +267,7 @@ def verify_t2(config: HarnessConfig, pairs: list[tuple[Strategy, Strategy]] | No
         measured = {
             "own_tail_min": float(run.tail_min[b, 0]),
             "deviators_tail_sum_max": float(run.tail_max_23[b]),
-            "dist_to_v1": dist_to_region(params, v1, tuple(run.final[b].tolist()), config.dist_pitch),
+            "dist_to_v1": dist_to_region(params, v1, tuple(run.final[b].tolist()), DIST_PITCH),
         }
         margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
         checks = {k: bool(m >= 0.0) for k, m in margin.items()}
@@ -302,7 +301,7 @@ def example1_limit(a, b) -> tuple[float, float]:
     return (a[0] + t * (b[0] - a[0]), 0.0)
 
 
-def example1_starts(count: int = 20, seed: int = 7) -> list[tuple[float, float]]:
+def example1_starts(count: int, seed: int) -> list[tuple[float, float]]:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-EXAMPLE1_BOX, EXAMPLE1_BOX, size=(count, 2))
     return [(float(p[0]), float(p[1])) for p in pts]
@@ -343,18 +342,18 @@ def example1_targets(a=EXAMPLE1_A, b=EXAMPLE1_B, pitch: float = CERT_PITCH) -> B
     })
 
 
-def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=None, n: int = DEFAULT_N,
-                 tol: float = 0.05) -> VerifyReport:
+def run_example1(a=EXAMPLE1_A, b=EXAMPLE1_B, starts=20, n: int = DEFAULT_N,
+                 tol: float = 0.05, seed: int = 7) -> VerifyReport:
     """Mean dynamics of the two-value planar map.
 
-    Checks convergence of every start (default: example1_starts()) to the
-    segment/axis intersection d, and the certificates of all three
-    example1_targets.
+    Checks convergence of every start (a list, or a count of random ones
+    drawn by example1_starts with seed) to the segment/axis intersection
+    d, and the certificates of all three example1_targets.
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    if starts is None:
-        starts = example1_starts()
+    if isinstance(starts, int):
+        starts = example1_starts(starts, seed)
     if not starts:
         raise ValueError("at least one start is required")
     certs = example1_targets(a, b).certify_all()

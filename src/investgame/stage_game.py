@@ -77,12 +77,23 @@ class GameParams:
 
 def read_payoffs(d) -> tuple[float, ...]:
     """The six payoffs of a game object, in field order, each a finite number."""
-    if not isinstance(d, dict):
-        raise ValueError("game file must be a flat JSON object")
-    try:
-        return tuple(read_finite(d[k], k) for k in ("r0", "r1", "r2", "p1", "p2", "p3"))
-    except KeyError as exc:
-        raise ValueError(f"game file missing key {exc}") from exc
+    keys = ("r0", "r1", "r2", "p1", "p2", "p3")
+    payoffs = read_object(d, dict.fromkeys(keys, read_finite), "game file")
+    missing = [k for k in keys if k not in payoffs]
+    if missing:
+        raise ValueError(f"game file missing key {missing[0]!r}")
+    return tuple(payoffs.values())
+
+
+def read_object(value, readers: dict, what: str) -> dict:
+    """A JSON object's keys, each parsed by its reader in `readers`' order; a
+    key no reader takes is an error, one the object lacks is left out."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    unread = [key for key in value if key not in readers]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
+    return {key: read(value[key], key) for key, read in readers.items() if key in value}
 
 
 def read_finite(value, what: str) -> float:

@@ -33,6 +33,7 @@ from .stage_game import (
     payoff_table,
     read_finite,
     read_integer,
+    read_object,
 )
 
 
@@ -225,18 +226,18 @@ class Example2Defector(Strategy):
 
 def build_strategy(desc: dict, params: GameParams, seat: int) -> Strategy:
     """Instantiate a strategy from its JSON descriptor for the given seat."""
-    if not isinstance(desc, dict):
-        raise ValueError(f"a strategy descriptor must be a JSON object, not {desc!r}")
-    kind = desc.get("kind")
-    if kind == "good":
-        return GoodStrategy(seat, read_finite(desc.get("eps"), "eps"), params)
-    if kind == "constant":
-        return ConstantStrategy(desc.get("action"))
-    if kind == "random":
-        return RandomStrategy(read_finite(desc.get("p"), "p"), read_integer(desc.get("seed"), "seed"))
-    if kind == "example2_defector":
-        return Example2Defector(params, read_finite(desc.get("eps"), "eps"))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    readers, make = {
+        "good": ({"eps": read_finite}, lambda eps: GoodStrategy(seat, eps, params)),
+        "constant": ({"action": lambda value, key: value}, ConstantStrategy),
+        "random": ({"p": read_finite, "seed": read_integer}, RandomStrategy),
+        "example2_defector": ({"eps": read_finite}, lambda eps: Example2Defector(params, eps)),
+    }.get(kind if isinstance(kind, str) else None, ({}, None))
+    if make is None:
+        raise ValueError(f"a strategy descriptor must be an object of a known kind, not {desc!r}")
+    # each key of the kind is required: one the descriptor lacks is read as None, which its reader refuses
+    d = read_object({**dict.fromkeys(readers), **desc}, {"kind": lambda v, _: v, **readers}, f"{kind} descriptor")
+    return make(*(d[key] for key in readers))
 
 
 def build_profile(descs, params: GameParams) -> tuple[Strategy, Strategy, Strategy]:

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from investgame.cli import _parse_plain, build_parser, main
+from investgame.cli import _GRAMMAR, _OPTIONS, _options, _parse_plain, build_parser, main
 from investgame.harness import CERT_PITCH, run_example2
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
@@ -340,7 +341,7 @@ class TestVerify:
         game = write_json(tmp_path, "game.json", list(CANON.values()))
         cfg = write_json(tmp_path, "v.json", {"n": 1000})
         assert main(["verify", "t3", cfg, "--game", game]) == 2
-        assert "flat JSON object" in capsys.readouterr().err
+        assert "game file must be a JSON object, not [20, 28" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -526,6 +527,51 @@ def test_documented_lines_take_the_plain_route():
     assert [argv for argv in ARGPARSE_ONLY if _parse_plain(argv) is not None] == []
 
 
+def _readme_config_rows() -> list[tuple[str, list[str], list[str]]]:
+    """(command variant, keys, flags) of each row of README "Configuration
+    keys", a `t3\\|t4\\|t2` cell expanded to one row per claim; a key is a
+    backticked name outside the parentheses that give defaults and notes."""
+    text = (ROOT / "README.md").read_text().split("### Configuration keys")[1].split("\n## ")[0]
+    rows = []
+    for line in text.splitlines():
+        if not line.startswith("| `"):
+            continue
+        command, keys, flags = (cell.strip() for cell in line.strip("|").split(" | "))
+        while re.search(r"\([^()]*\)", keys):
+            keys = re.sub(r"\([^()]*\)", "", keys)
+        words = command.strip("`").split()
+        for variant in words[-1].split("\\|"):
+            rows.append((" ".join(words[:-1] + [variant]), re.findall(r"`(\w+)`", keys),
+                         re.findall(r"`--(\w+)`", flags)))
+    return rows
+
+
+README_CONFIG_ROWS = _readme_config_rows()
+
+
+def test_readme_config_rows_cover_every_command():
+    assert sorted(variant for variant, _, _ in README_CONFIG_ROWS) == sorted(_OPTIONS)
+
+
+@pytest.mark.parametrize("variant, keys, flags", README_CONFIG_ROWS, ids=[row[0] for row in README_CONFIG_ROWS])
+def test_readme_config_row_is_what_the_command_reads(variant, keys, flags, tmp_path):
+    # every key and flag of the row passes the command's reader map (its
+    # value may still be refused), and a key or flag the row lacks is refused
+    def refusal(config, extra=()):
+        cfg = write_json(tmp_path, "cfg.json", config)
+        try:
+            _options(_parse_plain(variant.split() + [cfg, *extra]))
+        except ValueError as exc:
+            return str(exc) if "does not read" in str(exc) else None
+        return None
+
+    assert sorted(keys) == sorted(_OPTIONS[variant])
+    assert all(refusal({key: None}) is None for key in keys)
+    assert refusal({"no_such_key": 1}) == f"{variant} config does not read no_such_key"
+    for flag in _GRAMMAR[variant.split()[0]].flags:
+        assert (refusal({}, ["--" + flag, "x"]) is None) == (flag in flags), (variant, flag)
+
+
 def test_plain_command_line_leaves_argparse_unimported(tmp_path):
     cfg = write_json(tmp_path, "t3.json", {"n": 2000})
     code = ("import sys\nfrom investgame.cli import main\n"
@@ -601,7 +647,6 @@ BAD_INPUTS = {
     "t4-text-slack": ("verify t4", {"slack": "abc", "n": 1000}, "slack must"),
     "t2-text-window": ("verify t2", {"window": "half", "n": 1000}, "window must"),
     "t2-text-dist-slack": ("verify t2", {"dist_slack": "abc", "n": 1000}, "dist_slack must"),
-    "t2-text-dist-pitch": ("verify t2", {"dist_pitch": "abc", "n": 1000}, "dist_pitch must"),
     "example1-fractional-n": ("verify example1", {"n": 1000.5, "starts": 2}, "n must"),
     "example1-text-seed": ("verify example1", {"n": 1000, "starts": 2, "seed": "x"}, "seed must"),
     "example2-text-eps": ("verify example2", {"eps": "abc", "n": 1000}, "eps must"),
@@ -637,7 +682,17 @@ BAD_INPUTS = {
     "example2-start-outside-s": ("verify example2", {"starts": [[100, 100, -3]], "n": 1000}, "payoff hull"),
     # grids too fine to allocate fail at once, before any memory is taken
     "blackwell-grid-too-fine": ("certify blackwell", {"target": "example1_line", "pitch": 1e-6}, "allocate"),
-    "t2-distance-grid-too-fine": ("verify t2", {"n": 1000, "dist_pitch": 1e-4}, "allocate"),
+    # a key its command does not read is refused by name, not ignored
+    "t2-dist-pitch-unread": ("verify t2", {"n": 1000, "dist_pitch": 0.25}, "verify t2 config does not read dist_pitch"),
+    "t3-misspelled-slack": ("verify t3", {"n": 1000, "slak": 0.0}, "verify t3 config does not read slak"),
+    "good-descriptor-unread-key": ("simulate", {"strategies": [dict(GOOD3[0], epz=3)] + GOOD3[1:], "n": 5},
+                                   "good descriptor does not read epz"),
+    "start-point-and-weights": ("simulate", {"strategies": GOOD3, "n": 5,
+                                             "start": {"point": [20, 20, 20], "weights": [0.125] * 8}},
+                                "start must give exactly one of point or weights"),
+    "lyapunov-m-bound": ("certify lyapunov", {"map": "all_good", "m_bound": 60},
+                         "certify lyapunov config does not read m_bound"),
+    "validate-seventh-key": ("validate", dict(CANON, p4=30), "game file does not read p4"),
     # JSON integers too large for a float
     "t3-overflowing-eps": ("verify t3", {"eps": 10**400, "n": 1000}, "eps must"),
     "t3-overflowing-n": ("verify t3", {"n": 10**400}, "n must"),
@@ -672,6 +727,22 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     assert key in err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["t2-dist-pitch-unread", "t3-misspelled-slack", "good-descriptor-unread-key",
+                                  "start-point-and-weights", "lyapunov-m-bound"])
+def test_unread_key_writes_no_file(case, tmp_path):
+    command, cfg, _ = BAD_INPUTS[case]
+    out = tmp_path / "out.txt"
+    assert main(command.split() + [write_json(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_game_file_with_a_seventh_key_is_refused(tmp_path, capsys):
+    game = write_json(tmp_path, "game.json", dict(CANON, p4=30))
+    cfg = write_json(tmp_path, "v.json", {"n": 1000})
+    assert main(["verify", "t3", cfg, "--game", game]) == 2
+    assert capsys.readouterr().err == f"error: bad game file {game}: game file does not read p4\n"
 
 
 def test_report_holding_infinity_writes_no_file(tmp_path, capsys):

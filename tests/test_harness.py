@@ -26,6 +26,7 @@ from investgame.geometry import (
     region_mask,
 )
 from investgame.harness import (
+    DIST_PITCH,
     HarnessConfig,
     default_starts,
     deviant_pairs,
@@ -310,7 +311,7 @@ class TestT2:
         assert [d for _, d in seen] == [cell["measured"]["dist_to_v1"] for cell in rep.cells]
         for x, reported in seen:
             d = exact.distances([x])[0]
-            assert d - band <= reported <= d + grid_slack(cfg.dist_pitch)
+            assert d - band <= reported <= d + grid_slack(DIST_PITCH)
             assert d <= cfg.dist_slack
 
 
@@ -391,13 +392,13 @@ def _reference_cells(theorem, config, battery):
                 bound = {
                     "own_tail_min": params.r0 - config.slack,
                     "deviators_tail_sum_max": 2.0 * params.p3 + config.slack,
-                    "dist_to_v1": config.dist_slack + grid_slack(config.dist_pitch),
+                    "dist_to_v1": config.dist_slack + grid_slack(DIST_PITCH),
                 }
                 measured = {
                     "own_tail_min": float(tail[:, 0].min()),
                     "deviators_tail_sum_max": float((tail[:, 1] + tail[:, 2]).max()),
                     "dist_to_v1": dist_to_region(params, RegionSpec("v", 1, config.eps), traj.final,
-                                                 config.dist_pitch),
+                                                 DIST_PITCH),
                 }
                 margin = {k: m - bound[k] if k == "own_tail_min" else bound[k] - m for k, m in measured.items()}
                 cell.update(measured=measured, bound=bound, margin=margin)
