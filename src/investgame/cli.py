@@ -8,6 +8,7 @@ configuration (seeds included) produces byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -95,55 +96,137 @@ def _example1_starts(value, key: str):
     return count
 
 
-_FILES = {"game": _game, "out": _out_path}
-_EXAMPLE1_ENDS = dict.fromkeys("ab", lambda value, key: read_vector(value, 2, key))
-_BATTERY = {"eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
-            "dist_slack": read_finite, "starts": lambda v, key: tuple(_vectors(v, 8, key)), **_FILES}
-_LYAPUNOV = {"map": _as_is, "c": read_finite, "eps": _positive, "eta": read_finite, "delta": read_finite,
-             "pitch": _positive, **_FILES}
-
-#: The keys each command variant reads, flags included, with their readers,
-#: declared once: `_options` refuses a flag or a config key its map lacks.
-_OPTIONS = {
-    "simulate": {"strategies": _as_is, "start": _start, "n": read_integer, **_FILES},
-    **dict.fromkeys(("verify t3", "verify t4", "verify t2"), _BATTERY),
-    "verify example1": {**_EXAMPLE1_ENDS, "n": read_integer, "tol": read_finite, "starts": _example1_starts,
-                        "seed": read_integer, "out": _out_path},
-    "verify example2": {"eps": read_finite, "n": read_integer, "tol": read_finite,
-                        "starts": lambda v, key: _vectors(v, 3, key), "out": _out_path},
-    "certify blackwell": {"target": _as_is, **_EXAMPLE1_ENDS, "eps": read_finite, "pitch": _positive,
-                          "out": _out_path},
-    "certify lyapunov": _LYAPUNOV,
-    "certify decrease": {**_LYAPUNOV, "m_bound": _positive},
-}
-
-
-def _options(args) -> dict:
-    """The options of args' command variant, its config file's keys with the given
-    flags laid over them (a flag wins), each parsed by its `_OPTIONS` reader; a flag
-    or key it lacks is an error, and one given by neither takes the library's default."""
-    command = _GRAMMAR[args.command]
-    given = vars(args)
-    variant = " ".join([args.command] + [given[name] for name, choices, _ in command.positionals if choices])
-    readers = _OPTIONS[variant]
-    flags = {flag: given[flag] for flag in command.flags if given[flag] is not None}
-    unread = [f"--{flag}" for flag in flags if flag not in readers]
-    if unread:
-        raise ValueError(f"{variant} does not read {', '.join(unread)}")
-    cfg = _load_json(args.config) if args.config else {}
-    return read_object({**cfg, **flags} if isinstance(cfg, dict) else cfg, readers, f"{variant} config")
-
-
-def _emit(payload: dict, out: str | None) -> None:
+def _json(passed: bool, payload: dict) -> tuple[bool, Callable]:
+    """A report's verdict, and the writer of the report as strict JSON."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # JSON has no Infinity or NaN
         raise ValueError("the report holds a number that is not finite, which JSON cannot write") from exc
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    return passed, lambda fh: fh.write(text + "\n")
+
+
+def _simulate(strategies=None, start=None, n=harness.DEFAULT_N, game=None) -> tuple[bool, Callable]:
+    params = game or example_game()
+    profile = build_profile(strategies, params)
+    [(key, x1)] = (start or {"weights": (0.125,) * 8}).items()
+    if key == "weights":
+        x1 = hull_point(vertices(params), x1)
+    if not in_hull(vertices(params).all_points(), x1):
+        raise ValueError(f"start point {list(x1)} is outside the payoff hull S")
+    rows = stages(induced_map(profile, params), x1, n)
+    comment = "strategies: " + json.dumps([s.descriptor() for s in profile], sort_keys=True)
+    return True, lambda fh: write_csv(rows, fh, comment=comment)
+
+
+def _report(report) -> tuple[bool, Callable]:
+    return _json(report.passed, report.as_dict())
+
+
+def _battery(verify, game=None, **keys) -> tuple[bool, Callable]:
+    return _report(verify(harness.HarnessConfig(game or example_game(), **keys)))
+
+
+def _blackwell(targets, target: str, **keys) -> tuple[bool, Callable]:
+    """The certificate of `target` among its worked example's `targets`."""
+    built = targets(**keys)
+    if len(built.domain) == 0:
+        raise ValueError(f"pitch {built.pitch} leaves no grid point in the {target} domain")
+    sub = built.certify(target.partition("_")[2]).as_dict()
+    return _json(bool(sub["holds"]), {"kind": "blackwell", "target": target, **sub})
+
+
+def _all_good(lyapunov, params, c=0.3, delta=None):
+    return lyapunov.six_direction_spec(c, delta), lyapunov.good_profile_plane_map(params)
+
+
+def _two_good(lyapunov, params, eps=harness.DEFAULT_EPS, eta=0.1, delta=None):
+    spec = lyapunov.four_direction_spec((eps + eta) / 2.0**0.5, eta / (2.0 * 2.0**0.5) if delta is None else delta)
+    return spec, lyapunov.two_good_plane_map(params, eps)
+
+
+def _plane(plane, decrease: bool, game=None, pitch=harness.CERT_PITCH, m_bound=60.0, **keys):
+    """The Lyapunov certificate of a plane map (`_all_good` or `_two_good`) and
+    its support function, and with `decrease` the decrease certificate too."""
+    from . import lyapunov  # imported on use: verify and simulate never need it
+
+    params = game or example_game()
+    spec, mmap = plane(lyapunov, params, **keys)
+    grid = lyapunov.certification_grid(spec, params, pitch)
+    if len(grid) == 0:
+        raise ValueError(f"pitch {pitch} leaves no grid point outside Delta_c")
+    base = replace(lyapunov.check_lyapunov(spec, mmap, grid), grid_pitch=pitch)
+    payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
+    if not decrease:
+        return _json(base.holds, {**payload, **base.as_dict()})
+    consts = lyapunov.t1_constants(spec, m_bound)
+    dec = replace(lyapunov.decrease_check(spec, mmap, consts, grid), grid_pitch=pitch)
+    payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
+    return _json(base.holds and dec.holds, {**payload, **dec.as_dict()})
+
+
+_FILES = {"game": _game, "out": _out_path}
+_ENDS = dict.fromkeys("ab", lambda value, key: read_vector(value, 2, key))
+_BATTERY = {"eps": read_finite, "n": read_integer, "slack": read_finite, "window": read_finite,
+            "dist_slack": read_finite, "starts": lambda v, key: tuple(_vectors(v, 8, key)), **_FILES}
+_T3_T4 = {key: read for key, read in _BATTERY.items() if key != "dist_slack"}  # t2 alone reads dist_slack
+_PITCH = {"pitch": _positive, "out": _out_path}
+_ALL_GOOD = {"c": read_finite, "delta": read_finite, "pitch": _positive, **_FILES}
+_TWO_GOOD = {"eps": _positive, "eta": read_finite, "delta": read_finite, "pitch": _positive, **_FILES}
+
+#: One row per command variant, (runner, {key: reader}) over the keys and
+#: flags the runner acts on; a certify variant adds its `_ROW_KEYS` value.
+#: A runner returns its verdict and the writer of its output.
+_OPTIONS = {
+    "simulate": (_simulate, {"strategies": _as_is, "start": _start, "n": read_integer, **_FILES}),
+    "verify t3": (functools.partial(_battery, harness.verify_t3), _T3_T4),
+    "verify t4": (functools.partial(_battery, harness.verify_t4), _T3_T4),
+    "verify t2": (functools.partial(_battery, harness.verify_t2), _BATTERY),
+    "verify example1": (lambda **keys: _report(harness.run_example1(**keys)), {
+        **_ENDS, "n": read_integer, "tol": read_finite, "starts": _example1_starts, "seed": read_integer,
+        "out": _out_path}),
+    "verify example2": (lambda **keys: _report(harness.run_example2(**keys)), {
+        "eps": read_finite, "n": read_integer, "tol": read_finite, "starts": lambda v, key: _vectors(v, 3, key),
+        "out": _out_path}),
+    **{f"certify blackwell {target}": (functools.partial(_blackwell, harness.example1_targets, target),
+                                       {**_ENDS, **_PITCH})
+       for target in ("example1_line", "example1_segment", "example1_singleton")},
+    **{f"certify blackwell {target}": (functools.partial(_blackwell, harness.example2_targets, target),
+                                       {"eps": read_finite, **_PITCH})
+       for target in ("example2_triangle", "example2_union")},
+    "certify lyapunov all_good": (functools.partial(_plane, _all_good, False), _ALL_GOOD),
+    "certify lyapunov two_good": (functools.partial(_plane, _two_good, False), _TWO_GOOD),
+    "certify decrease all_good": (functools.partial(_plane, _all_good, True), {**_ALL_GOOD, "m_bound": _positive}),
+    "certify decrease two_good": (functools.partial(_plane, _two_good, True), {**_TWO_GOOD, "m_bound": _positive}),
+}
+
+#: The config key naming a certify kind's row, its default (None: required) and what errors call its values.
+_ROW_KEYS = {"certify blackwell": ("target", None, "blackwell target"),
+             **dict.fromkeys(("certify lyapunov", "certify decrease"), ("map", "all_good", "map kind"))}
+
+
+def _options(args) -> tuple[Callable, dict]:
+    """The runner of args' command variant and its options.  The row is picked
+    first (a certify row by the config's `_ROW_KEYS` key); the options are the
+    config file's keys with the given flags laid over them (a flag wins), each
+    parsed by the row's reader.  A flag or key the row lacks is an error."""
+    command = _GRAMMAR[args.command]
+    given = vars(args)
+    variant = " ".join([args.command] + [given[name] for name, choices, _ in command.positionals if choices])
+    cfg = _load_json(args.config) if args.config is not None else {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{variant} config must be a JSON object, not {cfg!r}")
+    if variant in _ROW_KEYS:
+        key, default, what = _ROW_KEYS[variant]
+        name = cfg.pop(key, default)
+        variant += f" {name}"
+        if variant not in _OPTIONS:
+            raise ValueError(f"unknown {what} {name!r}")
+    run, readers = _OPTIONS[variant]
+    flags = {flag: given[flag] for flag in command.flags if given[flag] is not None}
+    unread = [f"--{flag}" for flag in flags if flag not in readers]
+    if unread:
+        raise ValueError(f"{variant} does not read {', '.join(unread)}")
+    return run, read_object({**cfg, **flags}, readers, f"{variant} config")
 
 
 def cmd_validate(args) -> int:
@@ -156,88 +239,14 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def cmd_simulate(args) -> int:
-    opts = _options(args)
-    params = opts.get("game") or example_game()
-    profile = build_profile(opts.get("strategies"), params)
-    [(key, x1)] = opts.get("start", {"weights": (0.125,) * 8}).items()
-    if key == "weights":
-        x1 = hull_point(vertices(params), x1)
-    if not in_hull(vertices(params).all_points(), x1):
-        raise ValueError(f"start point {list(x1)} is outside the payoff hull S")
-    rows = stages(induced_map(profile, params), x1, opts.get("n", harness.DEFAULT_N))
-    comment = "strategies: " + json.dumps([s.descriptor() for s in profile], sort_keys=True)
-    if opts.get("out"):
-        with open(opts["out"], "w", newline="") as fh:
-            write_csv(rows, fh, comment=comment)
-    else:
-        write_csv(rows, sys.stdout, comment=comment)
-    return 0
-
-
-def cmd_verify(args) -> int:
-    opts = _options(args)
+def cmd_run(args) -> int:
+    """Run a simulate, verify or certify variant and write its output to `out`, or stdout."""
+    run, opts = _options(args)
     out = opts.pop("out", None)
-    if args.claim in ("t3", "t4", "t2"):
-        config = harness.HarnessConfig(params=opts.pop("game", None) or example_game(), **opts)
-        report = {"t3": harness.verify_t3, "t4": harness.verify_t4, "t2": harness.verify_t2}[args.claim](config)
-    else:  # example1 or example2; the grammar restricts the choices
-        report = {"example1": harness.run_example1, "example2": harness.run_example2}[args.claim](**opts)
-    _emit(report.as_dict(), out)
-    return 0 if report.passed else 1
-
-
-def _certify_blackwell(opts: dict, pitch: float) -> tuple[bool, dict]:
-    target = opts.get("target")
-    if target in ("example1_line", "example1_segment", "example1_singleton"):
-        targets = harness.example1_targets(opts.get("a", harness.EXAMPLE1_A), opts.get("b", harness.EXAMPLE1_B), pitch)
-    elif target in ("example2_triangle", "example2_union"):
-        targets = harness.example2_targets(opts.get("eps", harness.DEFAULT_EPS), pitch)
-    else:
-        raise ValueError(f"unknown blackwell target {target!r}")
-    if len(targets.domain) == 0:
-        raise ValueError(f"pitch {pitch} leaves no grid point in the {target} domain")
-    sub = targets.certify(target.partition("_")[2]).as_dict()
-    return bool(sub["holds"]), {"kind": "blackwell", "target": target, **sub}
-
-
-def _certify_lyapunov(opts: dict, pitch: float, want_decrease: bool) -> tuple[bool, dict]:
-    from . import lyapunov  # imported on use: verify and simulate never need it
-
-    params = opts.get("game") or example_game()
-    map_kind = opts.get("map", "all_good")
-    if map_kind == "all_good":
-        spec = lyapunov.six_direction_spec(opts.get("c", 0.3), opts.get("delta"))
-        mmap = lyapunov.good_profile_plane_map(params)
-    elif map_kind == "two_good":
-        eps, eta = opts.get("eps", harness.DEFAULT_EPS), opts.get("eta", 0.1)
-        c = (eps + eta) / 2.0**0.5
-        spec = lyapunov.four_direction_spec(c, opts.get("delta", eta / (2.0 * 2.0**0.5)))
-        mmap = lyapunov.two_good_plane_map(params, eps)
-    else:
-        raise ValueError(f"unknown map kind {map_kind!r}")
-    grid = lyapunov.certification_grid(spec, params, pitch)
-    if len(grid) == 0:
-        raise ValueError(f"pitch {pitch} leaves no grid point outside Delta_c")
-    base = replace(lyapunov.check_lyapunov(spec, mmap, grid), grid_pitch=pitch)
-    payload = {"kind": "lyapunov", "map": mmap.label, "c": spec.c, "delta": spec.delta}
-    if not want_decrease:
-        return base.holds, {**payload, **base.as_dict()}
-    consts = lyapunov.t1_constants(spec, opts.get("m_bound", 60.0))
-    dec = replace(lyapunov.decrease_check(spec, mmap, consts, grid), grid_pitch=pitch)
-    payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
-    return base.holds and dec.holds, {**payload, **dec.as_dict()}
-
-
-def cmd_certify(args) -> int:
-    opts = _options(args)
-    pitch = opts.get("pitch", harness.CERT_PITCH)
-    if args.kind == "blackwell":
-        ok, payload = _certify_blackwell(opts, pitch)
-    else:  # lyapunov or decrease; the grammar restricts the choices
-        ok, payload = _certify_lyapunov(opts, pitch, want_decrease=args.kind == "decrease")
-    _emit(payload, opts.get("out"))
-    return 0 if ok else 1
+    passed, write = run(**opts)
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        write(fh)
+    return 0 if passed else 1
 
 
 class _Command(NamedTuple):
@@ -257,13 +266,13 @@ class _Command(NamedTuple):
 _GRAMMAR = {
     "validate": _Command(cmd_validate, "check a game file's admissibility inequalities",
                          (("game", None, None),), False, {}),
-    "simulate": _Command(cmd_simulate, "run the mean dynamics and emit a trajectory CSV",
+    "simulate": _Command(cmd_run, "run the mean dynamics and emit a trajectory CSV",
                          (("config", None, "run configuration JSON"),), True,
                          dict.fromkeys(("game", "n", "out"))),
-    "verify": _Command(cmd_verify, "run a claim's verification battery",
+    "verify": _Command(cmd_run, "run a claim's verification battery",
                        (("claim", ("t3", "t4", "t2", "example1", "example2"), None), ("config", None, None)),
                        True, dict.fromkeys(("game", "n", "eps", "slack", "out"))),
-    "certify": _Command(cmd_certify, "grid-certify a Blackwell or Lyapunov property",
+    "certify": _Command(cmd_run, "grid-certify a Blackwell or Lyapunov property",
                         (("kind", ("blackwell", "lyapunov", "decrease"), None), ("config", None, None)),
                         True, {"pitch": "certification grid pitch (payoff units)", "out": None}),
 }

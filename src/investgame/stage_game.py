@@ -109,9 +109,9 @@ def read_finite(value, what: str) -> float:
 
 
 def read_path(value, what: str) -> str:
-    """A config file path: a JSON string, never a number (open() takes one for a descriptor)."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a file path string, not {value!r}")
+    """A config file path: a non-empty JSON string, never a number (open() takes one for a descriptor)."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} must be a non-empty file path string, not {value!r}")
     return value
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from investgame.cli import _GRAMMAR, _OPTIONS, _options, _parse_plain, build_parser, main
+from investgame.cli import _GRAMMAR, _OPTIONS, _ROW_KEYS, _options, _parse_plain, build_parser, main
 from investgame.harness import CERT_PITCH, run_example2
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
@@ -529,7 +529,7 @@ def test_documented_lines_take_the_plain_route():
 
 def _readme_config_rows() -> list[tuple[str, list[str], list[str]]]:
     """(command variant, keys, flags) of each row of README "Configuration
-    keys", a `t3\\|t4\\|t2` cell expanded to one row per claim; a key is a
+    keys", a `t3\\|t4` cell expanded to one row per claim; a key is a
     backticked name outside the parentheses that give defaults and notes."""
     text = (ROOT / "README.md").read_text().split("### Configuration keys")[1].split("\n## ")[0]
     rows = []
@@ -553,23 +553,30 @@ def test_readme_config_rows_cover_every_command():
     assert sorted(variant for variant, _, _ in README_CONFIG_ROWS) == sorted(_OPTIONS)
 
 
-@pytest.mark.parametrize("variant, keys, flags", README_CONFIG_ROWS, ids=[row[0] for row in README_CONFIG_ROWS])
-def test_readme_config_row_is_what_the_command_reads(variant, keys, flags, tmp_path):
-    # every key and flag of the row passes the command's reader map (its
-    # value may still be refused), and a key or flag the row lacks is refused
-    def refusal(config, extra=()):
-        cfg = write_json(tmp_path, "cfg.json", config)
-        try:
-            _options(_parse_plain(variant.split() + [cfg, *extra]))
-        except ValueError as exc:
-            return str(exc) if "does not read" in str(exc) else None
-        return None
+@pytest.mark.parametrize("command", sorted({" ".join(row[0].split()[:2]) for row in README_CONFIG_ROWS}))
+def test_readme_config_row_is_what_the_command_reads(command, tmp_path):
+    # every key and flag of each row of the command (one per target or map
+    # under certify) passes the row's reader map (its value may still be
+    # refused), and a key or flag the row lacks is refused
+    for variant, keys, flags in README_CONFIG_ROWS:
+        if variant.split()[:2] != command.split():
+            continue
+        words = variant.split()
+        pick = {_ROW_KEYS[command][0]: words[2]} if command in _ROW_KEYS else {}
 
-    assert sorted(keys) == sorted(_OPTIONS[variant])
-    assert all(refusal({key: None}) is None for key in keys)
-    assert refusal({"no_such_key": 1}) == f"{variant} config does not read no_such_key"
-    for flag in _GRAMMAR[variant.split()[0]].flags:
-        assert (refusal({}, ["--" + flag, "x"]) is None) == (flag in flags), (variant, flag)
+        def refusal(config, extra=()):
+            cfg = write_json(tmp_path, "cfg.json", {**pick, **config})
+            try:
+                _options(_parse_plain(words[:2] + [cfg, *extra]))
+            except ValueError as exc:
+                return str(exc) if "does not read" in str(exc) else None
+            return None
+
+        assert sorted(keys) == sorted(_OPTIONS[variant][1])
+        assert all(refusal({key: None}) is None for key in keys)
+        assert refusal({"no_such_key": 1}) == f"{variant} config does not read no_such_key"
+        for flag in _GRAMMAR[command.split()[0]].flags:
+            assert (refusal({}, ["--" + flag, "x"]) is None) == (flag in flags), (variant, flag)
 
 
 def test_plain_command_line_leaves_argparse_unimported(tmp_path):
@@ -691,7 +698,26 @@ BAD_INPUTS = {
                                              "start": {"point": [20, 20, 20], "weights": [0.125] * 8}},
                                 "start must give exactly one of point or weights"),
     "lyapunov-m-bound": ("certify lyapunov", {"map": "all_good", "m_bound": 60},
-                         "certify lyapunov config does not read m_bound"),
+                         "certify lyapunov all_good config does not read m_bound"),
+    # a key a target, map or claim does not act on is refused, though its
+    # command's other rows read it
+    "example1-line-eps": ("certify blackwell", {"target": "example1_line", "eps": 0.1},
+                          "certify blackwell example1_line config does not read eps"),
+    "example2-triangle-a": ("certify blackwell", {"target": "example2_triangle", "a": [0, -1]},
+                            "certify blackwell example2_triangle config does not read a"),
+    "all-good-eta": ("certify lyapunov", {"map": "all_good", "eta": 5},
+                     "certify lyapunov all_good config does not read eta"),
+    "two-good-c": ("certify decrease", {"map": "two_good", "c": 0.3},
+                   "certify decrease two_good config does not read c"),
+    "t3-dist-slack": ("verify t3", {"n": 2000, "dist_slack": 1e9}, "verify t3 config does not read dist_slack"),
+    "t4-dist-slack": ("verify t4", {"n": 1000, "starts": [[0.125] * 8], "dist_slack": 1e9},
+                      "verify t4 config does not read dist_slack"),
+    "example1-seed-beside-listed-starts": ("verify example1", {"n": 20_000, "starts": [[1.5, -2.0]], "seed": 3},
+                                           "seed is read only with a count of starts"),
+    # an empty path is not a file
+    "t3-empty-out": ("verify t3", {"n": 2000, "out": ""}, "out must be a non-empty file path string"),
+    "simulate-empty-out": ("simulate", {"strategies": GOOD3, "n": 5, "out": ""},
+                           "out must be a non-empty file path string"),
     "validate-seventh-key": ("validate", dict(CANON, p4=30), "game file does not read p4"),
     # JSON integers too large for a float
     "t3-overflowing-eps": ("verify t3", {"eps": 10**400, "n": 1000}, "eps must"),
@@ -730,12 +756,41 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["t2-dist-pitch-unread", "t3-misspelled-slack", "good-descriptor-unread-key",
-                                  "start-point-and-weights", "lyapunov-m-bound"])
+                                  "start-point-and-weights", "lyapunov-m-bound", "example1-line-eps",
+                                  "example1-seed-beside-listed-starts"])
 def test_unread_key_writes_no_file(case, tmp_path):
     command, cfg, _ = BAD_INPUTS[case]
     out = tmp_path / "out.txt"
     assert main(command.split() + [write_json(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify t3", "simulate"])
+def test_empty_out_flag_is_refused(command, tmp_path, capsys, monkeypatch):
+    # under $INVESTGAME_OUTDIR an empty path names the directory itself:
+    # refused before anything runs, not after the run on "Is a directory"
+    monkeypatch.setenv("INVESTGAME_OUTDIR", str(tmp_path))
+    cfg = write_json(tmp_path, "cfg.json", GOOD_RUN if command == "simulate" else {"n": 2000})
+    assert main(command.split() + [cfg, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: out must be a non-empty file path string, not ''\n")
+
+
+def test_empty_config_path_is_refused(capsys):
+    assert main(["verify", "t3", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read : ")
+
+
+@pytest.mark.parametrize("variant", [v for v in _OPTIONS if v.startswith("certify ")])
+def test_certify_row_runs_and_names_itself(variant, tmp_path):
+    # each certify row is wired to its own runner: its report names the kind
+    # and the target or map that picked it
+    _, kind, name = variant.split()
+    key = _ROW_KEYS[f"certify {kind}"][0]
+    out = tmp_path / "report.json"
+    assert main(["certify", kind, write_json(tmp_path, "cfg.json", {key: name}), "--pitch", "0.5",
+                 "--out", str(out)]) in (0, 1)
+    payload = json.loads(out.read_text())
+    assert (payload["kind"], payload[key]) == (kind, name)
 
 
 def test_game_file_with_a_seventh_key_is_refused(tmp_path, capsys):
