@@ -17,7 +17,7 @@ open sets and a grid of the reported pitch finds them reliably.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from . import geometry
 from .dynamics import Trajectory
 from .geometry import FACE_WEIGHT_TOL, dot_rows, face_projections, hull_faces, nearest_on_faces
+from .stage_game import plain_copy
 
 PROXIMAL_TIE_TOL = 1e-9
 #: Slack of every certificate inequality.
@@ -153,7 +154,9 @@ class CertReport:
     grid_pitch: float | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """A fresh copy of the report as plain data, one key per field:
+        mutating it, the witness included, leaves the report as it was."""
+        return plain_copy(vars(self))
 
 
 def grid_certificate(grid: np.ndarray, width: int, failing: Callable, witness: Callable[..., dict]) -> CertReport:
@@ -247,7 +250,8 @@ class DecayReport:
     violations: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """A fresh copy of the report as plain data, one key per field."""
+        return plain_copy(vars(self))
 
 
 def decay_bound_check(traj: Trajectory, oracle: ProximalOracle, n0: int) -> DecayReport:

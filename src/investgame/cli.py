@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -160,7 +160,7 @@ def _plane(plane, decrease: bool, game=None, pitch=harness.CERT_PITCH, m_bound=6
         return _json(base.holds, {**payload, **base.as_dict()})
     consts = lyapunov.t1_constants(spec, m_bound)
     dec = replace(lyapunov.decrease_check(spec, mmap, consts, grid), grid_pitch=pitch)
-    payload.update(kind="decrease", constants=asdict(consts), lyapunov_holds=base.holds)
+    payload.update(kind="decrease", constants=dict(vars(consts)), lyapunov_holds=base.holds)
     return _json(base.holds and dec.holds, {**payload, **dec.as_dict()})
 
 

@@ -35,7 +35,7 @@ on every admissible game.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -68,6 +68,7 @@ from .stage_game import (
     NOT_INVEST,
     GameParams,
     example_game,
+    plain_copy,
     vertices,
 )
 from .strategies import (
@@ -151,7 +152,9 @@ class VerifyReport:
         self.passed = checks and all(c["pass"] for c in self.cells)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """A fresh copy of the report as plain data, keyed name, cells, meta
+        and passed: mutating it leaves the report as it was."""
+        return plain_copy(vars(self))
 
 
 def _defectors(params: GameParams, eps: float) -> list[Strategy]:

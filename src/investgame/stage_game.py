@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 INVEST = "I"
@@ -48,6 +49,8 @@ class GameParams:
     """The six stage-game payoff levels of an admissible game: building one
     from payoffs that are not finite or that break an inequality of
     CONSTRAINT_LABELS raises ValueError, so every GameParams is admissible.
+    Each level is stored as a float, so equal games hold equal floats and
+    share the tables cached by game (`payoff_table`, `vertices`).
 
     r0, r1, r2: non-investor payoff with 0/1/2 total investors.
     p1, p2, p3: investor payoff with 1/2/3 total investors.
@@ -64,6 +67,8 @@ class GameParams:
         report = validate_params(astuple(self))
         if not report.ok:
             raise ValueError("inadmissible game parameters: " + "; ".join(report.violations))
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "GameParams":
@@ -94,6 +99,19 @@ def read_object(value, readers: dict, what: str) -> dict:
     if unread:
         raise ValueError(f"{what} does not read {', '.join(unread)}")
     return {key: read(value[key], key) for key, read in readers.items() if key in value}
+
+
+def plain_copy(value):
+    """A fresh copy of JSON-ready data: every dict, list and tuple is rebuilt
+    as a plain one, and every other leaf is kept as it is (numbers, strings,
+    booleans and None, which cannot be mutated)."""
+    if isinstance(value, dict):
+        return {key: plain_copy(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [plain_copy(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(plain_copy(v) for v in value)
+    return value
 
 
 def read_finite(value, what: str) -> float:
@@ -203,10 +221,13 @@ def payoff(params: GameParams, profile: ActionProfile) -> PayoffVector:
 ALL_INVEST = 7
 
 
-def payoff_table(params: GameParams) -> list[PayoffVector]:
-    """The stage payoff of each decision code 0..7 (bit i set when seat i invests)."""
-    return [payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
-            for code in range(8)]
+@lru_cache(maxsize=256)
+def payoff_table(params: GameParams) -> tuple[PayoffVector, ...]:
+    """The stage payoff of each decision code 0..7 (bit i set when seat i invests).
+
+    Built once per game and shared: equal games get the same tuple."""
+    return tuple(payoff(params, tuple(INVEST if code >> i & 1 else NOT_INVEST for i in range(3)))
+                 for code in range(8))
 
 
 @dataclass(frozen=True)
@@ -234,7 +255,9 @@ class VertexSet:
         return (self.A, self.B) + self.c1 + self.c2
 
 
+@lru_cache(maxsize=256)
 def vertices(params: GameParams) -> VertexSet:
+    """The labeled vertices of a game, built once per game and shared."""
     t = payoff_table(params)
     return VertexSet(
         A=t[0],

@@ -13,6 +13,7 @@ import pytest
 
 from investgame.cli import _GRAMMAR, _OPTIONS, _ROW_KEYS, _options, _parse_plain, build_parser, main
 from investgame.harness import CERT_PITCH, run_example2
+from investgame.stage_game import payoff_table, vertices
 
 CANON = {"r0": 20, "r1": 28, "r2": 36, "p1": 10, "p2": 18, "p3": 26}
 
@@ -609,6 +610,29 @@ def test_certify_commands_in_one_process(tmp_path):
     assert again == first
     assert [first[i][0] for i in range(len(README_CERTIFY))] == [code for *_, code in README_CERTIFY]
     assert all(json.loads(text)["grid_pitch"] == CERT_PITCH for _, text in again.values())
+
+
+def test_t3_commands_in_one_process(tmp_path):
+    """verify t3 on the example game, on a game whose payoff sums round and on
+    the example game again, in one process from cold game tables, writes the
+    bytes a fresh process writes for each: no table of one game reaches another."""
+    rounding = write_json(tmp_path, "rounding.json",
+                          {"r0": 5.1, "r1": 8.3, "r2": 12.7, "p1": 3.3, "p2": 7.1, "p3": 11.3})
+    canon = write_json(tmp_path, "canon.json", CANON)
+    runs = [["--game", canon], ["--game", rounding, "--n", "2000"], ["--game", canon]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for k, flags in enumerate(runs[:2]):
+        out = tmp_path / f"fresh{k}.json"
+        subprocess.run([sys.executable, "-m", "investgame.cli", "verify", "t3", *flags, "--out", str(out)],
+                       check=True, env=env, timeout=CLI_TIMEOUT_S)
+        fresh.append(out.read_bytes())
+    payoff_table.cache_clear()
+    vertices.cache_clear()
+    for k, flags in enumerate(runs):
+        out = tmp_path / f"in_process{k}.json"
+        assert main(["verify", "t3", *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh[k % 2], flags
 
 
 GOOD3 = [{"kind": "good", "eps": 0.4}] * 3

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import sys
 from itertools import combinations, product
@@ -879,3 +881,76 @@ class TestExample2:
         )
         traj = iterate(induced_map(profile, PARAMS), (19.0, 19.0, 28.0), 3000)
         assert all(m[0] == m[1] for m in traj.means)
+
+
+@functools.cache
+def _cert_reports():
+    from investgame.lyapunov import (
+        certification_grid,
+        check_lyapunov,
+        decrease_check,
+        good_profile_plane_map,
+        six_direction_spec,
+        t1_constants,
+    )
+
+    spec, mmap = six_direction_spec(0.3), good_profile_plane_map(PARAMS)
+    grid = certification_grid(spec, PARAMS, 0.5)
+    reports = {**harness.example1_targets(pitch=0.5).certify_all(), **harness.example2_targets(pitch=0.5).certify_all()}
+    reports["lyapunov"] = check_lyapunov(spec, mmap, grid)
+    reports["decrease"] = decrease_check(spec, mmap, t1_constants(spec, 60.0), grid)
+    reports["decrease_failing"] = decrease_check(spec, mmap, t1_constants(spec, 0.01), grid)
+    return reports
+
+
+def _decay_report():
+    from investgame.approachability import PointOracle, decay_bound_check
+
+    traj = iterate(induced_map(good_profile(PARAMS, 0.4), PARAMS), VS.c1[0], 2000)
+    return decay_bound_check(traj, PointOracle(VS.B), 1)
+
+
+#: One report of every kind a command writes, built on first use.
+REPORT_KINDS = {
+    "t3": lambda: verify_t3(HarnessConfig(params=PARAMS, n=2000)),
+    "t4": lambda: verify_t4(HarnessConfig(params=PARAMS, n=2000)),
+    "t2": lambda: verify_t2(HarnessConfig(params=PARAMS, n=2000)),
+    "example1": lambda: run_example1(n=2000, starts=3),
+    "example2": lambda: run_example2(n=2000),
+    **{name: (lambda name=name: _cert_reports()[name])
+       for name in ("blackwell_line", "blackwell_segment", "blackwell_singleton", "blackwell_triangle",
+                    "blackwell_union", "lyapunov", "decrease", "decrease_failing")},
+    "decay": _decay_report,
+}
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_as_dict_is_a_fresh_copy_with_asdicts_bytes(kind):
+    report = REPORT_KINDS[kind]()
+    if kind in ("blackwell_singleton", "decrease_failing"):
+        assert report.witness is not None
+    dump = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    got = report.as_dict()
+    # compared as booleans: pytest's diff of two long dumps takes minutes
+    same_bytes = json.dumps(got, indent=2, sort_keys=True) == dump
+    assert same_bytes
+    same_data = got == dataclasses.asdict(report)
+    assert same_data
+    _mutate(got)
+    unchanged = json.dumps(report.as_dict(), indent=2, sort_keys=True) == dump
+    assert unchanged
+
+
+def _mutate(data) -> None:
+    """Overwrite every leaf of nested dicts and lists, and add a key to every dict."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            _mutate(value)
+            if not isinstance(value, (dict, list, tuple)):
+                data[key] = "mutated"
+        data["mutated"] = True
+    elif isinstance(data, list):
+        for k, value in enumerate(data):
+            _mutate(value)
+            if not isinstance(value, (dict, list, tuple)):
+                data[k] = "mutated"

@@ -1,17 +1,19 @@
 import json
 import math
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from investgame.stage_game import (
+    ALL_INVEST,
     INVEST,
     NOT_INVEST,
     GameParams,
     example_game,
     payoff,
+    payoff_table,
     permute,
     validate_params,
     vertices,
@@ -171,3 +173,34 @@ def test_second_admissible_game():
     report = validate_params(astuple(other))
     assert report.ok, report.violations
     assert math.isclose(sum(payoff(other, (INVEST, INVEST, INVEST))), 33.0)
+
+
+class TestTableCache:
+    def test_tables_are_immutable(self):
+        table = payoff_table(example_game())
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        vs = vertices(example_game())
+        with pytest.raises(FrozenInstanceError):
+            vs.B = (0.0, 0.0, 0.0)
+        assert isinstance(vs.c1, tuple) and isinstance(vs.c2, tuple)
+
+    def test_equal_games_share_an_entry(self):
+        game, twin = example_game(), GameParams(*astuple(example_game()))
+        assert twin is not game and twin == game
+        assert payoff_table(twin) is payoff_table(game)
+        assert vertices(twin) is vertices(game)
+
+    def test_int_and_float_payoffs_make_one_game(self):
+        # 20 == 20.0 and both hash alike, so a cache keyed by game would hand
+        # an int game's table to the float one: every level is stored as a float
+        game = GameParams(20, 28, 36, 10, 18, 26)
+        assert all(type(getattr(game, name)) is float for name in FIELDS)
+        assert payoff_table(game) is payoff_table(example_game())
+        assert all(type(c) is float for row in payoff_table(game) for c in row)
+
+    def test_a_different_game_gets_its_own_entry(self):
+        game, other = example_game(), GameParams(5.0, 8.0, 12.0, 3.0, 7.0, 11.0)
+        assert payoff_table(other) is not payoff_table(game)
+        assert payoff_table(other)[ALL_INVEST] == (11.0, 11.0, 11.0)
+        assert vertices(other).B == (11.0, 11.0, 11.0)
+        assert vertices(game).B == (26.0, 26.0, 26.0)
